@@ -264,24 +264,38 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
                         params={"M": mass, "a": spin})
 
 
-CATALOG_IDS = ("sphere2", "space-form", "euclidean", "minkowski",
-               "schwarzschild", "kerr")
+# Catalog id -> (factory, declared parameters with their defaults); a
+# parameter whose default is None is required.  The factories run through
+# their module-level names, so replacing one of those names takes effect.
+REGISTRY: dict[str, tuple[Callable[..., CatalogEntry], dict]] = {
+    "sphere2": (lambda: sphere2(), {}),
+    "space-form": (lambda kappa, n: space_form(kappa, int(n)),
+                   {"kappa": None, "n": None}),
+    "euclidean": (lambda n: euclidean(int(n)), {"n": 3}),
+    "minkowski": (lambda: minkowski(), {}),
+    "schwarzschild": (lambda M: schwarzschild(M), {"M": 1.0}),
+    "kerr": (lambda M, a: kerr(M, a), {"M": 1.0, "a": 0.5}),
+}
+
+CATALOG_IDS = tuple(REGISTRY)
 
 
 def get(metric_id: str, **params) -> CatalogEntry:
-    """Look up a catalog entry by its stable id."""
-    if metric_id == "sphere2":
-        return sphere2()
-    if metric_id == "space-form":
-        if "kappa" not in params or "n" not in params:
-            raise InvalidInput("space-form needs params kappa and n")
-        return space_form(params["kappa"], int(params["n"]))
-    if metric_id == "euclidean":
-        return euclidean(int(params.get("n", 3)))
-    if metric_id == "minkowski":
-        return minkowski()
-    if metric_id == "schwarzschild":
-        return schwarzschild(params.get("M", 1.0))
-    if metric_id == "kerr":
-        return kerr(params.get("M", 1.0), params.get("a", 0.5))
-    raise InvalidInput(f"unknown catalog id '{metric_id}'")
+    """Look up a catalog entry by its stable id.
+
+    Raises :class:`InvalidInput` for an unknown id, an undeclared parameter
+    or a missing required one.
+    """
+    if metric_id not in REGISTRY:
+        raise InvalidInput(f"unknown catalog id '{metric_id}'")
+    factory, declared = REGISTRY[metric_id]
+    undeclared = sorted(set(params) - set(declared))
+    if undeclared:
+        raise InvalidInput(
+            f"{metric_id} does not take params {', '.join(undeclared)} "
+            f"(declared: {', '.join(declared) or 'none'})")
+    args = {**declared, **params}
+    missing = [k for k, v in args.items() if v is None]
+    if missing:
+        raise InvalidInput(f"{metric_id} needs params {' and '.join(missing)}")
+    return factory(**args)

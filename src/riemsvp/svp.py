@@ -7,11 +7,15 @@ The unknowns are four tangent vectors ``(W, X, Y, Z)`` and a scalar
     R(W, X) Z = sigma Y        R(X, W) Y = sigma Z
 
 together with the normalizations ``<V, V> = +-1`` for each vector.  The
-residual of this system (4n tensor equations plus 4 constraints) is driven
-to zero by a damped least-squares Newton iteration; a multistart driver
-samples feasible random starts and clusters the converged solutions by
-``sigma``.  Orbit equivalence under the structural transforms is exposed
-separately as a membership predicate.
+residual of this system (4n tensor equations plus 4 constraints) and its
+Jacobian are evaluated for a whole batch of points at once.  One damped
+least-squares Newton core, :func:`_gauss_newton`, drives a batch of starts
+to zero together, and each start ends exactly as it would alone.  The
+multistart driver samples feasible random starts, solves each sign pattern
+as one batch and clusters the converged solutions by ``sigma``; the
+repeated-pair reduction :func:`meigen_reduce` and the single-start
+:func:`solve_newton` run through the same core.  Orbit equivalence under
+the structural transforms is exposed separately as a membership predicate.
 """
 
 from __future__ import annotations
@@ -105,18 +109,92 @@ def parse_sign_pattern(pattern) -> Optional[Signs]:
 
 def sigma_from_tensor(cd: CurvatureData, q: Quadruple) -> float:
     """The scalar ``R(W, X, Y, Z)``; equals sigma on all-plus solutions."""
-    return float(np.einsum("ijkl,i,j,k,l->", cd.riemann_lowered,
-                           q.w, q.x, q.y, q.z))
+    return float(_sigmas(cd, q.flat()[None])[0])
 
 
-def _tensor_maps(cd: CurvatureData, q: Quadruple):
-    """The four curvature actions appearing on the left-hand sides."""
-    r = cd.riemann_mixed
-    w, x, y, z = q.vectors
-    return (np.einsum("ijkl,j,k,l->i", r, x, y, z),
-            np.einsum("ijkl,j,k,l->i", r, w, z, y),
-            np.einsum("ijkl,j,k,l->i", r, z, w, x),
-            np.einsum("ijkl,j,k,l->i", r, y, x, w))
+# ---------------------------------------------------------------------------
+# Batched residual, Jacobian and the Gauss-Newton core
+# ---------------------------------------------------------------------------
+
+# Equation e balances the curvature action on the vectors (V[e^1], V[e^2],
+# V[e^3]) in slots (j, k, l) of riemann_mixed[i, j, k, l] against sigma V[e].
+_P = np.array([1, 0, 3, 2])
+_Q = np.array([2, 3, 0, 1])
+_S = np.array([3, 2, 1, 0])
+
+# Outcomes of one start in the Newton core.
+CONVERGED, STALLED, CAPPED, SINGULAR = ("converged", "stalled", "capped",
+                                        "singular")
+
+# Backtracking ladder: the first step length that lowers the max-norm
+# residual is taken; wilder starts would diverge on full steps.
+_STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
+
+
+def _dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Contract ``axis`` of ``a`` with a batch of vectors ``vecs``.
+
+    The leading axes of ``a`` are the batch axes of ``vecs`` (or length
+    one); ``axis`` trades places with the last one.  The sum runs in index
+    order with plain multiplies and adds, so an entry is computed the same
+    way whatever batch it sits in.
+    """
+    a = a.swapaxes(axis, -1)
+    v = vecs.reshape(vecs.shape[:-1] + (1,) * (a.ndim - vecs.ndim)
+                     + vecs.shape[-1:])
+    acc = a[..., 0] * v[..., 0]
+    for i in range(1, a.shape[-1]):
+        acc += a[..., i] * v[..., i]
+    return acc
+
+
+def _sigmas(cd: CurvatureData, V: np.ndarray) -> np.ndarray:
+    """``R(W, X, Y, Z)`` for each row ``(w, x, y, z)`` of ``V``."""
+    w, x, y, z = V.reshape(len(V), 4, cd.n).transpose(1, 0, 2)
+    return _dot(_dot(_dot(_dot(cd.riemann_lowered[None], z), y), x), w)
+
+
+def _split(U: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors (B, 4, n) and sigmas (B,) of rows ``(w, x, y, z, sigma)``."""
+    return U[:, :4 * n].reshape(-1, 4, n), U[:, 4 * n]
+
+
+def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
+    """:func:`residual` for each row ``(w, x, y, z, sigma)`` of ``U``.
+
+    ``signs`` is one sign pattern or one per row.
+    """
+    n = cd.n
+    V, sigma = _split(U, n)
+    dj = _dot(_dot(cd.riemann_mixed[None, None], V[:, _S]), V[:, _Q])
+    maps = _dot(dj, V[:, _P])
+    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
+    cons = _dot(_dot(cd.g[None, None], V), V) - np.asarray(signs, dtype=float)
+    return np.concatenate([tensor, cons], axis=1)
+
+
+def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
+    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``."""
+    n = cd.n
+    V, sigma = _split(U, n)
+    r = cd.riemann_mixed[None, None]
+    p, q, s = V[:, _P], V[:, _Q], V[:, _S]
+    rs = _dot(r, s)
+    # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
+    d_p = _dot(rs, q)
+    d_q = _dot(rs, p, axis=-2)
+    d_s = _dot(_dot(r, p, axis=3), q)
+    gv = _dot(cd.g[None, None], V)
+    jac = np.zeros((len(U), 4 * n + 4, 4 * n + 1))
+    diag = np.arange(n)
+    for e in range(4):
+        rows = jac[:, e * n:(e + 1) * n]
+        for slot, block in ((_P[e], d_p), (_Q[e], d_q), (_S[e], d_s)):
+            rows[:, :, slot * n:(slot + 1) * n] = block[:, e]
+        rows[:, diag, e * n + diag] = -sigma[:, None]
+        rows[:, :, 4 * n] = -V[:, e]
+        jac[:, 4 * n + e, e * n:(e + 1) * n] = 2.0 * gv[:, e]
+    return jac
 
 
 def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
@@ -125,12 +203,7 @@ def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
     Blocks: the four tensor equations (n entries each), then the four
     normalization constraints ``<V, V> - sign_V``.
     """
-    mw, mx, my, mz = _tensor_maps(cd, q)
-    w, x, y, z = q.vectors
-    cons = [inner(cd.g, v, v) - s for v, s in zip(q.vectors, q.signs)]
-    return np.concatenate([mw - sigma * w, mx - sigma * x,
-                           my - sigma * y, mz - sigma * z,
-                           np.array(cons)])
+    return _residuals(cd, np.append(q.flat(), sigma)[None], q.signs)[0]
 
 
 def residual_norm(cd: CurvatureData, q: Quadruple, sigma: float) -> float:
@@ -139,54 +212,107 @@ def residual_norm(cd: CurvatureData, q: Quadruple, sigma: float) -> float:
 
 def _jacobian(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
     """Analytic Jacobian of :func:`residual` w.r.t. ``(w, x, y, z, sigma)``."""
-    n = cd.n
-    r = cd.riemann_mixed
-    g = cd.g
-    w, x, y, z = q.vectors
-    eye = np.eye(n)
+    return _jacobians(cd, np.append(q.flat(), sigma)[None])[0]
 
-    # d/dv of einsum('ijkl,j,k,l->i', r, p, q, s) for each slot
-    def d_j(qv, sv):
-        return np.einsum("ijkl,k,l->ij", r, qv, sv)
 
-    def d_k(pv, sv):
-        return np.einsum("ijkl,j,l->ik", r, pv, sv)
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.matmul(a, x[..., None])[..., 0]
 
-    def d_l(pv, qv):
-        return np.einsum("ijkl,j,k->il", r, pv, qv)
 
-    jac = np.zeros((4 * n + 4, 4 * n + 1))
-    blocks = {
-        # equation block -> {vector slot -> derivative matrix}
-        0: {1: d_j(y, z), 2: d_k(x, z), 3: d_l(x, y), 0: -sigma * eye},
-        1: {0: d_j(z, y), 3: d_k(w, y), 2: d_l(w, z), 1: -sigma * eye},
-        2: {3: d_j(w, x), 0: d_k(z, x), 1: d_l(z, w), 2: -sigma * eye},
-        3: {2: d_j(x, w), 1: d_k(y, w), 0: d_l(y, x), 3: -sigma * eye},
-    }
-    vecs = q.vectors
-    for eq, cols in blocks.items():
-        rows = slice(eq * n, (eq + 1) * n)
-        for slot, mat in cols.items():
-            jac[rows, slot * n:(slot + 1) * n] += mat
-        jac[rows, 4 * n] = -vecs[eq]
-    for c, v in enumerate(vecs):
-        jac[4 * n + c, c * n:(c + 1) * n] = 2.0 * (g @ v)
-    return jac
+def _svd_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions, with one refinement step.
+
+    Singular values at or below ``eps * max(M, N) * s_max`` count as zero,
+    the cutoff ``numpy.linalg.lstsq`` uses with ``rcond=None``.  The
+    refinement step recovers the accuracy starts need to get below a
+    tolerance near the rounding floor.
+    """
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
+
+    def apply_pinv(b):
+        return _matvec(v, inv * _matvec(ut, b))
+
+    x = apply_pinv(rhs)
+    return x + apply_pinv(rhs - _matvec(jac, x))
+
+
+def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`_svd_solve` per system; NaN rows where it fails.
+
+    A system with a non-finite matrix, or whose SVD fails on its own, gets a
+    NaN row; the other systems are solved exactly as they would be alone.
+    """
+    steps = np.full((len(jac), jac.shape[2]), np.nan)
+    ok = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
+    try:
+        steps[ok] = _svd_solve(jac[ok], rhs[ok])
+    except np.linalg.LinAlgError:
+        for i in ok:
+            try:
+                steps[i] = _svd_solve(jac[i:i + 1], rhs[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+    return steps
+
+
+# A start that overflows gets a non-finite residual or step, which the
+# comparisons in the core reject, so the floating-point warnings carry nothing.
+@np.errstate(over="ignore", invalid="ignore")
+def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
+    """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
+
+    ``res_fn`` and ``jac_fn`` map a batch of points to residuals (B, m) and
+    Jacobians (B, m, k), row by row.  Each start iterates on its own: it
+    takes the minimum-norm Gauss-Newton step, then the first length in
+    ``_STEPS`` that lowers the max-norm of its residual.  It ends
+    ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
+    step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
+    after ``cfg.max_newton_iters`` steps; none of this depends on the other
+    starts in the batch.  Returns the final points, their residual norms and
+    the outcomes.
+    """
+    U = np.array(U, dtype=float)
+    F = res_fn(U)
+    fnorm = np.abs(F).max(axis=1)
+    outcome = np.full(len(U), CAPPED, dtype=object)
+    live = np.arange(len(U))
+    for _ in range(cfg.max_newton_iters):
+        done = fnorm[live] < cfg.tol
+        outcome[live[done]] = CONVERGED
+        live = live[~done]
+        if not live.size:
+            break
+        step = _lstsq_steps(jac_fn(U[live]), -F[live])
+        finite = np.isfinite(step).all(axis=1)
+        outcome[live[~finite]] = SINGULAR
+        live, step = live[finite], step[finite]
+        todo = np.arange(len(live))
+        for t in _STEPS:
+            if not todo.size:
+                break
+            idx = live[todo]
+            u_try = U[idx] + t * step[todo]
+            f_try = res_fn(u_try)
+            fn_try = np.abs(f_try).max(axis=1)
+            better = fn_try < fnorm[idx]
+            took = idx[better]
+            U[took], F[took], fnorm[took] = (u_try[better], f_try[better],
+                                             fn_try[better])
+            todo = todo[~better]
+        outcome[live[todo]] = STALLED
+        live = np.delete(live, todo)
+    else:
+        outcome[live[fnorm[live] < cfg.tol]] = CONVERGED
+    return U, fnorm, outcome
 
 
 def _unpack(u: np.ndarray, n: int, signs: Signs) -> tuple[Quadruple, float]:
     q = Quadruple(w=u[0:n], x=u[n:2 * n], y=u[2 * n:3 * n], z=u[3 * n:4 * n],
                   signs=signs)
     return q, float(u[4 * n])
-
-
-def normalize_sign(sol: SVPSolution) -> SVPSolution:
-    """Flip ``(W, sigma) -> (-W, -sigma)`` so the reported sigma is >= 0."""
-    if sol.sigma >= 0.0:
-        return sol
-    q = sol.q
-    return replace(sol, q=Quadruple(-q.w, q.x, q.y, q.z, q.signs),
-                   sigma=-sol.sigma)
 
 
 def trivial_pattern(q: Quadruple, atol: float = 1e-6) -> Optional[str]:
@@ -205,56 +331,53 @@ def trivial_pattern(q: Quadruple, atol: float = 1e-6) -> Optional[str]:
     return None
 
 
+def _finish(cd: CurvatureData, U: np.ndarray, signs: Signs, seeds,
+            origin: str = "multistart") -> list[SVPSolution]:
+    """The reported solutions at converged rows ``(w, x, y, z, sigma)``.
+
+    A negative sigma is flipped together with ``W``, which maps solutions to
+    solutions, so the reported sigma is >= 0.
+    """
+    n = cd.n
+    U = U.copy()
+    U[np.ix_(U[:, 4 * n] < 0.0, np.r_[0:n, 4 * n])] *= -1.0
+    res = np.abs(_residuals(cd, U, signs)).max(axis=1)
+    sols = []
+    for u, r, seed in zip(U, res, seeds):
+        q, sigma = _unpack(u, n, signs)
+        sols.append(SVPSolution(q=q, sigma=sigma, residual=float(r),
+                                origin=origin, seed=seed,
+                                trivial=trivial_pattern(q)))
+    return sols
+
+
+def _solve_full(cd: CurvatureData, U: np.ndarray, signs: Signs,
+                cfg: SolverConfig):
+    """:func:`_gauss_newton` on the full system for a batch of starts."""
+    return _gauss_newton(lambda batch: _residuals(cd, batch, signs),
+                         lambda batch: _jacobians(cd, batch), U, cfg)
+
+
 def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
                  cfg: SolverConfig) -> SVPSolution:
     """Damped least-squares Newton on the full residual system.
 
     The system has ``4n + 4`` equations in ``4n + 1`` unknowns but is
-    consistent at genuine solutions, so a QR-based least-squares step
-    converges to exact roots.  Raises :class:`NoConvergence` at the
-    iteration cap and :class:`SingularJacobian` when the linearization
-    degenerates.
+    consistent at genuine solutions, so the minimum-norm least-squares step
+    converges to exact roots.  This is :func:`_gauss_newton` on a batch of
+    one.  Raises :class:`NoConvergence` on a stall or at the iteration cap
+    and :class:`SingularJacobian` when the linearization degenerates.
     """
-    n = cd.n
     u = np.concatenate([q0.flat(), [sigma0]])
     if not np.all(np.isfinite(u)):
         raise InvalidInput("non-finite start")
-    signs = q0.signs
-    q, sigma = _unpack(u, n, signs)
-    f = residual(cd, q, sigma)
-    fnorm = float(np.abs(f).max())
-
-    def finish(quad, sig):
-        sol = normalize_sign(SVPSolution(q=quad, sigma=sig, residual=fnorm))
-        sol.residual = residual_norm(cd, sol.q, sol.sigma)
-        sol.trivial = trivial_pattern(sol.q)
-        return sol
-
-    for _ in range(cfg.max_newton_iters):
-        if fnorm < cfg.tol:
-            return finish(q, sigma)
-        jac = _jacobian(cd, q, sigma)
-        try:
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-        # backtracking keeps wilder starts from diverging
-        accepted = False
-        for t in (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0):
-            u_new = u + t * step
-            q_new, sigma_new = _unpack(u_new, n, signs)
-            f_new = residual(cd, q_new, sigma_new)
-            fnorm_new = float(np.abs(f_new).max())
-            if fnorm_new < fnorm:
-                u, q, sigma, f, fnorm = u_new, q_new, sigma_new, f_new, fnorm_new
-                accepted = True
-                break
-        if not accepted:
-            raise NoConvergence(f"stalled at residual {fnorm:.3e}")
-    if fnorm < cfg.tol:
-        return finish(q, sigma)
+    (u,), (fnorm,), (outcome,) = _solve_full(cd, u[None], q0.signs, cfg)
+    if outcome == CONVERGED:
+        return _finish(cd, u[None], q0.signs, [None])[0]
+    if outcome == SINGULAR:
+        raise SingularJacobian("singular or non-finite Newton step")
+    if outcome == STALLED:
+        raise NoConvergence(f"stalled at residual {fnorm:.3e}")
     raise NoConvergence(f"no convergence after {cfg.max_newton_iters} iterations"
                         f" (residual {fnorm:.3e})")
 
@@ -277,6 +400,26 @@ def sample_unit_vector(rng: np.random.Generator, g: np.ndarray, sign: int,
     raise WrongSignature(
         f"could not sample a vector with <v,v> sign {sign:+d}; "
         "the metric signature may not admit it")
+
+
+def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,
+                   count: int) -> tuple[np.ndarray, int]:
+    """Up to ``count`` starts, one unit vector per sign each, drawn in order.
+
+    Returns the rows ``(v_1, ..., v_len(signs))`` and the number of starts
+    attempted: sampling stops at the first start that cannot be drawn, and
+    that start still counts.
+    """
+    rows = []
+    attempted = 0
+    for _ in range(count):
+        attempted += 1
+        try:
+            rows.append(np.concatenate([sample_unit_vector(rng, g, s)
+                                        for s in signs]))
+        except WrongSignature:
+            break
+    return np.array(rows).reshape(len(rows), len(signs) * len(g)), attempted
 
 
 def feasible_patterns(cd: CurvatureData) -> list[Signs]:
@@ -305,20 +448,13 @@ def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     found: list[SVPSolution] = []
     start_index = 0
     for signs in patterns:
-        for _ in range(cfg.n_starts):
-            start_index += 1
-            try:
-                vecs = [sample_unit_vector(rng, cd.g, s) for s in signs]
-            except WrongSignature:
-                break
-            q0 = Quadruple(*vecs, signs=signs)
-            sigma0 = sigma_from_tensor(cd, q0)
-            try:
-                sol = solve_newton(cd, q0, sigma0, cfg)
-            except (NoConvergence, SingularJacobian):
-                continue
-            sol.seed = start_index
-            found.append(sol)
+        V, attempted = _sample_starts(rng, cd.g, signs, cfg.n_starts)
+        U, _, outcome = _solve_full(cd, np.column_stack([V, _sigmas(cd, V)]),
+                                    signs, cfg)
+        conv = np.flatnonzero(outcome == CONVERGED)
+        seeds = (start_index + 1 + conv).tolist()
+        found += _finish(cd, U[conv], signs, seeds)
+        start_index += attempted
     clusters = _cluster(found, cfg)
     clusters = _ensure_trivial(clusters, cd, cfg, patterns)
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
@@ -442,12 +578,10 @@ def orbit(sol: SVPSolution, cd: CurvatureData, tol: float = 1e-10,
             f"orbit requires a converged solution (residual {sol.residual:.3e} "
             f">= {tol:.1e})")
     q, sigma = sol.q, sol.sigma
-    members: list[SVPSolution] = []
+    members: list[tuple[Quadruple, float]] = []
 
     def emit(quad: Quadruple, sig: float):
-        members.append(SVPSolution(
-            q=quad, sigma=sig, residual=residual_norm(cd, quad, sig),
-            origin="orbit", seed=sol.seed))
+        members.append((quad, sig))
 
     for signs4 in itertools.product((1.0, -1.0), repeat=4):
         parity = 1.0 if np.prod(signs4) > 0 else -1.0
@@ -465,7 +599,11 @@ def orbit(sol: SVPSolution, cd: CurvatureData, tol: float = 1e-10,
         emit(Quadruple(w, x, rt * (y - z), rt * (y + z), q.signs), sigma)
         emit(Quadruple(rt * (w + x), rt * (w - x), rt * (y + z), rt * (y - z),
                        q.signs), sigma)
-    return members
+    U = np.array([np.append(quad.flat(), sig) for quad, sig in members])
+    res = np.abs(_residuals(cd, U, [quad.signs for quad, _ in members]))
+    return [SVPSolution(q=quad, sigma=sig, residual=float(r), origin="orbit",
+                        seed=sol.seed)
+            for (quad, sig), r in zip(members, res.max(axis=1))]
 
 
 def _rotations_valid(cd: CurvatureData, q: Quadruple, atol: float = 1e-9) -> bool:
@@ -506,84 +644,34 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     else:
         pairs = [(pattern[0], pattern[1])]
     rng = np.random.default_rng(cfg.rng_seed)
-    r = cd.riemann_mixed
-    g = cd.g
-    eye = np.eye(n)
+    # the pair (y, z) is the full system at (y, z, y, z): its equations are
+    # the first two tensor blocks and the first two constraints, and its
+    # Jacobian sums the columns of the repeated vectors
+    rows = np.r_[0:2 * n, 4 * n, 4 * n + 1]
 
-    def reduced_residual(u, signs):
-        y, z, sigma = u[:n], u[n:2 * n], u[2 * n]
-        ryz_z = np.einsum("ijkl,j,k,l->i", r, z, y, z)
-        rzy_y = np.einsum("ijkl,j,k,l->i", r, y, z, y)
-        return np.concatenate([
-            ryz_z - sigma * y, rzy_y - sigma * z,
-            [inner(g, y, y) - signs[0], inner(g, z, z) - signs[1]]])
+    def embed(U):
+        return np.concatenate([U[:, :2 * n], U], axis=1)
 
-    def reduced_jacobian(u, signs):
-        y, z, sigma = u[:n], u[n:2 * n], u[2 * n]
-        jac = np.zeros((2 * n + 2, 2 * n + 1))
-        # eq1: r[i,j,k,l] z^j y^k z^l - sigma y^i
-        jac[:n, :n] = np.einsum("ijkl,j,l->ik", r, z, z) - sigma * eye
-        jac[:n, n:2 * n] = (np.einsum("ijkl,k,l->ij", r, y, z)
-                            + np.einsum("ijkl,j,k->il", r, z, y))
-        jac[:n, 2 * n] = -y
-        # eq2: r[i,j,k,l] y^j z^k y^l - sigma z^i
-        jac[n:2 * n, :n] = (np.einsum("ijkl,k,l->ij", r, z, y)
-                            + np.einsum("ijkl,j,k->il", r, y, z))
-        jac[n:2 * n, n:2 * n] = np.einsum("ijkl,j,l->ik", r, y, y) - sigma * eye
-        jac[n:2 * n, 2 * n] = -z
-        jac[2 * n, :n] = 2.0 * (g @ y)
-        jac[2 * n + 1, n:2 * n] = 2.0 * (g @ z)
-        return jac
+    def jac_fn(U):
+        jac = _jacobians(cd, embed(U))[:, rows]
+        return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
+                               jac[:, :, 4 * n:]], axis=2)
 
     found: list[SVPSolution] = []
     start_index = 0
-    for signs in pairs:
-        for _ in range(cfg.n_starts):
-            start_index += 1
-            try:
-                y0 = sample_unit_vector(rng, g, signs[0])
-                z0 = sample_unit_vector(rng, g, signs[1])
-            except WrongSignature:
-                break
-            sigma0 = float(np.einsum("ijkl,i,j,k,l->", cd.riemann_lowered,
-                                     y0, z0, y0, z0))
-            u = np.concatenate([y0, z0, [sigma0]])
-            ok = False
-            f = reduced_residual(u, signs)
-            fnorm = float(np.abs(f).max())
-            for _ in range(cfg.max_newton_iters):
-                if fnorm < cfg.tol:
-                    ok = True
-                    break
-                jac = reduced_jacobian(u, signs)
-                step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                improved = False
-                for t in (1.0, 0.5, 0.25, 0.125):
-                    u_try = u + t * step
-                    f_try = reduced_residual(u_try, signs)
-                    fn_try = float(np.abs(f_try).max())
-                    if fn_try < fnorm:
-                        u, f, fnorm = u_try, f_try, fn_try
-                        improved = True
-                        break
-                if not improved:
-                    break
-            if not ok:
-                continue
-            y, z, sigma = u[:n].copy(), u[n:2 * n].copy(), float(u[2 * n])
-            q = Quadruple(y, z, y.copy(), z.copy(),
-                          signs=(signs[0], signs[1], signs[0], signs[1]))
-            sol = SVPSolution(q=q, sigma=sigma,
-                              residual=residual_norm(cd, q, sigma),
-                              origin="meigen", seed=start_index)
-            if sol.residual >= cfg.tol:
-                continue
-            sol = normalize_sign(sol)
-            sol.residual = residual_norm(cd, sol.q, sol.sigma)
-            sol.trivial = trivial_pattern(sol.q)
-            found.append(sol)
+    for pair in pairs:
+        signs = pair + pair
+        V, attempted = _sample_starts(rng, cd.g, pair, cfg.n_starts)
+        U, _, outcome = _gauss_newton(
+            lambda U: _residuals(cd, embed(U), signs)[:, rows], jac_fn,
+            np.column_stack([V, _sigmas(cd, np.concatenate([V, V], axis=1))]),
+            cfg)
+        conv = np.flatnonzero(outcome == CONVERGED)
+        seeds = (start_index + 1 + conv).tolist()
+        found += [sol for sol in _finish(cd, embed(U[conv]), signs, seeds,
+                                         origin="meigen")
+                  if sol.residual < cfg.tol]
+        start_index += attempted
     clusters = _cluster(found, cfg)
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
     return clusters

@@ -178,6 +178,13 @@ class TestCatalogRegistry:
         with pytest.raises(InvalidInput):
             catalog.get("space-form")
 
+    def test_undeclared_param_rejected(self):
+        with pytest.raises(InvalidInput, match="does not take params m "):
+            catalog.get("schwarzschild", m=1.0)
+        with pytest.raises(InvalidInput):
+            catalog.get("sphere2", n=3.0)
+        assert catalog.get("kerr", M=2.0).params == {"M": 2.0, "a": 0.5}
+
 
 class TestAnalyticExactness:
     def test_symmetry_defect_zero(self):

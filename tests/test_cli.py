@@ -201,6 +201,14 @@ class TestCatalogCommand:
                     "schwarzschild", "kerr"):
             assert mid in out
 
+    def test_params_follow_registry(self, capsys):
+        code, out = run(capsys, "catalog", "list", "--output", "json")
+        assert code == 0
+        listed = {m["id"]: m["params"] for m in json.loads(out)["metrics"]}
+        assert listed == {"sphere2": [], "space-form": ["kappa", "n"],
+                          "euclidean": ["n"], "minkowski": [],
+                          "schwarzschild": ["M"], "kerr": ["M", "a"]}
+
 
 class TestExitCodes:
     def test_unknown_metric_is_config_error(self, capsys):
@@ -211,6 +219,12 @@ class TestExitCodes:
         code = main(["svp", "--metric", "schwarzschild", "--params",
                      "M=abc", "--point", "0,3,1,0"])
         assert code == 2
+
+    def test_undeclared_param_is_config_error(self, capsys):
+        code = main(["svp", "--metric", "schwarzschild", "--params", "m=1",
+                     "--point", "0,3,0.7854,0"])
+        assert code == 2
+        assert "does not take params m " in capsys.readouterr().err
 
     def test_wrong_point_length_is_config_error(self, capsys):
         code = main(["invariants", "--metric", "sphere2", "--point",

@@ -137,6 +137,91 @@ class TestSolveNewton:
             assert sol.sigma >= 0.0
 
 
+def core_starts(cd, signs, count, seed=0):
+    """Multistart's first batch of starts for one sign pattern."""
+    from riemsvp.svp import _sample_starts, _sigmas
+
+    V, _ = _sample_starts(np.random.default_rng(seed), cd.g, signs, count)
+    return np.column_stack([V, _sigmas(cd, V)])
+
+
+CORE_CASES = {
+    "sphere2": lambda: sphere_cd(),
+    "space-form n=4": lambda: riemann(catalog.space_form(2.0, 4).spec,
+                                      np.zeros(4)),
+    "schwarzschild r=3": lambda: riemann(catalog.schwarzschild(1.0).spec,
+                                         [0.0, 3.0, math.pi / 4, 0.0]),
+}
+
+
+class TestBatchedCore:
+    @pytest.mark.parametrize("case", sorted(CORE_CASES))
+    def test_outcome_independent_of_batch(self, case):
+        from riemsvp.svp import _solve_full
+
+        cd = CORE_CASES[case]()
+        U0 = core_starts(cd, ALL_PLUS, 200)
+        cfg = SolverConfig()
+        U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
+        halves = [_solve_full(cd, part, ALL_PLUS, cfg)
+                  for part in (U0[:73], U0[73:])]
+        singles = [_solve_full(cd, U0[i:i + 1], ALL_PLUS, cfg)
+                   for i in range(len(U0))]
+        for split in (halves, singles):
+            assert np.array_equal(np.concatenate([r[0] for r in split]), U)
+            assert list(np.concatenate([r[2] for r in split])) == list(out)
+        assert "converged" in set(out)
+
+    def test_anchor_yield(self):
+        cd = CORE_CASES["schwarzschild r=3"]()
+        sols = multistart(cd, SolverConfig(n_starts=200, rng_seed=0))
+        assert sum(s.count for s in sols if s.origin == "multistart") >= 52
+        assert sigma_values(sols) == pytest.approx(
+            [0.0, 1.0 / 27.0, 2.0 / 27.0], abs=1e-10)
+
+    def test_non_finite_start_is_singular_alone(self):
+        from riemsvp.svp import _solve_full
+
+        cd = sphere_cd()
+        U0 = core_starts(cd, ALL_PLUS, 30)
+        bad = U0.copy()
+        bad[5, 2] = np.inf
+        cfg = SolverConfig()
+        U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
+        U_bad, _, out_bad = _solve_full(cd, bad, ALL_PLUS, cfg)
+        assert out_bad[5] == "singular"
+        rest = np.arange(len(U0)) != 5
+        assert np.array_equal(U_bad[rest], U[rest])
+        assert list(out_bad[rest]) == list(out[rest])
+        assert "converged" in set(out_bad[rest])
+
+    def test_svd_failure_falls_back_per_start(self, monkeypatch):
+        from riemsvp.svp import _solve_full
+
+        cd = sphere_cd()
+        U0 = core_starts(cd, ALL_PLUS, 30)
+        cfg = SolverConfig()
+        U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
+        real_svd = np.linalg.svd
+
+        def stacked_fails(a, **kwargs):
+            if len(a) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", stacked_fails)
+        U_fb, _, out_fb = _solve_full(cd, U0, ALL_PLUS, cfg)
+        assert np.array_equal(U_fb, U) and list(out_fb) == list(out)
+
+        def always_fails(a, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", always_fails)
+        _, _, out_all = _solve_full(cd, U0, ALL_PLUS, cfg)
+        assert set(out_all) <= {"singular", "converged"}
+        assert "singular" in set(out_all)
+
+
 class TestMultistart:
     def test_sphere_clusters(self):
         cd = sphere_cd()
