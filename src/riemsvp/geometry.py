@@ -262,7 +262,7 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
         path = "numeric"
 
     lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
-    defect = _symmetry_defect(lowered)
+    defect = max(_symmetry_defects(lowered)[0])
     return CurvatureData(point=p, g=g, g_inv=g_inv, gamma=gamma,
                          riemann_mixed=mixed, riemann_lowered=lowered,
                          signature=tuple(spec.signature), path=path,
@@ -287,25 +287,23 @@ def _christoffel_derivatives(spec: MetricSpec, p: np.ndarray,
     return dgamma
 
 
-def _symmetry_defect(lowered: np.ndarray) -> float:
-    scale = max(1.0, float(np.abs(lowered).max()))
-    d1 = np.abs(lowered + np.einsum("jikl->ijkl", lowered)).max()
-    d2 = np.abs(lowered + np.einsum("ijlk->ijkl", lowered)).max()
-    d3 = np.abs(lowered - np.einsum("klij->ijkl", lowered)).max()
-    d4 = np.abs(lowered + np.einsum("iljk->ijkl", lowered)
-                + np.einsum("iklj->ijkl", lowered)).max()
-    return float(max(d1, d2, d3, d4) / scale)
+def _symmetry_defects(r: np.ndarray) -> tuple[list[float], float]:
+    """Defects of the algebraic symmetries of a lowered curvature tensor.
+
+    Returns the first-pair and second-pair antisymmetry, pair symmetry and
+    first Bianchi defects, each relative to ``max(1, max |R|)``, and that
+    scale.
+    """
+    scale = max(1.0, float(np.abs(r).max()))
+    terms = (r + np.einsum("jikl->ijkl", r), r + np.einsum("ijlk->ijkl", r),
+             r - np.einsum("klij->ijkl", r),
+             r + np.einsum("iljk->ijkl", r) + np.einsum("iklj->ijkl", r))
+    return [float(np.abs(t).max() / scale) for t in terms], scale
 
 
 def verify_tensor_symmetries(cd: CurvatureData, tol: float = 1e-10) -> SymmetryReport:
     """Check antisymmetries, pair symmetry, and the first Bianchi identity."""
-    r = cd.riemann_lowered
-    scale = max(1.0, float(np.abs(r).max()))
-    a1 = float(np.abs(r + np.einsum("jikl->ijkl", r)).max() / scale)
-    a2 = float(np.abs(r + np.einsum("ijlk->ijkl", r)).max() / scale)
-    pair = float(np.abs(r - np.einsum("klij->ijkl", r)).max() / scale)
-    bianchi = float(np.abs(r + np.einsum("iljk->ijkl", r)
-                           + np.einsum("iklj->ijkl", r)).max() / scale)
+    (a1, a2, pair, bianchi), scale = _symmetry_defects(cd.riemann_lowered)
     passed = max(a1, a2, pair, bianchi) < tol
     return SymmetryReport(antisym_first_pair=a1, antisym_second_pair=a2,
                           pair_symmetry=pair, bianchi_first=bianchi,

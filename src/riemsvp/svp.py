@@ -10,12 +10,15 @@ together with the normalizations ``<V, V> = +-1`` for each vector.  The
 residual of this system (4n tensor equations plus 4 constraints) and its
 Jacobian are evaluated for a whole batch of points at once.  One damped
 least-squares Newton core, :func:`_gauss_newton`, drives a batch of starts
-to zero together, and each start ends exactly as it would alone.  The
-multistart driver samples feasible random starts, solves each sign pattern
-as one batch and clusters the converged solutions by ``sigma``; the
-repeated-pair reduction :func:`meigen_reduce` and the single-start
-:func:`solve_newton` run through the same core.  Orbit equivalence under
-the structural transforms is exposed separately as a membership predicate.
+to zero together, and each start ends exactly as it would alone, whatever
+the sign pattern of its batch-mates.  The multistart driver and the
+repeated-pair reduction :func:`meigen_reduce` share one search: the starts
+of every sign pattern are drawn in turn from one random stream, by a block
+rejection sampler that reproduces drawing one vector at a time, and are
+solved as a single batch; the converged solutions are clustered by
+``sigma``.  The single-start :func:`solve_newton` runs through the same
+core.  Orbit equivalence under the structural transforms is exposed
+separately as a membership predicate.
 """
 
 from __future__ import annotations
@@ -129,6 +132,11 @@ CONVERGED, STALLED, CAPPED, SINGULAR = ("converged", "stalled", "capped",
 # Backtracking ladder: the first step length that lowers the max-norm
 # residual is taken; wilder starts would diverge on full steps.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
+
+# Most starts the core advances together.  Its work arrays take about 12 kB
+# per start; larger batches are solved in slices of this size, which bounds
+# the memory and changes no result.
+_MAX_BATCH = 1024
 
 
 def _dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -264,18 +272,24 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
 
-    ``res_fn`` and ``jac_fn`` map a batch of points to residuals (B, m) and
-    Jacobians (B, m, k), row by row.  Each start iterates on its own: it
-    takes the minimum-norm Gauss-Newton step, then the first length in
-    ``_STEPS`` that lowers the max-norm of its residual.  It ends
+    ``res_fn(points, idx)`` maps the points of the starts ``idx`` to their
+    residuals (B, m) and ``jac_fn`` maps points to Jacobians (B, m, k), row by
+    row, so each start may have its own equations.  Each start iterates on
+    its own: it takes the minimum-norm Gauss-Newton step, then the first
+    length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
     ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
     step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
     after ``cfg.max_newton_iters`` steps; none of this depends on the other
     starts in the batch.  Returns the final points, their residual norms and
     the outcomes.
     """
+    if len(U) > _MAX_BATCH:
+        parts = [_gauss_newton(lambda batch, idx, lo=lo: res_fn(batch, lo + idx),
+                               jac_fn, U[lo:lo + _MAX_BATCH], cfg)
+                 for lo in range(0, len(U), _MAX_BATCH)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     U = np.array(U, dtype=float)
-    F = res_fn(U)
+    F = res_fn(U, np.arange(len(U)))
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), CAPPED, dtype=object)
     live = np.arange(len(U))
@@ -295,7 +309,7 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
                 break
             idx = live[todo]
             u_try = U[idx] + t * step[todo]
-            f_try = res_fn(u_try)
+            f_try = res_fn(u_try, idx)
             fn_try = np.abs(f_try).max(axis=1)
             better = fn_try < fnorm[idx]
             took = idx[better]
@@ -331,30 +345,35 @@ def trivial_pattern(q: Quadruple, atol: float = 1e-6) -> Optional[str]:
     return None
 
 
-def _finish(cd: CurvatureData, U: np.ndarray, signs: Signs, seeds,
+def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
             origin: str = "multistart") -> list[SVPSolution]:
     """The reported solutions at converged rows ``(w, x, y, z, sigma)``.
 
+    ``signs`` and ``seeds`` hold each row's sign pattern and start number.
     A negative sigma is flipped together with ``W``, which maps solutions to
     solutions, so the reported sigma is >= 0.
     """
     n = cd.n
     U = U.copy()
     U[np.ix_(U[:, 4 * n] < 0.0, np.r_[0:n, 4 * n])] *= -1.0
-    res = np.abs(_residuals(cd, U, signs)).max(axis=1)
+    res = np.abs(_residuals(cd, U, np.reshape(np.asarray(signs, dtype=float),
+                                              (-1, 4)))).max(axis=1)
     sols = []
-    for u, r, seed in zip(U, res, seeds):
-        q, sigma = _unpack(u, n, signs)
+    for u, r, row_signs, seed in zip(U, res, signs, seeds):
+        q, sigma = _unpack(u, n, row_signs)
         sols.append(SVPSolution(q=q, sigma=sigma, residual=float(r),
                                 origin=origin, seed=seed,
                                 trivial=trivial_pattern(q)))
     return sols
 
 
-def _solve_full(cd: CurvatureData, U: np.ndarray, signs: Signs,
-                cfg: SolverConfig):
-    """:func:`_gauss_newton` on the full system for a batch of starts."""
-    return _gauss_newton(lambda batch: _residuals(cd, batch, signs),
+def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig):
+    """:func:`_gauss_newton` on the full system for a batch of starts.
+
+    ``signs`` is one sign pattern or one per row.
+    """
+    signs = np.broadcast_to(np.asarray(signs, dtype=float), (len(U), 4))
+    return _gauss_newton(lambda batch, idx: _residuals(cd, batch, signs[idx]),
                          lambda batch: _jacobians(cd, batch), U, cfg)
 
 
@@ -373,7 +392,7 @@ def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
         raise InvalidInput("non-finite start")
     (u,), (fnorm,), (outcome,) = _solve_full(cd, u[None], q0.signs, cfg)
     if outcome == CONVERGED:
-        return _finish(cd, u[None], q0.signs, [None])[0]
+        return _finish(cd, u[None], [q0.signs], [None])[0]
     if outcome == SINGULAR:
         raise SingularJacobian("singular or non-finite Newton step")
     if outcome == STALLED:
@@ -387,39 +406,132 @@ def sample_unit_vector(rng: np.random.Generator, g: np.ndarray, sign: int,
     """Gaussian direction rescaled onto the quadric ``<v, v> = sign``.
 
     Near-null draws (``|<v, v>| < 1e-6``) are rejected, as are draws whose
-    causal character does not match the requested sign.
+    causal character does not match the requested sign.  This is
+    :func:`_sample_starts` for one start of one vector.
     """
-    n = g.shape[0]
-    for _ in range(max_tries):
-        v = rng.standard_normal(n)
-        qv = float(v @ g @ v)
-        if abs(qv) < 1e-6:
-            continue
-        if sign * qv > 0:
-            return v / math.sqrt(abs(qv))
-    raise WrongSignature(
-        f"could not sample a vector with <v,v> sign {sign:+d}; "
-        "the metric signature may not admit it")
+    V, _ = _sample_starts(rng, g, (sign,), 1, max_tries)
+    if not len(V):
+        raise WrongSignature(
+            f"could not sample a vector with <v,v> sign {sign:+d}; "
+            "the metric signature may not admit it")
+    return V[0]
 
 
-def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,
-                   count: int) -> tuple[np.ndarray, int]:
+# Largest block of draws the start sampler classifies at once; it bounds the
+# sampler's memory whatever the rejection rate.
+_BLOCK = 2048
+
+
+def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs, count: int,
+                   max_tries: int = 2000) -> tuple[np.ndarray, int]:
     """Up to ``count`` starts, one unit vector per sign each, drawn in order.
 
-    Returns the rows ``(v_1, ..., v_len(signs))`` and the number of starts
-    attempted: sampling stops at the first start that cannot be drawn, and
-    that start still counts.
+    Each vector is the first of its Gaussian draws ``v`` that is not near
+    null (``|<v, v>| < 1e-6``) and has the requested causal character,
+    rescaled onto ``<v, v> = sign``.  Returns the rows ``(v_1, ...,
+    v_len(signs))`` and the number of starts attempted: sampling stops at the
+    first vector not found in ``max_tries`` draws, and its start still counts.
+
+    The draws come in blocks and are classified together.  The rows, and the
+    state the generator is left in, are those of drawing one vector at a
+    time: a block is redrawn up to the last draw the rows used.
     """
-    rows = []
-    attempted = 0
-    for _ in range(count):
-        attempted += 1
-        try:
-            rows.append(np.concatenate([sample_unit_vector(rng, g, s)
-                                        for s in signs]))
-        except WrongSignature:
-            break
-    return np.array(rows).reshape(len(rows), len(signs) * len(g)), attempted
+    n, total = len(g), count * len(signs)
+    rows = [np.empty((0, n))]
+    found = tries = 0  # vectors found; draws spent on the next one
+    failed = False
+    size = min(_BLOCK, 2 * total)
+    while found < total and not failed:
+        state = rng.bit_generator.state
+        V = rng.standard_normal((size, n))
+        # stacked, so each draw gets the products of ``float(v @ g @ v)``;
+        # a single (size, n) @ (n, n) product can round differently
+        qv = np.matmul(np.matmul(V[:, None, :], g), V[:, :, None])[:, 0, 0]
+        # nxt[s][k]: the first draw at or after k that is a unit-s candidate
+        nxt = {}
+        for s in set(signs):
+            first = np.full(size + 1, size)
+            hits = np.flatnonzero(~(np.abs(qv) < 1e-6) & (s * qv > 0))
+            first[hits] = hits
+            nxt[s] = np.minimum.accumulate(first[::-1])[::-1].tolist()
+        pos, keep = 0, []
+        while found < total:
+            hit = nxt[signs[found % len(signs)]][pos]
+            if tries + hit - pos >= max_tries:
+                failed, pos = True, pos + max_tries - tries
+                break
+            if hit == size:
+                tries += size - pos
+                pos = size
+                break
+            keep.append(hit)
+            found, tries, pos = found + 1, 0, hit + 1
+        rows.append(V[keep] / np.sqrt(np.abs(qv[keep]))[:, None])
+        if pos < size:
+            rng.bit_generator.state = state
+            rng.standard_normal((pos, n))
+        size = min(_BLOCK, 2 * size)
+    starts = found // len(signs)
+    vectors = np.concatenate(rows)[:starts * len(signs)]
+    return vectors.reshape(starts, len(signs) * n), starts + failed
+
+
+def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
+            pair: bool = False) -> list[SVPSolution]:
+    """Sample the starts of every sign pattern and solve them as one batch.
+
+    The patterns draw their starts in turn from one stream seeded with
+    ``cfg.rng_seed``.  Starts are numbered from 1 in that order, and each
+    pattern's numbers follow all the starts attempted before it.  With
+    ``pair`` the unknowns are the pair ``(y, z)`` of the repeated-pair
+    reduction ``(w, x, y, z) = (y, z, y, z)``, sampled with each pattern's
+    first two signs.  Returns, in start order, the converged solutions whose
+    full residual is below ``cfg.tol``; on the full system that is the norm
+    the core converged on, so only reduced solutions can fail it.
+    """
+    n = cd.n
+    rng = np.random.default_rng(cfg.rng_seed)
+    blocks, signs, seeds = [], [], []
+    start_index = 0
+    for pattern in patterns:
+        V, attempted = _sample_starts(rng, cd.g, pattern[:2 if pair else 4],
+                                      cfg.n_starts)
+        blocks.append(V)
+        signs += [pattern] * len(V)
+        seeds += range(start_index + 1, start_index + 1 + len(V))
+        start_index += attempted
+    V = np.concatenate(blocks)
+    row_signs = np.reshape(np.asarray(signs, dtype=float), (-1, 4))
+    if pair:
+        # the pair (y, z) is the full system at (y, z, y, z): its equations
+        # are the first two tensor blocks and the first two constraints, and
+        # its Jacobian sums the columns of the repeated vectors
+        rows = np.r_[0:2 * n, 4 * n, 4 * n + 1]
+
+        def embed(U):
+            return np.concatenate([U[:, :2 * n], U], axis=1)
+
+        def jac_fn(U):
+            jac = _jacobians(cd, embed(U))[:, rows]
+            return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
+                                   jac[:, :, 4 * n:]], axis=2)
+    else:
+        rows = slice(None)
+
+        def embed(U):
+            return U
+
+        def jac_fn(U):
+            return _jacobians(cd, U)
+
+    U, _, outcome = _gauss_newton(
+        lambda U, idx: _residuals(cd, embed(U), row_signs[idx])[:, rows],
+        jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)
+    conv = np.flatnonzero(outcome == CONVERGED)
+    sols = _finish(cd, embed(U[conv]), [signs[i] for i in conv],
+                   [seeds[i] for i in conv],
+                   origin="meigen" if pair else "multistart")
+    return [sol for sol in sols if sol.residual < cfg.tol]
 
 
 def feasible_patterns(cd: CurvatureData) -> list[Signs]:
@@ -444,18 +556,7 @@ def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
             raise WrongSignature("negative unit constraints are infeasible "
                                  "for a Riemannian metric")
         patterns = [pattern]
-    rng = np.random.default_rng(cfg.rng_seed)
-    found: list[SVPSolution] = []
-    start_index = 0
-    for signs in patterns:
-        V, attempted = _sample_starts(rng, cd.g, signs, cfg.n_starts)
-        U, _, outcome = _solve_full(cd, np.column_stack([V, _sigmas(cd, V)]),
-                                    signs, cfg)
-        conv = np.flatnonzero(outcome == CONVERGED)
-        seeds = (start_index + 1 + conv).tolist()
-        found += _finish(cd, U[conv], signs, seeds)
-        start_index += attempted
-    clusters = _cluster(found, cfg)
+    clusters = _cluster(_search(cd, cfg, patterns), cfg)
     clusters = _ensure_trivial(clusters, cd, cfg, patterns)
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
     return clusters
@@ -636,43 +737,14 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     unknowns; every converged pair embeds into a full solution, which is
     verified against the full residual before being returned.
     """
-    n = cd.n
     pattern = parse_sign_pattern(cfg.sign_pattern)
     if pattern is None:
         pairs = [(1, 1)] if all(s > 0 for s in cd.signature) else \
             list(itertools.product((1, -1), repeat=2))
     else:
         pairs = [(pattern[0], pattern[1])]
-    rng = np.random.default_rng(cfg.rng_seed)
-    # the pair (y, z) is the full system at (y, z, y, z): its equations are
-    # the first two tensor blocks and the first two constraints, and its
-    # Jacobian sums the columns of the repeated vectors
-    rows = np.r_[0:2 * n, 4 * n, 4 * n + 1]
-
-    def embed(U):
-        return np.concatenate([U[:, :2 * n], U], axis=1)
-
-    def jac_fn(U):
-        jac = _jacobians(cd, embed(U))[:, rows]
-        return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
-                               jac[:, :, 4 * n:]], axis=2)
-
-    found: list[SVPSolution] = []
-    start_index = 0
-    for pair in pairs:
-        signs = pair + pair
-        V, attempted = _sample_starts(rng, cd.g, pair, cfg.n_starts)
-        U, _, outcome = _gauss_newton(
-            lambda U: _residuals(cd, embed(U), signs)[:, rows], jac_fn,
-            np.column_stack([V, _sigmas(cd, np.concatenate([V, V], axis=1))]),
-            cfg)
-        conv = np.flatnonzero(outcome == CONVERGED)
-        seeds = (start_index + 1 + conv).tolist()
-        found += [sol for sol in _finish(cd, embed(U[conv]), signs, seeds,
-                                         origin="meigen")
-                  if sol.residual < cfg.tol]
-        start_index += attempted
-    clusters = _cluster(found, cfg)
+    clusters = _cluster(_search(cd, cfg, [p + p for p in pairs], pair=True),
+                        cfg)
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
     return clusters
 

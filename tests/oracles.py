@@ -4,6 +4,8 @@ Everything here is implemented with plain loops and naive finite
 differences, deliberately sharing no code with the package under test.
 """
 
+import math
+
 import numpy as np
 
 
@@ -126,3 +128,34 @@ def svp_residual_loops(mixed, g, w, x, y, z, signs, sigma):
     cons = [float(v @ g @ v) - s
             for v, s in zip((w, x, y, z), signs)]
     return np.concatenate(parts + [np.array(cons)])
+
+
+def sample_starts_one_draw(rng, g, signs, count, max_tries=2000):
+    """Random starts drawn one Gaussian vector at a time.
+
+    Each vector is the first draw ``v`` that is not near null
+    (``|<v, v>| < 1e-6``) and has the requested sign, rescaled onto
+    ``<v, v> = sign``; sampling stops at the first vector not found in
+    ``max_tries`` draws, whose start still counts.  Returns the rows, one
+    start each, and the number of starts attempted.
+    """
+    rows = []
+    attempted = 0
+    for _ in range(count):
+        attempted += 1
+        row = []
+        for sign in signs:
+            for _ in range(max_tries):
+                v = rng.standard_normal(len(g))
+                qv = float(v @ g @ v)
+                if abs(qv) < 1e-6:
+                    continue
+                if sign * qv > 0:
+                    row.append(v / math.sqrt(abs(qv)))
+                    break
+            else:
+                break
+        if len(row) < len(signs):
+            break
+        rows.append(np.concatenate(row))
+    return np.array(rows).reshape(len(rows), len(signs) * len(g)), attempted

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from riemsvp.errors import (BadCase, InvalidInput, OutOfDomain,
 from riemsvp.geometry import riemann
 from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
                          check_proposition1, closed_form_sigma,
-                         kerr_reduced_solve, lorentz_mixed_sign_check,
-                         meigen_reduce, multistart, orbit, orbit_equivalent,
-                         parse_sign_pattern, residual, residual_norm,
+                         feasible_patterns, kerr_reduced_solve,
+                         lorentz_mixed_sign_check, meigen_reduce, multistart,
+                         orbit, orbit_equivalent, parse_sign_pattern, residual,
+                         residual_norm, sample_unit_vector,
                          schwarzschild_reduced_solve, sigma_from_tensor,
                          sigma_values, solve_newton, trivial_pattern,
                          wedge_det_defect, wedge_matrix)
@@ -172,6 +174,31 @@ class TestBatchedCore:
             assert list(np.concatenate([r[2] for r in split])) == list(out)
         assert "converged" in set(out)
 
+    def test_mixed_patterns_match_each_pattern_alone(self, monkeypatch):
+        from riemsvp import svp
+        from riemsvp.svp import _solve_full
+
+        cd = CORE_CASES["schwarzschild r=3"]()
+        patterns = feasible_patterns(cd)
+        assert len(patterns) == 16
+        parts = [core_starts(cd, signs, 8, seed=i)
+                 for i, signs in enumerate(patterns)]
+        assert all(len(part) == 8 for part in parts)
+        row_signs = [signs for signs in patterns for _ in range(8)]
+        cfg = SolverConfig()
+        U, _, out = _solve_full(cd, np.concatenate(parts), row_signs, cfg)
+        alone = [_solve_full(cd, part, signs, cfg)
+                 for part, signs in zip(parts, patterns)]
+        assert np.array_equal(np.concatenate([r[0] for r in alone]), U)
+        assert list(np.concatenate([r[2] for r in alone])) == list(out)
+        assert "converged" in set(out)
+        # a batch over the core's size limit is solved in slices
+        monkeypatch.setattr(svp, "_MAX_BATCH", 7)
+        U_sliced, _, out_sliced = _solve_full(cd, np.concatenate(parts),
+                                              row_signs, cfg)
+        assert np.array_equal(U_sliced, U)
+        assert list(out_sliced) == list(out)
+
     def test_anchor_yield(self):
         cd = CORE_CASES["schwarzschild r=3"]()
         sols = multistart(cd, SolverConfig(n_starts=200, rng_seed=0))
@@ -220,6 +247,70 @@ class TestBatchedCore:
         _, _, out_all = _solve_full(cd, U0, ALL_PLUS, cfg)
         assert set(out_all) <= {"singular", "converged"}
         assert "singular" in set(out_all)
+
+
+SAMPLER_CASES = {
+    "schwarzschild r=3": CORE_CASES["schwarzschild r=3"],
+    "schwarzschild r=1000": lambda: riemann(
+        catalog.schwarzschild(1.0).spec, [0.0, 1000.0, math.pi / 4, 0.0]),
+    "kerr": lambda: riemann(catalog.kerr(1.0, 0.7).spec,
+                            [0.0, 3.0, math.pi / 3, 0.0]),
+    "sphere2": sphere_cd,
+}
+SAMPLER_PARAMS = [
+    (case, signs) for case in SAMPLER_CASES
+    for signs in ([ALL_PLUS] if case == "sphere2"
+                  else list(itertools.product((1, -1), repeat=4)))]
+
+
+def pattern_id(signs):
+    return "".join("+" if s > 0 else "-" for s in signs)
+
+
+class TestStartSampler:
+    """The block sampler against the one-draw-at-a-time rejection loop."""
+
+    @pytest.mark.parametrize(
+        "case, signs", SAMPLER_PARAMS,
+        ids=[f"{case} {pattern_id(signs)}" for case, signs in SAMPLER_PARAMS])
+    def test_matches_one_draw_loop(self, case, signs):
+        from riemsvp.svp import _sample_starts
+
+        cd = SAMPLER_CASES[case]()
+        assert signs in feasible_patterns(cd)
+        for seed in (0, 5):
+            for count in (1, 4, 200):
+                rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                V, attempted = _sample_starts(rng, cd.g, signs, count)
+                ref, ref_attempted = oracles.sample_starts_one_draw(
+                    ref_rng, cd.g, signs, count)
+                assert attempted == ref_attempted
+                assert np.array_equal(V, ref)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_exhausted_draws_stop_sampling(self):
+        from riemsvp.svp import _sample_starts
+
+        g = np.diag([-1.0, 1e6, 1e6, 1e6])
+        for signs in ((-1,), (1, -1, 1, 1)):
+            rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+            V, attempted = _sample_starts(rng, g, signs, 3)
+            ref, ref_attempted = oracles.sample_starts_one_draw(
+                ref_rng, g, signs, 3)
+            assert attempted == ref_attempted == 1
+            assert V.shape == ref.shape == (0, 4 * len(signs))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        with pytest.raises(WrongSignature):
+            sample_unit_vector(np.random.default_rng(0), g, -1)
+
+    def test_unit_vector_is_a_one_vector_start(self):
+        cd = SAMPLER_CASES["kerr"]()
+        for sign in (1, -1):
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            ref, _ = oracles.sample_starts_one_draw(ref_rng, cd.g, (sign,), 1)
+            assert np.array_equal(sample_unit_vector(rng, cd.g, sign), ref[0])
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMultistart:
