@@ -41,7 +41,12 @@ def kretschmann(cd: CurvatureData) -> float:
 
 
 def _raise_all(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    return np.einsum("ia,jb,kc,ld,abcd->ijkl", g_inv, g_inv, g_inv, g_inv, t)
+    """``t^ijkl = g^ia g^jb g^kc g^ld t_abcd`` as four O(n^5) products."""
+    n = g_inv.shape[0]
+    for _ in range(4):
+        # raise the leading index and move it to the back
+        t = (t.reshape(n, -1).T @ g_inv.T).reshape(t.shape)
+    return t
 
 
 def weyl(cd: CurvatureData) -> np.ndarray:

@@ -15,6 +15,7 @@ converged, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,12 +27,12 @@ import numpy as np
 from . import __version__, catalog
 from .algebra import compute_invariants, inner, ricci
 from .errors import (BadCase, DifferentiationFailure, InvalidInput,
-                     NoConvergence, OutOfDomain, RiemSVPError, SingularMetric,
+                     NoConvergence, OutOfDomain, SingularMetric,
                      WrongSignature)
 from .geometry import riemann, verify_tensor_symmetries
 from .metricfile import load_metric
 from .svp import (SolverConfig, kerr_reduced_solve, lorentz_mixed_sign_check,
-                  multistart, orbit, schwarzschild_reduced_solve,
+                  multistart, orbit, orbit_size, schwarzschild_reduced_solve,
                   sigma_from_tensor, wedge_det_defect)
 
 EXIT_OK = 0
@@ -187,11 +188,6 @@ def _point_or_default(cfg: RunConfig, entry: catalog.CatalogEntry) -> np.ndarray
 
 
 def _solution_record(sol, cd) -> dict:
-    try:
-        members = orbit(sol, cd, tol=max(10.0 * sol.residual, 1e-9))
-        orbit_size = len(members)
-    except (InvalidInput, RiemSVPError):
-        orbit_size = 0
     return {
         "sigma": sol.sigma,
         "residual": sol.residual,
@@ -199,7 +195,8 @@ def _solution_record(sol, cd) -> dict:
         "count": sol.count,
         "trivial": sol.trivial,
         "seed": sol.seed,
-        "orbit_size": orbit_size,
+        # a solution whose residual is not finite has no orbit
+        "orbit_size": orbit_size(sol, cd) if math.isfinite(sol.residual) else 0,
         "quadruple": {
             "w": sol.q.w, "x": sol.q.x, "y": sol.q.y, "z": sol.q.z,
             "signs": list(sol.q.signs),

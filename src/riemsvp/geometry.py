@@ -12,6 +12,13 @@ Index conventions used throughout the package:
 With these choices the unit 2-sphere has ``riemann_lowered[0, 1, 0, 1] =
 sin(theta)**2`` in ``(theta, phi)`` coordinates; a regression test pins that
 sign.
+
+Numeric curvature is one pass over one stencil of ``4n + 1`` points: ``p``,
+then ``p ± h_j e_j`` and ``p ± h_j/2 e_j`` for each coordinate ``j``.  Each
+point evaluates the metric once and takes ``n`` complex-step derivatives, so
+a numeric ``riemann`` calls the metric supplier ``(4n + 1)(n + 1)`` times,
+85 times in 4D.  The real part of a complex evaluation is not used as the
+metric: complex arithmetic rounds differently in the last bits.
 """
 
 from __future__ import annotations
@@ -147,73 +154,154 @@ def metric_at(spec: MetricSpec, p) -> tuple[np.ndarray, np.ndarray]:
         matrix (coordinate singularities such as a sphere pole or a horizon).
     """
     p = as_point(p, spec.dimension)
+    g = _real_metric(spec, p)
+    return g, _checked_inverses(spec, p[None], [g])[0]
+
+
+def _real_metric(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
+    """``spec.g(p)`` as a real matrix of the metric's shape."""
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.asarray(spec.g(p), dtype=float)
     if g.shape != (spec.dimension, spec.dimension):
         raise InvalidInput("metric supplier returned a wrongly shaped matrix")
-    if not np.all(np.isfinite(g)):
+    return g
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``, or its length."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _checked_inverses(spec: MetricSpec, points: np.ndarray, G,
+                      dg=()) -> np.ndarray:
+    """Inverses of the metrics ``G`` taken at the leading rows of ``points``.
+
+    Runs :func:`metric_at`'s checks (finite, determinant against the scale
+    of the matrix, inversion defect) on every row of ``G``, and the
+    finiteness check on as many rows of metric derivatives ``dg`` as given.
+    Raises for the first row that fails, a row's metric before its
+    derivatives, as checking one row at a time would.
+    """
+    n = spec.dimension
+    G = np.reshape(G, (-1, n, n))
+    nf = _first(~np.isfinite(G).all(axis=(1, 2)))
+    gmax = np.abs(G[:nf]).max(axis=(1, 2))
+    det = np.linalg.det(G[:nf])
+    k = _first(~np.isfinite(det)
+               | (np.abs(det) < 1e-14 * np.maximum(1.0, gmax) ** n))
+    G_inv = np.linalg.inv(G[:k])
+    defect = np.abs(G[:k] @ G_inv - np.eye(n)).max(axis=(1, 2))
+    i = _first(defect > 1e-12 * np.maximum(
+        1.0, gmax[:k] * np.abs(G_inv).max(axis=(1, 2))))
+    bad_dg = ~np.isfinite(np.reshape(dg, (-1, n, n, n))).all(axis=(1, 2, 3))
+    d = _first(bad_dg)
+    if d < min(i, len(bad_dg)):
+        raise DifferentiationFailure(
+            f"metric derivatives non-finite at {points[d].tolist()}")
+    if i < k:
         raise SingularMetric(
-            f"metric '{spec.id}' is not finite at {p.tolist()}")
-    scale = max(1.0, float(np.abs(g).max())) ** spec.dimension
-    det = np.linalg.det(g)
-    if not np.isfinite(det) or abs(det) < 1e-14 * scale:
+            f"metric '{spec.id}' is too ill-conditioned at {points[i].tolist()} "
+            f"(inversion defect {defect[i]:.3e})")
+    if k < nf:
         raise SingularMetric(
-            f"metric '{spec.id}' is singular at {p.tolist()} (det={det:.3e})")
-    g_inv = np.linalg.inv(g)
-    defect = np.abs(g @ g_inv - np.eye(spec.dimension)).max()
-    if defect > 1e-12 * max(1.0, np.abs(g).max() * np.abs(g_inv).max()):
+            f"metric '{spec.id}' is singular at {points[k].tolist()} "
+            f"(det={det[k]:.3e})")
+    if nf < len(G):
         raise SingularMetric(
-            f"metric '{spec.id}' is too ill-conditioned at {p.tolist()} "
-            f"(inversion defect {defect:.3e})")
-    return g, g_inv
+            f"metric '{spec.id}' is not finite at {points[nf].tolist()}")
+    return G_inv
 
 
 def supports_complex_step(spec: MetricSpec, p) -> bool:
     """True when the metric supplier evaluates cleanly on complex points."""
-    p = as_point(p, spec.dimension)
+    return _first_complex_step(spec, as_point(p, spec.dimension)) is not None
+
+
+def _complex_step(spec: MetricSpec, p: np.ndarray, i: int) -> np.ndarray:
+    """``spec.g`` at ``p`` with coordinate ``i`` shifted by ``1j * CS_STEP``."""
+    zp = p.astype(complex)
+    zp[i] += 1j * CS_STEP
+    return np.asarray(spec.g(zp))
+
+
+def _first_complex_step(spec: MetricSpec,
+                        p: np.ndarray) -> Optional[np.ndarray]:
+    """The complex step in coordinate 0, or ``None`` when it is not clean."""
     try:
-        zp = p.astype(complex)
-        zp[0] += 1j * CS_STEP
-        gz = np.asarray(spec.g(zp))
+        gz = _complex_step(spec, p, 0)
     except Exception:
-        return False
-    return (np.iscomplexobj(gz) and gz.shape == (spec.dimension,) * 2
-            and bool(np.all(np.isfinite(gz))))
+        return None
+    clean = (np.iscomplexobj(gz) and gz.shape == (spec.dimension,) * 2
+             and bool(np.all(np.isfinite(gz))))
+    return gz if clean else None
 
 
-def _metric_first_derivatives(spec: MetricSpec, p: np.ndarray,
-                              use_complex: bool) -> np.ndarray:
-    """``dg[i, a, b] = d g_ab / d x^i`` via complex step or central+Richardson."""
-    n = spec.dimension
-    dg = np.empty((n, n, n))
-    if use_complex:
-        zp = p.astype(complex)
-        for i in range(n):
-            zq = zp.copy()
-            zq[i] += 1j * CS_STEP
-            dg[i] = np.asarray(spec.g(zq)).imag / CS_STEP
-    else:
-        for i in range(n):
-            h = max(FD_REL_STEP, FD_REL_STEP * abs(p[i]))
-            dg[i] = _richardson_central(
-                lambda q: np.asarray(spec.g(q), dtype=float), p, i, h)
-    if not np.all(np.isfinite(dg)):
-        raise DifferentiationFailure(
-            f"metric derivatives non-finite at {p.tolist()}")
+def _metric_first_derivatives(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
+    """``dg[i, a, b] = d g_ab / d x^i``.
+
+    Complex step when the supplier evaluates cleanly on complex points (the
+    coordinate-0 step is that check), otherwise central differences with
+    one Richardson level.
+    """
+    gz = _first_complex_step(spec, p)
+    if gz is None:
+        h = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(p))
+        return _richardson(np.array([np.asarray(spec.g(q), dtype=float)
+                                     for q in _stencil(p, h)[1:]]), h)
+    dg = np.empty((spec.dimension,) * 3)
+    dg[0] = gz.imag / CS_STEP
+    for i in range(1, spec.dimension):
+        dg[i] = _complex_step(spec, p, i).imag / CS_STEP
     return dg
 
 
-def _richardson_central(f, p: np.ndarray, i: int, h: float) -> np.ndarray:
-    """Central difference in coordinate ``i`` with one Richardson level."""
-    def central(step):
-        up, dn = p.copy(), p.copy()
-        up[i] += step
-        dn[i] -= step
-        return (f(up) - f(dn)) / (2.0 * step)
+def _stencil(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The ``4n + 1`` rows ``p``, then ``p ± h_j e_j`` and ``p ± h_j/2 e_j``
+    for each coordinate ``j`` in that order."""
+    n = len(p)
+    rows = np.tile(p, (4 * n + 1, 1))
+    for j in range(n):
+        rows[4 * j + 1:4 * j + 5, j] += (h[j], -h[j], h[j] / 2.0, -(h[j] / 2.0))
+    return rows
 
-    coarse = central(h)
-    fine = central(h / 2.0)
+
+def _richardson(F: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central differences with one Richardson level, one per coordinate.
+
+    ``F`` holds values at the rows of :func:`_stencil` after ``p``.
+    """
+    n = len(h)
+    F = F.reshape((n, 4) + F.shape[1:])
+    h = h.reshape((n,) + (1,) * (F.ndim - 2))
+    coarse = (F[:, 0] - F[:, 1]) / (2.0 * h)
+    fine = (F[:, 2] - F[:, 3]) / (2.0 * (h / 2.0))
     return (4.0 * fine - coarse) / 3.0
+
+
+def _christoffel_rows(spec: MetricSpec, points: np.ndarray):
+    """Metric, inverse and Christoffel symbols at every row of ``points``.
+
+    Each row calls ``spec.g`` once for the metric and ``n`` times for its
+    complex-step derivatives (``4n`` times on the real fallback).  The
+    error raised is the one that evaluating and checking the rows one at a
+    time would raise first.
+    """
+    G, dg = [], []
+    try:
+        for q in points:
+            G.append(_real_metric(spec, q))
+            dg.append(_metric_first_derivatives(spec, q))
+    except Exception:
+        # a failed check on a row already evaluated comes first
+        _checked_inverses(spec, points, G, dg)
+        raise
+    G_inv = _checked_inverses(spec, points, G, dg)
+    G, dg = np.array(G), np.array(dg)
+    # gamma^l_ik = 1/2 g^lm (d_i g_mk + d_k g_mi - d_m g_ik)
+    term = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
+    gamma = np.array([0.5 * np.einsum("lm,imk->lik", gi, t)
+                      for gi, t in zip(G_inv, term)])
+    return G, G_inv, gamma
 
 
 def christoffel(spec: MetricSpec, p, mode: str = "auto") -> np.ndarray:
@@ -223,36 +311,48 @@ def christoffel(spec: MetricSpec, p, mode: str = "auto") -> np.ndarray:
     differentiates the metric.
     """
     p = as_point(p, spec.dimension)
-    if mode not in ("auto", "numeric"):
-        raise InvalidInput(f"unknown differentiation mode '{mode}'")
+    _check_mode(mode)
     if mode == "auto" and spec.analytic_gamma is not None:
         return np.asarray(spec.analytic_gamma(p), dtype=float)
-    _, g_inv = metric_at(spec, p)
-    dg = _metric_first_derivatives(spec, p, supports_complex_step(spec, p))
-    # gamma^l_ik = 1/2 g^lm (d_i g_mk + d_k g_mi - d_m g_ik)
-    term = (np.einsum("imk->imk", dg) + np.einsum("kmi->imk", dg)
-            - np.einsum("mik->imk", dg))
-    return 0.5 * np.einsum("lm,imk->lik", g_inv, term)
+    return _christoffel_rows(spec, p[None])[2][0]
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("auto", "numeric"):
+        raise InvalidInput(f"unknown differentiation mode '{mode}'")
 
 
 def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     """Evaluate the full curvature data at ``p``.
 
     Uses ``analytic_riemann`` when supplied (``mode='auto'``); otherwise the
-    Christoffel symbols are differentiated numerically.  The returned
+    Christoffel symbols are evaluated at the ``4n + 1`` rows of one stencil
+    (``p``, ``p ± h_j e_j`` and ``p ± h_j/2 e_j``) and differentiated by
+    central differences with one Richardson level.  The returned
     ``symmetry_defect`` is the maximum relative violation of the algebraic
     symmetries; values above ``1e-6`` signal a differentiation problem and
     should be treated as a diagnostic rather than an exception.
     """
     p = as_point(p, spec.dimension)
-    g, g_inv = metric_at(spec, p)
-    gamma = christoffel(spec, p, mode=mode)
-
-    if mode == "auto" and spec.analytic_riemann is not None:
-        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
-        path = "analytic"
+    _check_mode(mode)
+    numeric = mode == "numeric" or spec.analytic_riemann is None
+    h = FD_OUTER_REL_STEP * np.maximum(1.0, np.abs(p))
+    points = _stencil(p, h) if numeric else p[None]
+    if mode == "auto" and spec.analytic_gamma is not None:
+        g, g_inv = metric_at(spec, p)
+        gammas = np.array([np.asarray(spec.analytic_gamma(q), dtype=float)
+                           for q in points])
     else:
-        dgamma = _christoffel_derivatives(spec, p, mode)
+        G, G_inv, gammas = _christoffel_rows(spec, points)
+        g, g_inv = G[0], G_inv[0]
+    gamma = gammas[0]
+
+    if numeric:
+        # dgamma[j, l, i, k] = d gamma^l_ik / d x^j
+        dgamma = _richardson(gammas[1:], h)
+        if not np.all(np.isfinite(dgamma)):
+            raise DifferentiationFailure(
+                f"Christoffel derivatives non-finite at {p.tolist()}")
         # R^l_kij = d_i gamma^l_jk - d_j gamma^l_ik
         #           + gamma^h_jk gamma^l_ih - gamma^h_ik gamma^l_jh
         mixed = (np.einsum("iljk->lkij", dgamma)
@@ -260,6 +360,9 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
                  + np.einsum("hjk,lih->lkij", gamma, gamma)
                  - np.einsum("hik,ljh->lkij", gamma, gamma))
         path = "numeric"
+    else:
+        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
+        path = "analytic"
 
     lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
     defect = max(_symmetry_defects(lowered)[0])
@@ -267,24 +370,6 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
                          riemann_mixed=mixed, riemann_lowered=lowered,
                          signature=tuple(spec.signature), path=path,
                          symmetry_defect=defect)
-
-
-def _christoffel_derivatives(spec: MetricSpec, p: np.ndarray,
-                             mode: str) -> np.ndarray:
-    """``dgamma[j, l, i, k] = d gamma^l_ik / d x^j`` by outer differencing."""
-    n = spec.dimension
-
-    def gamma_at(q):
-        return christoffel(spec, q, mode=mode)
-
-    dgamma = np.empty((n, n, n, n))
-    for j in range(n):
-        h = FD_OUTER_REL_STEP * max(1.0, abs(p[j]))
-        dgamma[j] = _richardson_central(gamma_at, p, j, h)
-    if not np.all(np.isfinite(dgamma)):
-        raise DifferentiationFailure(
-            f"Christoffel derivatives non-finite at {p.tolist()}")
-    return dgamma
 
 
 def _symmetry_defects(r: np.ndarray) -> tuple[list[float], float]:

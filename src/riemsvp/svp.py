@@ -707,6 +707,11 @@ def orbit(sol: SVPSolution, cd: CurvatureData, tol: float = 1e-10,
             for (quad, sig), r in zip(members, res.max(axis=1))]
 
 
+def orbit_size(sol: SVPSolution, cd: CurvatureData) -> int:
+    """The number of members :func:`orbit` returns for ``sol``."""
+    return 16 + len(_SWAPS) + (3 if _rotations_valid(cd, sol.q) else 0)
+
+
 def _rotations_valid(cd: CurvatureData, q: Quadruple, atol: float = 1e-9) -> bool:
     """Plane rotations preserve the constraints only for orthogonal pairs."""
     if q.signs[0] != q.signs[1] or q.signs[2] != q.signs[3]:

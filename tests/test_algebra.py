@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.algebra import (NPTetrad, compute_invariants, inner, invariant_i,
-                             kretschmann, np_scalars, ricci, ricci_scalar,
-                             weyl, weyl_self_contraction)
+from riemsvp.algebra import (NPTetrad, _raise_all, compute_invariants, inner,
+                             invariant_i, kretschmann, np_scalars, ricci,
+                             ricci_scalar, weyl, weyl_self_contraction)
 from riemsvp.errors import BadTetrad, DimensionTooSmall
 from riemsvp.geometry import riemann
 
@@ -92,6 +92,19 @@ class TestKretschmann:
         want = oracles.kretschmann_loops(cd.g_inv, cd.riemann_lowered)
         assert want == pytest.approx(4.0, rel=1e-12)
         assert kretschmann(cd) == pytest.approx(want, rel=1e-12)
+
+    def test_raise_all_matches_five_operand_einsum(self):
+        kerr = riemann(catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0])
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((5, 5))
+        cases = [(kerr.riemann_lowered, kerr.g_inv), (weyl(kerr), kerr.g_inv),
+                 (rng.standard_normal((5,) * 4), a + a.T)]
+        for t, g_inv in cases:
+            want = np.einsum("ia,jb,kc,ld,abcd->ijkl", g_inv, g_inv, g_inv,
+                             g_inv, t)
+            terms = np.einsum("ia,jb,kc,ld,abcd->ijkl", *(np.abs(g_inv),) * 4,
+                              np.abs(t))
+            assert np.all(np.abs(_raise_all(t, g_inv) - want) <= 1e-14 * terms)
 
     def test_nonnegative_riemannian(self):
         for kappa in (-2.0, 0.5):

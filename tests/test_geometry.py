@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.errors import InvalidInput, SingularMetric
+from riemsvp.errors import DifferentiationFailure, InvalidInput, SingularMetric
 from riemsvp.geometry import (MetricSpec, christoffel, complete_riemann,
                               independent_components, metric_at, riemann,
                               supports_complex_step, verify_tensor_symmetries)
+from riemsvp.metricfile import load_metric
 
 import oracles
 
@@ -176,6 +178,16 @@ class TestSymmetries:
         assert np.abs(rebuilt - cd.riemann_lowered).max() < 1e-15 * max(1, scale)
 
 
+def polar_spec():
+    """Flat plane in polar coordinates, real coordinates only."""
+    def g(p):
+        if np.iscomplexobj(p):
+            raise TypeError("real coordinates only")
+        return np.diag([1.0, float(p[0]) ** 2])
+
+    return MetricSpec(dimension=2, signature=(1, 1), g=g, id="polar")
+
+
 class TestComplexStep:
     def test_catalog_metrics_support_it(self):
         for entry in (catalog.sphere2(), catalog.schwarzschild(1.0),
@@ -183,12 +195,7 @@ class TestComplexStep:
             assert supports_complex_step(entry.spec, entry.default_point)
 
     def test_real_only_supplier_falls_back(self):
-        def g(p):
-            if np.iscomplexobj(p):
-                raise TypeError("real coordinates only")
-            return np.diag([1.0, float(p[0]) ** 2])
-
-        spec = MetricSpec(dimension=2, signature=(1, 1), g=g, id="polar")
+        spec = polar_spec()
         p = np.array([2.0, 0.5])
         assert not supports_complex_step(spec, p)
         gam = christoffel(spec, p, mode="numeric")
@@ -197,3 +204,135 @@ class TestComplexStep:
         assert gam[1, 0, 1] == pytest.approx(0.5, rel=1e-9)
         cd = riemann(spec, p, mode="numeric")
         assert np.abs(cd.riemann_lowered).max() < 1e-6
+
+
+SCHWARZSCHILD_FILE = """\
+# Schwarzschild, M = 1
+dimension = 4
+coordinates = t, r, theta, phi
+signature = -, +, +, +
+g[0,0] = -(1 - 2/r)
+g[1,1] = 1 / (1 - 2/r)
+g[2,2] = r^2
+g[3,3] = r^2 * sin(theta)^2
+"""
+
+
+def stencil_cases(tmp_path):
+    """``(spec, point, mode)`` for every branch of the numeric path."""
+    path = tmp_path / "schwarzschild.metric"
+    path.write_text(SCHWARZSCHILD_FILE)
+    sphere = catalog.sphere2().spec
+    cases = [(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.3], "auto")
+             for a, r, th in ((0.0, 6.0, math.pi / 2), (0.5, 3.5, 1.0),
+                              (0.9, 2.5, 0.3), (0.3, 40.0, 2.8))]
+    cases += [
+        (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 0.9, 0.0], "numeric"),
+        (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 0.5], "numeric"),
+        (load_metric(path), [0.0, 4.0, 1.2, 0.3], "auto"),
+        (polar_spec(), [2.0, 0.5], "numeric"),
+        # analytic_gamma without analytic_riemann: mode="auto" differentiates
+        # the analytic Christoffel symbols on the stencil
+        (dataclasses.replace(sphere, analytic_riemann=None), [1.1, 0.2], "auto"),
+        (sphere, [0.7, 0.2], "numeric"),
+    ]
+    return cases
+
+
+def failing_spec(plan):
+    """A flat 2D metric that fails at chosen values of its first coordinate.
+
+    ``plan`` maps a value to ``"nan"`` (a non-finite metric), ``"singular"``
+    (a zero determinant), ``"dnan"`` (a non-finite complex step in the
+    second coordinate), ``"both"`` (the last two) or ``"raise"`` (the
+    supplier raises).
+    """
+    def g(p):
+        x = p[0]
+        kind = next((k for r, k in plan.items() if abs(np.real(x) - r) < 1e-12),
+                    None)
+        if kind == "raise":
+            raise ZeroDivisionError("supplier failed")
+        out = np.array([[1.0 + 0.0 * x, 0.0 * x], [0.0 * x, 1.0 + 0.0 * x]])
+        if kind == "nan" and not np.iscomplexobj(p):
+            out[1, 1] = np.nan
+        if kind in ("singular", "both"):
+            out[1, 1] = 0.0
+        if kind in ("dnan", "both") and np.iscomplexobj(p) and p[1].imag != 0:
+            out[1, 1] = complex(1.0, np.inf)
+        return out
+
+    return MetricSpec(dimension=2, signature=(1, 1), g=g, id="failing")
+
+
+class TestOneStencil:
+    def test_bit_identical_to_per_point_path(self, tmp_path):
+        for spec, p, mode in stencil_cases(tmp_path):
+            cd = riemann(spec, p, mode=mode)
+            assert cd.path == "numeric"
+            g_inv, gamma, mixed, lowered = oracles.riemann_per_point(
+                spec, p, mode=mode)
+            for got, want in ((cd.g_inv, g_inv), (cd.gamma, gamma),
+                              (cd.riemann_mixed, mixed),
+                              (cd.riemann_lowered, lowered)):
+                assert np.array_equal(got, want), (spec.id, p, mode)
+            if mode == "numeric":
+                assert np.array_equal(christoffel(spec, p, mode=mode), gamma)
+
+    @pytest.mark.parametrize("entry, p, mode, evals", [
+        (catalog.kerr(1.0, 0.7), [0.0, 3.0, 1.0, 0.0], "auto", 85),
+        (catalog.schwarzschild(1.0), [0.0, 3.0, 1.0, 0.0], "numeric", 85),
+        (catalog.space_form(2.0, 3), [0.1, 0.2, 0.3], "numeric", 52),
+        (catalog.sphere2(), [1.0, 0.2], "numeric", 27),
+    ], ids=["kerr", "schwarzschild", "space-form-3", "sphere2"])
+    def test_metric_evaluations_per_riemann(self, entry, p, mode, evals):
+        # (4n + 1) stencil rows, each one real and n complex-step evaluations
+        n = entry.spec.dimension
+        assert evals == (4 * n + 1) * (n + 1)
+        calls = []
+
+        def g(q):
+            calls.append(q)
+            return entry.spec.g(q)
+
+        riemann(dataclasses.replace(entry.spec, g=g), p, mode=mode)
+        assert len(calls) == evals
+
+    @pytest.mark.parametrize("entry, p, row", [
+        (catalog.sphere2(), [1e-3, 0.2], "[0.0, 0.2]"),
+        (catalog.schwarzschild(1.0), [0.0, 2.002, 1.0, 0.0], "[0.0, 1.99999"),
+    ], ids=["sphere-pole", "schwarzschild-horizon"])
+    def test_singular_stencil_row(self, entry, p, row):
+        metric_at(entry.spec, p)
+        with pytest.raises(SingularMetric) as got:
+            riemann(entry.spec, p, mode="numeric")
+        assert f"is singular at {row}" in str(got.value)
+        with pytest.raises(SingularMetric) as want:
+            oracles.riemann_per_point(entry.spec, p, mode="numeric")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("plan, error, message", [
+        ({0.999: "nan"}, SingularMetric, "'failing' is not finite at [0.999, 0.2]"),
+        ({1.0005: "singular", 1.001: "dnan"}, DifferentiationFailure,
+         "metric derivatives non-finite at [1.001, 0.2]"),
+        ({1.001: "singular", 0.999: "dnan"}, SingularMetric,
+         "'failing' is singular at [1.001, 0.2]"),
+        ({1.001: "singular", 0.999: "raise"}, SingularMetric,
+         "'failing' is singular at [1.001, 0.2]"),
+        ({0.999: "dnan", 1.0005: "raise"}, DifferentiationFailure,
+         "metric derivatives non-finite at [0.999, 0.2]"),
+        ({1.0005: "raise"}, ZeroDivisionError, "supplier failed"),
+        ({1.001: "both"}, SingularMetric, "'failing' is singular at [1.001, 0.2]"),
+    ], ids=["not-finite", "derivative-first", "metric-first",
+            "metric-before-raise", "derivative-before-raise", "raise",
+            "metric-before-derivative-on-one-row"])
+    def test_first_failing_row_wins(self, plan, error, message):
+        # stencil rows in order: x = 1, 1.001, 0.999, 1.0005, 0.9995, then
+        # the rows of the second coordinate at x = 1
+        spec = failing_spec(plan)
+        with pytest.raises(error) as got:
+            riemann(spec, [1.0, 0.2], mode="numeric")
+        assert message in str(got.value)
+        with pytest.raises(error) as want:
+            oracles.riemann_per_point(spec, [1.0, 0.2], mode="numeric")
+        assert str(got.value) == str(want.value)

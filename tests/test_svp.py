@@ -13,7 +13,8 @@ from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
                          check_proposition1, closed_form_sigma,
                          feasible_patterns, kerr_reduced_solve,
                          lorentz_mixed_sign_check, meigen_reduce, multistart,
-                         orbit, orbit_equivalent, parse_sign_pattern, residual,
+                         orbit, orbit_equivalent, orbit_size,
+                         parse_sign_pattern, residual,
                          residual_norm, sample_unit_vector,
                          schwarzschild_reduced_solve, sigma_from_tensor,
                          sigma_values, solve_newton, trivial_pattern,
@@ -406,6 +407,17 @@ class TestOrbit:
         bad = SVPSolution(q=sphere_solution(), sigma=0.5, residual=0.5)
         with pytest.raises(InvalidInput):
             orbit(bad, cd)
+
+    def test_size_without_building_the_orbit(self):
+        sizes = set()
+        for entry in (catalog.sphere2(), catalog.schwarzschild(1.0)):
+            cd = riemann(entry.spec, entry.default_point)
+            cfg = SolverConfig(n_starts=30, rng_seed=0)
+            for sol in multistart(cd, cfg):
+                members = orbit(sol, cd, tol=max(10.0 * sol.residual, 1e-9))
+                assert orbit_size(sol, cd) == len(members)
+                sizes.add(len(members))
+        assert sizes == {23, 26}
 
     def test_orbit_equivalence(self):
         cd = sphere_cd()
