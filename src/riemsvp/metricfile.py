@@ -18,11 +18,15 @@ whose transpose partner is set is mirrored, while explicitly setting both
 deliberately broken, asymmetric metrics for verification testing).
 
 Expressions are evaluated with numpy scalars, so metrics defined here
-support complex-step differentiation out of the box.
+support complex-step differentiation out of the box.  Each component is
+compiled once, when the spec is built, into nested closures that read the
+point's coordinates directly; they compute what :func:`evaluate` computes
+on the expression tree, operation for operation.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,6 +161,15 @@ def parse_expression(text: str, variables) -> tuple:
     return _Parser(text, tuple(variables)).parse()
 
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
 def evaluate(node, env: dict):
     kind = node[0]
     if kind == "num":
@@ -167,19 +180,36 @@ def evaluate(node, env: dict):
         return -evaluate(node[1], env)
     if kind == "call":
         return _FUNCTIONS[node[1]](evaluate(node[2], env))
-    a = evaluate(node[1], env)
-    b = evaluate(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return a ** b
-    raise ParseError(f"corrupt expression node {node!r}")
+    if kind not in _BINARY:
+        raise ParseError(f"corrupt expression node {node!r}")
+    return _BINARY[kind](evaluate(node[1], env), evaluate(node[2], env))
+
+
+def _compile(node, variables):
+    """A function of the point ``p`` that computes what :func:`evaluate`
+    does with ``{name: p[k] for k, name in enumerate(variables)}``."""
+    index = {name: k for k, name in enumerate(variables)}
+
+    def build(node):
+        kind = node[0]
+        if kind == "num":
+            value = node[1]
+            return lambda p: value
+        if kind == "var":
+            k = index[node[1]]
+            return lambda p: p[k]
+        if kind == "neg":
+            arg = build(node[1])
+            return lambda p: -arg(p)
+        if kind == "call":
+            fn, arg = _FUNCTIONS[node[1]], build(node[2])
+            return lambda p: fn(arg(p))
+        if kind not in _BINARY:
+            raise ParseError(f"corrupt expression node {node!r}")
+        op, a, b = _BINARY[kind], build(node[1]), build(node[2])
+        return lambda p: op(a(p), b(p))
+
+    return build(node)
 
 
 @dataclass(frozen=True)
@@ -198,13 +228,13 @@ class MetricDefinition:
         for (i, j), node in list(comps.items()):
             if (j, i) not in comps:
                 comps[(j, i)] = node
-        names = self.coordinates
+        entries = [(i, j, _compile(node, self.coordinates))
+                   for (i, j), node in comps.items()]
 
         def g(p):
-            env = {name: p[k] for k, name in enumerate(names)}
             mat = np.zeros((n, n), dtype=np.result_type(p.dtype, float))
-            for (i, j), node in comps.items():
-                mat[i, j] = evaluate(node, env)
+            for i, j, entry in entries:
+                mat[i, j] = entry(p)
             return mat
 
         return MetricSpec(dimension=n, signature=self.signature, g=g,

@@ -8,10 +8,14 @@ The unknowns are four tangent vectors ``(W, X, Y, Z)`` and a scalar
 
 together with the normalizations ``<V, V> = +-1`` for each vector.  The
 residual of this system (4n tensor equations plus 4 constraints) and its
-Jacobian are evaluated for a whole batch of points at once.  One damped
+Jacobian are evaluated for a whole batch of points at once; the residual
+also returns the curvature contractions the Jacobian shares with it, so the
+Jacobian at an accepted point computes only the rest.  One damped
 least-squares Newton core, :func:`_gauss_newton`, drives a batch of starts
 to zero together, and each start ends exactly as it would alone, whatever
-the sign pattern of its batch-mates.  The multistart driver and the
+the sign pattern of its batch-mates.  A Newton step costs one Jacobian and
+one residual pass, which tries every step length of every start.  The
+multistart driver and the
 repeated-pair reduction :func:`meigen_reduce` share one search: the starts
 of every sign pattern are drawn in turn from one random stream, by a block
 rejection sampler that reproduces drawing one vector at a time, and are
@@ -23,6 +27,7 @@ separately as a membership predicate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -139,17 +144,38 @@ _STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
 _MAX_BATCH = 1024
 
 
+# Most entries :func:`_dot` accumulates at once when one tensor serves every
+# row (128 kB of doubles), so the running sums and the term stay in cache.
+_DOT_BLOCK = 16384
+
+
 def _dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Contract ``axis`` of ``a`` with a batch of vectors ``vecs``.
 
     The leading axes of ``a`` are the batch axes of ``vecs`` (or length
     one); ``axis`` trades places with the last one.  The sum runs in index
     order with plain multiplies and adds, so an entry is computed the same
-    way whatever batch it sits in.
+    way whatever batch it sits in, and whichever of the two layouts below
+    computes it.
     """
     a = a.swapaxes(axis, -1)
-    v = vecs.reshape(vecs.shape[:-1] + (1,) * (a.ndim - vecs.ndim)
-                     + vecs.shape[-1:])
+    batch = vecs.shape[:-1]
+    if not any(k > 1 for k in a.shape[:len(batch)]):
+        # one tensor for every row: each term is a column of the vectors
+        # times a contiguous row of the tensor, summed a block of rows at a
+        # time
+        rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+        v = vecs.reshape(-1, a.shape[-1])
+        out = np.empty((len(v), rows.shape[1]))
+        block = max(1, _DOT_BLOCK // rows.shape[1])
+        term = np.empty((min(block, len(v)), rows.shape[1]))
+        for lo in range(0, len(v), block):
+            vb, acc = v[lo:lo + block], out[lo:lo + block]
+            np.multiply(vb[:, :1], rows[0], out=acc)
+            for i in range(1, len(rows)):
+                acc += np.multiply(vb[:, i:i + 1], rows[i], out=term[:len(vb)])
+        return out.reshape(batch + a.shape[len(batch):-1])
+    v = vecs.reshape(batch + (1,) * (a.ndim - vecs.ndim) + vecs.shape[-1:])
     acc = a[..., 0] * v[..., 0]
     for i in range(1, a.shape[-1]):
         acc += a[..., i] * v[..., i]
@@ -167,42 +193,76 @@ def _split(U: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return U[:, :4 * n].reshape(-1, 4, n), U[:, 4 * n]
 
 
+def _residual_parts(cd: CurvatureData, U: np.ndarray, signs):
+    """Residual rows of ``U`` and the contractions its Jacobian shares.
+
+    ``signs`` is one sign pattern or one per row.  Returns the residuals
+    (B, 4n + 4) and the parts ``(rs, d_p, gv)``: the curvature contracted
+    with each equation's third vector, that contracted with its second (the
+    derivative of the equation in its first vector), and ``g V``.
+    """
+    n = cd.n
+    V, sigma = _split(U, n)
+    rs = _dot(cd.riemann_mixed[None, None], V[:, _S])
+    d_p = _dot(rs, V[:, _Q])
+    maps = _dot(d_p, V[:, _P])
+    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
+    gv = _dot(cd.g[None, None], V)
+    cons = _dot(gv, V) - np.asarray(signs, dtype=float)
+    return np.concatenate([tensor, cons], axis=1), (rs, d_p, gv)
+
+
 def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
     """:func:`residual` for each row ``(w, x, y, z, sigma)`` of ``U``.
 
     ``signs`` is one sign pattern or one per row.
     """
-    n = cd.n
-    V, sigma = _split(U, n)
-    dj = _dot(_dot(cd.riemann_mixed[None, None], V[:, _S]), V[:, _Q])
-    maps = _dot(dj, V[:, _P])
-    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
-    cons = _dot(_dot(cd.g[None, None], V), V) - np.asarray(signs, dtype=float)
-    return np.concatenate([tensor, cons], axis=1)
+    return _residual_parts(cd, U, signs)[0]
 
 
-def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
-    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``."""
+@functools.cache
+def _jacobian_index(n: int) -> np.ndarray:
+    """Flat positions, in a (4n + 4, 4n + 1) Jacobian, of the entries
+    :func:`_jacobians` concatenates, in their order.
+
+    Tensor row ``e n + i`` holds the derivatives of equation ``e`` in the
+    slots ``_P[e]``, ``_Q[e]`` and ``_S[e]``, ``-sigma`` on the diagonal of
+    its own slot ``e`` and ``-V[e, i]`` in the sigma column; constraint row
+    ``4n + e`` holds ``2 g V[e]`` in slot ``e``.
+    """
+    cols = 4 * n + 1
+    e, i, j = np.meshgrid(np.arange(4), np.arange(n), np.arange(n),
+                          indexing="ij")
+    rows = np.arange(4 * n)
+    ce, cj = np.meshgrid(np.arange(4), np.arange(n), indexing="ij")
+    index = np.concatenate(
+        [((e * n + i) * cols + slot[e] * n + j).ravel() for slot in (_P, _Q, _S)]
+        + [rows * cols + rows, rows * cols + 4 * n,
+           ((4 * n + ce) * cols + ce * n + cj).ravel()])
+    index.flags.writeable = False  # one cached table serves every caller
+    return index
+
+
+def _jacobians(cd: CurvatureData, U: np.ndarray, parts) -> np.ndarray:
+    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``.
+
+    ``parts`` are the rows' contractions from :func:`_residual_parts`.
+    """
     n = cd.n
     V, sigma = _split(U, n)
-    r = cd.riemann_mixed[None, None]
-    p, q, s = V[:, _P], V[:, _Q], V[:, _S]
-    rs = _dot(r, s)
-    # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
-    d_p = _dot(rs, q)
+    rs, d_p, gv = parts
+    p = V[:, _P]
+    # derivatives of r_ijkl p^j q^k s^l in q and s, per equation
     d_q = _dot(rs, p, axis=-2)
-    d_s = _dot(_dot(r, p, axis=3), q)
-    gv = _dot(cd.g[None, None], V)
-    jac = np.zeros((len(U), 4 * n + 4, 4 * n + 1))
-    diag = np.arange(n)
-    for e in range(4):
-        rows = jac[:, e * n:(e + 1) * n]
-        for slot, block in ((_P[e], d_p), (_Q[e], d_q), (_S[e], d_s)):
-            rows[:, :, slot * n:(slot + 1) * n] = block[:, e]
-        rows[:, diag, e * n + diag] = -sigma[:, None]
-        rows[:, :, 4 * n] = -V[:, e]
-        jac[:, 4 * n + e, e * n:(e + 1) * n] = 2.0 * gv[:, e]
-    return jac
+    d_s = _dot(_dot(cd.riemann_mixed[None, None], p, axis=3), V[:, _Q])
+    B = len(U)
+    values = np.concatenate(
+        [d_p.reshape(B, -1), d_q.reshape(B, -1), d_s.reshape(B, -1),
+         np.broadcast_to(-sigma[:, None], (B, 4 * n)), -V.reshape(B, -1),
+         2.0 * gv.reshape(B, -1)], axis=1)
+    jac = np.zeros((B, (4 * n + 4) * (4 * n + 1)))
+    jac[:, _jacobian_index(n)] = values
+    return jac.reshape(B, 4 * n + 4, 4 * n + 1)
 
 
 def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
@@ -220,7 +280,8 @@ def residual_norm(cd: CurvatureData, q: Quadruple, sigma: float) -> float:
 
 def _jacobian(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
     """Analytic Jacobian of :func:`residual` w.r.t. ``(w, x, y, z, sigma)``."""
-    return _jacobians(cd, np.append(q.flat(), sigma)[None])[0]
+    U = np.append(q.flat(), sigma)[None]
+    return _jacobians(cd, U, _residual_parts(cd, U, q.signs)[1])[0]
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -273,23 +334,29 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
 
     ``res_fn(points, idx)`` maps the points of the starts ``idx`` to their
-    residuals (B, m) and ``jac_fn`` maps points to Jacobians (B, m, k), row by
-    row, so each start may have its own equations.  Each start iterates on
-    its own: it takes the minimum-norm Gauss-Newton step, then the first
-    length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
+    residuals (B, m) and a tuple of parts, arrays with one row per point
+    that the Jacobian shares with the residual; ``jac_fn(points, parts)``
+    maps points and their parts to Jacobians (B, m, k), row by row, so each
+    start may have its own equations.  Each start iterates on its own: it
+    takes the minimum-norm Gauss-Newton step, then the first length in
+    ``_STEPS`` that lowers the max-norm of its residual.  It ends
     ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
     step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
     after ``cfg.max_newton_iters`` steps; none of this depends on the other
     starts in the batch.  Returns the final points, their residual norms and
     the outcomes.
+
+    An iteration makes one Jacobian call, on the parts kept from the
+    residual call that accepted each start's point, and one residual call,
+    on every step length of every live start.
     """
     if len(U) > _MAX_BATCH:
-        parts = [_gauss_newton(lambda batch, idx, lo=lo: res_fn(batch, lo + idx),
-                               jac_fn, U[lo:lo + _MAX_BATCH], cfg)
-                 for lo in range(0, len(U), _MAX_BATCH)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        slices = [_gauss_newton(lambda batch, idx, lo=lo: res_fn(batch, lo + idx),
+                                jac_fn, U[lo:lo + _MAX_BATCH], cfg)
+                  for lo in range(0, len(U), _MAX_BATCH)]
+        return tuple(np.concatenate(part) for part in zip(*slices))
     U = np.array(U, dtype=float)
-    F = res_fn(U, np.arange(len(U)))
+    F, parts = res_fn(U, np.arange(len(U)))
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), CAPPED, dtype=object)
     live = np.arange(len(U))
@@ -299,25 +366,27 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
         live = live[~done]
         if not live.size:
             break
-        step = _lstsq_steps(jac_fn(U[live]), -F[live])
+        step = _lstsq_steps(jac_fn(U[live], [part[live] for part in parts]),
+                            -F[live])
         finite = np.isfinite(step).all(axis=1)
         outcome[live[~finite]] = SINGULAR
         live, step = live[finite], step[finite]
-        todo = np.arange(len(live))
-        for t in _STEPS:
-            if not todo.size:
-                break
-            idx = live[todo]
-            u_try = U[idx] + t * step[todo]
-            f_try = res_fn(u_try, idx)
-            fn_try = np.abs(f_try).max(axis=1)
-            better = fn_try < fnorm[idx]
-            took = idx[better]
-            U[took], F[took], fnorm[took] = (u_try[better], f_try[better],
-                                             fn_try[better])
-            todo = todo[~better]
-        outcome[live[todo]] = STALLED
-        live = np.delete(live, todo)
+        # every step length in one residual pass, length-major; each start
+        # takes the first length that lowers its norm
+        u_try = (U[live] + np.multiply.outer(_STEPS, step)).reshape(
+            -1, U.shape[1])
+        f_try, p_try = res_fn(u_try, np.tile(live, len(_STEPS)))
+        fn_try = np.abs(f_try).max(axis=1)
+        better = fn_try.reshape(len(_STEPS), len(live)) < fnorm[live]
+        hit = better.any(axis=0)
+        pick = better.argmax(axis=0)[hit] * len(live) + np.flatnonzero(hit)
+        outcome[live[~hit]] = STALLED
+        live = live[hit]
+        U[live], F[live], fnorm[live] = u_try[pick], f_try[pick], fn_try[pick]
+        for part, trial in zip(parts, p_try):
+            part[live] = trial[pick]
+        # five trial rows per start: free them before the next Jacobian
+        del u_try, f_try, p_try
     else:
         outcome[live[fnorm[live] < cfg.tol]] = CONVERGED
     return U, fnorm, outcome
@@ -329,20 +398,23 @@ def _unpack(u: np.ndarray, n: int, signs: Signs) -> tuple[Quadruple, float]:
     return q, float(u[4 * n])
 
 
+def _trivial_patterns(V: np.ndarray, atol: float = 1e-6) -> list:
+    """:func:`trivial_pattern` for each row of vectors ``V`` (B, 4, n)."""
+    def same(a, b):
+        return ((np.abs(V[:, a] - V[:, b]).max(axis=1) < atol)
+                | (np.abs(V[:, a] + V[:, b]).max(axis=1) < atol))
+
+    wx, yz = same(0, 1), same(2, 3)
+    labels = np.full(len(V), None, dtype=object)
+    labels[yz] = "y=z"
+    labels[wx] = "w=x"
+    labels[wx & yz & same(0, 2)] = "all-equal"
+    return labels.tolist()
+
+
 def trivial_pattern(q: Quadruple, atol: float = 1e-6) -> Optional[str]:
     """Classify the degenerate repeated-vector families, if any."""
-    w, x, y, z = q.vectors
-
-    def same(a, b):
-        return bool(np.abs(a - b).max() < atol or np.abs(a + b).max() < atol)
-
-    if same(w, x) and same(y, z) and same(w, y):
-        return "all-equal"
-    if same(w, x):
-        return "w=x"
-    if same(y, z):
-        return "y=z"
-    return None
+    return _trivial_patterns(np.stack(q.vectors)[None], atol)[0]
 
 
 def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
@@ -358,12 +430,12 @@ def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
     U[np.ix_(U[:, 4 * n] < 0.0, np.r_[0:n, 4 * n])] *= -1.0
     res = np.abs(_residuals(cd, U, np.reshape(np.asarray(signs, dtype=float),
                                               (-1, 4)))).max(axis=1)
+    trivial = _trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
     sols = []
-    for u, r, row_signs, seed in zip(U, res, signs, seeds):
+    for u, r, row_signs, seed, label in zip(U, res, signs, seeds, trivial):
         q, sigma = _unpack(u, n, row_signs)
         sols.append(SVPSolution(q=q, sigma=sigma, residual=float(r),
-                                origin=origin, seed=seed,
-                                trivial=trivial_pattern(q)))
+                                origin=origin, seed=seed, trivial=label))
     return sols
 
 
@@ -373,8 +445,9 @@ def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig):
     ``signs`` is one sign pattern or one per row.
     """
     signs = np.broadcast_to(np.asarray(signs, dtype=float), (len(U), 4))
-    return _gauss_newton(lambda batch, idx: _residuals(cd, batch, signs[idx]),
-                         lambda batch: _jacobians(cd, batch), U, cfg)
+    return _gauss_newton(
+        lambda batch, idx: _residual_parts(cd, batch, signs[idx]),
+        lambda batch, parts: _jacobians(cd, batch, parts), U, cfg)
 
 
 def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
@@ -511,8 +584,8 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
         def embed(U):
             return np.concatenate([U[:, :2 * n], U], axis=1)
 
-        def jac_fn(U):
-            jac = _jacobians(cd, embed(U))[:, rows]
+        def jac_fn(U, parts):
+            jac = _jacobians(cd, embed(U), parts)[:, rows]
             return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
                                    jac[:, :, 4 * n:]], axis=2)
     else:
@@ -521,12 +594,15 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
         def embed(U):
             return U
 
-        def jac_fn(U):
-            return _jacobians(cd, U)
+        def jac_fn(U, parts):
+            return _jacobians(cd, U, parts)
+
+    def res_fn(U, idx):
+        F, parts = _residual_parts(cd, embed(U), row_signs[idx])
+        return F[:, rows], parts
 
     U, _, outcome = _gauss_newton(
-        lambda U, idx: _residuals(cd, embed(U), row_signs[idx])[:, rows],
-        jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)
+        res_fn, jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)
     conv = np.flatnonzero(outcome == CONVERGED)
     sols = _finish(cd, embed(U[conv]), [signs[i] for i in conv],
                    [seeds[i] for i in conv],

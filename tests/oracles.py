@@ -2,15 +2,17 @@
 
 Everything here is implemented with plain loops and naive finite
 differences, deliberately sharing no code with the package under test.
-The one exception is :func:`riemann_per_point`, the former per-point numeric
-curvature path, which repeats the package's numpy operations so that results
-can be compared bit for bit.
+The exceptions are :func:`riemann_per_point`, the former per-point numeric
+curvature path, and the former Newton core (:func:`dot_ordered` and the
+functions after it), which repeat the package's numpy operations so that
+results can be compared bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from riemsvp import svp
 from riemsvp.errors import DifferentiationFailure, InvalidInput, SingularMetric
 
 
@@ -266,3 +268,178 @@ def riemann_per_point(spec, p, mode="auto"):
                  - np.einsum("hik,ljh->lkij", gamma, gamma))
     lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
     return g_inv, gamma, mixed, lowered
+
+
+def dot_ordered(a, vecs, axis=-1):
+    """Contract ``axis`` of ``a`` with a batch of vectors, term by term.
+
+    ``axis`` trades places with the last one; the leading axes of ``a`` are
+    the batch axes of ``vecs`` or of length one.  The products are summed in
+    index order over the broadcast arrays.
+    """
+    a = a.swapaxes(axis, -1)
+    v = vecs.reshape(vecs.shape[:-1] + (1,) * (a.ndim - vecs.ndim)
+                     + vecs.shape[-1:])
+    acc = a[..., 0] * v[..., 0]
+    for i in range(1, a.shape[-1]):
+        acc += a[..., i] * v[..., i]
+    return acc
+
+
+def residuals_ordered(cd, U, signs):
+    """The SVP residual at the rows of ``U``, from :func:`dot_ordered`."""
+    n = cd.n
+    V, sigma = svp._split(U, n)
+    r = cd.riemann_mixed[None, None]
+    dj = dot_ordered(dot_ordered(r, V[:, svp._S]), V[:, svp._Q])
+    maps = dot_ordered(dj, V[:, svp._P])
+    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
+    cons = (dot_ordered(dot_ordered(cd.g[None, None], V), V)
+            - np.asarray(signs, dtype=float))
+    return np.concatenate([tensor, cons], axis=1)
+
+
+def sigmas_ordered(cd, V):
+    """``R(W, X, Y, Z)`` at each row ``(w, x, y, z)`` of ``V``."""
+    w, x, y, z = V.reshape(len(V), 4, cd.n).transpose(1, 0, 2)
+    return dot_ordered(dot_ordered(dot_ordered(dot_ordered(
+        cd.riemann_lowered[None], z), y), x), w)
+
+
+def jacobians_loop(cd, U):
+    """Jacobians of the SVP residual at the rows of ``U``, block by block.
+
+    Recomputes every contraction and fills the matrix with one slice
+    assignment per equation and vector slot.
+    """
+    n = cd.n
+    V, sigma = svp._split(U, n)
+    r = cd.riemann_mixed[None, None]
+    p, q, s = V[:, svp._P], V[:, svp._Q], V[:, svp._S]
+    rs = dot_ordered(r, s)
+    d_p = dot_ordered(rs, q)
+    d_q = dot_ordered(rs, p, axis=-2)
+    d_s = dot_ordered(dot_ordered(r, p, axis=3), q)
+    gv = dot_ordered(cd.g[None, None], V)
+    jac = np.zeros((len(U), 4 * n + 4, 4 * n + 1))
+    diag = np.arange(n)
+    for e in range(4):
+        rows = jac[:, e * n:(e + 1) * n]
+        for slot, block in ((svp._P[e], d_p), (svp._Q[e], d_q),
+                            (svp._S[e], d_s)):
+            rows[:, :, slot * n:(slot + 1) * n] = block[:, e]
+        rows[:, diag, e * n + diag] = -sigma[:, None]
+        rows[:, :, 4 * n] = -V[:, e]
+        jac[:, 4 * n + e, e * n:(e + 1) * n] = 2.0 * gv[:, e]
+    return jac
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def gauss_newton_sequential(res_fn, jac_fn, U, cfg):
+    """Damped least-squares Newton on a batch of starts, one length at a time.
+
+    ``res_fn(points, idx)`` returns residuals only and ``jac_fn(points)``
+    recomputes the Jacobians from the points.  Each iteration tries the
+    lengths of the ladder in turn, one residual call each, on the starts no
+    earlier length improved.  Returns points, residual norms and outcomes.
+    """
+    U = np.array(U, dtype=float)
+    F = res_fn(U, np.arange(len(U)))
+    fnorm = np.abs(F).max(axis=1)
+    outcome = np.full(len(U), svp.CAPPED, dtype=object)
+    live = np.arange(len(U))
+    for _ in range(cfg.max_newton_iters):
+        done = fnorm[live] < cfg.tol
+        outcome[live[done]] = svp.CONVERGED
+        live = live[~done]
+        if not live.size:
+            break
+        step = svp._lstsq_steps(jac_fn(U[live]), -F[live])
+        finite = np.isfinite(step).all(axis=1)
+        outcome[live[~finite]] = svp.SINGULAR
+        live, step = live[finite], step[finite]
+        todo = np.arange(len(live))
+        for t in svp._STEPS:
+            if not todo.size:
+                break
+            idx = live[todo]
+            u_try = U[idx] + t * step[todo]
+            f_try = res_fn(u_try, idx)
+            fn_try = np.abs(f_try).max(axis=1)
+            better = fn_try < fnorm[idx]
+            took = idx[better]
+            U[took], F[took], fnorm[took] = (u_try[better], f_try[better],
+                                             fn_try[better])
+            todo = todo[~better]
+        outcome[live[todo]] = svp.STALLED
+        live = np.delete(live, todo)
+    else:
+        outcome[live[fnorm[live] < cfg.tol]] = svp.CONVERGED
+    return U, fnorm, outcome
+
+
+def solve_full_reference(cd, U, signs, cfg):
+    """:func:`gauss_newton_sequential` on the full system; ``signs`` is one
+    sign pattern or one per row."""
+    signs = np.broadcast_to(np.asarray(signs, dtype=float), (len(U), 4))
+    return gauss_newton_sequential(
+        lambda batch, idx: residuals_ordered(cd, batch, signs[idx]),
+        lambda batch: jacobians_loop(cd, batch), U, cfg)
+
+
+def search_reference(cd, cfg, patterns, pair=False):
+    """The starts of a multistart or pair search and how the core ends them.
+
+    Samples like the package's search and solves with
+    :func:`gauss_newton_sequential`.  Returns the starts, final points,
+    residual norms and outcomes.
+    """
+    n = cd.n
+    rng = np.random.default_rng(cfg.rng_seed)
+    blocks, signs = [], []
+    for pattern in patterns:
+        V, _ = svp._sample_starts(rng, cd.g, pattern[:2 if pair else 4],
+                                  cfg.n_starts)
+        blocks.append(V)
+        signs += [pattern] * len(V)
+    V = np.concatenate(blocks)
+    row_signs = np.reshape(np.asarray(signs, dtype=float), (-1, 4))
+    if pair:
+        rows = np.r_[0:2 * n, 4 * n, 4 * n + 1]
+
+        def embed(U):
+            return np.concatenate([U[:, :2 * n], U], axis=1)
+
+        def jac_fn(U):
+            jac = jacobians_loop(cd, embed(U))[:, rows]
+            return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
+                                   jac[:, :, 4 * n:]], axis=2)
+    else:
+        rows = slice(None)
+
+        def embed(U):
+            return U
+
+        def jac_fn(U):
+            return jacobians_loop(cd, U)
+
+    U0 = np.column_stack([V, sigmas_ordered(cd, embed(V))])
+    return (U0,) + gauss_newton_sequential(
+        lambda U, idx: residuals_ordered(cd, embed(U), row_signs[idx])[:, rows],
+        jac_fn, U0, cfg)
+
+
+def trivial_pattern_per_row(q, atol=1e-6):
+    """The repeated-vector family of one quadruple, by per-pair checks."""
+    w, x, y, z = q.vectors
+
+    def same(a, b):
+        return bool(np.abs(a - b).max() < atol or np.abs(a + b).max() < atol)
+
+    if same(w, x) and same(y, z) and same(w, y):
+        return "all-equal"
+    if same(w, x):
+        return "w=x"
+    if same(y, z):
+        return "y=z"
+    return None

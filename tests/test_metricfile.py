@@ -169,3 +169,52 @@ g[3,3] = 1
 
     def test_id_is_file_stem(self, sphere_path):
         assert load_metric(sphere_path).id == "sphere"
+
+
+EVERY_NODE_FILE = """\
+# every node kind: literals, constants, names, unary minus, + - * / ^ and
+# each function
+dimension = 4
+coordinates = t, r, theta, phi
+signature = -, +, +, +
+g[0,0] = -(1 - 2 / r)
+g[1,1] = 1 / (1 - 2 * 1.0 / r)
+g[2,2] = r^2 + 1e-3 * tan(t / 7) * exp(-t^2)
+g[3,3] = r ^ 2 * sin(theta) ^ 2 + cos(phi) * log(r) / sqrt(pi * e)
+g[0,3] = -0.25 * r^-1 * sin(theta)^2
+g[1,2] = t - t
+"""
+
+
+def tree_walk_g(definition, p):
+    """The metric of a definition file by walking each expression tree."""
+    comps = dict(definition.components)
+    for (i, j), node in list(comps.items()):
+        comps.setdefault((j, i), node)
+    env = {name: p[k] for k, name in enumerate(definition.coordinates)}
+    n = definition.dimension
+    mat = np.zeros((n, n), dtype=np.result_type(p.dtype, float))
+    for (i, j), node in comps.items():
+        mat[i, j] = evaluate(node, env)
+    return mat
+
+
+class TestCompiledComponents:
+    @pytest.mark.parametrize("text", [SPHERE_FILE, EVERY_NODE_FILE],
+                             ids=["sphere", "every-node"])
+    def test_bitwise_equal_to_tree_walk(self, tmp_path, text):
+        path = tmp_path / "m.metric"
+        path.write_text(text)
+        definition = parse_metric_file(path)
+        spec = definition.to_spec()
+        rng = np.random.default_rng(8)
+        n = definition.dimension
+        for _ in range(200):
+            p = rng.uniform(0.2, 3.0, n) + np.r_[0.0, 3.0, 0.0, 0.0][:n]
+            assert np.array_equal(spec.g(p), tree_walk_g(definition, p))
+            for k in range(n):
+                z = p.astype(complex)
+                z[k] += 1j * 1e-100
+                got = spec.g(z)
+                assert np.iscomplexobj(got)
+                assert np.array_equal(got, tree_walk_g(definition, z))

@@ -8,7 +8,7 @@ from riemsvp import catalog
 from riemsvp.algebra import inner, invariant_i, np_scalars
 from riemsvp.errors import (BadCase, InvalidInput, OutOfDomain,
                             WrongSignature)
-from riemsvp.geometry import riemann
+from riemsvp.geometry import CurvatureData, riemann
 from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
                          check_proposition1, closed_form_sigma,
                          feasible_patterns, kerr_reduced_solve,
@@ -248,6 +248,166 @@ class TestBatchedCore:
         _, _, out_all = _solve_full(cd, U0, ALL_PLUS, cfg)
         assert set(out_all) <= {"singular", "converged"}
         assert "singular" in set(out_all)
+
+
+def recorded_core(monkeypatch):
+    """Record the starts and results of every Newton core call."""
+    from riemsvp import svp
+
+    calls = []
+    real = svp._gauss_newton
+
+    def recording(res_fn, jac_fn, U, cfg):
+        start = np.array(U, dtype=float)
+        out = real(res_fn, jac_fn, U, cfg)
+        calls.append((start,) + tuple(out))
+        return out
+
+    monkeypatch.setattr(svp, "_gauss_newton", recording)
+    return calls
+
+
+def kerr_cd():
+    return riemann(catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, math.pi / 3, 0.0])
+
+
+def dense_cd(n=4, seed=3):
+    """Curvature data with dense tensors.
+
+    The lowered tensor is the Kulkarni-Nomizu product of two random
+    symmetric forms, which has the algebraic curvature symmetries, at a
+    random positive definite metric.  The catalog tensors have at most two
+    non-zero terms in each contraction sum, so only a dense tensor shows a
+    change in the order of the sums.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    g = a @ a.T + n * np.eye(n)
+    h, k = (m + m.T for m in rng.standard_normal((2, n, n)))
+    low = (np.einsum("ac,bd->abcd", h, k) + np.einsum("bd,ac->abcd", h, k)
+           - np.einsum("ad,bc->abcd", h, k) - np.einsum("bc,ad->abcd", h, k))
+    g_inv = np.linalg.inv(g)
+    return CurvatureData(point=np.zeros(n), g=g, g_inv=g_inv,
+                         gamma=np.zeros((n, n, n)),
+                         riemann_mixed=np.einsum("am,mbcd->abcd", g_inv, low),
+                         riemann_lowered=low, signature=(1,) * n)
+
+
+# (curvature, starts per pattern, patterns or None for all, pair search)
+SEARCH_CASES = {
+    "dense n=4": (dense_cd, 60, [ALL_PLUS], False),
+    "sphere2": (sphere_cd, 100, [ALL_PLUS], False),
+    "space-form n=4": (CORE_CASES["space-form n=4"], 100, [ALL_PLUS], False),
+    "schwarzschild r=3 ++++": (CORE_CASES["schwarzschild r=3"], 200,
+                               [ALL_PLUS], False),
+    "schwarzschild r=3 16x8": (CORE_CASES["schwarzschild r=3"], 8, None,
+                               False),
+    "kerr numeric": (kerr_cd, 60, [ALL_PLUS, (1, 1, -1, -1)], False),
+    "meigen space-form n=3": (
+        lambda: riemann(catalog.space_form(0.8, 3).spec, np.zeros(3)), 100,
+        [ALL_PLUS], True),
+    "meigen schwarzschild r=3": (
+        CORE_CASES["schwarzschild r=3"], 50,
+        [p + p for p in itertools.product((1, -1), repeat=2)], True),
+}
+
+
+def assert_same_core_results(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert list(got[3]) == list(want[3])
+
+
+class TestOneResidualPass:
+    """The core against the one-length-at-a-time reference in oracles."""
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_search_matches_sequential_ladder(self, case, monkeypatch):
+        from riemsvp.svp import _search
+
+        make_cd, count, patterns, pair = SEARCH_CASES[case]
+        cd = make_cd()
+        patterns = patterns or feasible_patterns(cd)
+        cfg = SolverConfig(n_starts=count, rng_seed=0)
+        calls = recorded_core(monkeypatch)
+        _search(cd, cfg, patterns, pair=pair)
+        want = oracles.search_reference(cd, cfg, patterns, pair=pair)
+        assert_same_core_results(calls[-1], want)
+        assert "converged" in set(want[3])
+        if case == "schwarzschild r=3 ++++":
+            assert list(want[3]).count("converged") == 53
+
+    def test_split_batch_matches_sequential_ladder(self, monkeypatch):
+        from riemsvp import svp
+
+        cd = CORE_CASES["schwarzschild r=3"]()
+        patterns = feasible_patterns(cd)
+        U0 = np.concatenate([core_starts(cd, signs, 8, seed=i)
+                             for i, signs in enumerate(patterns)])
+        row_signs = [signs for signs in patterns for _ in range(8)]
+        cfg = SolverConfig()
+        want = oracles.solve_full_reference(cd, U0, row_signs, cfg)
+        monkeypatch.setattr(svp, "_MAX_BATCH", 7)
+        got = svp._solve_full(cd, U0, row_signs, cfg)
+        assert_same_core_results((U0,) + tuple(got), (U0,) + want)
+
+    @pytest.mark.parametrize("make_cd", [
+        sphere_cd,
+        lambda: riemann(catalog.space_form(0.8, 3).spec, np.zeros(3)),
+        CORE_CASES["schwarzschild r=3"],
+    ], ids=["n=2", "n=3", "n=4"])
+    def test_jacobian_from_parts(self, make_cd):
+        from riemsvp.svp import (_jacobian, _jacobian_index, _jacobians,
+                                 _residual_parts, _residuals)
+
+        cd = make_cd()
+        n = cd.n
+        rng = np.random.default_rng(n)
+        U = rng.standard_normal((6, 4 * n + 1))
+        signs = rng.choice([-1.0, 1.0], (6, 4))
+        F, parts = _residual_parts(cd, U, signs)
+        assert np.array_equal(F, _residuals(cd, U, signs))
+        jac = _jacobians(cd, U, parts)
+        assert np.array_equal(jac, oracles.jacobians_loop(cd, U))
+        for row, u in enumerate(U):
+            q = Quadruple(u[0:n], u[n:2 * n], u[2 * n:3 * n], u[3 * n:4 * n],
+                          tuple(int(v) for v in signs[row]))
+            assert np.array_equal(_jacobian(cd, q, u[4 * n]), jac[row])
+        index = _jacobian_index(n)
+        assert len(np.unique(index)) == len(index)
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_contractions_match_term_by_term_sums(self, rows):
+        from riemsvp.svp import _dot
+
+        # dense tensors, so that every order of the sums rounds differently
+        # somewhere; 300 rows of 4 equations span several blocks of the
+        # shared layout
+        rng = np.random.default_rng(rows)
+        V = rng.standard_normal((rows, 4, 4))
+        r = rng.standard_normal((1, 1, 4, 4, 4, 4))
+        g = rng.standard_normal((1, 1, 4, 4))
+        rs = rng.standard_normal((rows, 4, 4, 4, 4))
+        cases = [(r, V, -1), (r, V, 3), (g, V, -1), (rs, V, -1), (rs, V, -2),
+                 (r[0], V[:, 0], -1)]
+        for a, vecs, axis in cases:
+            want = oracles.dot_ordered(a, vecs, axis)
+            got = _dot(a, vecs, axis)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_batched_trivial_labels_match_per_row(self):
+        from riemsvp.svp import _trivial_patterns
+
+        v, u = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+        choices = [v, -v, u, -u, v + 5e-7, v + 2e-6, -u - 9e-7,
+                   np.array([np.nan, 0.0])]
+        V = np.array(list(itertools.product(choices, repeat=4)))
+        labels = _trivial_patterns(V)
+        quads = [Quadruple(*row) for row in V]
+        assert labels == [oracles.trivial_pattern_per_row(q) for q in quads]
+        assert labels == [trivial_pattern(q) for q in quads]
+        assert set(labels) == {"all-equal", "w=x", "y=z", None}
 
 
 SAMPLER_CASES = {
