@@ -78,8 +78,9 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
     numeric differentiation path sees a constant metric and returns zero
     curvature by construction.
     """
-    if n < 2:
-        raise InvalidInput("space form needs n >= 2")
+    if not float(n).is_integer() or n < 2:
+        raise InvalidInput(f"space form needs an integer n >= 2, got {n}")
+    n = int(n)
     kappa = float(kappa)
     eye = np.eye(n)
 
@@ -109,6 +110,7 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
 def euclidean(n: int = 3) -> CatalogEntry:
     """Flat Euclidean space; zero curvature, only the trivial sigma."""
     entry = space_form(0.0, n)
+    n = entry.spec.dimension
     spec = MetricSpec(dimension=n, signature=(1,) * n, g=entry.spec.g,
                       analytic_gamma=entry.spec.analytic_gamma,
                       analytic_riemann=entry.spec.analytic_riemann,
@@ -269,9 +271,9 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
 # their module-level names, so replacing one of those names takes effect.
 REGISTRY: dict[str, tuple[Callable[..., CatalogEntry], dict]] = {
     "sphere2": (lambda: sphere2(), {}),
-    "space-form": (lambda kappa, n: space_form(kappa, int(n)),
+    "space-form": (lambda kappa, n: space_form(kappa, n),
                    {"kappa": None, "n": None}),
-    "euclidean": (lambda n: euclidean(int(n)), {"n": 3}),
+    "euclidean": (lambda n: euclidean(n), {"n": 3}),
     "minkowski": (lambda: minkowski(), {}),
     "schwarzschild": (lambda M: schwarzschild(M), {"M": 1.0}),
     "kerr": (lambda M, a: kerr(M, a), {"M": 1.0, "a": 0.5}),

@@ -18,7 +18,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -29,10 +28,10 @@ from .algebra import compute_invariants, inner, ricci
 from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      NoConvergence, OutOfDomain, SingularMetric,
                      WrongSignature)
-from .geometry import riemann, verify_tensor_symmetries
+from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
-from .svp import (SolverConfig, kerr_reduced_solve, lorentz_mixed_sign_check,
-                  multistart, orbit, orbit_size, schwarzschild_reduced_solve,
+from .svp import (SolverConfig, _kerr_reduced, _schwarzschild_reduced,
+                  lorentz_mixed_sign_check, multistart, orbit, orbit_size,
                   sigma_from_tensor, wedge_det_defect)
 
 EXIT_OK = 0
@@ -90,25 +89,14 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-@dataclass
-class RunConfig:
-    """Parsed command-line options shared by the subcommands."""
-
-    metric: str
-    params: dict = field(default_factory=dict)
-    point: Optional[np.ndarray] = None
-    signs: str = "++++"
-    tol: float = 1e-11
-    starts: int = 200
-    seed: int = 0
-    method: str = "auto"
-    output: str = "json"
-    deterministic: bool = False
-    out_path: Optional[str] = None
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol=self.tol, n_starts=self.starts,
-                            sign_pattern=self.signs, rng_seed=self.seed)
+def _parse_number(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidInput(f"bad numeric value in {what}: '{text}'") from None
+    if not math.isfinite(value):
+        raise InvalidInput(f"non-finite value in {what}: '{text}'")
+    return value
 
 
 def _parse_params(text: Optional[str]) -> dict:
@@ -122,69 +110,80 @@ def _parse_params(text: Optional[str]) -> dict:
         if "=" not in item:
             raise InvalidInput(f"bad --params entry '{item}' (expected k=v)")
         key, value = item.split("=", 1)
-        try:
-            out[key.strip()] = float(value)
-        except ValueError:
-            raise InvalidInput(f"bad numeric value in --params: '{item}'") from None
+        out[key.strip()] = _parse_number(value, "--params")
     return out
 
 
 def _parse_point(text: Optional[str]) -> Optional[np.ndarray]:
     if text is None:
         return None
-    try:
-        return np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise InvalidInput(f"bad --point '{text}'") from None
+    return np.array([_parse_number(v, "--point") for v in text.split(",")])
 
 
-def resolve_metric(cfg: RunConfig) -> catalog.CatalogEntry:
+def resolve_metric(args) -> catalog.CatalogEntry:
     """Catalog id or user definition file path."""
-    if cfg.metric in catalog.CATALOG_IDS:
-        return catalog.get(cfg.metric, **cfg.params)
-    path = Path(cfg.metric)
+    if args.metric in catalog.CATALOG_IDS:
+        return catalog.get(args.metric, **args.params)
+    path = Path(args.metric)
     if path.exists():
         spec = load_metric(path)
         return catalog.CatalogEntry(
             spec=spec, admissible=lambda p: True,
             default_point=np.zeros(spec.dimension))
-    raise InvalidInput(f"unknown metric '{cfg.metric}' (not a catalog id or file)")
+    raise InvalidInput(f"unknown metric '{args.metric}' (not a catalog id or file)")
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "metric": cfg.metric,
-        "params": {k: float(v) for k, v in cfg.params.items()},
-        "point": None if cfg.point is None else cfg.point,
-        "signs": cfg.signs,
-        "tol": cfg.tol,
-        "starts": cfg.starts,
-        "seed": cfg.seed,
-        "method": cfg.method,
-    }
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(tol=args.tol, n_starts=args.starts,
+                        sign_pattern=args.signs, rng_seed=args.seed)
 
 
-def _base_report(cfg: RunConfig, command: str) -> dict:
+def _base_report(args, command: str) -> dict:
     report = {
         "schema": "riemsvp-report/1",
         "command": command,
-        "config": _config_echo(cfg),
+        "config": {
+            "metric": args.metric,
+            "params": args.params,
+            "point": args.point,
+            "signs": args.signs,
+            "tol": args.tol,
+            "starts": args.starts,
+            "seed": args.seed,
+            "method": args.method,
+        },
         "versions": {"riemsvp": __version__, "numpy": np.__version__},
-        "rng_seed": cfg.seed,
+        "rng_seed": args.seed,
     }
-    if not cfg.deterministic:
+    if not args.deterministic:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return report
 
 
-def _point_or_default(cfg: RunConfig, entry: catalog.CatalogEntry) -> np.ndarray:
-    if cfg.point is not None:
-        if len(cfg.point) != entry.spec.dimension:
-            raise InvalidInput(
-                f"--point has length {len(cfg.point)}, metric dimension is "
-                f"{entry.spec.dimension}")
-        return cfg.point
-    return entry.default_point
+def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData]:
+    """The metric, the point and the curvature there, for one command.
+
+    Raises :class:`OutOfDomain` for a point outside the metric's domain.
+    """
+    entry = resolve_metric(args)
+    point = entry.default_point if args.point is None else args.point
+    if len(point) != entry.spec.dimension:
+        raise InvalidInput(
+            f"--point has length {len(point)}, metric dimension is "
+            f"{entry.spec.dimension}")
+    if not entry.admissible(point):
+        raise OutOfDomain(f"point {point.tolist()} is outside the admissible "
+                          f"domain of '{args.metric}'")
+    return entry, point, riemann(entry.spec, point)
+
+
+def _nonzero(sols) -> list:
+    """The solutions whose sigma is not zero within the report window."""
+    return [s for s in sols if abs(s.sigma) > 1e-8]
+
+
+def _quadruple_record(q) -> dict:
+    return {"w": q.w, "x": q.x, "y": q.y, "z": q.z, "signs": list(q.signs)}
 
 
 def _solution_record(sol, cd) -> dict:
@@ -197,10 +196,7 @@ def _solution_record(sol, cd) -> dict:
         "seed": sol.seed,
         # a solution whose residual is not finite has no orbit
         "orbit_size": orbit_size(sol, cd) if math.isfinite(sol.residual) else 0,
-        "quadruple": {
-            "w": sol.q.w, "x": sol.q.x, "y": sol.q.y, "z": sol.q.z,
-            "signs": list(sol.q.signs),
-        },
+        "quadruple": _quadruple_record(sol.q),
     }
 
 
@@ -209,16 +205,11 @@ def _solution_record(sol, cd) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invariants(cfg: RunConfig) -> tuple[dict, int]:
-    entry = resolve_metric(cfg)
-    point = _point_or_default(cfg, entry)
-    if not entry.admissible(point):
-        raise OutOfDomain(f"point {point.tolist()} is outside the admissible "
-                          f"domain of '{cfg.metric}'")
-    cd = riemann(entry.spec, point)
+def cmd_invariants(args) -> tuple[dict, int]:
+    entry, point, cd = _prepare(args)
     tetrad = entry.tetrad(point) if entry.tetrad is not None else None
     inv = compute_invariants(cd, tetrad)
-    report = _base_report(cfg, "invariants")
+    report = _base_report(args, "invariants")
     report["point"] = point
     report["curvature_path"] = cd.path
     report["invariants"] = {
@@ -234,41 +225,34 @@ def cmd_invariants(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _run_solver(cfg: RunConfig, entry: catalog.CatalogEntry,
-                point: np.ndarray):
-    method = cfg.method
+def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
+                cd: CurvatureData):
+    cfg = _solver_config(args)
+    # a metric file named after a catalog id is not that catalog metric, so
+    # the reduced solvers go by the --metric value
+    method = args.method
     if method == "auto":
-        method = ("reduced" if entry.spec.id in ("schwarzschild", "kerr")
+        method = ("reduced" if args.metric in ("schwarzschild", "kerr")
                   else "multistart")
     if method == "reduced":
-        if entry.spec.id == "schwarzschild":
-            sol = schwarzschild_reduced_solve(entry.params["M"], point[1],
-                                              point[2])
-        elif entry.spec.id == "kerr":
-            sol = kerr_reduced_solve(entry.params["M"], entry.params["a"],
-                                     point[1], point[2])
+        if args.metric == "schwarzschild":
+            sol = _schwarzschild_reduced(cd, entry.params["M"], point[1])
+        elif args.metric == "kerr":
+            sol = _kerr_reduced(cd, entry.tetrad(point))
         else:
             raise InvalidInput(
-                f"--method reduced is not available for '{entry.spec.id}'")
-        cd = riemann(entry.spec, point)
-        return [sol], cd, method
-    if method != "multistart":
-        raise InvalidInput(f"unknown --method '{cfg.method}'")
-    cd = riemann(entry.spec, point)
-    sols = multistart(cd, cfg.solver_config())
+                f"--method reduced is not available for '{args.metric}'")
+        return [sol], method
+    sols = multistart(cd, cfg)
     if not sols:
         raise NoConvergence("no start converged")
-    return sols, cd, method
+    return sols, method
 
 
-def cmd_svp(cfg: RunConfig) -> tuple[dict, int]:
-    entry = resolve_metric(cfg)
-    point = _point_or_default(cfg, entry)
-    if not entry.admissible(point):
-        raise OutOfDomain(f"point {point.tolist()} is outside the admissible "
-                          f"domain of '{cfg.metric}'")
-    sols, cd, method = _run_solver(cfg, entry, point)
-    report = _base_report(cfg, "svp")
+def cmd_svp(args) -> tuple[dict, int]:
+    entry, point, cd = _prepare(args)
+    sols, method = _run_solver(args, entry, point, cd)
+    report = _base_report(args, "svp")
     report["point"] = point
     report["method"] = method
     report["search_exhaustive"] = False
@@ -282,25 +266,22 @@ def cmd_svp(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_orbit(cfg: RunConfig) -> tuple[dict, int]:
-    entry = resolve_metric(cfg)
-    point = _point_or_default(cfg, entry)
-    sols, cd, method = _run_solver(cfg, entry, point)
-    nonzero = [s for s in sols if abs(s.sigma) > 1e-8]
-    base = nonzero[0] if nonzero else sols[0]
+def cmd_orbit(args) -> tuple[dict, int]:
+    entry, point, cd = _prepare(args)
+    sols, _ = _run_solver(args, entry, point, cd)
+    base = (_nonzero(sols) or sols)[0]
     members = orbit(base, cd, tol=max(10.0 * base.residual, 1e-9))
-    report = _base_report(cfg, "orbit")
+    report = _base_report(args, "orbit")
     report["point"] = point
     report["base"] = _solution_record(base, cd)
     report["members"] = [
         {"sigma": m.sigma, "residual": m.residual,
-         "quadruple": {"w": m.q.w, "x": m.q.x, "y": m.q.y, "z": m.q.z,
-                       "signs": list(m.q.signs)}}
+         "quadruple": _quadruple_record(m.q)}
         for m in members]
     return report, EXIT_OK
 
 
-def cmd_catalog(cfg: RunConfig) -> tuple[dict, int]:
+def cmd_catalog(args) -> tuple[dict, int]:
     report = {
         "schema": "riemsvp-report/1",
         "command": "catalog",
@@ -320,11 +301,8 @@ def _check(name, passed, max_defect, skipped=False, note=None) -> dict:
             "skipped": bool(skipped), "note": note}
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    entry = resolve_metric(cfg)
-    point = _point_or_default(cfg, entry)
-    spec = entry.spec
-    cd = riemann(spec, point)
+def cmd_verify(args) -> tuple[dict, int]:
+    entry, point, cd = _prepare(args)
     sym_tol = 1e-10 if cd.path == "analytic" else 1e-6
     checks: list[dict] = []
 
@@ -345,9 +323,9 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             checks.append(_check(name, True, 0.0, skipped=True,
                                  note="geometry invalid"))
     else:
-        scfg = cfg.solver_config()
+        scfg = _solver_config(args)
         sols = multistart(cd, scfg)
-        nonzero = [s for s in sols if abs(s.sigma) > 1e-8]
+        nonzero = _nonzero(sols)
 
         d_prop1 = 0.0
         for s in nonzero:
@@ -372,7 +350,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             checks.append(_check("remark2-lorentz", True, 0.0, skipped=True,
                                  note="not a Lorentz metric"))
 
-        if spec.id == "schwarzschild":
+        if args.metric == "schwarzschild":
             d_det = max((wedge_det_defect(s.q.y, s.q.z) for s in sols),
                         default=0.0)
             checks.append(_check("det-S", d_det < 1e-8, d_det))
@@ -380,7 +358,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
             checks.append(_check("det-S", True, 0.0, skipped=True,
                                  note="static black hole only"))
 
-        if spec.id == "space-form":
+        if args.metric == "space-form":
             kappa = entry.params["kappa"]
             d_e2 = 0.0
             for s in nonzero:
@@ -424,7 +402,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
         checks.append(_check("sigma-equals-R", d_sr < 1e-8, d_sr))
 
     failed = [c for c in checks if not c["skipped"] and not c["pass"]]
-    report = _base_report(cfg, "verify")
+    report = _base_report(args, "verify")
     report["point"] = point
     report["curvature_path"] = cd.path
     report["checks"] = checks
@@ -537,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curvature invariants and the Riemann tensor singular "
                     "value problem")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig()
 
     def add_common(p):
         p.add_argument("--metric", required=True,
@@ -545,11 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated k=v metric parameters")
         p.add_argument("--point", default=None,
                        help="comma-separated coordinates")
-        p.add_argument("--signs", default="++++",
+        p.add_argument("--signs", default=defaults.sign_pattern,
                        help="constraint sign pattern: ++++, +++-, ... or all")
-        p.add_argument("--tol", type=float, default=1e-11)
-        p.add_argument("--starts", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=defaults.tol)
+        p.add_argument("--starts", type=int, default=defaults.n_starts)
+        p.add_argument("--seed", type=int, default=defaults.rng_seed)
         p.add_argument("--method", default="auto",
                        choices=["auto", "multistart", "reduced"])
         p.add_argument("--output", default="json",
@@ -582,27 +561,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "catalog":
-            cfg = RunConfig(metric="", output=args.output,
-                            out_path=args.out)
-        else:
-            cfg = RunConfig(
-                metric=args.metric,
-                params=_parse_params(args.params),
-                point=_parse_point(args.point),
-                signs=args.signs,
-                tol=args.tol,
-                starts=args.starts,
-                seed=args.seed,
-                method=args.method,
-                output=args.output,
-                deterministic=args.deterministic,
-                out_path=args.out,
-            )
-        report, code = _COMMANDS[args.command](cfg)
-        text = render_report(report, cfg.output)
-        if cfg.out_path:
-            Path(cfg.out_path).write_text(text)
+        if args.command != "catalog":
+            args.params = _parse_params(args.params)
+            args.point = _parse_point(args.point)
+        report, code = _COMMANDS[args.command](args)
+        text = render_report(report, args.output)
+        if args.out:
+            Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
         return code

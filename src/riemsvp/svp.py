@@ -85,13 +85,12 @@ class SolverConfig:
     tol: float = 1e-11
     max_newton_iters: int = 60
     n_starts: int = 200
-    cluster_eps: float = 1e-7
     sign_pattern: str = "++++"
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidInput("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidInput("tol must be positive and finite")
         if self.n_starts < 1:
             raise InvalidInput("n_starts must be at least 1")
         parse_sign_pattern(self.sign_pattern)
@@ -474,15 +473,15 @@ def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
                         f" (residual {fnorm:.3e})")
 
 
-def sample_unit_vector(rng: np.random.Generator, g: np.ndarray, sign: int,
-                       max_tries: int = 2000) -> np.ndarray:
+def sample_unit_vector(rng: np.random.Generator, g: np.ndarray,
+                       sign: int) -> np.ndarray:
     """Gaussian direction rescaled onto the quadric ``<v, v> = sign``.
 
     Near-null draws (``|<v, v>| < 1e-6``) are rejected, as are draws whose
     causal character does not match the requested sign.  This is
     :func:`_sample_starts` for one start of one vector.
     """
-    V, _ = _sample_starts(rng, g, (sign,), 1, max_tries)
+    V, _ = _sample_starts(rng, g, (sign,), 1)
     if not len(V):
         raise WrongSignature(
             f"could not sample a vector with <v,v> sign {sign:+d}; "
@@ -494,16 +493,19 @@ def sample_unit_vector(rng: np.random.Generator, g: np.ndarray, sign: int,
 # sampler's memory whatever the rejection rate.
 _BLOCK = 2048
 
+# Draws the start sampler spends on one vector before it gives up.
+_MAX_TRIES = 2000
 
-def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs, count: int,
-                   max_tries: int = 2000) -> tuple[np.ndarray, int]:
+
+def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,
+                   count: int) -> tuple[np.ndarray, int]:
     """Up to ``count`` starts, one unit vector per sign each, drawn in order.
 
     Each vector is the first of its Gaussian draws ``v`` that is not near
     null (``|<v, v>| < 1e-6``) and has the requested causal character,
     rescaled onto ``<v, v> = sign``.  Returns the rows ``(v_1, ...,
     v_len(signs))`` and the number of starts attempted: sampling stops at the
-    first vector not found in ``max_tries`` draws, and its start still counts.
+    first vector not found in ``_MAX_TRIES`` draws, and its start still counts.
 
     The draws come in blocks and are classified together.  The rows, and the
     state the generator is left in, are those of drawing one vector at a
@@ -530,8 +532,8 @@ def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs, count: int,
         pos, keep = 0, []
         while found < total:
             hit = nxt[signs[found % len(signs)]][pos]
-            if tries + hit - pos >= max_tries:
-                failed, pos = True, pos + max_tries - tries
+            if tries + hit - pos >= _MAX_TRIES:
+                failed, pos = True, pos + _MAX_TRIES - tries
                 break
             if hit == size:
                 tries += size - pos
@@ -632,17 +634,21 @@ def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
             raise WrongSignature("negative unit constraints are infeasible "
                                  "for a Riemannian metric")
         patterns = [pattern]
-    clusters = _cluster(_search(cd, cfg, patterns), cfg)
+    clusters = _cluster(_search(cd, cfg, patterns))
     clusters = _ensure_trivial(clusters, cd, cfg, patterns)
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
     return clusters
 
 
-def sigma_values(solutions, eps: float = 1e-7) -> list[float]:
-    """Distinct sigma values among solutions, merged within ``eps``."""
+# Sigma values closer than this are one cluster.
+_CLUSTER_EPS = 1e-7
+
+
+def sigma_values(solutions) -> list[float]:
+    """Distinct sigma values among solutions, merged within ``_CLUSTER_EPS``."""
     out: list[float] = []
     for s in sorted(sol.sigma for sol in solutions):
-        if not out or abs(s - out[-1]) > eps:
+        if not out or abs(s - out[-1]) > _CLUSTER_EPS:
             out.append(s)
     return out
 
@@ -675,8 +681,7 @@ def orbit_equivalent(a: SVPSolution, b: SVPSolution, cd: CurvatureData,
     return False
 
 
-def _cluster(solutions: list[SVPSolution],
-             cfg: SolverConfig) -> list[SVPSolution]:
+def _cluster(solutions: list[SVPSolution]) -> list[SVPSolution]:
     # Group by sigma value only.  Solution sets of the SVP are typically
     # continuous manifolds (the zero family always is), so grouping by
     # discrete orbit equivalence would splinter them into singletons;
@@ -685,7 +690,7 @@ def _cluster(solutions: list[SVPSolution],
     for sol in sorted(solutions, key=lambda s: s.sigma):
         merged = False
         for rep in reps:
-            if abs(rep.sigma - sol.sigma) >= cfg.cluster_eps:
+            if abs(rep.sigma - sol.sigma) >= _CLUSTER_EPS:
                 continue
             rep.count += 1
             if sol.residual < rep.residual:
@@ -739,8 +744,8 @@ _SWAPS = [
 ]
 
 
-def orbit(sol: SVPSolution, cd: CurvatureData, tol: float = 1e-10,
-          include_rotations: bool = True) -> list[SVPSolution]:
+def orbit(sol: SVPSolution, cd: CurvatureData,
+          tol: float = 1e-10) -> list[SVPSolution]:
     """All solutions generated from ``sol`` by the structural transforms.
 
     Emits the 16 per-vector sign patterns (sigma flips with the parity of
@@ -769,7 +774,7 @@ def orbit(sol: SVPSolution, cd: CurvatureData, tol: float = 1e-10,
         emit(Quadruple(*(q.vectors[i] for i in perm),
                        signs=tuple(q.signs[i] for i in perm)), sig * sigma)
 
-    if include_rotations and _rotations_valid(cd, q):
+    if _rotations_valid(cd, q):
         w, x, y, z = q.vectors
         rt = 1.0 / math.sqrt(2.0)
         emit(Quadruple(rt * (w - x), rt * (w + x), y, z, q.signs), sigma)
@@ -824,8 +829,7 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
             list(itertools.product((1, -1), repeat=2))
     else:
         pairs = [(pattern[0], pattern[1])]
-    clusters = _cluster(_search(cd, cfg, [p + p for p in pairs], pair=True),
-                        cfg)
+    clusters = _cluster(_search(cd, cfg, [p + p for p in pairs], pair=True))
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
     return clusters
 
@@ -918,6 +922,15 @@ def schwarzschild_reduced_solve(mass: float, r: float, theta: float) -> SVPSolut
         raise OutOfDomain(f"r = {r} is not outside the horizon r = {2 * mass}")
     if not 0.0 < theta < math.pi:
         raise OutOfDomain("theta must lie strictly between 0 and pi")
+    entry = _catalog_mod.schwarzschild(mass)
+    return _schwarzschild_reduced(
+        riemann(entry.spec, np.array([0.0, r, theta, 0.0])), mass, r)
+
+
+def _schwarzschild_reduced(cd: CurvatureData, mass: float,
+                           r: float) -> SVPSolution:
+    """:func:`schwarzschild_reduced_solve` on the curvature ``cd`` at an
+    exterior point of radius ``r``."""
     f = 1.0 - 2.0 * mass / r
     p = math.sqrt(f / 2.0)
     qc = 1.0 / (math.sqrt(2.0) * r)
@@ -925,9 +938,6 @@ def schwarzschild_reduced_solve(mass: float, r: float, theta: float) -> SVPSolut
     w = np.array([0.0, p, -qc, 0.0])
     quad = Quadruple(w=w, x=x, y=x.copy(), z=w.copy(), signs=ALL_PLUS)
     sigma = mass / r ** 3
-
-    entry = _catalog_mod.schwarzschild(mass)
-    cd = riemann(entry.spec, np.array([0.0, r, theta, 0.0]))
     res = residual_norm(cd, quad, sigma)
     if res > 1e-10:
         raise NoConvergence(f"reduced solution residual {res:.3e} too large")
@@ -958,11 +968,14 @@ def kerr_reduced_solve(mass: float, spin: float, r: float,
         raise OutOfDomain("point is not in the exterior region")
     if not 0.0 < theta < math.pi:
         raise OutOfDomain("theta must lie strictly between 0 and pi")
-
     entry = _catalog_mod.kerr(mass, spin)
     point = np.array([0.0, r, theta, 0.0])
-    cd = riemann(entry.spec, point)
-    tetrad = entry.tetrad(point)
+    return _kerr_reduced(riemann(entry.spec, point), entry.tetrad(point))
+
+
+def _kerr_reduced(cd: CurvatureData, tetrad) -> SVPSolution:
+    """:func:`kerr_reduced_solve` on the curvature ``cd`` and the null
+    tetrad at a point of the exterior."""
     psis = np_scalars(cd, tetrad)
     re_psi2 = psis[2].real
     if re_psi2 <= 0:

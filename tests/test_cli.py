@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from riemsvp import catalog
 from riemsvp.cli import main, render_json
 
 CORRUPTED_METRIC = """\
@@ -240,6 +242,43 @@ class TestExitCodes:
         code = main(["invariants", "--metric", "sphere2", "--point", "0,0"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["orbit", "verify"])
+    @pytest.mark.parametrize("metric, point", [
+        (["--metric", "schwarzschild", "--params", "M=1"], "0,1.5,1.0,0"),
+        (["--metric", "sphere2"], "5e-4,0"),
+    ], ids=["inside-horizon", "near-pole"])
+    def test_outside_domain_is_domain_error(self, capsys, command, metric,
+                                            point):
+        code = main([command, *metric, "--point", point, "--method",
+                     "multistart", "--starts", "5"])
+        assert code == 3
+        assert "outside the admissible domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["svp", "--metric", "sphere2", "--point=nan,0"],
+        ["svp", "--metric", "sphere2", "--point", "inf,0"],
+        ["svp", "--metric", "schwarzschild", "--params", "M=nan"],
+        ["invariants", "--metric", "space-form", "--params", "kappa=nan,n=3"],
+        ["invariants", "--metric", "space-form", "--params", "kappa=1,n=2.5"],
+        ["invariants", "--metric", "euclidean", "--params", "n=2.5"],
+        ["svp", "--metric", "sphere2", "--tol", "nan", "--starts", "5"],
+        ["svp", "--metric", "sphere2", "--tol", "inf", "--starts", "5"],
+    ], ids=["point-nan", "point-inf", "params-nan", "kappa-nan",
+            "space-form-n-fraction", "euclidean-n-fraction", "tol-nan",
+            "tol-inf"])
+    def test_malformed_number_is_config_error(self, capsys, argv):
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_metric_file_named_like_catalog_id(self, capsys, tmp_path):
+        path = tmp_path / "schwarzschild.metric"
+        path.write_text("dimension = 2\ncoordinates = u, v\n"
+                        "g[0,0] = 1\ng[1,1] = 1\n")
+        code = main(["svp", "--metric", str(path), "--point", "0,0",
+                     "--starts", "5", "--deterministic"])
+        assert code == 0
+
     def test_infeasible_signs_is_domain_error(self, capsys):
         code = main(["svp", "--metric", "sphere2", "--point", "1.0,0",
                      "--signs", "+++-", "--starts", "5"])
@@ -253,6 +292,31 @@ class TestExitCodes:
                      "--starts", "1", "--seed", "0", "--method",
                      "multistart"])
         assert code == 4
+
+
+class TestCurvatureOnce:
+    @pytest.mark.parametrize("command", ["svp", "orbit"])
+    def test_kerr_metric_evaluations(self, capsys, monkeypatch, command):
+        # the numeric curvature at the point is one stencil, (4n + 1)(n + 1)
+        # metric calls, shared by the reduced solver
+        calls = []
+        make = catalog.kerr
+
+        def counting_kerr(mass, spin):
+            entry = make(mass, spin)
+
+            def g(p):
+                calls.append(p)
+                return entry.spec.g(p)
+
+            return dataclasses.replace(
+                entry, spec=dataclasses.replace(entry.spec, g=g))
+
+        monkeypatch.setattr(catalog, "kerr", counting_kerr)
+        code = main([command, "--metric", "kerr", "--deterministic"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["command"] == command
+        assert len(calls) == 85
 
 
 class TestJsonRenderer:
