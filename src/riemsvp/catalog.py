@@ -152,6 +152,8 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
         A = M f / r^3,  B = M / (r^3 f),  C = M / r,  D = M sin^2(theta) / r,
 
     and the expected nonzero singular value at radius ``r`` is ``M / r^3``.
+    The metric does not depend on ``t`` or ``phi``, which the spec declares
+    ignorable.
     """
     if mass <= 0:
         raise InvalidInput("mass must be positive")
@@ -188,7 +190,8 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
         return out
 
     spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g,
-                      analytic_riemann=riem, id="schwarzschild")
+                      analytic_riemann=riem, id="schwarzschild",
+                      ignorable=(0, 3))
 
     def admissible(p):
         r, th = p[1], p[2]
@@ -209,7 +212,9 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
     Only the metric is analytic; curvature comes from the numeric
     differentiation path.  The bundled null tetrad produces the
     type-D Weyl scalars, and the expected nonzero sigma is
-    ``sqrt((|I| + Re I) / 6)`` built from the quadratic invariant.
+    ``sqrt((|I| + Re I) / 6)`` built from the quadratic invariant.  The
+    metric does not depend on ``t`` or ``phi``, which the spec declares
+    ignorable.
     """
     if mass <= 0 or not 0.0 <= spin < mass:
         raise InvalidInput("need mass > 0 and 0 <= spin < mass")
@@ -253,7 +258,8 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
         sigma = math.sqrt((abs(inv) + inv.real) / 6.0)
         return [(0.0, "trivial"), (sigma, "special family")]
 
-    spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g, id="kerr")
+    spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g, id="kerr",
+                      ignorable=(0, 3))
 
     def admissible(p):
         r, th = p[1], p[2]

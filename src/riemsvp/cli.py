@@ -121,21 +121,23 @@ def _parse_point(text: Optional[str]) -> Optional[np.ndarray]:
 
 
 def resolve_metric(args) -> catalog.CatalogEntry:
-    """Catalog id or user definition file path."""
+    """Catalog id or user definition file path.
+
+    A metric file takes no ``--params``: its components are fixed numbers.
+    """
     if args.metric in catalog.CATALOG_IDS:
         return catalog.get(args.metric, **args.params)
     path = Path(args.metric)
     if path.exists():
+        if args.params:
+            raise InvalidInput(
+                f"metric file '{args.metric}' does not take params "
+                f"{', '.join(sorted(args.params))}")
         spec = load_metric(path)
         return catalog.CatalogEntry(
             spec=spec, admissible=lambda p: True,
             default_point=np.zeros(spec.dimension))
     raise InvalidInput(f"unknown metric '{args.metric}' (not a catalog id or file)")
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, n_starts=args.starts,
-                        sign_pattern=args.signs, rng_seed=args.seed)
 
 
 def _base_report(args, command: str) -> dict:
@@ -160,11 +162,16 @@ def _base_report(args, command: str) -> dict:
     return report
 
 
-def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData]:
-    """The metric, the point and the curvature there, for one command.
+def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData,
+                            SolverConfig]:
+    """The metric, the point, the curvature there and the solver settings,
+    for one command.
 
+    The solver flags are checked first, so every command rejects bad ones.
     Raises :class:`OutOfDomain` for a point outside the metric's domain.
     """
+    cfg = SolverConfig(tol=args.tol, n_starts=args.starts,
+                       sign_pattern=args.signs, rng_seed=args.seed)
     entry = resolve_metric(args)
     point = entry.default_point if args.point is None else args.point
     if len(point) != entry.spec.dimension:
@@ -174,7 +181,7 @@ def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData]:
     if not entry.admissible(point):
         raise OutOfDomain(f"point {point.tolist()} is outside the admissible "
                           f"domain of '{args.metric}'")
-    return entry, point, riemann(entry.spec, point)
+    return entry, point, riemann(entry.spec, point), cfg
 
 
 def _nonzero(sols) -> list:
@@ -206,7 +213,7 @@ def _solution_record(sol, cd) -> dict:
 
 
 def cmd_invariants(args) -> tuple[dict, int]:
-    entry, point, cd = _prepare(args)
+    entry, point, cd, _ = _prepare(args)
     tetrad = entry.tetrad(point) if entry.tetrad is not None else None
     inv = compute_invariants(cd, tetrad)
     report = _base_report(args, "invariants")
@@ -226,8 +233,7 @@ def cmd_invariants(args) -> tuple[dict, int]:
 
 
 def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
-                cd: CurvatureData):
-    cfg = _solver_config(args)
+                cd: CurvatureData, cfg: SolverConfig):
     # a metric file named after a catalog id is not that catalog metric, so
     # the reduced solvers go by the --metric value
     method = args.method
@@ -250,8 +256,8 @@ def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
 
 
 def cmd_svp(args) -> tuple[dict, int]:
-    entry, point, cd = _prepare(args)
-    sols, method = _run_solver(args, entry, point, cd)
+    entry, point, cd, cfg = _prepare(args)
+    sols, method = _run_solver(args, entry, point, cd, cfg)
     report = _base_report(args, "svp")
     report["point"] = point
     report["method"] = method
@@ -267,8 +273,8 @@ def cmd_svp(args) -> tuple[dict, int]:
 
 
 def cmd_orbit(args) -> tuple[dict, int]:
-    entry, point, cd = _prepare(args)
-    sols, _ = _run_solver(args, entry, point, cd)
+    entry, point, cd, cfg = _prepare(args)
+    sols, _ = _run_solver(args, entry, point, cd, cfg)
     base = (_nonzero(sols) or sols)[0]
     members = orbit(base, cd, tol=max(10.0 * base.residual, 1e-9))
     report = _base_report(args, "orbit")
@@ -302,7 +308,7 @@ def _check(name, passed, max_defect, skipped=False, note=None) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    entry, point, cd = _prepare(args)
+    entry, point, cd, scfg = _prepare(args)
     sym_tol = 1e-10 if cd.path == "analytic" else 1e-6
     checks: list[dict] = []
 
@@ -323,7 +329,6 @@ def cmd_verify(args) -> tuple[dict, int]:
             checks.append(_check(name, True, 0.0, skipped=True,
                                  note="geometry invalid"))
     else:
-        scfg = _solver_config(args)
         sols = multistart(cd, scfg)
         nonzero = _nonzero(sols)
 

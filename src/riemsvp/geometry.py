@@ -13,12 +13,18 @@ With these choices the unit 2-sphere has ``riemann_lowered[0, 1, 0, 1] =
 sin(theta)**2`` in ``(theta, phi)`` coordinates; a regression test pins that
 sign.
 
-Numeric curvature is one pass over one stencil of ``4n + 1`` points: ``p``,
-then ``p ± h_j e_j`` and ``p ± h_j/2 e_j`` for each coordinate ``j``.  Each
-point evaluates the metric once and takes ``n`` complex-step derivatives, so
-a numeric ``riemann`` calls the metric supplier ``(4n + 1)(n + 1)`` times,
-85 times in 4D.  The real part of a complex evaluation is not used as the
-metric: complex arithmetic rounds differently in the last bits.
+Numeric curvature is one pass over one stencil of ``4k + 1`` points: ``p``,
+then ``p ± h_j e_j`` and ``p ± h_j/2 e_j`` for each of the ``k`` coordinates
+``j`` the metric depends on, that is, every coordinate the spec does not
+declare ``ignorable``.  Each point evaluates the metric once and takes ``k``
+complex-step derivatives, so a numeric ``riemann`` calls the metric supplier
+``(4k + 1)(k + 1)`` times: 85 times for a 4D metric that declares nothing,
+27 for Schwarzschild and Kerr, which do not depend on ``t`` or ``phi``.
+Along an ignorable coordinate the Christoffel symbols are those at ``p``
+and the metric derivatives are zero, which is exactly what the skipped
+evaluations would give, so the results are the same bit for bit.  The real
+part of a complex evaluation is not used as the metric: complex arithmetic
+rounds differently in the last bits.
 """
 
 from __future__ import annotations
@@ -63,6 +69,15 @@ class MetricSpec:
         Maps a point to the ``(n, n, n, n)`` array ``riemann_mixed``.
     id : str
         Stable label used in reports.
+    ignorable : tuple of int
+        Coordinates that no metric component depends on (cyclic
+        coordinates, such as ``t`` and ``phi`` of a stationary,
+        axisymmetric metric).  The declaration promises that ``g`` returns
+        the same matrix, bit for bit, whatever the value of these
+        coordinates, for real and for complex input, and so do the analytic
+        suppliers; numeric curvature then skips all work along them.
+        ``dataclasses.replace(spec, g=...)`` keeps the declaration, so clear
+        it (``ignorable=()``) when the new supplier reads those coordinates.
     """
 
     dimension: int
@@ -71,6 +86,7 @@ class MetricSpec:
     analytic_gamma: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_riemann: Optional[Callable[[np.ndarray], np.ndarray]] = None
     id: str = ""
+    ignorable: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -79,6 +95,17 @@ class MetricSpec:
             raise InvalidInput("signature length must equal dimension")
         if any(s not in (-1, 1) for s in self.signature):
             raise InvalidInput("signature entries must be +1 or -1")
+        if (any(j not in range(self.dimension) for j in self.ignorable)
+                or len(set(self.ignorable)) != len(self.ignorable)):
+            raise InvalidInput(
+                f"ignorable coordinates {tuple(self.ignorable)} must be "
+                f"distinct indices below {self.dimension}")
+
+    @property
+    def varying(self) -> tuple:
+        """The coordinates the metric may depend on, in increasing order."""
+        return tuple(j for j in range(self.dimension)
+                     if j not in self.ignorable)
 
     @property
     def is_lorentz(self) -> bool:
@@ -213,8 +240,13 @@ def _checked_inverses(spec: MetricSpec, points: np.ndarray, G,
 
 
 def supports_complex_step(spec: MetricSpec, p) -> bool:
-    """True when the metric supplier evaluates cleanly on complex points."""
-    return _first_complex_step(spec, as_point(p, spec.dimension)) is not None
+    """True when the metric supplier evaluates cleanly on complex points.
+
+    The check is a complex step in the first coordinate the metric depends
+    on, or in coordinate 0 when it depends on none.
+    """
+    i = (spec.varying or (0,))[0]
+    return _clean_complex_step(spec, as_point(p, spec.dimension), i) is not None
 
 
 def _complex_step(spec: MetricSpec, p: np.ndarray, i: int) -> np.ndarray:
@@ -224,11 +256,12 @@ def _complex_step(spec: MetricSpec, p: np.ndarray, i: int) -> np.ndarray:
     return np.asarray(spec.g(zp))
 
 
-def _first_complex_step(spec: MetricSpec,
-                        p: np.ndarray) -> Optional[np.ndarray]:
-    """The complex step in coordinate 0, or ``None`` when it is not clean."""
+def _clean_complex_step(spec: MetricSpec, p: np.ndarray,
+                        i: int) -> Optional[np.ndarray]:
+    """The complex step in coordinate ``i``, or ``None`` when it is not
+    clean."""
     try:
-        gz = _complex_step(spec, p, 0)
+        gz = _complex_step(spec, p, i)
     except Exception:
         return None
     clean = (np.iscomplexobj(gz) and gz.shape == (spec.dimension,) * 2
@@ -236,42 +269,51 @@ def _first_complex_step(spec: MetricSpec,
     return gz if clean else None
 
 
-def _metric_first_derivatives(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
-    """``dg[i, a, b] = d g_ab / d x^i``.
+def _metric_first_derivatives(spec: MetricSpec, p: np.ndarray,
+                              g: np.ndarray) -> np.ndarray:
+    """``dg[i, a, b] = d g_ab / d x^i``, given the metric ``g`` at ``p``.
 
     Complex step when the supplier evaluates cleanly on complex points (the
-    coordinate-0 step is that check), otherwise central differences with
-    one Richardson level.
+    step in the first varying coordinate is that check), otherwise central
+    differences with one Richardson level.  The rows of ignorable
+    coordinates are zero.
     """
-    gz = _first_complex_step(spec, p)
+    coords = spec.varying
+    dg = np.zeros((spec.dimension,) * 3)
+    if not coords:
+        return dg
+    gz = _clean_complex_step(spec, p, coords[0])
     if gz is None:
         h = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(p))
-        return _richardson(np.array([np.asarray(spec.g(q), dtype=float)
-                                     for q in _stencil(p, h)[1:]]), h)
-    dg = np.empty((spec.dimension,) * 3)
-    dg[0] = gz.imag / CS_STEP
-    for i in range(1, spec.dimension):
+        rows = _stencil(p, h, coords)[1:]
+        return _richardson(np.array([g] + [np.asarray(spec.g(q), dtype=float)
+                                           for q in rows]), h, coords)
+    dg[coords[0]] = gz.imag / CS_STEP
+    for i in coords[1:]:
         dg[i] = _complex_step(spec, p, i).imag / CS_STEP
     return dg
 
 
-def _stencil(p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The ``4n + 1`` rows ``p``, then ``p ± h_j e_j`` and ``p ± h_j/2 e_j``
-    for each coordinate ``j`` in that order."""
-    n = len(p)
-    rows = np.tile(p, (4 * n + 1, 1))
-    for j in range(n):
-        rows[4 * j + 1:4 * j + 5, j] += (h[j], -h[j], h[j] / 2.0, -(h[j] / 2.0))
+def _stencil(p: np.ndarray, h: np.ndarray, coords) -> np.ndarray:
+    """The ``4k + 1`` rows ``p``, then ``p ± h_j e_j`` and ``p ± h_j/2 e_j``
+    for each of the ``k`` coordinates ``j`` in ``coords``, in that order."""
+    rows = np.tile(p, (4 * len(coords) + 1, 1))
+    for a, j in enumerate(coords):
+        rows[4 * a + 1:4 * a + 5, j] += (h[j], -h[j], h[j] / 2.0, -(h[j] / 2.0))
     return rows
 
 
-def _richardson(F: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _richardson(F: np.ndarray, h: np.ndarray, coords) -> np.ndarray:
     """Central differences with one Richardson level, one per coordinate.
 
-    ``F`` holds values at the rows of :func:`_stencil` after ``p``.
+    ``F`` holds values at the rows of :func:`_stencil` with the same
+    ``coords``, ``p`` first.  A coordinate not in ``coords`` takes the value
+    at ``p`` for its four rows, so its derivative is an exact zero.
     """
     n = len(h)
-    F = F.reshape((n, 4) + F.shape[1:])
+    rows = np.zeros((n, 4), dtype=int)
+    rows[list(coords)] = np.arange(1, 4 * len(coords) + 1).reshape(-1, 4)
+    F = F[rows]
     h = h.reshape((n,) + (1,) * (F.ndim - 2))
     coarse = (F[:, 0] - F[:, 1]) / (2.0 * h)
     fine = (F[:, 2] - F[:, 3]) / (2.0 * (h / 2.0))
@@ -281,16 +323,16 @@ def _richardson(F: np.ndarray, h: np.ndarray) -> np.ndarray:
 def _christoffel_rows(spec: MetricSpec, points: np.ndarray):
     """Metric, inverse and Christoffel symbols at every row of ``points``.
 
-    Each row calls ``spec.g`` once for the metric and ``n`` times for its
-    complex-step derivatives (``4n`` times on the real fallback).  The
-    error raised is the one that evaluating and checking the rows one at a
-    time would raise first.
+    Each row calls ``spec.g`` once for the metric and once per varying
+    coordinate for its complex-step derivatives (four times per varying
+    coordinate on the real fallback).  The error raised is the one that
+    evaluating and checking the rows one at a time would raise first.
     """
     G, dg = [], []
     try:
         for q in points:
             G.append(_real_metric(spec, q))
-            dg.append(_metric_first_derivatives(spec, q))
+            dg.append(_metric_first_derivatives(spec, q, G[-1]))
     except Exception:
         # a failed check on a row already evaluated comes first
         _checked_inverses(spec, points, G, dg)
@@ -326,9 +368,11 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     """Evaluate the full curvature data at ``p``.
 
     Uses ``analytic_riemann`` when supplied (``mode='auto'``); otherwise the
-    Christoffel symbols are evaluated at the ``4n + 1`` rows of one stencil
-    (``p``, ``p ± h_j e_j`` and ``p ± h_j/2 e_j``) and differentiated by
-    central differences with one Richardson level.  The returned
+    Christoffel symbols are evaluated at the ``4k + 1`` rows of one stencil
+    (``p``, ``p ± h_j e_j`` and ``p ± h_j/2 e_j`` for each of the ``k``
+    coordinates the metric is not declared ignorable in) and differentiated
+    by central differences with one Richardson level; their derivatives
+    along an ignorable coordinate are zero.  The returned
     ``symmetry_defect`` is the maximum relative violation of the algebraic
     symmetries; values above ``1e-6`` signal a differentiation problem and
     should be treated as a diagnostic rather than an exception.
@@ -337,7 +381,7 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     _check_mode(mode)
     numeric = mode == "numeric" or spec.analytic_riemann is None
     h = FD_OUTER_REL_STEP * np.maximum(1.0, np.abs(p))
-    points = _stencil(p, h) if numeric else p[None]
+    points = _stencil(p, h, spec.varying) if numeric else p[None]
     if mode == "auto" and spec.analytic_gamma is not None:
         g, g_inv = metric_at(spec, p)
         gammas = np.array([np.asarray(spec.analytic_gamma(q), dtype=float)
@@ -349,7 +393,7 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
 
     if numeric:
         # dgamma[j, l, i, k] = d gamma^l_ik / d x^j
-        dgamma = _richardson(gammas[1:], h)
+        dgamma = _richardson(gammas, h, spec.varying)
         if not np.all(np.isfinite(dgamma)):
             raise DifferentiationFailure(
                 f"Christoffel derivatives non-finite at {p.tolist()}")

@@ -21,7 +21,9 @@ Expressions are evaluated with numpy scalars, so metrics defined here
 support complex-step differentiation out of the box.  Each component is
 compiled once, when the spec is built, into nested closures that read the
 point's coordinates directly; they compute what :func:`evaluate` computes
-on the expression tree, operation for operation.
+on the expression tree, operation for operation.  A coordinate that no
+component expression names is declared ignorable in the spec, so numeric
+curvature does no work along it.
 """
 
 from __future__ import annotations
@@ -185,6 +187,14 @@ def evaluate(node, env: dict):
     return _BINARY[kind](evaluate(node[1], env), evaluate(node[2], env))
 
 
+def _names(node) -> set:
+    """The coordinate names an expression tree references."""
+    if node[0] == "var":
+        return {node[1]}
+    return set().union(*(_names(arg) for arg in node[1:]
+                         if isinstance(arg, tuple)))
+
+
 def _compile(node, variables):
     """A function of the point ``p`` that computes what :func:`evaluate`
     does with ``{name: p[k] for k, name in enumerate(variables)}``."""
@@ -237,8 +247,11 @@ class MetricDefinition:
                 mat[i, j] = entry(p)
             return mat
 
+        used = set().union(*map(_names, comps.values()))
+        ignorable = tuple(k for k, name in enumerate(self.coordinates)
+                          if name not in used)
         return MetricSpec(dimension=n, signature=self.signature, g=g,
-                          id=self.id)
+                          id=self.id, ignorable=ignorable)
 
 
 _ASSIGN_RE = re.compile(r"^\s*g\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")

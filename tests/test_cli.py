@@ -263,9 +263,11 @@ class TestExitCodes:
         ["invariants", "--metric", "euclidean", "--params", "n=2.5"],
         ["svp", "--metric", "sphere2", "--tol", "nan", "--starts", "5"],
         ["svp", "--metric", "sphere2", "--tol", "inf", "--starts", "5"],
+        ["invariants", "--metric", "sphere2", "--tol", "nan", "--starts", "-4",
+         "--deterministic"],
     ], ids=["point-nan", "point-inf", "params-nan", "kappa-nan",
             "space-form-n-fraction", "euclidean-n-fraction", "tol-nan",
-            "tol-inf"])
+            "tol-inf", "invariants-solver-flags"])
     def test_malformed_number_is_config_error(self, capsys, argv):
         code = main(argv)
         assert code == 2
@@ -278,6 +280,17 @@ class TestExitCodes:
         code = main(["svp", "--metric", str(path), "--point", "0,0",
                      "--starts", "5", "--deterministic"])
         assert code == 0
+
+    def test_metric_file_rejects_params(self, capsys, tmp_path):
+        path = tmp_path / "halfplane.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "g[0,0] = 1 / y^2\ng[1,1] = 1 / y^2\n")
+        code = main(["svp", "--metric", str(path), "--params", "M=3",
+                     "--point=0,1", "--deterministic"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not take params M" in captured.err
 
     def test_infeasible_signs_is_domain_error(self, capsys):
         code = main(["svp", "--metric", "sphere2", "--point", "1.0,0",
@@ -297,8 +310,9 @@ class TestExitCodes:
 class TestCurvatureOnce:
     @pytest.mark.parametrize("command", ["svp", "orbit"])
     def test_kerr_metric_evaluations(self, capsys, monkeypatch, command):
-        # the numeric curvature at the point is one stencil, (4n + 1)(n + 1)
-        # metric calls, shared by the reduced solver
+        # the numeric curvature at the point is one stencil, (4k + 1)(k + 1)
+        # metric calls for the k = 2 coordinates Kerr depends on, shared by
+        # the reduced solver
         calls = []
         make = catalog.kerr
 
@@ -316,7 +330,7 @@ class TestCurvatureOnce:
         code = main([command, "--metric", "kerr", "--deterministic"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["command"] == command
-        assert len(calls) == 85
+        assert len(calls) == 27
 
 
 class TestJsonRenderer:

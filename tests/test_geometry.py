@@ -279,23 +279,30 @@ class TestOneStencil:
             if mode == "numeric":
                 assert np.array_equal(christoffel(spec, p, mode=mode), gamma)
 
-    @pytest.mark.parametrize("entry, p, mode, evals", [
-        (catalog.kerr(1.0, 0.7), [0.0, 3.0, 1.0, 0.0], "auto", 85),
-        (catalog.schwarzschild(1.0), [0.0, 3.0, 1.0, 0.0], "numeric", 85),
-        (catalog.space_form(2.0, 3), [0.1, 0.2, 0.3], "numeric", 52),
-        (catalog.sphere2(), [1.0, 0.2], "numeric", 27),
-    ], ids=["kerr", "schwarzschild", "space-form-3", "sphere2"])
-    def test_metric_evaluations_per_riemann(self, entry, p, mode, evals):
-        # (4n + 1) stencil rows, each one real and n complex-step evaluations
-        n = entry.spec.dimension
-        assert evals == (4 * n + 1) * (n + 1)
+    @pytest.mark.parametrize("spec, p, mode, evals", [
+        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 27),
+        (dataclasses.replace(catalog.kerr(1.0, 0.7).spec, ignorable=()),
+         [0.0, 3.0, 1.0, 0.0], "auto", 85),
+        (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 27),
+        (catalog.space_form(2.0, 3).spec, [0.1, 0.2, 0.3], "numeric", 52),
+        (catalog.sphere2().spec, [1.0, 0.2], "numeric", 27),
+        (dataclasses.replace(catalog.minkowski().spec,
+                             ignorable=(0, 1, 2, 3)),
+         [0.5, 1.0, 2.0, 3.0], "numeric", 1),
+    ], ids=["kerr", "kerr-nothing-ignorable", "schwarzschild",
+            "space-form-3", "sphere2", "constant"])
+    def test_metric_evaluations_per_riemann(self, spec, p, mode, evals):
+        # (4k + 1) stencil rows for the k coordinates the metric depends on,
+        # each one real and k complex-step evaluations
+        k = spec.dimension - len(spec.ignorable)
+        assert evals == (4 * k + 1) * (k + 1)
         calls = []
 
         def g(q):
             calls.append(q)
-            return entry.spec.g(q)
+            return spec.g(q)
 
-        riemann(dataclasses.replace(entry.spec, g=g), p, mode=mode)
+        riemann(dataclasses.replace(spec, g=g), p, mode=mode)
         assert len(calls) == evals
 
     @pytest.mark.parametrize("entry, p, row", [
@@ -336,3 +343,74 @@ class TestOneStencil:
         with pytest.raises(error) as want:
             oracles.riemann_per_point(spec, [1.0, 0.2], mode="numeric")
         assert str(got.value) == str(want.value)
+
+
+def ignorable_cases(tmp_path):
+    """``(spec, point, mode)`` of metrics that declare ignorable
+    coordinates, at points where those coordinates are not zero."""
+    path = tmp_path / "schwarzschild.metric"
+    path.write_text(SCHWARZSCHILD_FILE)
+    cases = [(catalog.kerr(1.0, a).spec, [1.7, r, th, -2.4], "auto")
+             for a, r, th in ((0.0, 6.0, math.pi / 2), (0.3, 3.5, 1.0),
+                              (0.7, 2.5, 0.3), (0.95, 40.0, 2.8))]
+    cases += [
+        (catalog.schwarzschild(1.0).spec, [-3.0, 3.0, 0.9, 0.4], "numeric"),
+        (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 5.5], "numeric"),
+        (load_metric(path), [12.0, 4.0, 1.2, 0.3], "auto"),
+        # the real-difference fallback for the metric derivatives
+        (dataclasses.replace(polar_spec(), ignorable=(1,)), [2.0, 0.5],
+         "numeric"),
+    ]
+    return cases
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestIgnorableCoordinates:
+    def test_bit_identical_to_full_stencil(self, tmp_path):
+        for spec, p, mode in ignorable_cases(tmp_path):
+            assert spec.ignorable
+            full = dataclasses.replace(spec, ignorable=())
+            got, want = riemann(spec, p, mode=mode), riemann(full, p, mode=mode)
+            assert got.path == want.path == "numeric"
+            for name in ("g_inv", "gamma", "riemann_mixed", "riemann_lowered"):
+                assert_bitwise_equal(getattr(got, name), getattr(want, name))
+            assert_bitwise_equal(christoffel(spec, p, mode="numeric"),
+                                 christoffel(full, p, mode="numeric"))
+
+    @pytest.mark.parametrize("ignorable", [(4,), (-1,), (0, 0), (1, 2, 1)],
+                             ids=["above", "negative", "repeated",
+                                  "repeated-apart"])
+    def test_bad_index_rejected(self, ignorable):
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(catalog.kerr(1.0, 0.5).spec,
+                                ignorable=ignorable)
+
+    def test_complex_step_checked_on_a_varying_coordinate(self):
+        # the supplier fails on a complex step in x, which it does not read
+        def g(p):
+            if np.iscomplexobj(p) and p[0].imag != 0:
+                raise TypeError("no complex step in x")
+            return np.eye(2) / p[1] ** 2
+
+        spec = MetricSpec(dimension=2, signature=(1, 1), g=g,
+                          id="half-plane", ignorable=(0,))
+        p = [0.3, 1.5]
+        assert supports_complex_step(spec, p)
+        assert not supports_complex_step(
+            dataclasses.replace(spec, ignorable=()), p)
+        calls = []
+
+        def counting(q):
+            calls.append(q)
+            return g(q)
+
+        cd = riemann(dataclasses.replace(spec, g=counting), p)
+        # complex steps: (4k + 1)(k + 1) calls with k = 1, against 25 for
+        # the real-difference fallback
+        assert len(calls) == 10
+        assert cd.riemann_lowered[0, 1, 0, 1] == pytest.approx(
+            -1.0 / p[1] ** 4, rel=1e-8)

@@ -18,6 +18,17 @@ g[1,1] = sin(theta)^2
 """
 
 
+MINKOWSKI_FILE = """\
+dimension = 4
+coordinates = t, x, y, z
+signature = -, +, +, +
+g[0,0] = -1
+g[1,1] = 1
+g[2,2] = 1
+g[3,3] = 1
+"""
+
+
 @pytest.fixture
 def sphere_path(tmp_path):
     path = tmp_path / "sphere.metric"
@@ -134,15 +145,7 @@ g[1,0] = 0 - u
 
     def test_lorentz_signature(self, tmp_path):
         path = tmp_path / "mink.metric"
-        path.write_text("""\
-dimension = 4
-coordinates = t, x, y, z
-signature = -, +, +, +
-g[0,0] = -1
-g[1,1] = 1
-g[2,2] = 1
-g[3,3] = 1
-""")
+        path.write_text(MINKOWSKI_FILE)
         spec = load_metric(path)
         assert spec.is_lorentz
         cd = riemann(spec, np.zeros(4))
@@ -218,3 +221,35 @@ class TestCompiledComponents:
                 got = spec.g(z)
                 assert np.iscomplexobj(got)
                 assert np.array_equal(got, tree_walk_g(definition, z))
+
+
+SCHWARZSCHILD_FILE = """\
+dimension = 4
+coordinates = t, r, theta, phi
+signature = -, +, +, +
+g[0,0] = -(1 - 2/r)
+g[1,1] = 1 / (1 - 2/r)
+g[2,2] = r^2
+g[3,3] = r^2 * sin(theta)^2
+"""
+
+HALFPLANE_FILE = """\
+dimension = 2
+coordinates = x, y
+g[0,0] = 1 / y^2
+g[1,1] = 1 / y^2
+"""
+
+
+class TestIgnorableCoordinates:
+    @pytest.mark.parametrize("text, ignorable", [
+        (SCHWARZSCHILD_FILE, (0, 3)),
+        (HALFPLANE_FILE, (0,)),
+        (MINKOWSKI_FILE, (0, 1, 2, 3)),
+        (EVERY_NODE_FILE, ()),
+    ], ids=["schwarzschild", "half-plane", "minkowski", "every-coordinate"])
+    def test_derived_from_unreferenced_coordinates(self, tmp_path, text,
+                                                   ignorable):
+        path = tmp_path / "m.metric"
+        path.write_text(text)
+        assert load_metric(path).ignorable == ignorable
