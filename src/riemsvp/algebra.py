@@ -41,12 +41,29 @@ def kretschmann(cd: CurvatureData) -> float:
 
 
 def _raise_all(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """``t^ijkl = g^ia g^jb g^kc g^ld t_abcd`` as four O(n^5) products."""
+    """``t^ijkl = g^ia g^jb g^kc g^ld t_abcd`` as four O(n^5) products.
+
+    Any matrix may stand for ``g_inv``: the frame transform of
+    :func:`curvature_scale` is the same product.
+    """
     n = g_inv.shape[0]
     for _ in range(4):
         # raise the leading index and move it to the back
         t = (t.reshape(n, -1).T @ g_inv.T).reshape(t.shape)
     return t
+
+
+def curvature_scale(cd: CurvatureData) -> float:
+    """Largest curvature component ``max |R^a_bcd|`` in an orthonormal frame.
+
+    The frame is the eigenvectors of ``g`` scaled to unit length; the
+    mixed and lowered components there differ only in sign, so the lowered
+    tensor is taken into the frame.  The scale does not depend on the units
+    of the coordinates, which makes it the reference for relative windows.
+    """
+    lam, vec = np.linalg.eigh(cd.g)
+    frame = vec / np.sqrt(np.abs(lam))
+    return float(np.abs(_raise_all(cd.riemann_lowered, frame.T)).max())
 
 
 def weyl(cd: CurvatureData) -> np.ndarray:

@@ -24,21 +24,29 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, catalog
-from .algebra import compute_invariants, inner, ricci
+from .algebra import compute_invariants, curvature_scale, inner, ricci
 from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      NoConvergence, OutOfDomain, SingularMetric,
                      WrongSignature)
 from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
 from .svp import (SolverConfig, _kerr_reduced, _schwarzschild_reduced,
-                  lorentz_mixed_sign_check, multistart, orbit, orbit_size,
-                  sigma_from_tensor, wedge_det_defect)
+                  feasible_patterns, lorentz_mixed_sign_check, multistart,
+                  orbit, orbit_size, parse_sign_pattern, sigma_from_tensor,
+                  wedge_det_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY_FAILED = 5
+
+# Report windows relative to the curvature scale rho at the point
+# (algebra.curvature_scale), so they hold at every scale of the metric: a
+# sigma is non-zero above _ZERO_REL * rho, and matches an expected non-zero
+# value within _MATCH_REL of it.
+_ZERO_REL = 1e-6
+_MATCH_REL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +192,16 @@ def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData,
     return entry, point, riemann(entry.spec, point), cfg
 
 
-def _nonzero(sols) -> list:
-    """The solutions whose sigma is not zero within the report window."""
-    return [s for s in sols if abs(s.sigma) > 1e-8]
+def _nonzero(sols, rho: float) -> list:
+    """The solutions whose sigma is not zero at the curvature scale ``rho``."""
+    return [s for s in sols if abs(s.sigma) > _ZERO_REL * rho]
+
+
+def _matched(sols, sigma: float, rho: float) -> bool:
+    """Whether a solution has the expected ``sigma``; zero within the
+    non-zero window, any other value within ``_MATCH_REL`` of it."""
+    window = _MATCH_REL * abs(sigma) if sigma else _ZERO_REL * rho
+    return any(abs(s.sigma - sigma) <= window for s in sols)
 
 
 def _quadruple_record(q) -> dict:
@@ -252,6 +267,12 @@ def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
     sols = multistart(cd, cfg)
     if not sols:
         raise NoConvergence("no start converged")
+    if all(s.origin != "multistart" for s in sols):
+        patterns = (1 if parse_sign_pattern(cfg.sign_pattern)
+                    else len(feasible_patterns(cd)))
+        print(f"warning: none of the {cfg.n_starts * patterns} starts "
+              "converged; only the analytic trivial solution is reported",
+              file=sys.stderr)
     return sols, method
 
 
@@ -264,18 +285,18 @@ def cmd_svp(args) -> tuple[dict, int]:
     report["search_exhaustive"] = False
     report["solutions"] = [_solution_record(s, cd) for s in sols]
     if entry.expected_sigma is not None:
-        expected = entry.expected_sigma(point)
+        rho = curvature_scale(cd)
         report["expected"] = [
             {"sigma": sig, "description": desc,
-             "matched": bool(any(abs(s.sigma - sig) < 1e-8 for s in sols))}
-            for sig, desc in expected]
+             "matched": _matched(sols, sig, rho)}
+            for sig, desc in entry.expected_sigma(point)]
     return report, EXIT_OK
 
 
 def cmd_orbit(args) -> tuple[dict, int]:
     entry, point, cd, cfg = _prepare(args)
     sols, _ = _run_solver(args, entry, point, cd, cfg)
-    base = (_nonzero(sols) or sols)[0]
+    base = (_nonzero(sols, curvature_scale(cd)) or sols)[0]
     members = orbit(base, cd, tol=max(10.0 * base.residual, 1e-9))
     report = _base_report(args, "orbit")
     report["point"] = point
@@ -330,7 +351,7 @@ def cmd_verify(args) -> tuple[dict, int]:
                                  note="geometry invalid"))
     else:
         sols = multistart(cd, scfg)
-        nonzero = _nonzero(sols)
+        nonzero = _nonzero(sols, curvature_scale(cd))
 
         d_prop1 = 0.0
         for s in nonzero:

@@ -13,16 +13,17 @@ also returns the curvature contractions the Jacobian shares with it, so the
 Jacobian at an accepted point computes only the rest.  One damped
 least-squares Newton core, :func:`_gauss_newton`, drives a batch of starts
 to zero together, and each start ends exactly as it would alone, whatever
-the sign pattern of its batch-mates.  A Newton step costs one Jacobian and
-one residual pass, which tries every step length of every start.  The
-multistart driver and the
-repeated-pair reduction :func:`meigen_reduce` share one search: the starts
-of every sign pattern are drawn in turn from one random stream, by a block
-rejection sampler that reproduces drawing one vector at a time, and are
-solved as a single batch; the converged solutions are clustered by
-``sigma``.  The single-start :func:`solve_newton` runs through the same
-core.  Orbit equivalence under the structural transforms is exposed
-separately as a membership predicate.
+the sign pattern of its batch-mates.  A Newton step costs one Jacobian,
+one least-squares solve and one residual pass, which tries every step
+length of every start.  The solve factors each Jacobian by QR and keeps
+the SVD for the systems whose R does not certify full column rank.  The
+multistart driver and the repeated-pair reduction :func:`meigen_reduce`
+share one search: the starts of every sign pattern are drawn in turn from
+one random stream, by a block rejection sampler that reproduces drawing one
+vector at a time, and are solved as a single batch; the converged solutions
+are clustered by ``sigma``.  The single-start :func:`solve_newton` runs
+through the same core.  Orbit equivalence under the structural transforms
+is exposed separately as a membership predicate.
 """
 
 from __future__ import annotations
@@ -307,14 +308,36 @@ def _svd_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x + apply_pinv(rhs - _matvec(jac, x))
 
 
-def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """:func:`_svd_solve` per system; NaN rows where it fails.
+# A system whose R has min |r_ii| > _QR_RANK_TOL * max |r_ii| has full
+# column rank, so its least-squares solution is unique and QR gives the
+# minimum-norm step for less than half the SVD's cost.  The test reads one
+# system's R only, so a start's step does not depend on its batch.
+_QR_RANK_TOL = 1e-8
 
-    A system with a non-finite matrix, or whose SVD fails on its own, gets a
-    NaN row; the other systems are solved exactly as they would be alone.
+
+def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares step per system; NaN rows where it fails.
+
+    Every finite system is factored by QR.  One whose R certifies full
+    column rank takes ``x = R^-1 Q^T b`` with one refinement step; every
+    other goes through :func:`_svd_solve`.  A system with a non-finite
+    matrix, or whose SVD fails on its own, gets a NaN row; the other
+    systems are solved exactly as they would be alone.
     """
     steps = np.full((len(jac), jac.shape[2]), np.nan)
     ok = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
+    q, r = np.linalg.qr(jac[ok])
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    full = diag.min(axis=1) > _QR_RANK_TOL * diag.max(axis=1)
+    rows = ok[full]
+    r_inv, qt = np.linalg.inv(r[full]), q[full].transpose(0, 2, 1)
+
+    def apply_inv(b):
+        return _matvec(r_inv, _matvec(qt, b))
+
+    x = apply_inv(rhs[rows])
+    steps[rows] = x + apply_inv(rhs[rows] - _matvec(jac[rows], x))
+    ok = ok[~full]
     try:
         steps[ok] = _svd_solve(jac[ok], rhs[ok])
     except np.linalg.LinAlgError:
@@ -337,8 +360,9 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     that the Jacobian shares with the residual; ``jac_fn(points, parts)``
     maps points and their parts to Jacobians (B, m, k), row by row, so each
     start may have its own equations.  Each start iterates on its own: it
-    takes the minimum-norm Gauss-Newton step, then the first length in
-    ``_STEPS`` that lowers the max-norm of its residual.  It ends
+    takes the minimum-norm Gauss-Newton step (:func:`_lstsq_steps`: QR
+    when the Jacobian has full column rank, else the SVD), then the first
+    length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
     ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
     step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
     after ``cfg.max_newton_iters`` steps; none of this depends on the other

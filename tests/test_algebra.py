@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.algebra import (NPTetrad, _raise_all, compute_invariants, inner,
-                             invariant_i, kretschmann, np_scalars, ricci,
-                             ricci_scalar, weyl, weyl_self_contraction)
+from riemsvp.algebra import (NPTetrad, _raise_all, compute_invariants,
+                             curvature_scale, inner, invariant_i, kretschmann,
+                             np_scalars, ricci, ricci_scalar, weyl,
+                             weyl_self_contraction)
 from riemsvp.errors import BadTetrad, DimensionTooSmall
-from riemsvp.geometry import riemann
+from riemsvp.geometry import CurvatureData, riemann
 
 import oracles
 
@@ -76,6 +77,41 @@ class TestRicciScalar:
         # R = n (n-1) kappa = 3 * 2 * 2
         cd = riemann(catalog.space_form(2.0, 3).spec, np.zeros(3))
         assert ricci_scalar(cd) == pytest.approx(12.0, abs=1e-12)
+
+
+class TestCurvatureScale:
+    def test_closed_forms(self):
+        cases = [
+            (catalog.sphere2(), [1.0, 0.0], 1.0),
+            (catalog.space_form(-3.0, 4), np.zeros(4), 3.0),
+            # the radial tidal component 2M / r^3
+            (catalog.schwarzschild(2.0), [0.0, 5.0, 0.7, 0.0], 4.0 / 125.0),
+        ]
+        for entry, point, rho in cases:
+            cd = riemann(entry.spec, point)
+            assert curvature_scale(cd) == pytest.approx(rho, rel=1e-12)
+
+    def test_mixed_components_in_an_orthonormal_coframe(self):
+        cd = riemann(catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0])
+        lam, vec = np.linalg.eigh(cd.g)
+        frame = vec / np.sqrt(np.abs(lam))
+        hat = np.einsum("ai,ijkl,jb,kc,ld->abcd", np.linalg.inv(frame),
+                        cd.riemann_mixed, frame, frame, frame)
+        assert curvature_scale(cd) == pytest.approx(np.abs(hat).max(),
+                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 1e3])
+    def test_homothety(self, c):
+        # g -> c^2 g keeps the mixed tensor and scales the lowered one by
+        # c^2, so the scale goes as 1 / c^2
+        cd = riemann(catalog.schwarzschild(1.0).spec, [0.0, 4.0, 0.9, 0.0])
+        scaled = CurvatureData(point=cd.point, g=c * c * cd.g,
+                               g_inv=cd.g_inv / (c * c), gamma=cd.gamma,
+                               riemann_mixed=cd.riemann_mixed,
+                               riemann_lowered=c * c * cd.riemann_lowered,
+                               signature=cd.signature)
+        assert curvature_scale(scaled) == pytest.approx(
+            curvature_scale(cd) / (c * c), rel=1e-12)
 
 
 class TestKretschmann:

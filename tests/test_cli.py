@@ -97,6 +97,37 @@ class TestSvpCommand:
         report = json.loads(out)
         sigmas = [s["sigma"] for s in report["solutions"]]
         assert any(abs(v - 2.0) < 1e-9 for v in sigmas)
+        assert all(e["matched"] for e in report["expected"])
+
+    def test_far_field_spurious_sigma_not_matched(self, capsys):
+        # at r = 1000 the starts find only 0 and a spurious 3.5e-11, which
+        # an absolute window of 1e-8 took for M / r^3 = 1e-9
+        code, out = run(capsys, "svp", "--metric", "schwarzschild",
+                        "--params", "M=1",
+                        "--point=0,1000,1.5707963267948966,0", "--method",
+                        "multistart", "--starts", "200", "--seed", "0",
+                        "--deterministic")
+        assert code == 0
+        matched = {e["sigma"]: e["matched"]
+                   for e in json.loads(out)["expected"]}
+        assert matched[1e-9] is False
+
+    def test_zero_yield_warns(self, capsys):
+        argv = ["svp", "--metric", "schwarzschild", "--params", "M=1",
+                "--point=0,100,1.5707963267948966,0", "--method",
+                "multistart", "--starts", "200", "--seed", "0",
+                "--deterministic"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "warning: none of the 200 starts converged; only the "
+                "analytic trivial solution is reported\n")
+            outs.append(captured.out)
+        assert outs[0].encode() == outs[1].encode()
+        assert [s["origin"] for s in json.loads(outs[0])["solutions"]] == [
+            "analytic"]
 
     def test_schwarzschild_reduced_method(self, capsys):
         code, out = run(capsys, "svp", "--metric", "schwarzschild",

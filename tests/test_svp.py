@@ -231,8 +231,10 @@ class TestBatchedCore:
         cfg = SolverConfig()
         U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
         real_svd = np.linalg.svd
+        svd_calls = []
 
         def stacked_fails(a, **kwargs):
+            svd_calls.append(len(a))
             if len(a) > 1:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return real_svd(a, **kwargs)
@@ -240,6 +242,9 @@ class TestBatchedCore:
         monkeypatch.setattr(np.linalg, "svd", stacked_fails)
         U_fb, _, out_fb = _solve_full(cd, U0, ALL_PLUS, cfg)
         assert np.array_equal(U_fb, U) and list(out_fb) == list(out)
+        # the rank-deficient steps near the sphere's solution families
+        # reach the SVD, stacked and then one system at a time
+        assert any(k > 1 for k in svd_calls) and 1 in svd_calls
 
         def always_fails(a, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -248,6 +253,54 @@ class TestBatchedCore:
         _, _, out_all = _solve_full(cd, U0, ALL_PLUS, cfg)
         assert set(out_all) <= {"singular", "converged"}
         assert "singular" in set(out_all)
+
+
+def converged_systems(cd):
+    """Jacobians and right-hand sides at converged multistart solutions."""
+    from riemsvp.svp import _jacobian
+
+    sols = multistart(cd, SolverConfig(n_starts=40, rng_seed=0))
+    jac = np.array([_jacobian(cd, s.q, s.sigma) for s in sols])
+    rhs = np.array([-residual(cd, s.q, s.sigma) for s in sols])
+    return jac, rhs
+
+
+class TestLeastSquaresStep:
+    @pytest.mark.parametrize("shape", [(20, 17), (16, 13), (12, 9)])
+    def test_full_rank_matches_lstsq(self, shape):
+        from riemsvp.svp import _lstsq_steps
+
+        rng = np.random.default_rng(sum(shape))
+        jac = rng.standard_normal((50,) + shape)
+        rhs = rng.standard_normal((50, shape[0]))
+        steps = _lstsq_steps(jac, rhs)
+        for a, b, x in zip(jac, rhs, steps):
+            want = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["sphere2", "space-form n=4"])
+    def test_rank_deficient_takes_svd_path(self, case):
+        from riemsvp.svp import _QR_RANK_TOL, _lstsq_steps, _svd_solve
+
+        jac, rhs = converged_systems(CORE_CASES[case]())
+        diag = np.abs(np.diagonal(np.linalg.qr(jac, mode="r"), axis1=1,
+                                  axis2=2))
+        assert (diag.min(axis=1) <= _QR_RANK_TOL * diag.max(axis=1)).all()
+        assert np.array_equal(_lstsq_steps(jac, rhs), _svd_solve(jac, rhs))
+
+    def test_mixed_batch_rows_match_each_alone(self):
+        from riemsvp.svp import _lstsq_steps
+
+        jac, rhs = converged_systems(CORE_CASES["space-form n=4"]())
+        rng = np.random.default_rng(5)
+        full = rng.standard_normal((6,) + jac.shape[1:])
+        jac = np.concatenate([full[:3], jac, full[3:]])
+        rhs = np.concatenate([rng.standard_normal((3, jac.shape[1])), rhs,
+                              rng.standard_normal((3, jac.shape[1]))])
+        steps = _lstsq_steps(jac, rhs)
+        alone = [_lstsq_steps(jac[i:i + 1], rhs[i:i + 1])[0]
+                 for i in range(len(jac))]
+        assert np.array_equal(np.array(alone), steps)
 
 
 def recorded_core(monkeypatch):
@@ -335,7 +388,7 @@ class TestOneResidualPass:
         assert_same_core_results(calls[-1], want)
         assert "converged" in set(want[3])
         if case == "schwarzschild r=3 ++++":
-            assert list(want[3]).count("converged") == 53
+            assert list(want[3]).count("converged") == 54
 
     def test_split_batch_matches_sequential_ladder(self, monkeypatch):
         from riemsvp import svp
