@@ -9,19 +9,19 @@ The unknowns are four tangent vectors ``(W, X, Y, Z)`` and a scalar
 together with the normalizations ``<V, V> = +-1`` for each vector.  The
 residual of this system (4n tensor equations plus 4 constraints) and its
 Jacobian are evaluated for a whole batch of points at once; the residual
-also returns the curvature contractions the Jacobian shares with it, so the
-Jacobian at an accepted point computes only the rest.  One damped
-least-squares Newton core, :func:`_gauss_newton`, drives a batch of starts
-to zero together, and each start ends exactly as it would alone, whatever
-the sign pattern of its batch-mates.  A Newton step costs one Jacobian,
-one least-squares solve and one residual pass, which tries every step
-length of every start.  The solve factors each Jacobian by QR and keeps
-the SVD for the systems whose R does not certify full column rank.  The
-multistart driver and the repeated-pair reduction :func:`meigen_reduce`
-share one search: the starts of every sign pattern are drawn in turn from
-one random stream, by a block rejection sampler that reproduces drawing one
-vector at a time, and are solved as a single batch; the converged solutions
-are clustered by ``sigma``.  The single-start :func:`solve_newton` runs
+contracts the curvature's plane pair with a bivector, which has
+n(n - 1)/2 components.  One damped least-squares Newton core,
+:func:`_gauss_newton`, drives a batch of starts to zero together, and each
+start ends exactly as it would alone, whatever the sign pattern of its
+batch-mates.  A Newton step costs one Jacobian, one least-squares solve
+and one residual pass, which tries every step length of every start.  The
+solve factors each system by an R-only QR and keeps the SVD for the
+systems whose R does not certify full column rank.  The multistart driver
+and the repeated-pair reduction :func:`meigen_reduce` share one search: the
+starts of every sign pattern are drawn in turn from one random stream, by a
+block rejection sampler that reproduces drawing one vector at a time, and
+are solved as a single batch; the converged solutions are clustered by
+``sigma``.  The single-start :func:`solve_newton` runs
 through the same core.  Orbit equivalence under the structural transforms
 is exposed separately as a membership predicate.
 """
@@ -138,7 +138,7 @@ CONVERGED, STALLED, CAPPED, SINGULAR = ("converged", "stalled", "capped",
 # residual is taken; wilder starts would diverge on full steps.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
 
-# Most starts the core advances together.  Its work arrays take about 12 kB
+# Most starts the core advances together.  Its work arrays take about 15 kB
 # per start; larger batches are solved in slices of this size, which bounds
 # the memory and changes no result.
 _MAX_BATCH = 1024
@@ -193,31 +193,32 @@ def _split(U: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return U[:, :4 * n].reshape(-1, 4, n), U[:, 4 * n]
 
 
-def _residual_parts(cd: CurvatureData, U: np.ndarray, signs):
-    """Residual rows of ``U`` and the contractions its Jacobian shares.
-
-    ``signs`` is one sign pattern or one per row.  Returns the residuals
-    (B, 4n + 4) and the parts ``(rs, d_p, gv)``: the curvature contracted
-    with each equation's third vector, that contracted with its second (the
-    derivative of the equation in its first vector), and ``g V``.
-    """
-    n = cd.n
-    V, sigma = _split(U, n)
-    rs = _dot(cd.riemann_mixed[None, None], V[:, _S])
-    d_p = _dot(rs, V[:, _Q])
-    maps = _dot(d_p, V[:, _P])
-    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
-    gv = _dot(cd.g[None, None], V)
-    cons = _dot(gv, V) - np.asarray(signs, dtype=float)
-    return np.concatenate([tensor, cons], axis=1), (rs, d_p, gv)
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs ``i < j`` of a bivector's components."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False  # shared by every caller
+    return i, j
 
 
 def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
     """:func:`residual` for each row ``(w, x, y, z, sigma)`` of ``U``.
 
-    ``signs`` is one sign pattern or one per row.
+    ``signs`` is one sign pattern or one per row.  The curvature is
+    antisymmetric in its plane pair, so equation ``e`` contracts that pair
+    with the bivector ``q ^ s`` of its second and third vectors, components
+    ``i < j``, and then the result with its first vector ``p``.
     """
-    return _residual_parts(cd, U, signs)[0]
+    n = cd.n
+    V, sigma = _split(U, n)
+    i, j = _pairs(n)
+    q, s = V[:, _Q], V[:, _S]
+    plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
+    maps = _dot(_dot(cd.riemann_mixed[:, :, i, j][None, None], plane),
+                V[:, _P])
+    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
+    cons = _dot(_dot(cd.g[None, None], V), V) - np.asarray(signs, dtype=float)
+    return np.concatenate([tensor, cons], axis=1)
 
 
 @functools.cache
@@ -243,23 +244,23 @@ def _jacobian_index(n: int) -> np.ndarray:
     return index
 
 
-def _jacobians(cd: CurvatureData, U: np.ndarray, parts) -> np.ndarray:
-    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``.
-
-    ``parts`` are the rows' contractions from :func:`_residual_parts`.
-    """
+def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
+    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``,
+    from the points alone: it makes every curvature contraction itself."""
     n = cd.n
     V, sigma = _split(U, n)
-    rs, d_p, gv = parts
-    p = V[:, _P]
-    # derivatives of r_ijkl p^j q^k s^l in q and s, per equation
+    r = cd.riemann_mixed[None, None]
+    p, q = V[:, _P], V[:, _Q]
+    # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
+    rs = _dot(r, V[:, _S])
+    d_p = _dot(rs, q)
     d_q = _dot(rs, p, axis=-2)
-    d_s = _dot(_dot(cd.riemann_mixed[None, None], p, axis=3), V[:, _Q])
+    d_s = _dot(_dot(r, p, axis=3), q)
     B = len(U)
     values = np.concatenate(
         [d_p.reshape(B, -1), d_q.reshape(B, -1), d_s.reshape(B, -1),
          np.broadcast_to(-sigma[:, None], (B, 4 * n)), -V.reshape(B, -1),
-         2.0 * gv.reshape(B, -1)], axis=1)
+         2.0 * _dot(cd.g[None, None], V).reshape(B, -1)], axis=1)
     jac = np.zeros((B, (4 * n + 4) * (4 * n + 1)))
     jac[:, _jacobian_index(n)] = values
     return jac.reshape(B, 4 * n + 4, 4 * n + 1)
@@ -280,8 +281,7 @@ def residual_norm(cd: CurvatureData, q: Quadruple, sigma: float) -> float:
 
 def _jacobian(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
     """Analytic Jacobian of :func:`residual` w.r.t. ``(w, x, y, z, sigma)``."""
-    U = np.append(q.flat(), sigma)[None]
-    return _jacobians(cd, U, _residual_parts(cd, U, q.signs)[1])[0]
+    return _jacobians(cd, np.append(q.flat(), sigma)[None])[0]
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -318,26 +318,30 @@ _QR_RANK_TOL = 1e-8
 def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares step per system; NaN rows where it fails.
 
-    Every finite system is factored by QR.  One whose R certifies full
-    column rank takes ``x = R^-1 Q^T b`` with one refinement step; every
-    other goes through :func:`_svd_solve`.  A system with a non-finite
-    matrix, or whose SVD fails on its own, gets a NaN row; the other
-    systems are solved exactly as they would be alone.
+    Every finite system ``[J | b]`` is factored by one R-only QR: its
+    leading k x k block is the R of J and the first k entries of its last
+    column are ``c = Q^T b``, so Q is never formed.  A system whose R
+    certifies full column rank takes ``x = R^-1 c`` by back-substitution
+    (LU makes no row exchange on a triangular matrix); every other goes
+    through :func:`_svd_solve`.  A system with a non-finite entry, or whose
+    SVD fails on its own, gets a NaN row; the other systems are solved
+    exactly as they would be alone.  An empty stack makes no LAPACK call.
     """
-    steps = np.full((len(jac), jac.shape[2]), np.nan)
-    ok = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
-    q, r = np.linalg.qr(jac[ok])
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    k = jac.shape[2]
+    steps = np.full((len(jac), k), np.nan)
+    aug = np.concatenate([jac, rhs[:, :, None]], axis=2)
+    ok = np.flatnonzero(np.isfinite(aug).all(axis=(1, 2)))
+    if not ok.size:
+        return steps
+    r = np.linalg.qr(aug[ok], mode="r")
+    diag = np.abs(np.diagonal(r[:, :k, :k], axis1=1, axis2=2))
     full = diag.min(axis=1) > _QR_RANK_TOL * diag.max(axis=1)
-    rows = ok[full]
-    r_inv, qt = np.linalg.inv(r[full]), q[full].transpose(0, 2, 1)
-
-    def apply_inv(b):
-        return _matvec(r_inv, _matvec(qt, b))
-
-    x = apply_inv(rhs[rows])
-    steps[rows] = x + apply_inv(rhs[rows] - _matvec(jac[rows], x))
+    if full.any():
+        steps[ok[full]] = np.linalg.solve(r[full, :k, :k],
+                                          r[full, :k, k:])[..., 0]
     ok = ok[~full]
+    if not ok.size:
+        return steps
     try:
         steps[ok] = _svd_solve(jac[ok], rhs[ok])
     except np.linalg.LinAlgError:
@@ -356,22 +360,19 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
 
     ``res_fn(points, idx)`` maps the points of the starts ``idx`` to their
-    residuals (B, m) and a tuple of parts, arrays with one row per point
-    that the Jacobian shares with the residual; ``jac_fn(points, parts)``
-    maps points and their parts to Jacobians (B, m, k), row by row, so each
-    start may have its own equations.  Each start iterates on its own: it
-    takes the minimum-norm Gauss-Newton step (:func:`_lstsq_steps`: QR
-    when the Jacobian has full column rank, else the SVD), then the first
-    length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
-    ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
-    step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
-    after ``cfg.max_newton_iters`` steps; none of this depends on the other
-    starts in the batch.  Returns the final points, their residual norms and
-    the outcomes.
+    residuals (B, m) and ``jac_fn(points)`` maps points to Jacobians
+    (B, m, k), row by row, so each start may have its own equations.  Each
+    start iterates on its own: it takes the minimum-norm Gauss-Newton step
+    (:func:`_lstsq_steps`: QR when the Jacobian has full column rank, else
+    the SVD), then the first length in ``_STEPS`` that lowers the max-norm
+    of its residual.  It ends ``CONVERGED`` once that norm is below
+    ``cfg.tol``, ``STALLED`` when no step length lowers it, ``SINGULAR`` on
+    a non-finite step and ``CAPPED`` after ``cfg.max_newton_iters`` steps;
+    none of this depends on the other starts in the batch.  Returns the
+    final points, their residual norms and the outcomes.
 
-    An iteration makes one Jacobian call, on the parts kept from the
-    residual call that accepted each start's point, and one residual call,
-    on every step length of every live start.
+    An iteration makes one Jacobian call, on the points alone, and one
+    residual call, on every step length of every live start.
     """
     if len(U) > _MAX_BATCH:
         slices = [_gauss_newton(lambda batch, idx, lo=lo: res_fn(batch, lo + idx),
@@ -379,7 +380,7 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
                   for lo in range(0, len(U), _MAX_BATCH)]
         return tuple(np.concatenate(part) for part in zip(*slices))
     U = np.array(U, dtype=float)
-    F, parts = res_fn(U, np.arange(len(U)))
+    F = res_fn(U, np.arange(len(U)))
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), CAPPED, dtype=object)
     live = np.arange(len(U))
@@ -389,8 +390,7 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
         live = live[~done]
         if not live.size:
             break
-        step = _lstsq_steps(jac_fn(U[live], [part[live] for part in parts]),
-                            -F[live])
+        step = _lstsq_steps(jac_fn(U[live]), -F[live])
         finite = np.isfinite(step).all(axis=1)
         outcome[live[~finite]] = SINGULAR
         live, step = live[finite], step[finite]
@@ -398,7 +398,7 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
         # takes the first length that lowers its norm
         u_try = (U[live] + np.multiply.outer(_STEPS, step)).reshape(
             -1, U.shape[1])
-        f_try, p_try = res_fn(u_try, np.tile(live, len(_STEPS)))
+        f_try = res_fn(u_try, np.tile(live, len(_STEPS)))
         fn_try = np.abs(f_try).max(axis=1)
         better = fn_try.reshape(len(_STEPS), len(live)) < fnorm[live]
         hit = better.any(axis=0)
@@ -406,10 +406,8 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
         outcome[live[~hit]] = STALLED
         live = live[hit]
         U[live], F[live], fnorm[live] = u_try[pick], f_try[pick], fn_try[pick]
-        for part, trial in zip(parts, p_try):
-            part[live] = trial[pick]
         # five trial rows per start: free them before the next Jacobian
-        del u_try, f_try, p_try
+        del u_try, f_try
     else:
         outcome[live[fnorm[live] < cfg.tol]] = CONVERGED
     return U, fnorm, outcome
@@ -469,8 +467,8 @@ def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig):
     """
     signs = np.broadcast_to(np.asarray(signs, dtype=float), (len(U), 4))
     return _gauss_newton(
-        lambda batch, idx: _residual_parts(cd, batch, signs[idx]),
-        lambda batch, parts: _jacobians(cd, batch, parts), U, cfg)
+        lambda batch, idx: _residuals(cd, batch, signs[idx]),
+        lambda batch: _jacobians(cd, batch), U, cfg)
 
 
 def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
@@ -610,8 +608,8 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
         def embed(U):
             return np.concatenate([U[:, :2 * n], U], axis=1)
 
-        def jac_fn(U, parts):
-            jac = _jacobians(cd, embed(U), parts)[:, rows]
+        def jac_fn(U):
+            jac = _jacobians(cd, embed(U))[:, rows]
             return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
                                    jac[:, :, 4 * n:]], axis=2)
     else:
@@ -620,12 +618,11 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
         def embed(U):
             return U
 
-        def jac_fn(U, parts):
-            return _jacobians(cd, U, parts)
+        def jac_fn(U):
+            return _jacobians(cd, U)
 
     def res_fn(U, idx):
-        F, parts = _residual_parts(cd, embed(U), row_signs[idx])
-        return F[:, rows], parts
+        return _residuals(cd, embed(U), row_signs[idx])[:, rows]
 
     U, _, outcome = _gauss_newton(
         res_fn, jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)

@@ -287,12 +287,19 @@ def dot_ordered(a, vecs, axis=-1):
 
 
 def residuals_ordered(cd, U, signs):
-    """The SVP residual at the rows of ``U``, from :func:`dot_ordered`."""
+    """The SVP residual at the rows of ``U``, from :func:`dot_ordered`.
+
+    Equation ``e`` contracts the curvature's plane pair with the bivector
+    ``q ^ s`` over the pairs ``i < j`` of ``numpy.triu_indices``, then the
+    result with ``p``.
+    """
     n = cd.n
     V, sigma = svp._split(U, n)
-    r = cd.riemann_mixed[None, None]
-    dj = dot_ordered(dot_ordered(r, V[:, svp._S]), V[:, svp._Q])
-    maps = dot_ordered(dj, V[:, svp._P])
+    i, j = np.triu_indices(n, 1)
+    q, s = V[:, svp._Q], V[:, svp._S]
+    plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
+    r = cd.riemann_mixed[:, :, i, j][None, None]
+    maps = dot_ordered(dot_ordered(r, plane), V[:, svp._P])
     tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
     cons = (dot_ordered(dot_ordered(cd.g[None, None], V), V)
             - np.asarray(signs, dtype=float))

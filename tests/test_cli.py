@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,35 @@ class TestCurvatureOnce:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["command"] == command
         assert len(calls) == 27
+
+
+def third_party_modules(code):
+    """Top-level modules outside the standard library that a fresh
+    interpreter has loaded after running ``code``."""
+    src = str(Path(catalog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    report = ("import sys\n"
+              "names = {m.partition('.')[0] for m in sys.modules}\n"
+              "print(*sorted(names - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code + "\n" + report],
+                         env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # numpy.random loads cython_runtime and _cython_* modules, and site
+    # start-up may load others, so the baseline is a process that imports
+    # numpy and the two numpy submodules the package uses
+    baseline = third_party_modules(
+        "import numpy, numpy.linalg, numpy.random")
+    got = third_party_modules(
+        "import contextlib, io\n"
+        "from riemsvp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['svp', '--metric', 'sphere2', '--point', '1,0',"
+        " '--deterministic'])")
+    assert got == baseline | {"riemsvp"}
 
 
 class TestJsonRenderer:

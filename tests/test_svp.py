@@ -50,6 +50,21 @@ class TestResidual:
                                           q.w, q.x, q.y, q.z, q.signs, 0.37)
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("case", ["dense n=2", "dense n=3", "dense n=4",
+                                      "kerr numeric"])
+    def test_matches_loop_oracle_on_dense_tensors(self, case):
+        # every contraction sum has n terms here; the numeric Kerr plane
+        # pair is antisymmetric only to rounding.  The scale is the tensor
+        # block's, which the constraints would otherwise swamp.
+        cd = kerr_cd() if case == "kerr numeric" else dense_cd(int(case[-1]))
+        rng = np.random.default_rng(cd.n)
+        q = Quadruple(*(rng.standard_normal(cd.n) for _ in range(4)))
+        got = residual(cd, q, 0.37)
+        want = oracles.svp_residual_loops(cd.riemann_mixed, cd.g,
+                                          q.w, q.x, q.y, q.z, q.signs, 0.37)
+        scale = np.abs(want[:4 * cd.n]).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
     def test_repeated_vector_zero_families(self):
         # (V, V, V, V, 0) and (V, V, U, U, 0) solve for any curvature
         for entry in (catalog.sphere2(), catalog.schwarzschild(1.0)):
@@ -288,6 +303,48 @@ class TestLeastSquaresStep:
         assert (diag.min(axis=1) <= _QR_RANK_TOL * diag.max(axis=1)).all()
         assert np.array_equal(_lstsq_steps(jac, rhs), _svd_solve(jac, rhs))
 
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e7])
+    @pytest.mark.parametrize("shape", [(20, 17), (16, 13), (12, 9)])
+    def test_consistent_system_accuracy(self, shape, cond):
+        from riemsvp.svp import _lstsq_steps
+
+        # J = U diag(s) V^T with orthonormal U, V: its condition number is
+        # cond, and b = J x* is consistent, so the step is x*
+        m, k = shape
+        rng = np.random.default_rng(m * k)
+        u = np.linalg.qr(rng.standard_normal((20, m, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((20, k, k)))[0]
+        jac = u * np.geomspace(1.0, 1.0 / cond, k) @ v.transpose(0, 2, 1)
+        want = rng.standard_normal((20, k))
+        steps = _lstsq_steps(jac, np.matmul(jac, want[..., None])[..., 0])
+        err = np.linalg.norm(steps - want, axis=1) / np.linalg.norm(want,
+                                                                    axis=1)
+        assert err.max() <= 10 * cond * np.finfo(float).eps
+
+    @pytest.mark.parametrize("deficient", [0, 1, 2])
+    def test_no_lapack_call_on_an_empty_stack(self, deficient, monkeypatch):
+        from riemsvp.svp import _lstsq_steps
+
+        # rank-deficient systems at sphere2 solutions, then full-rank ones
+        jac, rhs = converged_systems(CORE_CASES["sphere2"]())
+        rng = np.random.default_rng(deficient)
+        full = 3 if deficient < 2 else 0
+        jac = np.concatenate([jac[:deficient],
+                              rng.standard_normal((full,) + jac.shape[1:])])
+        rhs = np.concatenate([rhs[:deficient],
+                              rng.standard_normal((full, jac.shape[1]))])
+        calls = {"svd": [], "solve": []}
+        for name, stacks in calls.items():
+            def recording(a, *args, real=getattr(np.linalg, name),
+                          stacks=stacks, **kwargs):
+                stacks.append(len(a))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        assert np.isfinite(_lstsq_steps(jac, rhs)).all()
+        assert calls["svd"] == ([deficient] if deficient else [])
+        assert calls["solve"] == ([full] if full else [])
+
     def test_mixed_batch_rows_match_each_alone(self):
         from riemsvp.svp import _lstsq_steps
 
@@ -388,7 +445,7 @@ class TestOneResidualPass:
         assert_same_core_results(calls[-1], want)
         assert "converged" in set(want[3])
         if case == "schwarzschild r=3 ++++":
-            assert list(want[3]).count("converged") == 54
+            assert list(want[3]).count("converged") == 56
 
     def test_split_batch_matches_sequential_ladder(self, monkeypatch):
         from riemsvp import svp
@@ -410,17 +467,14 @@ class TestOneResidualPass:
         CORE_CASES["schwarzschild r=3"],
     ], ids=["n=2", "n=3", "n=4"])
     def test_jacobian_from_parts(self, make_cd):
-        from riemsvp.svp import (_jacobian, _jacobian_index, _jacobians,
-                                 _residual_parts, _residuals)
+        from riemsvp.svp import _jacobian, _jacobian_index, _jacobians
 
         cd = make_cd()
         n = cd.n
         rng = np.random.default_rng(n)
         U = rng.standard_normal((6, 4 * n + 1))
         signs = rng.choice([-1.0, 1.0], (6, 4))
-        F, parts = _residual_parts(cd, U, signs)
-        assert np.array_equal(F, _residuals(cd, U, signs))
-        jac = _jacobians(cd, U, parts)
+        jac = _jacobians(cd, U)
         assert np.array_equal(jac, oracles.jacobians_loop(cd, U))
         for row, u in enumerate(U):
             q = Quadruple(u[0:n], u[n:2 * n], u[2 * n:3 * n], u[3 * n:4 * n],
