@@ -130,8 +130,8 @@ class NPTetrad:
         return float(max(abs(complex(c)) for c in checks))
 
 
-def np_scalars(cd: CurvatureData, tetrad: NPTetrad,
-               tol: float = 1e-8) -> tuple[complex, complex, complex, complex, complex]:
+def np_scalars(cd: CurvatureData,
+               tetrad: NPTetrad) -> tuple[complex, complex, complex, complex, complex]:
     """The five complex Weyl curvature scalars for a null tetrad.
 
     The overall sign convention is pinned by a regression test against the
@@ -139,8 +139,8 @@ def np_scalars(cd: CurvatureData, tetrad: NPTetrad,
     a positive real middle scalar ``M / r**3``.
     """
     defect = tetrad.normalization_defect(cd.g)
-    if defect > tol:
-        raise BadTetrad(f"tetrad normalization defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > 1e-8:
+        raise BadTetrad(f"tetrad normalization defect {defect:.3e} exceeds 1.0e-08")
     c = weyl(cd).astype(complex)
     lv = np.asarray(tetrad.l, dtype=complex)
     nv = np.asarray(tetrad.n, dtype=complex)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import NPTetrad
-from .errors import InvalidInput
+from .errors import InvalidInput, OutOfDomain
 from .geometry import MetricSpec
 
 Expected = Callable[[np.ndarray], list]
@@ -29,6 +29,12 @@ class CatalogEntry:
     tetrad: Optional[Callable[[np.ndarray], NPTetrad]] = None
     expected_sigma: Optional[Expected] = None
     params: dict = field(default_factory=dict)
+
+    def check_point(self, point: np.ndarray) -> None:
+        """Raise :class:`OutOfDomain` unless ``point`` is admissible."""
+        if not self.admissible(point):
+            raise OutOfDomain(f"point {point.tolist()} is outside the "
+                              f"admissible domain of '{self.spec.id}'")
 
 
 def sphere2() -> CatalogEntry:

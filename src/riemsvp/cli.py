@@ -30,9 +30,9 @@ from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      WrongSignature)
 from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
-from .svp import (SolverConfig, _kerr_reduced, _schwarzschild_reduced,
-                  feasible_patterns, lorentz_mixed_sign_check, multistart,
-                  orbit, orbit_size, parse_sign_pattern, sigma_from_tensor,
+from .svp import (SolverConfig, _kerr_reduced, _patterns,
+                  _schwarzschild_reduced, lorentz_mixed_sign_check,
+                  multistart, orbit, orbit_size, sigma_from_tensor,
                   wedge_det_defect)
 
 EXIT_OK = 0
@@ -186,9 +186,7 @@ def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData,
         raise InvalidInput(
             f"--point has length {len(point)}, metric dimension is "
             f"{entry.spec.dimension}")
-    if not entry.admissible(point):
-        raise OutOfDomain(f"point {point.tolist()} is outside the admissible "
-                          f"domain of '{args.metric}'")
+    entry.check_point(point)
     return entry, point, riemann(entry.spec, point), cfg
 
 
@@ -268,11 +266,9 @@ def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
     if not sols:
         raise NoConvergence("no start converged")
     if all(s.origin != "multistart" for s in sols):
-        patterns = (1 if parse_sign_pattern(cfg.sign_pattern)
-                    else len(feasible_patterns(cd)))
-        print(f"warning: none of the {cfg.n_starts * patterns} starts "
-              "converged; only the analytic trivial solution is reported",
-              file=sys.stderr)
+        starts = cfg.n_starts * len(_patterns(cd, cfg))
+        print(f"warning: none of the {starts} starts converged; only the "
+              "analytic trivial solution is reported", file=sys.stderr)
     return sols, method
 
 
@@ -370,8 +366,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 
         if cd.is_lorentz:
             rep = lorentz_mixed_sign_check(cd, scfg)
+            # a search that converged nothing is no evidence either way
+            note = None if rep.n_converged else "no mixed-sign start converged"
             checks.append(_check("remark2-lorentz", rep.passed,
-                                 rep.max_abs_sigma))
+                                 rep.max_abs_sigma, skipped=note is not None,
+                                 note=note))
         else:
             checks.append(_check("remark2-lorentz", True, 0.0, skipped=True,
                                  note="not a Lorentz metric"))

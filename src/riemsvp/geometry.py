@@ -111,10 +111,6 @@ class MetricSpec:
     def is_lorentz(self) -> bool:
         return sum(1 for s in self.signature if s < 0) == 1
 
-    @property
-    def is_riemannian(self) -> bool:
-        return all(s > 0 for s in self.signature)
-
 
 @dataclass(frozen=True)
 class CurvatureData:
@@ -137,6 +133,10 @@ class CurvatureData:
     @property
     def is_lorentz(self) -> bool:
         return sum(1 for s in self.signature if s < 0) == 1
+
+    @property
+    def is_riemannian(self) -> bool:
+        return all(s > 0 for s in self.signature)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """User metric definition files.
 
-A definition file is line-oriented::
+A definition file is line-oriented, with an integer ``dimension``::
 
     # comments run to end of line
     dimension = 2
@@ -12,10 +12,11 @@ A definition file is line-oriented::
 Component expressions use a small grammar: ``+ - * / ^`` (with ``^``
 right-associative), parentheses, unary minus, the functions ``sin cos tan
 exp log sqrt``, the constants ``pi`` and ``e``, numeric literals, and the
-declared coordinate names.  Unset components default to zero; a component
-whose transpose partner is set is mirrored, while explicitly setting both
-``g[i,j]`` and ``g[j,i]`` keeps each as written (which permits building
-deliberately broken, asymmetric metrics for verification testing).
+declared coordinate names, which are distinct and none of those eight
+names.  Unset components default to zero; a component whose transpose
+partner is set is mirrored, while explicitly setting both ``g[i,j]`` and
+``g[j,i]`` keeps each as written (which permits building deliberately
+broken, asymmetric metrics for verification testing).
 
 Expressions are evaluated with numpy scalars, so metrics defined here
 support complex-step differentiation out of the box.  Each component is
@@ -278,6 +279,9 @@ def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
         if m:
             key, value = m.group(1), m.group(2).strip()
             if key == "dimension":
+                if not value.isdecimal():
+                    raise ParseError(f"line {lineno}: dimension must be an "
+                                     f"integer, got {value!r}")
                 dimension = int(value)
             elif key == "coordinates":
                 coordinates = tuple(v.strip() for v in value.split(","))
@@ -302,8 +306,10 @@ def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
         raise ParseError("dimension must be at least 2")
     if coordinates is None:
         coordinates = tuple(f"x{i}" for i in range(dimension))
-    if len(coordinates) != dimension:
-        raise ParseError("number of coordinates must equal dimension")
+    free = set(coordinates) - set(_CONSTANTS) - set(_FUNCTIONS)
+    if len(coordinates) != dimension or len(free) != dimension:
+        raise ParseError(f"need {dimension} distinct coordinate names, none "
+                         "of them pi, e or a function name")
     if signature is None:
         signature = (1,) * dimension
     if len(signature) != dimension:

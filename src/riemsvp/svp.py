@@ -16,14 +16,14 @@ start ends exactly as it would alone, whatever the sign pattern of its
 batch-mates.  A Newton step costs one Jacobian, one least-squares solve
 and one residual pass, which tries every step length of every start.  The
 solve factors each system by an R-only QR and keeps the SVD for the
-systems whose R does not certify full column rank.  The multistart driver
-and the repeated-pair reduction :func:`meigen_reduce` share one search: the
-starts of every sign pattern are drawn in turn from one random stream, by a
-block rejection sampler that reproduces drawing one vector at a time, and
-are solved as a single batch; the converged solutions are clustered by
-``sigma``.  The single-start :func:`solve_newton` runs
-through the same core.  Orbit equivalence under the structural transforms
-is exposed separately as a membership predicate.
+systems whose R does not certify full column rank.  The multistart driver and
+the repeated-pair reduction :func:`meigen_reduce` share one sign-pattern
+rule (:func:`_patterns`) and one search: the starts of every pattern are
+drawn in turn from one random stream, by a block rejection sampler that
+reproduces drawing one vector at a time, and are solved as a single batch;
+the converged solutions are clustered by ``sigma``.  The single-start
+:func:`solve_newton` runs through the same core.  Orbit equivalence under the
+structural transforms is exposed separately as a membership predicate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from . import catalog as _catalog_mod
 from .algebra import inner, np_scalars
 from .errors import (BadCase, InvalidInput, NoConvergence, OutOfDomain,
                      SingularJacobian, WrongSignature)
-from .geometry import CurvatureData, riemann
+from .geometry import CurvatureData, as_point, riemann
 
 Signs = tuple[int, int, int, int]
 
@@ -160,7 +160,7 @@ def _dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     a = a.swapaxes(axis, -1)
     batch = vecs.shape[:-1]
-    if not any(k > 1 for k in a.shape[:len(batch)]):
+    if all(k == 1 for k in a.shape[:len(batch)]):
         # one tensor for every row: each term is a column of the vectors
         # times a contiguous row of the tensor, summed a block of rows at a
         # time
@@ -419,11 +419,11 @@ def _unpack(u: np.ndarray, n: int, signs: Signs) -> tuple[Quadruple, float]:
     return q, float(u[4 * n])
 
 
-def _trivial_patterns(V: np.ndarray, atol: float = 1e-6) -> list:
+def _trivial_patterns(V: np.ndarray) -> list:
     """:func:`trivial_pattern` for each row of vectors ``V`` (B, 4, n)."""
     def same(a, b):
-        return ((np.abs(V[:, a] - V[:, b]).max(axis=1) < atol)
-                | (np.abs(V[:, a] + V[:, b]).max(axis=1) < atol))
+        return ((np.abs(V[:, a] - V[:, b]).max(axis=1) < 1e-6)
+                | (np.abs(V[:, a] + V[:, b]).max(axis=1) < 1e-6))
 
     wx, yz = same(0, 1), same(2, 3)
     labels = np.full(len(V), None, dtype=object)
@@ -433,9 +433,9 @@ def _trivial_patterns(V: np.ndarray, atol: float = 1e-6) -> list:
     return labels.tolist()
 
 
-def trivial_pattern(q: Quadruple, atol: float = 1e-6) -> Optional[str]:
+def trivial_pattern(q: Quadruple) -> Optional[str]:
     """Classify the degenerate repeated-vector families, if any."""
-    return _trivial_patterns(np.stack(q.vectors)[None], atol)[0]
+    return _trivial_patterns(np.stack(q.vectors)[None])[0]
 
 
 def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
@@ -599,7 +599,10 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
         start_index += attempted
     V = np.concatenate(blocks)
     row_signs = np.reshape(np.asarray(signs, dtype=float), (-1, 4))
-    if pair:
+    if not pair:
+        U, _, outcome = _solve_full(cd, np.column_stack([V, _sigmas(cd, V)]),
+                                    row_signs, cfg)
+    else:
         # the pair (y, z) is the full system at (y, z, y, z): its equations
         # are the first two tensor blocks and the first two constraints, and
         # its Jacobian sums the columns of the repeated vectors
@@ -612,22 +615,13 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
             jac = _jacobians(cd, embed(U))[:, rows]
             return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
                                    jac[:, :, 4 * n:]], axis=2)
-    else:
-        rows = slice(None)
 
-        def embed(U):
-            return U
-
-        def jac_fn(U):
-            return _jacobians(cd, U)
-
-    def res_fn(U, idx):
-        return _residuals(cd, embed(U), row_signs[idx])[:, rows]
-
-    U, _, outcome = _gauss_newton(
-        res_fn, jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)
+        U, _, outcome = _gauss_newton(
+            lambda U, idx: _residuals(cd, embed(U), row_signs[idx])[:, rows],
+            jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)
+        U = embed(U)
     conv = np.flatnonzero(outcome == CONVERGED)
-    sols = _finish(cd, embed(U[conv]), [signs[i] for i in conv],
+    sols = _finish(cd, U[conv], [signs[i] for i in conv],
                    [seeds[i] for i in conv],
                    origin="meigen" if pair else "multistart")
     return [sol for sol in sols if sol.residual < cfg.tol]
@@ -635,26 +629,34 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
 
 def feasible_patterns(cd: CurvatureData) -> list[Signs]:
     """Sign patterns compatible with the metric signature."""
-    if all(s > 0 for s in cd.signature):
+    if cd.is_riemannian:
         return [ALL_PLUS]
     return [p for p in itertools.product((1, -1), repeat=4)]
+
+
+def _patterns(cd: CurvatureData, cfg: SolverConfig) -> list[Signs]:
+    """The sign patterns a search with ``cfg`` runs on ``cd``: the one
+    ``cfg.sign_pattern`` names, or every feasible one for ``all``.  A
+    negative sign on a Riemannian metric raises :class:`WrongSignature`."""
+    pattern = parse_sign_pattern(cfg.sign_pattern)
+    if pattern is None:
+        return feasible_patterns(cd)
+    if min(pattern) < 0 and cd.is_riemannian:
+        raise WrongSignature("negative unit constraints are infeasible "
+                             "for a Riemannian metric")
+    return [pattern]
 
 
 def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     """Random-start search over the SVP solution set.
 
-    Deterministic for a fixed ``rng_seed``.  Returns one representative per
-    cluster, sorted by sigma; trivial zero-sigma families are labeled, never
-    filtered.  An empty nonzero set is a legitimate outcome.
+    Searches every sign pattern of :func:`_patterns`, so a negative sign on
+    a Riemannian metric raises :class:`WrongSignature`.  Deterministic for
+    a fixed ``rng_seed``.  Returns one representative per cluster, sorted
+    by sigma; trivial zero-sigma families are labeled, never filtered.  An
+    empty nonzero set is a legitimate outcome.
     """
-    pattern = parse_sign_pattern(cfg.sign_pattern)
-    if pattern is None:
-        patterns = feasible_patterns(cd)
-    else:
-        if any(s < 0 for s in pattern) and all(s > 0 for s in cd.signature):
-            raise WrongSignature("negative unit constraints are infeasible "
-                                 "for a Riemannian metric")
-        patterns = [pattern]
+    patterns = _patterns(cd, cfg)
     clusters = _cluster(_search(cd, cfg, patterns))
     clusters = _ensure_trivial(clusters, cd, cfg, patterns)
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
@@ -685,8 +687,7 @@ def canonical_quadruple(q: Quadruple) -> np.ndarray:
     return np.stack(vecs)
 
 
-def orbit_equivalent(a: SVPSolution, b: SVPSolution, cd: CurvatureData,
-                     atol: float = 1e-5) -> bool:
+def orbit_equivalent(a: SVPSolution, b: SVPSolution, cd: CurvatureData) -> bool:
     """True when the two solutions are related by the structural transforms."""
     try:
         members_a = [a] + orbit(a, cd, tol=max(10 * a.residual, 1e-9))
@@ -697,7 +698,7 @@ def orbit_equivalent(a: SVPSolution, b: SVPSolution, cd: CurvatureData,
     for ma in members_a:
         ca = canonical_quadruple(ma.q)
         for cb in canon_b:
-            if np.abs(ca - cb).max() < atol:
+            if np.abs(ca - cb).max() < 1e-5:
                 return True
     return False
 
@@ -814,21 +815,20 @@ def orbit_size(sol: SVPSolution, cd: CurvatureData) -> int:
     return 16 + len(_SWAPS) + (3 if _rotations_valid(cd, sol.q) else 0)
 
 
-def _rotations_valid(cd: CurvatureData, q: Quadruple, atol: float = 1e-9) -> bool:
+def _rotations_valid(cd: CurvatureData, q: Quadruple) -> bool:
     """Plane rotations preserve the constraints only for orthogonal pairs."""
     if q.signs[0] != q.signs[1] or q.signs[2] != q.signs[3]:
         return False
-    return (abs(inner(cd.g, q.w, q.x)) < atol
-            and abs(inner(cd.g, q.y, q.z)) < atol)
+    return (abs(inner(cd.g, q.w, q.x)) < 1e-9
+            and abs(inner(cd.g, q.y, q.z)) < 1e-9)
 
 
-def check_proposition1(sol: SVPSolution, cd: CurvatureData,
-                       atol: float = 1e-8) -> bool:
+def check_proposition1(sol: SVPSolution, cd: CurvatureData) -> bool:
     """Nonzero-sigma solutions must have ``<W, X> = <Y, Z> = 0``."""
-    if abs(sol.sigma) <= atol:
+    if abs(sol.sigma) <= 1e-8:
         return True
-    return (abs(inner(cd.g, sol.q.w, sol.q.x)) < atol
-            and abs(inner(cd.g, sol.q.y, sol.q.z)) < atol)
+    return (abs(inner(cd.g, sol.q.w, sol.q.x)) < 1e-8
+            and abs(inner(cd.g, sol.q.y, sol.q.z)) < 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -842,15 +842,13 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     The reduced system ``R(Y, Z) Z = sigma Y``, ``R(Z, Y) Y = sigma Z`` is
     solved by the same least-squares Newton machinery on ``2n + 1``
     unknowns; every converged pair embeds into a full solution, which is
-    verified against the full residual before being returned.
+    verified against the full residual before being returned.  For each
+    sign pattern ``(p0, p1, ...)`` that :func:`multistart` would search, it
+    solves ``(p0, p1, p0, p1)`` once, so a negative sign on a Riemannian
+    metric raises :class:`WrongSignature` here too.
     """
-    pattern = parse_sign_pattern(cfg.sign_pattern)
-    if pattern is None:
-        pairs = [(1, 1)] if all(s > 0 for s in cd.signature) else \
-            list(itertools.product((1, -1), repeat=2))
-    else:
-        pairs = [(pattern[0], pattern[1])]
-    clusters = _cluster(_search(cd, cfg, [p + p for p in pairs], pair=True))
+    patterns = dict.fromkeys(p[:2] * 2 for p in _patterns(cd, cfg))
+    clusters = _cluster(_search(cd, cfg, list(patterns), pair=True))
     clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
     return clusters
 
@@ -866,18 +864,17 @@ class MixedSignReport:
     solutions: list = field(default_factory=list)
 
 
-def lorentz_mixed_sign_check(cd: CurvatureData, cfg: SolverConfig,
-                             atol: float = 1e-8) -> MixedSignReport:
+def lorentz_mixed_sign_check(cd: CurvatureData,
+                             cfg: SolverConfig) -> MixedSignReport:
     """On a Lorentz metric, mixed constraint signs force ``sigma = 0``.
 
     Runs the multistart search with a mixed sign pattern (default
     ``(+, +, +, -)``) and reports the largest ``|sigma|`` among converged
-    solutions.
+    solutions; it passes below 1e-8.
     """
-    negatives = sum(1 for s in cd.signature if s < 0)
-    if negatives != 1:
+    if not cd.is_lorentz:
         raise WrongSignature("mixed-sign check needs a Lorentz metric "
-                             f"(one negative sign, got {negatives})")
+                             f"(one negative sign), got {cd.signature}")
     pattern = parse_sign_pattern(cfg.sign_pattern)
     if pattern is None or len(set(pattern)) == 1:
         pattern = (1, 1, 1, -1)
@@ -887,7 +884,7 @@ def lorentz_mixed_sign_check(cd: CurvatureData, cfg: SolverConfig,
     max_sigma = max((abs(s.sigma) for s in sols), default=0.0)
     return MixedSignReport(pattern=pattern, n_converged=len(sols),
                            max_abs_sigma=max_sigma,
-                           passed=max_sigma < atol, solutions=sols)
+                           passed=max_sigma < 1e-8, solutions=sols)
 
 
 def wedge_matrix(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -937,15 +934,10 @@ def schwarzschild_reduced_solve(mass: float, r: float, theta: float) -> SVPSolut
     four-dimensional residual to rounding accuracy, and the wedge-matrix
     determinant identity is verified on ``(y, z)``.
     """
-    if mass <= 0:
-        raise InvalidInput("mass must be positive")
-    if r <= 2.0 * mass:
-        raise OutOfDomain(f"r = {r} is not outside the horizon r = {2 * mass}")
-    if not 0.0 < theta < math.pi:
-        raise OutOfDomain("theta must lie strictly between 0 and pi")
     entry = _catalog_mod.schwarzschild(mass)
-    return _schwarzschild_reduced(
-        riemann(entry.spec, np.array([0.0, r, theta, 0.0])), mass, r)
+    point = as_point([0.0, r, theta, 0.0], 4)
+    entry.check_point(point)
+    return _schwarzschild_reduced(riemann(entry.spec, point), mass, r)
 
 
 def _schwarzschild_reduced(cd: CurvatureData, mass: float,
@@ -982,15 +974,9 @@ def kerr_reduced_solve(mass: float, spin: float, r: float,
     with ``I`` the quadratic Weyl invariant.  The tetrad components of the
     solution are attached; ``q`` holds the coordinate-basis vectors.
     """
-    if mass <= 0 or not 0.0 <= spin < mass:
-        raise InvalidInput("need mass > 0 and 0 <= spin < mass")
-    delta = r * r - 2.0 * mass * r + spin * spin
-    if delta <= 0 or r <= 0:
-        raise OutOfDomain("point is not in the exterior region")
-    if not 0.0 < theta < math.pi:
-        raise OutOfDomain("theta must lie strictly between 0 and pi")
     entry = _catalog_mod.kerr(mass, spin)
-    point = np.array([0.0, r, theta, 0.0])
+    point = as_point([0.0, r, theta, 0.0], 4)
+    entry.check_point(point)
     return _kerr_reduced(riemann(entry.spec, point), entry.tetrad(point))
 
 

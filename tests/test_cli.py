@@ -195,6 +195,18 @@ class TestVerifyCommand:
         assert by_name["remark2-lorentz"]["skipped"] is True
         assert by_name["symmetries"]["pass"] is True
 
+    def test_mixed_sign_check_without_evidence_is_skipped(self, capsys):
+        # far from the hole no +++- start is sampled, so the mixed-sign
+        # search has nothing to show and the check must not pass on it
+        code, out = run(capsys, "verify", "--metric", "schwarzschild",
+                        "--params", "M=1", "--point", "0,100,1.5708,0",
+                        "--seed", "0", "--deterministic")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["remark2-lorentz"]["skipped"] is True
+        assert by_name["remark2-lorentz"]["note"] == (
+            "no mixed-sign start converged")
+
     def test_space_form_identities_run(self, capsys):
         code, out = run(capsys, "verify", "--metric", "space-form",
                         "--params", "kappa=1,n=4", "--starts", "40",
@@ -331,6 +343,24 @@ class TestExitCodes:
         code = main(["svp", "--metric", "sphere2", "--point", "1.0,0",
                      "--signs", "+++-", "--starts", "5"])
         assert code == 3
+
+    def test_metric_file_non_integer_dimension_is_config_error(self, capsys,
+                                                              tmp_path):
+        path = tmp_path / "half.metric"
+        path.write_text("dimension = 2.5\ng[0,0] = 1\n")
+        code = main(["svp", "--metric", str(path), "--point", "0,1",
+                     "--deterministic"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_empty_start_batch_is_exit_4(self, capsys):
+        # at r = 1000 the sampler finds no +++- start at all
+        code = main(["svp", "--metric", "schwarzschild", "--params", "M=1",
+                     "--point", "0,1000,1.5708,0", "--signs=+++-",
+                     "--method", "multistart", "--seed", "0",
+                     "--deterministic"])
+        assert code == 4
+        assert "no start converged" in capsys.readouterr().err
 
     def test_no_convergence_is_exit_4(self, capsys):
         # seed 0 with a single mixed-sign start stalls, and no repeated-pair

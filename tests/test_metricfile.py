@@ -159,6 +159,13 @@ g[1,0] = 0 - u
             "outofrange.metric": "dimension = 2\ng[0,5] = 1\n",
             "nocomp.metric": "dimension = 2\n",
             "badcoords.metric": "dimension = 3\ncoordinates = a, b\ng[0,0]=1\n",
+            "dimword.metric": "dimension = two\ng[0,0] = 1\n",
+            "dimfraction.metric": "dimension = 2.5\ng[0,0] = 1\n",
+            # the constant e would shadow the coordinate: a flat metric
+            "coordconst.metric": ("dimension = 2\ncoordinates = x, e\n"
+                                  "g[0,0] = 1 / e^2\ng[1,1] = 1 / e^2\n"),
+            "coordrepeat.metric": ("dimension = 2\ncoordinates = x, x\n"
+                                   "g[0,0] = 1\ng[1,1] = 1 / x^2\n"),
         }
         for name, text in cases.items():
             path = tmp_path / name

@@ -618,6 +618,12 @@ class TestMultistart:
         cd = sphere_cd()
         with pytest.raises(WrongSignature):
             multistart(cd, SolverConfig(n_starts=5, sign_pattern="+++-"))
+        # the repeated-pair reduction runs the same patterns: it neither
+        # crashes on --++ nor quietly solves ++++ for ++--
+        for pattern in ("--++", "++--"):
+            with pytest.raises(WrongSignature):
+                meigen_reduce(cd, SolverConfig(n_starts=5,
+                                               sign_pattern=pattern))
 
     def test_pattern_parsing(self):
         assert parse_sign_pattern("++++") == (1, 1, 1, 1)
@@ -803,6 +809,15 @@ class TestSchwarzschildReduced:
             schwarzschild_reduced_solve(1.0, 1.9, 1.0)
         with pytest.raises(OutOfDomain):
             schwarzschild_reduced_solve(1.0, 3.0, 0.0)
+
+    def test_non_finite_point_is_invalid_input(self):
+        # a non-finite theta is bad input, as a non-finite r is, for both
+        # reduced solvers
+        for r, theta in ((math.nan, 1.0), (3.0, math.nan)):
+            with pytest.raises(InvalidInput):
+                schwarzschild_reduced_solve(1.0, r, theta)
+            with pytest.raises(InvalidInput):
+                kerr_reduced_solve(1.0, 0.5, r, theta)
 
 
 class TestKerrReduced:
