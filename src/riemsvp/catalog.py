@@ -161,7 +161,7 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
     The metric does not depend on ``t`` or ``phi``, which the spec declares
     ignorable.
     """
-    if mass <= 0:
+    if not 0 < mass < math.inf:
         raise InvalidInput("mass must be positive")
     mass = float(mass)
 
@@ -222,7 +222,7 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
     metric does not depend on ``t`` or ``phi``, which the spec declares
     ignorable.
     """
-    if mass <= 0 or not 0.0 <= spin < mass:
+    if not (0 < mass < math.inf and 0.0 <= spin < mass):
         raise InvalidInput("need mass > 0 and 0 <= spin < mass")
     mass = float(mass)
     spin = float(spin)

@@ -10,7 +10,8 @@ together with the normalizations ``<V, V> = +-1`` for each vector.  The
 residual of this system (4n tensor equations plus 4 constraints) and its
 Jacobian are evaluated for a whole batch of points at once; the residual
 contracts the curvature's plane pair with a bivector, which has
-n(n - 1)/2 components.  One damped least-squares Newton core,
+n(n - 1)/2 components.  Every contraction is one stacked matrix-vector
+product per row (:func:`_dot`).  One damped least-squares Newton core,
 :func:`_gauss_newton`, drives a batch of starts to zero together, and each
 start ends exactly as it would alone, whatever the sign pattern of its
 batch-mates.  A Newton step costs one Jacobian, one least-squares solve
@@ -22,8 +23,7 @@ rule (:func:`_patterns`) and one search: the starts of every pattern are
 drawn in turn from one random stream, by a block rejection sampler that
 reproduces drawing one vector at a time, and are solved as a single batch;
 the converged solutions are clustered by ``sigma``.  The single-start
-:func:`solve_newton` runs through the same core.  Orbit equivalence under the
-structural transforms is exposed separately as a membership predicate.
+:func:`solve_newton` runs through the same core.
 """
 
 from __future__ import annotations
@@ -144,42 +144,20 @@ _STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
 _MAX_BATCH = 1024
 
 
-# Most entries :func:`_dot` accumulates at once when one tensor serves every
-# row (128 kB of doubles), so the running sums and the term stay in cache.
-_DOT_BLOCK = 16384
-
-
 def _dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Contract ``axis`` of ``a`` with a batch of vectors ``vecs``.
 
     The leading axes of ``a`` are the batch axes of ``vecs`` (or length
-    one); ``axis`` trades places with the last one.  The sum runs in index
-    order with plain multiplies and adds, so an entry is computed the same
-    way whatever batch it sits in, and whichever of the two layouts below
-    computes it.
+    one, for a tensor every row shares); ``axis`` trades places with the
+    last one.  The contraction is one stacked ``numpy.matmul`` in which each
+    row is its own matrix-vector product, so an entry is computed the same
+    way whatever batch it sits in.
     """
     a = a.swapaxes(axis, -1)
-    batch = vecs.shape[:-1]
-    if all(k == 1 for k in a.shape[:len(batch)]):
-        # one tensor for every row: each term is a column of the vectors
-        # times a contiguous row of the tensor, summed a block of rows at a
-        # time
-        rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
-        v = vecs.reshape(-1, a.shape[-1])
-        out = np.empty((len(v), rows.shape[1]))
-        block = max(1, _DOT_BLOCK // rows.shape[1])
-        term = np.empty((min(block, len(v)), rows.shape[1]))
-        for lo in range(0, len(v), block):
-            vb, acc = v[lo:lo + block], out[lo:lo + block]
-            np.multiply(vb[:, :1], rows[0], out=acc)
-            for i in range(1, len(rows)):
-                acc += np.multiply(vb[:, i:i + 1], rows[i], out=term[:len(vb)])
-        return out.reshape(batch + a.shape[len(batch):-1])
-    v = vecs.reshape(batch + (1,) * (a.ndim - vecs.ndim) + vecs.shape[-1:])
-    acc = a[..., 0] * v[..., 0]
-    for i in range(1, a.shape[-1]):
-        acc += a[..., i] * v[..., i]
-    return acc
+    batch, n = vecs.shape[:-1], vecs.shape[-1]
+    lead, rest = a.shape[:len(batch)], a.shape[len(batch):-1]
+    out = np.matmul(a.reshape(lead + (math.prod(rest), n)), vecs[..., None])
+    return out.reshape(np.broadcast_shapes(lead, batch) + rest)
 
 
 def _sigmas(cd: CurvatureData, V: np.ndarray) -> np.ndarray:
@@ -284,10 +262,6 @@ def _jacobian(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
     return _jacobians(cd, np.append(q.flat(), sigma)[None])[0]
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.matmul(a, x[..., None])[..., 0]
-
-
 def _svd_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions, with one refinement step.
 
@@ -302,10 +276,10 @@ def _svd_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
 
     def apply_pinv(b):
-        return _matvec(v, inv * _matvec(ut, b))
+        return _dot(v, inv * _dot(ut, b))
 
     x = apply_pinv(rhs)
-    return x + apply_pinv(rhs - _matvec(jac, x))
+    return x + apply_pinv(rhs - _dot(jac, x))
 
 
 # A system whose R has min |r_ii| > _QR_RANK_TOL * max |r_ii| has full
@@ -676,38 +650,10 @@ def sigma_values(solutions) -> list[float]:
     return out
 
 
-def canonical_quadruple(q: Quadruple) -> np.ndarray:
-    """Flip vector signs so each leading significant component is positive."""
-    vecs = []
-    for v in q.vectors:
-        idx = np.flatnonzero(np.abs(v) > 1e-9)
-        if len(idx) and v[idx[0]] < 0:
-            v = -v
-        vecs.append(v)
-    return np.stack(vecs)
-
-
-def orbit_equivalent(a: SVPSolution, b: SVPSolution, cd: CurvatureData) -> bool:
-    """True when the two solutions are related by the structural transforms."""
-    try:
-        members_a = [a] + orbit(a, cd, tol=max(10 * a.residual, 1e-9))
-        members_b = [b] + orbit(b, cd, tol=max(10 * b.residual, 1e-9))
-    except InvalidInput:
-        return False
-    canon_b = [canonical_quadruple(m.q) for m in members_b]
-    for ma in members_a:
-        ca = canonical_quadruple(ma.q)
-        for cb in canon_b:
-            if np.abs(ca - cb).max() < 1e-5:
-                return True
-    return False
-
-
 def _cluster(solutions: list[SVPSolution]) -> list[SVPSolution]:
     # Group by sigma value only.  Solution sets of the SVP are typically
     # continuous manifolds (the zero family always is), so grouping by
-    # discrete orbit equivalence would splinter them into singletons;
-    # orbit_equivalent() remains available for membership tests.
+    # discrete orbit equivalence would splinter them into singletons.
     reps: list[SVPSolution] = []
     for sol in sorted(solutions, key=lambda s: s.sigma):
         merged = False
@@ -910,14 +856,21 @@ def wedge_det_defect(y: np.ndarray, z: np.ndarray) -> float:
     """Relative defect of the determinant identity for :func:`wedge_matrix`.
 
     ``det(S) = -(2 S01 * 2 S23 + S20 S13 + S30 S21)**2`` holds for every
-    pair ``(y, z)``; the return value is ``|det - rhs| / max(1, |det|)``.
+    pair ``(y, z)``; the return value is ``|det - rhs|`` over Hadamard's
+    bound on ``|det|``, the product of the matrix's row 2-norms, and 0 when
+    that product is 0.  The determinant is taken of the matrix with its rows
+    scaled to unit length, so the defect does not depend on the scale of
+    ``y`` and ``z``.
     """
     s = np.outer(y, z) - np.outer(z, y)
     mat = wedge_matrix(y, z)
-    det = float(np.linalg.det(mat))
     rhs = -(2 * s[0, 1] * 2 * s[2, 3] + s[2, 0] * s[1, 3]
             + s[3, 0] * s[2, 1]) ** 2
-    return abs(det - rhs) / max(1.0, abs(det))
+    norms = np.linalg.norm(mat, axis=1)
+    bound = float(np.prod(norms))
+    if not bound:
+        return 0.0
+    return abs(float(np.linalg.det(mat / norms[:, None])) - rhs / bound)
 
 
 def schwarzschild_reduced_solve(mass: float, r: float, theta: float) -> SVPSolution:

@@ -3,9 +3,10 @@
 Everything here is implemented with plain loops and naive finite
 differences, deliberately sharing no code with the package under test.
 The exceptions are :func:`riemann_per_point`, the former per-point numeric
-curvature path, and the former Newton core (:func:`dot_ordered` and the
-functions after it), which repeat the package's numpy operations so that
-results can be compared bit for bit.
+curvature path, and the former Newton core (the functions after
+:func:`dot_ordered`), which repeat the package's numpy operations, and make
+their contractions with the package's ``svp._dot``, so that results can be
+compared bit for bit.
 """
 
 import math
@@ -275,7 +276,8 @@ def dot_ordered(a, vecs, axis=-1):
 
     ``axis`` trades places with the last one; the leading axes of ``a`` are
     the batch axes of ``vecs`` or of length one.  The products are summed in
-    index order over the broadcast arrays.
+    index order over the broadcast arrays: the accuracy reference for
+    ``svp._dot``.
     """
     a = a.swapaxes(axis, -1)
     v = vecs.reshape(vecs.shape[:-1] + (1,) * (a.ndim - vecs.ndim)
@@ -287,7 +289,7 @@ def dot_ordered(a, vecs, axis=-1):
 
 
 def residuals_ordered(cd, U, signs):
-    """The SVP residual at the rows of ``U``, from :func:`dot_ordered`.
+    """The SVP residual at the rows of ``U``, contracted by ``svp._dot``.
 
     Equation ``e`` contracts the curvature's plane pair with the bivector
     ``q ^ s`` over the pairs ``i < j`` of ``numpy.triu_indices``, then the
@@ -299,35 +301,36 @@ def residuals_ordered(cd, U, signs):
     q, s = V[:, svp._Q], V[:, svp._S]
     plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
     r = cd.riemann_mixed[:, :, i, j][None, None]
-    maps = dot_ordered(dot_ordered(r, plane), V[:, svp._P])
+    maps = svp._dot(svp._dot(r, plane), V[:, svp._P])
     tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
-    cons = (dot_ordered(dot_ordered(cd.g[None, None], V), V)
+    cons = (svp._dot(svp._dot(cd.g[None, None], V), V)
             - np.asarray(signs, dtype=float))
     return np.concatenate([tensor, cons], axis=1)
 
 
 def sigmas_ordered(cd, V):
-    """``R(W, X, Y, Z)`` at each row ``(w, x, y, z)`` of ``V``."""
+    """``R(W, X, Y, Z)`` at each row ``(w, x, y, z)`` of ``V``, contracted by
+    ``svp._dot``."""
     w, x, y, z = V.reshape(len(V), 4, cd.n).transpose(1, 0, 2)
-    return dot_ordered(dot_ordered(dot_ordered(dot_ordered(
+    return svp._dot(svp._dot(svp._dot(svp._dot(
         cd.riemann_lowered[None], z), y), x), w)
 
 
 def jacobians_loop(cd, U):
     """Jacobians of the SVP residual at the rows of ``U``, block by block.
 
-    Recomputes every contraction and fills the matrix with one slice
-    assignment per equation and vector slot.
+    Recomputes every contraction with ``svp._dot`` and fills the matrix with
+    one slice assignment per equation and vector slot.
     """
     n = cd.n
     V, sigma = svp._split(U, n)
     r = cd.riemann_mixed[None, None]
     p, q, s = V[:, svp._P], V[:, svp._Q], V[:, svp._S]
-    rs = dot_ordered(r, s)
-    d_p = dot_ordered(rs, q)
-    d_q = dot_ordered(rs, p, axis=-2)
-    d_s = dot_ordered(dot_ordered(r, p, axis=3), q)
-    gv = dot_ordered(cd.g[None, None], V)
+    rs = svp._dot(r, s)
+    d_p = svp._dot(rs, q)
+    d_q = svp._dot(rs, p, axis=-2)
+    d_s = svp._dot(svp._dot(r, p, axis=3), q)
+    gv = svp._dot(cd.g[None, None], V)
     jac = np.zeros((len(U), 4 * n + 4, 4 * n + 1))
     diag = np.arange(n)
     for e in range(4):

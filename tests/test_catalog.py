@@ -77,8 +77,9 @@ class TestSchwarzschild:
         assert not entry.admissible(np.array([0.0, 3.0, 0.0, 0.0]))
 
     def test_mass_guard(self):
-        with pytest.raises(InvalidInput):
-            catalog.schwarzschild(-1.0)
+        for mass in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInput):
+                catalog.schwarzschild(mass)
 
 
 class TestKerr:
@@ -140,6 +141,10 @@ class TestKerr:
             catalog.kerr(1.0, 1.0)
         with pytest.raises(InvalidInput):
             catalog.kerr(1.0, -0.2)
+        for mass, spin in ((math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan),
+                           (math.inf, math.inf)):
+            with pytest.raises(InvalidInput):
+                catalog.kerr(mass, spin)
 
 
 class TestFlatEntries:
