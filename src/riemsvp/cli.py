@@ -319,9 +319,10 @@ def cmd_catalog(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check(name, passed, max_defect, skipped=False, note=None) -> dict:
+def _check(name, passed, max_defect, skip=None) -> dict:
+    """One verify check; a check with a ``skip`` note is reported skipped."""
     return {"name": name, "pass": bool(passed), "max_defect": float(max_defect),
-            "skipped": bool(skipped), "note": note}
+            "skipped": skip is not None, "note": skip}
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -343,17 +344,22 @@ def cmd_verify(args) -> tuple[dict, int]:
                       "sigma-equals-R"]
     if not geometry_ok:
         for name in solution_checks:
-            checks.append(_check(name, True, 0.0, skipped=True,
-                                 note="geometry invalid"))
+            checks.append(_check(name, True, 0.0, "geometry invalid"))
     else:
         sols = multistart(cd, scfg)
-        nonzero = _nonzero(sols, curvature_scale(cd))
+        rho = curvature_scale(cd)
+        nonzero = _nonzero(sols, rho)
+        # curvature-valued defects are relative to rho, absolute where the
+        # metric is flat; the checks on the non-zero sigmas are skipped, not
+        # passed, when there is none
+        unit = rho or 1.0
+        empty = None if nonzero else "no non-zero sigma converged"
 
         d_prop1 = 0.0
         for s in nonzero:
             d_prop1 = max(d_prop1, abs(inner(cd.g, s.q.w, s.q.x)),
                           abs(inner(cd.g, s.q.y, s.q.z)))
-        checks.append(_check("prop1", d_prop1 < 1e-8, d_prop1))
+        checks.append(_check("prop1", d_prop1 < 1e-8, d_prop1, empty))
 
         d_orbit = 0.0
         for s in sols:
@@ -369,19 +375,17 @@ def cmd_verify(args) -> tuple[dict, int]:
             # a search that converged nothing is no evidence either way
             note = None if rep.n_converged else "no mixed-sign start converged"
             checks.append(_check("remark2-lorentz", rep.passed,
-                                 rep.max_abs_sigma, skipped=note is not None,
-                                 note=note))
+                                 rep.max_abs_sigma, note))
         else:
-            checks.append(_check("remark2-lorentz", True, 0.0, skipped=True,
-                                 note="not a Lorentz metric"))
+            checks.append(_check("remark2-lorentz", True, 0.0,
+                                 "not a Lorentz metric"))
 
         if args.metric == "schwarzschild":
             d_det = max((wedge_det_defect(s.q.y, s.q.z) for s in sols),
                         default=0.0)
             checks.append(_check("det-S", d_det < 1e-8, d_det))
         else:
-            checks.append(_check("det-S", True, 0.0, skipped=True,
-                                 note="static black hole only"))
+            checks.append(_check("det-S", True, 0.0, "static black hole only"))
 
         if args.metric == "space-form":
             kappa = entry.params["kappa"]
@@ -395,12 +399,13 @@ def cmd_verify(args) -> tuple[dict, int]:
                         "xy": (x, y), "xz": (x, z)}.items()}
                 d_e2 = max(
                     d_e2,
-                    abs(kappa * ips["zx"] - sg * ips["wy"]),
-                    abs(-kappa * ips["yx"] - sg * ips["wz"]),
-                    abs(-kappa * ips["zw"] - sg * ips["xy"]),
-                    abs(kappa * ips["yw"] - sg * ips["xz"]),
+                    abs(kappa * ips["zx"] - sg * ips["wy"]) / unit,
+                    abs(-kappa * ips["yx"] - sg * ips["wz"]) / unit,
+                    abs(-kappa * ips["zw"] - sg * ips["xy"]) / unit,
+                    abs(kappa * ips["yw"] - sg * ips["xz"]) / unit,
                     abs(ips["wy"] ** 2 + ips["wz"] ** 2 - 1.0))
-            checks.append(_check("example2-identities", d_e2 < 1e-8, d_e2))
+            checks.append(_check("example2-identities", d_e2 < 1e-8, d_e2,
+                                 empty))
 
             if entry.params["n"] == 4:
                 ric = ricci(cd)
@@ -409,21 +414,21 @@ def cmd_verify(args) -> tuple[dict, int]:
                     w, x, y, z = s.q.vectors
                     lhs = float(w @ ric @ w + x @ ric @ x)
                     rhs = float(y @ ric @ y + z @ ric @ z)
-                    d_e3 = max(d_e3, abs(lhs - rhs))
-                checks.append(_check("example3-byproduct", d_e3 < 1e-8, d_e3))
+                    d_e3 = max(d_e3, abs(lhs - rhs) / unit)
+                checks.append(_check("example3-byproduct", d_e3 < 1e-8, d_e3,
+                                     empty))
             else:
                 checks.append(_check("example3-byproduct", True, 0.0,
-                                     skipped=True, note="needs n = 4"))
+                                     "needs n = 4"))
         else:
-            checks.append(_check("example2-identities", True, 0.0,
-                                 skipped=True, note="space forms only"))
-            checks.append(_check("example3-byproduct", True, 0.0,
-                                 skipped=True, note="space forms only"))
+            for name in ("example2-identities", "example3-byproduct"):
+                checks.append(_check(name, True, 0.0, "space forms only"))
 
         d_sr = 0.0
         for s in sols:
             if s.q.signs == (1, 1, 1, 1):
-                d_sr = max(d_sr, abs(s.sigma - sigma_from_tensor(cd, s.q)))
+                d_sr = max(d_sr,
+                           abs(s.sigma - sigma_from_tensor(cd, s.q)) / unit)
         checks.append(_check("sigma-equals-R", d_sr < 1e-8, d_sr))
 
     failed = [c for c in checks if not c["skipped"] and not c["pass"]]

@@ -11,7 +11,8 @@ residual of this system (4n tensor equations plus 4 constraints) and its
 Jacobian are evaluated for a whole batch of points at once; the residual
 contracts the curvature's plane pair with a bivector, which has
 n(n - 1)/2 components.  Every contraction is one stacked matrix-vector
-product per row (:func:`_dot`).  One damped least-squares Newton core,
+product per row (:func:`_matvec`) on an operand its caller lays out as
+(..., rows, n).  One damped least-squares Newton core,
 :func:`_gauss_newton`, drives a batch of starts to zero together, and each
 start ends exactly as it would alone, whatever the sign pattern of its
 batch-mates.  A Newton step costs one Jacobian, one least-squares solve
@@ -94,6 +95,9 @@ class SolverConfig:
             raise InvalidInput("tol must be positive and finite")
         if self.n_starts < 1:
             raise InvalidInput("n_starts must be at least 1")
+        seed = self.rng_seed
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidInput("rng_seed must be a non-negative integer")
         parse_sign_pattern(self.sign_pattern)
 
 
@@ -144,31 +148,26 @@ _STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
 _MAX_BATCH = 1024
 
 
-def _dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Contract ``axis`` of ``a`` with a batch of vectors ``vecs``.
-
-    The leading axes of ``a`` are the batch axes of ``vecs`` (or length
-    one, for a tensor every row shares); ``axis`` trades places with the
-    last one.  The contraction is one stacked ``numpy.matmul`` in which each
-    row is its own matrix-vector product, so an entry is computed the same
-    way whatever batch it sits in.
-    """
-    a = a.swapaxes(axis, -1)
-    batch, n = vecs.shape[:-1], vecs.shape[-1]
-    lead, rest = a.shape[:len(batch)], a.shape[len(batch):-1]
-    out = np.matmul(a.reshape(lead + (math.prod(rest), n)), vecs[..., None])
-    return out.reshape(np.broadcast_shapes(lead, batch) + rest)
+def _matvec(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``a @ v`` for each vector ``v`` of ``vecs``: one stacked
+    ``numpy.matmul`` in which each row is its own matrix-vector product, so
+    an entry is computed the same way whatever batch it sits in.  ``a`` is
+    one matrix every row shares or one per row, in (..., rows, n) form."""
+    return np.matmul(a, vecs[..., None])[..., 0]
 
 
 def _sigmas(cd: CurvatureData, V: np.ndarray) -> np.ndarray:
     """``R(W, X, Y, Z)`` for each row ``(w, x, y, z)`` of ``V``."""
-    w, x, y, z = V.reshape(len(V), 4, cd.n).transpose(1, 0, 2)
-    return _dot(_dot(_dot(_dot(cd.riemann_lowered[None], z), y), x), w)
+    n, B = cd.n, len(V)
+    w, x, y, z = V.reshape(B, 4, n).transpose(1, 0, 2)
+    rz = _matvec(cd.riemann_lowered.reshape(n ** 3, n), z)
+    rzy = _matvec(rz.reshape(B, n * n, n), y)
+    return _matvec(_matvec(rzy.reshape(B, n, n), x)[:, None], w)[:, 0]
 
 
 def _split(U: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectors (B, 4, n) and sigmas (B,) of rows ``(w, x, y, z, sigma)``."""
-    return U[:, :4 * n].reshape(-1, 4, n), U[:, 4 * n]
+    return U[:, :4 * n].reshape(len(U), 4, n), U[:, 4 * n]
 
 
 @functools.cache
@@ -187,15 +186,18 @@ def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
     with the bivector ``q ^ s`` of its second and third vectors, components
     ``i < j``, and then the result with its first vector ``p``.
     """
-    n = cd.n
+    n, B = cd.n, len(U)
     V, sigma = _split(U, n)
     i, j = _pairs(n)
     q, s = V[:, _Q], V[:, _S]
     plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
-    maps = _dot(_dot(cd.riemann_mixed[:, :, i, j][None, None], plane),
-                V[:, _P])
-    tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
-    cons = _dot(_dot(cd.g[None, None], V), V) - np.asarray(signs, dtype=float)
+    # a strided view: numpy multiplies it in its own loop, and a C-contiguous
+    # copy would go to BLAS, slower at these sizes and rounded differently
+    pair = cd.riemann_mixed[:, :, i, j].reshape(n * n, len(i))
+    maps = _matvec(_matvec(pair, plane).reshape(B, 4, n, n), V[:, _P])
+    tensor = (maps - sigma[:, None, None] * V).reshape(B, 4 * n)
+    cons = (_matvec(_matvec(cd.g, V)[..., None, :], V)[..., 0]
+            - np.asarray(signs, dtype=float))
     return np.concatenate([tensor, cons], axis=1)
 
 
@@ -225,20 +227,20 @@ def _jacobian_index(n: int) -> np.ndarray:
 def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
     """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``,
     from the points alone: it makes every curvature contraction itself."""
-    n = cd.n
+    n, B = cd.n, len(U)
     V, sigma = _split(U, n)
-    r = cd.riemann_mixed[None, None]
+    r = cd.riemann_mixed
     p, q = V[:, _P], V[:, _Q]
     # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
-    rs = _dot(r, V[:, _S])
-    d_p = _dot(rs, q)
-    d_q = _dot(rs, p, axis=-2)
-    d_s = _dot(_dot(r, p, axis=3), q)
-    B = len(U)
+    rs = _matvec(r.reshape(n ** 3, n), V[:, _S]).reshape(B, 4, n, n, n)
+    d_p = _matvec(rs.reshape(B, 4, n * n, n), q)
+    d_q = _matvec(rs.swapaxes(-2, -1).reshape(B, 4, n * n, n), p)
+    rp = _matvec(r.swapaxes(1, 3).reshape(n ** 3, n), p)
+    d_s = _matvec(rp.reshape(B, 4, n * n, n), q)
     values = np.concatenate(
-        [d_p.reshape(B, -1), d_q.reshape(B, -1), d_s.reshape(B, -1),
-         np.broadcast_to(-sigma[:, None], (B, 4 * n)), -V.reshape(B, -1),
-         2.0 * _dot(cd.g[None, None], V).reshape(B, -1)], axis=1)
+        [d.reshape(B, 4 * n * n) for d in (d_p, d_q, d_s)]
+        + [np.broadcast_to(-sigma[:, None], (B, 4 * n)), -V.reshape(B, 4 * n),
+           2.0 * _matvec(cd.g, V).reshape(B, 4 * n)], axis=1)
     jac = np.zeros((B, (4 * n + 4) * (4 * n + 1)))
     jac[:, _jacobian_index(n)] = values
     return jac.reshape(B, 4 * n + 4, 4 * n + 1)
@@ -276,10 +278,10 @@ def _svd_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ut, v = u.transpose(0, 2, 1), vt.transpose(0, 2, 1)
 
     def apply_pinv(b):
-        return _dot(v, inv * _dot(ut, b))
+        return _matvec(v, inv * _matvec(ut, b))
 
     x = apply_pinv(rhs)
-    return x + apply_pinv(rhs - _dot(jac, x))
+    return x + apply_pinv(rhs - _matvec(jac, x))
 
 
 # A system whose R has min |r_ii| > _QR_RANK_TOL * max |r_ii| has full

@@ -5,8 +5,8 @@ differences, deliberately sharing no code with the package under test.
 The exceptions are :func:`riemann_per_point`, the former per-point numeric
 curvature path, and the former Newton core (the functions after
 :func:`dot_ordered`), which repeat the package's numpy operations, and make
-their contractions with the package's ``svp._dot``, so that results can be
-compared bit for bit.
+their contractions with :func:`dot`, the package's former contraction
+kernel, so that results can be compared bit for bit.
 """
 
 import math
@@ -277,7 +277,7 @@ def dot_ordered(a, vecs, axis=-1):
     ``axis`` trades places with the last one; the leading axes of ``a`` are
     the batch axes of ``vecs`` or of length one.  The products are summed in
     index order over the broadcast arrays: the accuracy reference for
-    ``svp._dot``.
+    ``svp._matvec``.
     """
     a = a.swapaxes(axis, -1)
     v = vecs.reshape(vecs.shape[:-1] + (1,) * (a.ndim - vecs.ndim)
@@ -288,8 +288,24 @@ def dot_ordered(a, vecs, axis=-1):
     return acc
 
 
+def dot(a: np.ndarray, vecs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Contract ``axis`` of ``a`` with a batch of vectors ``vecs``.
+
+    The leading axes of ``a`` are the batch axes of ``vecs`` (or length
+    one, for a tensor every row shares); ``axis`` trades places with the
+    last one.  The contraction is one stacked ``numpy.matmul`` in which each
+    row is its own matrix-vector product, so an entry is computed the same
+    way whatever batch it sits in.
+    """
+    a = a.swapaxes(axis, -1)
+    batch, n = vecs.shape[:-1], vecs.shape[-1]
+    lead, rest = a.shape[:len(batch)], a.shape[len(batch):-1]
+    out = np.matmul(a.reshape(lead + (math.prod(rest), n)), vecs[..., None])
+    return out.reshape(np.broadcast_shapes(lead, batch) + rest)
+
+
 def residuals_ordered(cd, U, signs):
-    """The SVP residual at the rows of ``U``, contracted by ``svp._dot``.
+    """The SVP residual at the rows of ``U``, contracted by :func:`dot`.
 
     Equation ``e`` contracts the curvature's plane pair with the bivector
     ``q ^ s`` over the pairs ``i < j`` of ``numpy.triu_indices``, then the
@@ -301,36 +317,36 @@ def residuals_ordered(cd, U, signs):
     q, s = V[:, svp._Q], V[:, svp._S]
     plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
     r = cd.riemann_mixed[:, :, i, j][None, None]
-    maps = svp._dot(svp._dot(r, plane), V[:, svp._P])
+    maps = dot(dot(r, plane), V[:, svp._P])
     tensor = (maps - sigma[:, None, None] * V).reshape(len(U), 4 * n)
-    cons = (svp._dot(svp._dot(cd.g[None, None], V), V)
+    cons = (dot(dot(cd.g[None, None], V), V)
             - np.asarray(signs, dtype=float))
     return np.concatenate([tensor, cons], axis=1)
 
 
 def sigmas_ordered(cd, V):
     """``R(W, X, Y, Z)`` at each row ``(w, x, y, z)`` of ``V``, contracted by
-    ``svp._dot``."""
+    :func:`dot`."""
     w, x, y, z = V.reshape(len(V), 4, cd.n).transpose(1, 0, 2)
-    return svp._dot(svp._dot(svp._dot(svp._dot(
+    return dot(dot(dot(dot(
         cd.riemann_lowered[None], z), y), x), w)
 
 
 def jacobians_loop(cd, U):
     """Jacobians of the SVP residual at the rows of ``U``, block by block.
 
-    Recomputes every contraction with ``svp._dot`` and fills the matrix with
+    Recomputes every contraction with :func:`dot` and fills the matrix with
     one slice assignment per equation and vector slot.
     """
     n = cd.n
     V, sigma = svp._split(U, n)
     r = cd.riemann_mixed[None, None]
     p, q, s = V[:, svp._P], V[:, svp._Q], V[:, svp._S]
-    rs = svp._dot(r, s)
-    d_p = svp._dot(rs, q)
-    d_q = svp._dot(rs, p, axis=-2)
-    d_s = svp._dot(svp._dot(r, p, axis=3), q)
-    gv = svp._dot(cd.g[None, None], V)
+    rs = dot(r, s)
+    d_p = dot(rs, q)
+    d_q = dot(rs, p, axis=-2)
+    d_s = dot(dot(r, p, axis=3), q)
+    gv = dot(cd.g[None, None], V)
     jac = np.zeros((len(U), 4 * n + 4, 4 * n + 1))
     diag = np.arange(n)
     for e in range(4):

@@ -11,6 +11,7 @@ import pytest
 
 from riemsvp import catalog
 from riemsvp.cli import main, render_json
+from riemsvp.geometry import riemann
 
 CORRUPTED_METRIC = """\
 dimension = 2
@@ -218,6 +219,47 @@ class TestVerifyCommand:
         assert by_name["example2-identities"]["pass"] is True
         assert by_name["example3-byproduct"]["skipped"] is False
 
+    def test_wrong_sigma_at_small_curvature_exits_5(self, capsys,
+                                                    monkeypatch):
+        # the unit-curvature solutions with sigma scaled to 1.5 kappa at
+        # kappa = 1e-9: defects near 5e-10, under an absolute 1e-8 window
+        from riemsvp import cli
+        from riemsvp.svp import SolverConfig, multistart
+
+        kappa = 1e-9
+        cd = riemann(catalog.space_form(1.0, 4).spec, np.zeros(4))
+        sols = multistart(cd, SolverConfig(n_starts=40))
+        assert any(s.sigma > 0.5 for s in sols)
+        wrong = [dataclasses.replace(s, sigma=1.5 * kappa * s.sigma)
+                 for s in sols]
+        monkeypatch.setattr(cli, "multistart", lambda cd, cfg: wrong)
+        code, out = run(capsys, "verify", "--metric", "space-form",
+                        "--params", f"kappa={kappa!r},n=4", "--deterministic")
+        assert code == 5
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("sigma-equals-R", "example2-identities"):
+            assert by_name[name]["pass"] is False
+            assert by_name[name]["max_defect"] > 0.4
+        assert by_name["prop1"]["pass"] is True
+
+    @pytest.mark.parametrize("metric", [
+        ["--metric", "space-form", "--params", "kappa=1e6,n=4"],
+        ["--metric", "euclidean"],
+    ], ids=["kappa=1e6", "euclidean"])
+    def test_checks_without_nonzero_sigma_are_skipped(self, capsys, metric):
+        code, out = run(capsys, "verify", *metric, "--starts", "40",
+                        "--deterministic")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        names = ["prop1"]
+        if metric[1] == "space-form":
+            names += ["example2-identities", "example3-byproduct"]
+        for name in names:
+            assert by_name[name]["skipped"] is True
+            assert by_name[name]["note"] == "no non-zero sigma converged"
+        assert by_name["sigma-equals-R"]["skipped"] is False
+        assert by_name["sigma-equals-R"]["pass"] is True
+
     def test_corrupted_metric_exits_5(self, capsys, tmp_path):
         path = tmp_path / "broken.metric"
         path.write_text(CORRUPTED_METRIC)
@@ -319,6 +361,16 @@ class TestExitCodes:
         code = main(argv)
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["svp", "verify", "invariants"])
+    def test_negative_seed_is_config_error(self, capsys, command):
+        code = main([command, "--metric", "sphere2", "--seed", "-1",
+                     "--starts", "5", "--deterministic"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: rng_seed")
+        assert "Traceback" not in captured.err
 
     def test_metric_file_named_like_catalog_id(self, capsys, tmp_path):
         path = tmp_path / "schwarzschild.metric"

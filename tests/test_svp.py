@@ -483,32 +483,73 @@ class TestOneResidualPass:
         index = _jacobian_index(n)
         assert len(np.unique(index)) == len(index)
 
-    @pytest.mark.parametrize("rows", [1, 7, 300])
+    @pytest.mark.parametrize("rows", [0, 1, 7, 300])
     def test_contractions_match_term_by_term_sums(self, rows):
-        from riemsvp.svp import _dot
+        from riemsvp.svp import _matvec
 
         # dense tensors, in both layouts: one tensor for every row, and one
-        # per row, with contiguous and swapped contraction axes
+        # per row, with contiguous and swapped contraction axes; each case
+        # is the (a, vecs, axis) contraction of dot_ordered and the operand
+        # that lays it out for _matvec
         rng = np.random.default_rng(rows)
         V = rng.standard_normal((rows, 4, 4))
         r = rng.standard_normal((1, 1, 4, 4, 4, 4))
         g = rng.standard_normal((1, 1, 4, 4))
         rs = rng.standard_normal((rows, 4, 4, 4, 4))
-        cases = [(r, V, -1), (r, V, 3), (g, V, -1), (rs, V, -1), (rs, V, -2),
-                 (r[0], V[:, 0], -1)]
+        cases = [
+            (r, V, -1, r[0, 0].reshape(64, 4), False),
+            (r, V, 3, r[0, 0].swapaxes(1, 3).reshape(64, 4), False),
+            (g, V, -1, g[0, 0], False),
+            (rs, V, -1, rs.reshape(rows, 4, 16, 4), True),
+            (rs, V, -2, rs.swapaxes(-2, -1).reshape(rows, 4, 16, 4), True),
+            (r[0], V[:, 0], -1, r[0, 0].reshape(64, 4), False)]
         eps = np.finfo(float).eps
-        for a, vecs, axis in cases:
+        for a, vecs, axis, op, per_row in cases:
             want = oracles.dot_ordered(a, vecs, axis)
-            got = _dot(a, vecs, axis)
-            assert got.shape == want.shape
+            got = _matvec(op, vecs)
+            assert got.shape == want.shape[:vecs.ndim - 1] + (op.shape[-2],)
+            got = got.reshape(want.shape)
             # within the rounding of an n-term sum of the same products
             scale = oracles.dot_ordered(np.abs(a), np.abs(vecs), axis)
             assert np.all(np.abs(got - want) <= 2 * vecs.shape[-1] * eps * scale)
             # each row alone gives its entries in the batch, bit for bit
             for i in range(rows):
-                alone = a[i:i + 1] if len(a) > 1 else a
-                assert np.array_equal(_dot(alone, vecs[i:i + 1], axis),
+                alone = op[i:i + 1] if per_row else op
+                row = _matvec(alone, vecs[i:i + 1])
+                assert np.array_equal(row.reshape(got[i:i + 1].shape),
                                       got[i:i + 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernels_on_an_empty_batch(self, n):
+        from riemsvp.svp import _jacobians, _lstsq_steps, _residuals, _sigmas
+
+        cd = riemann(catalog.space_form(0.8, n).spec, np.zeros(n))
+        U = np.zeros((0, 4 * n + 1))
+        assert _residuals(cd, U, np.zeros((0, 4))).shape == (0, 4 * n + 4)
+        jac = _jacobians(cd, U)
+        assert jac.shape == (0, 4 * n + 4, 4 * n + 1)
+        assert _sigmas(cd, U[:, :4 * n]).shape == (0,)
+        steps = _lstsq_steps(jac, np.zeros((0, 4 * n + 4)))
+        assert steps.shape == (0, 4 * n + 1)
+
+    def test_pair_operand_stays_strided(self, monkeypatch):
+        from riemsvp import svp
+
+        # the plane-pair operand is a strided view, which numpy multiplies
+        # in its own loop; a C-contiguous copy goes to BLAS and rounds
+        # differently, so a copy would move every residual's last bits
+        seen = []
+
+        def recording(a, vecs):
+            seen.append(a)
+            return np.matmul(a, vecs[..., None])[..., 0]
+
+        monkeypatch.setattr(svp, "_matvec", recording)
+        cd = CORE_CASES["schwarzschild r=3"]()
+        svp._residuals(cd, np.ones((3, 17)), ALL_PLUS)
+        pair = seen[0]
+        assert pair.shape == (16, 6)
+        assert not pair.flags.c_contiguous
 
     def test_batched_trivial_labels_match_per_row(self):
         from riemsvp.svp import _trivial_patterns
@@ -639,6 +680,12 @@ class TestMultistart:
         assert parse_sign_pattern("enumerate-all") is None
         with pytest.raises(InvalidInput):
             parse_sign_pattern("+++")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidInput, match="rng_seed"):
+            SolverConfig(rng_seed=seed)
+        assert SolverConfig(rng_seed=np.int64(3)).rng_seed == 3
 
 
 class TestOrbit:
