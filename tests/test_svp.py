@@ -538,11 +538,11 @@ class TestOneResidualPass:
         # the plane-pair operand is a strided view, which numpy multiplies
         # in its own loop; a C-contiguous copy goes to BLAS and rounds
         # differently, so a copy would move every residual's last bits
-        seen = []
+        seen, matvec = [], svp._matvec
 
         def recording(a, vecs):
             seen.append(a)
-            return np.matmul(a, vecs[..., None])[..., 0]
+            return matvec(a, vecs)
 
         monkeypatch.setattr(svp, "_matvec", recording)
         cd = CORE_CASES["schwarzschild r=3"]()
