@@ -7,7 +7,7 @@ Stable catalog ids: ``sphere2``, ``space-form``, ``euclidean``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,13 +50,6 @@ def sphere2() -> CatalogEntry:
         return np.array([[1.0 + 0.0 * th, 0.0 * th],
                          [0.0 * th, np.sin(th) ** 2]])
 
-    def gamma(p):
-        th = p[0]
-        out = np.zeros((2, 2, 2))
-        out[0, 1, 1] = -math.sin(th) * math.cos(th)
-        out[1, 0, 1] = out[1, 1, 0] = math.cos(th) / math.sin(th)
-        return out
-
     def riem(p):
         s2 = math.sin(p[0]) ** 2
         out = np.zeros((2, 2, 2, 2))
@@ -67,8 +60,7 @@ def sphere2() -> CatalogEntry:
         return out
 
     spec = MetricSpec(dimension=2, signature=(1, 1), g=g,
-                      analytic_gamma=gamma, analytic_riemann=riem,
-                      id="sphere2")
+                      analytic_riemann=riem, id="sphere2")
     return CatalogEntry(
         spec=spec,
         admissible=lambda p: abs(math.sin(p[0])) > 1e-3,
@@ -98,9 +90,7 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
 
     spec = MetricSpec(dimension=n, signature=(1,) * n,
                       g=lambda p: np.eye(n) + 0.0 * p[0],
-                      analytic_gamma=lambda p: np.zeros((n, n, n)),
-                      analytic_riemann=riem,
-                      id="space-form")
+                      analytic_riemann=riem, id="space-form")
 
     def expected(p):
         if kappa == 0.0:
@@ -116,15 +106,8 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
 def euclidean(n: int = 3) -> CatalogEntry:
     """Flat Euclidean space; zero curvature, only the trivial sigma."""
     entry = space_form(0.0, n)
-    n = entry.spec.dimension
-    spec = MetricSpec(dimension=n, signature=(1,) * n, g=entry.spec.g,
-                      analytic_gamma=entry.spec.analytic_gamma,
-                      analytic_riemann=entry.spec.analytic_riemann,
-                      id="euclidean")
-    return CatalogEntry(spec=spec, admissible=lambda p: True,
-                        default_point=np.zeros(n),
-                        expected_sigma=lambda p: [(0.0, "flat")],
-                        params={"n": n})
+    return replace(entry, spec=replace(entry.spec, id="euclidean"),
+                   params={"n": entry.spec.dimension})
 
 
 def minkowski() -> CatalogEntry:
@@ -139,7 +122,6 @@ def minkowski() -> CatalogEntry:
 
     spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1),
                       g=lambda p: eta + 0.0 * p[0],
-                      analytic_gamma=lambda p: np.zeros((4, 4, 4)),
                       analytic_riemann=lambda p: np.zeros((4, 4, 4, 4)),
                       id="minkowski")
     return CatalogEntry(spec=spec, admissible=lambda p: True,

@@ -117,8 +117,10 @@ def _parse_params(text: Optional[str]) -> dict:
             continue
         if "=" not in item:
             raise InvalidInput(f"bad --params entry '{item}' (expected k=v)")
-        key, value = item.split("=", 1)
-        out[key.strip()] = _parse_number(value, "--params")
+        key, value = (v.strip() for v in item.split("=", 1))
+        if key in out:
+            raise InvalidInput(f"--params sets '{key}' twice")
+        out[key] = _parse_number(value, "--params")
     return out
 
 
@@ -597,7 +599,11 @@ def main(argv=None) -> int:
         report, code = _COMMANDS[args.command](args)
         text = render_report(report, args.output)
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                raise InvalidInput(f"cannot write --out '{args.out}': "
+                                   f"{exc.strerror or exc}") from None
         else:
             sys.stdout.write(text)
         return code

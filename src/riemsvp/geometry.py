@@ -34,7 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DifferentiationFailure, InvalidInput, SingularMetric
+from .errors import (DifferentiationFailure, InvalidInput, SingularMetric,
+                     WrongSignature)
 
 # Relative step for real central differences of the metric (first derivatives).
 FD_REL_STEP = 1e-5
@@ -51,7 +52,7 @@ MetricFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A metric with optional analytic curvature suppliers.
+    """A metric with an optional analytic curvature supplier.
 
     Parameters
     ----------
@@ -63,10 +64,10 @@ class MetricSpec:
         Maps a coordinate array of length ``n`` to the symmetric ``n x n``
         metric matrix.  Implementations that accept complex coordinate
         arrays enable high-accuracy complex-step differentiation.
-    analytic_gamma : callable, optional
-        Maps a point to the ``(n, n, n)`` array ``gamma[l, i, k]``.
     analytic_riemann : callable, optional
-        Maps a point to the ``(n, n, n, n)`` array ``riemann_mixed``.
+        Maps a point to the ``(n, n, n, n)`` array ``riemann_mixed``.  It is
+        the only analytic supplier: Christoffel symbols are always
+        differentiated from ``g``.
     id : str
         Stable label used in reports.
     ignorable : tuple of int
@@ -74,8 +75,8 @@ class MetricSpec:
         coordinates, such as ``t`` and ``phi`` of a stationary,
         axisymmetric metric).  The declaration promises that ``g`` returns
         the same matrix, bit for bit, whatever the value of these
-        coordinates, for real and for complex input, and so do the analytic
-        suppliers; numeric curvature then skips all work along them.
+        coordinates, for real and for complex input, and so does the
+        analytic supplier; numeric curvature then skips all work along them.
         ``dataclasses.replace(spec, g=...)`` keeps the declaration, so clear
         it (``ignorable=()``) when the new supplier reads those coordinates.
     """
@@ -83,7 +84,6 @@ class MetricSpec:
     dimension: int
     signature: tuple
     g: MetricFn
-    analytic_gamma: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_riemann: Optional[Callable[[np.ndarray], np.ndarray]] = None
     id: str = ""
     ignorable: tuple[int, ...] = ()
@@ -119,16 +119,21 @@ class CurvatureData:
     point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
-    gamma: np.ndarray
     riemann_mixed: np.ndarray
     riemann_lowered: np.ndarray
     signature: tuple
     path: str = "analytic"
-    symmetry_defect: float = 0.0
 
     @property
     def n(self) -> int:
         return len(self.point)
+
+    @property
+    def symmetry_defect(self) -> float:
+        """The largest relative violation of the algebraic symmetries;
+        above ``1e-6`` it signals a differentiation problem, a diagnostic
+        rather than an exception."""
+        return max(_symmetry_defects(self.riemann_lowered)[0])
 
     @property
     def is_lorentz(self) -> bool:
@@ -213,9 +218,10 @@ def _checked_inverses(spec: MetricSpec, points: np.ndarray, G,
     G = np.reshape(G, (-1, n, n))
     nf = _first(~np.isfinite(G).all(axis=(1, 2)))
     gmax = np.abs(G[:nf]).max(axis=(1, 2))
-    det = np.linalg.det(G[:nf])
-    k = _first(~np.isfinite(det)
-               | (np.abs(det) < 1e-14 * np.maximum(1.0, gmax) ** n))
+    with np.errstate(over="ignore"):  # an infinite det or scale fails
+        det = np.linalg.det(G[:nf])
+        scale = np.maximum(1.0, gmax) ** n
+    k = _first(~np.isfinite(det) | (np.abs(det) < 1e-14 * scale))
     G_inv = np.linalg.inv(G[:k])
     defect = np.abs(G[:k] @ G_inv - np.eye(n)).max(axis=(1, 2))
     i = _first(defect > 1e-12 * np.maximum(
@@ -346,52 +352,37 @@ def _christoffel_rows(spec: MetricSpec, points: np.ndarray):
     return G, G_inv, gamma
 
 
-def christoffel(spec: MetricSpec, p, mode: str = "auto") -> np.ndarray:
-    """Christoffel symbols ``gamma[l, i, k]`` of the Levi-Civita connection.
-
-    ``mode='auto'`` prefers ``analytic_gamma``; ``mode='numeric'`` always
-    differentiates the metric.
-    """
-    p = as_point(p, spec.dimension)
-    _check_mode(mode)
-    if mode == "auto" and spec.analytic_gamma is not None:
-        return np.asarray(spec.analytic_gamma(p), dtype=float)
-    return _christoffel_rows(spec, p[None])[2][0]
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("auto", "numeric"):
-        raise InvalidInput(f"unknown differentiation mode '{mode}'")
+def christoffel(spec: MetricSpec, p) -> np.ndarray:
+    """Christoffel symbols ``gamma[l, i, k]`` of the Levi-Civita connection,
+    from the metric's derivatives at ``p``."""
+    return _christoffel_rows(spec, as_point(p, spec.dimension)[None])[2][0]
 
 
 def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
-    """Evaluate the full curvature data at ``p``.
+    """Evaluate the metric, its inverse and the curvature at ``p``.
 
-    Uses ``analytic_riemann`` when supplied (``mode='auto'``); otherwise the
-    Christoffel symbols are evaluated at the ``4k + 1`` rows of one stencil
-    (``p``, ``p ± h_j e_j`` and ``p ± h_j/2 e_j`` for each of the ``k``
-    coordinates the metric is not declared ignorable in) and differentiated
-    by central differences with one Richardson level; their derivatives
-    along an ignorable coordinate are zero.  The returned
-    ``symmetry_defect`` is the maximum relative violation of the algebraic
-    symmetries; values above ``1e-6`` signal a differentiation problem and
-    should be treated as a diagnostic rather than an exception.
+    With ``mode='auto'`` and an ``analytic_riemann`` supplier this is one
+    :func:`metric_at` and one call of the supplier.  Otherwise
+    (``mode='numeric'``, or no supplier) the Christoffel symbols are
+    evaluated at the ``4k + 1`` rows of one stencil (``p``, ``p ± h_j e_j``
+    and ``p ± h_j/2 e_j`` for each of the ``k`` coordinates the metric is
+    not declared ignorable in) and differentiated by central differences
+    with one Richardson level; their derivatives along an ignorable
+    coordinate are zero.  Either way the symmetric part of the metric at
+    ``p`` must have as many negative eigenvalues as the declared signature
+    has minus signs (:class:`WrongSignature` otherwise).
     """
     p = as_point(p, spec.dimension)
-    _check_mode(mode)
-    numeric = mode == "numeric" or spec.analytic_riemann is None
-    h = FD_OUTER_REL_STEP * np.maximum(1.0, np.abs(p))
-    points = _stencil(p, h, spec.varying) if numeric else p[None]
-    if mode == "auto" and spec.analytic_gamma is not None:
+    if mode not in ("auto", "numeric"):
+        raise InvalidInput(f"unknown differentiation mode '{mode}'")
+    if mode == "auto" and spec.analytic_riemann is not None:
         g, g_inv = metric_at(spec, p)
-        gammas = np.array([np.asarray(spec.analytic_gamma(q), dtype=float)
-                           for q in points])
+        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
+        path = "analytic"
     else:
-        G, G_inv, gammas = _christoffel_rows(spec, points)
-        g, g_inv = G[0], G_inv[0]
-    gamma = gammas[0]
-
-    if numeric:
+        h = FD_OUTER_REL_STEP * np.maximum(1.0, np.abs(p))
+        G, G_inv, gammas = _christoffel_rows(spec, _stencil(p, h, spec.varying))
+        g, g_inv, gamma = G[0], G_inv[0], gammas[0]
         # dgamma[j, l, i, k] = d gamma^l_ik / d x^j
         dgamma = _richardson(gammas, h, spec.varying)
         if not np.all(np.isfinite(dgamma)):
@@ -404,16 +395,17 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
                  + np.einsum("hjk,lih->lkij", gamma, gamma)
                  - np.einsum("hik,ljh->lkij", gamma, gamma))
         path = "numeric"
-    else:
-        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
-        path = "analytic"
 
+    negative = int((np.linalg.eigvalsh(0.5 * (g + g.T)) < 0).sum())
+    declared = sum(1 for s in spec.signature if s < 0)
+    if negative != declared:
+        raise WrongSignature(
+            f"metric '{spec.id}' has {negative} negative eigenvalue(s) at "
+            f"{p.tolist()}, but its declared signature has {declared}")
     lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
-    defect = max(_symmetry_defects(lowered)[0])
-    return CurvatureData(point=p, g=g, g_inv=g_inv, gamma=gamma,
-                         riemann_mixed=mixed, riemann_lowered=lowered,
-                         signature=tuple(spec.signature), path=path,
-                         symmetry_defect=defect)
+    return CurvatureData(point=p, g=g, g_inv=g_inv, riemann_mixed=mixed,
+                         riemann_lowered=lowered,
+                         signature=tuple(spec.signature), path=path)
 
 
 def _symmetry_defects(r: np.ndarray) -> tuple[list[float], float]:

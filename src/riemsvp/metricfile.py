@@ -13,10 +13,11 @@ Component expressions use a small grammar: ``+ - * / ^`` (with ``^``
 right-associative), parentheses, unary minus, the functions ``sin cos tan
 exp log sqrt``, the constants ``pi`` and ``e``, numeric literals, and the
 declared coordinate names, which are distinct and none of those eight
-names.  Unset components default to zero; a component whose transpose
-partner is set is mirrored, while explicitly setting both ``g[i,j]`` and
-``g[j,i]`` keeps each as written (which permits building deliberately
-broken, asymmetric metrics for verification testing).
+names.  A key or a component may be set only once.  Unset components
+default to zero; a component whose transpose partner is set is mirrored,
+while explicitly setting both ``g[i,j]`` and ``g[j,i]`` keeps each as
+written (which permits building deliberately broken, asymmetric metrics
+for verification testing).
 
 Expressions are evaluated with numpy scalars, so metrics defined here
 support complex-step differentiation out of the box.  Each component is
@@ -271,34 +272,39 @@ def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
     coordinates = None
     signature = None
     assignments: list[tuple[int, int, str]] = []
+    seen: dict[str, int] = {}  # key or component -> the line that set it
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         m = _KEY_RE.match(line)
-        if m:
-            key, value = m.group(1), m.group(2).strip()
-            if key == "dimension":
-                if not value.isdecimal():
-                    raise ParseError(f"line {lineno}: dimension must be an "
-                                     f"integer, got {value!r}")
-                dimension = int(value)
-            elif key == "coordinates":
-                coordinates = tuple(v.strip() for v in value.split(","))
-            else:
-                signs = [v.strip() for v in value.split(",")]
-                mapping = {"+": 1, "-": -1, "+1": 1, "-1": -1}
-                try:
-                    signature = tuple(mapping[s] for s in signs)
-                except KeyError:
-                    raise ParseError(f"line {lineno}: signature entries must "
-                                     "be + or -") from None
+        a = None if m else _ASSIGN_RE.match(line)
+        if not (m or a):
+            raise ParseError(f"line {lineno}: cannot parse {line!r}")
+        name = m.group(1) if m else f"g[{int(a.group(1))},{int(a.group(2))}]"
+        if name in seen:
+            raise ParseError(f"line {lineno}: {name} is already set on line "
+                             f"{seen[name]}")
+        seen[name] = lineno
+        if a:
+            assignments.append((int(a.group(1)), int(a.group(2)), a.group(3)))
             continue
-        m = _ASSIGN_RE.match(line)
-        if m:
-            assignments.append((int(m.group(1)), int(m.group(2)), m.group(3)))
-            continue
-        raise ParseError(f"line {lineno}: cannot parse {line!r}")
+        key, value = m.group(1), m.group(2).strip()
+        if key == "dimension":
+            if not value.isdecimal():
+                raise ParseError(f"line {lineno}: dimension must be an "
+                                 f"integer, got {value!r}")
+            dimension = int(value)
+        elif key == "coordinates":
+            coordinates = tuple(v.strip() for v in value.split(","))
+        else:
+            signs = [v.strip() for v in value.split(",")]
+            mapping = {"+": 1, "-": -1, "+1": 1, "-1": -1}
+            try:
+                signature = tuple(mapping[s] for s in signs)
+            except KeyError:
+                raise ParseError(f"line {lineno}: signature entries must "
+                                 "be + or -") from None
 
     if dimension is None:
         raise ParseError("metric file must set 'dimension'")

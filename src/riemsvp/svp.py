@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -201,32 +201,15 @@ def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
     return np.concatenate([tensor, cons], axis=1)
 
 
-@functools.cache
-def _jacobian_index(n: int) -> np.ndarray:
-    """Flat positions, in a (4n + 4, 4n + 1) Jacobian, of the entries
-    :func:`_jacobians` concatenates, in their order.
+def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
+    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``,
+    from the points alone: it makes every curvature contraction itself.
 
     Tensor row ``e n + i`` holds the derivatives of equation ``e`` in the
     slots ``_P[e]``, ``_Q[e]`` and ``_S[e]``, ``-sigma`` on the diagonal of
     its own slot ``e`` and ``-V[e, i]`` in the sigma column; constraint row
     ``4n + e`` holds ``2 g V[e]`` in slot ``e``.
     """
-    cols = 4 * n + 1
-    e, i, j = np.meshgrid(np.arange(4), np.arange(n), np.arange(n),
-                          indexing="ij")
-    rows = np.arange(4 * n)
-    ce, cj = np.meshgrid(np.arange(4), np.arange(n), indexing="ij")
-    index = np.concatenate(
-        [((e * n + i) * cols + slot[e] * n + j).ravel() for slot in (_P, _Q, _S)]
-        + [rows * cols + rows, rows * cols + 4 * n,
-           ((4 * n + ce) * cols + ce * n + cj).ravel()])
-    index.flags.writeable = False  # one cached table serves every caller
-    return index
-
-
-def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
-    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``,
-    from the points alone: it makes every curvature contraction itself."""
     n, B = cd.n, len(U)
     V, sigma = _split(U, n)
     r = cd.riemann_mixed
@@ -237,13 +220,18 @@ def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
     d_q = _matvec(rs.swapaxes(-2, -1).reshape(B, 4, n * n, n), p)
     rp = _matvec(r.swapaxes(1, 3).reshape(n ** 3, n), p)
     d_s = _matvec(rp.reshape(B, 4, n * n, n), q)
-    values = np.concatenate(
-        [d.reshape(B, 4 * n * n) for d in (d_p, d_q, d_s)]
-        + [np.broadcast_to(-sigma[:, None], (B, 4 * n)), -V.reshape(B, 4 * n),
-           2.0 * _matvec(cd.g, V).reshape(B, 4 * n)], axis=1)
-    jac = np.zeros((B, (4 * n + 4) * (4 * n + 1)))
-    jac[:, _jacobian_index(n)] = values
-    return jac.reshape(B, 4 * n + 4, 4 * n + 1)
+    m, e, rows = 4 * n, np.arange(4), np.arange(4 * n)
+    jac = np.zeros((B, m + 4, m + 1))
+    # views of jac: blocks[b, e, slot, i, j] is row e n + i, column
+    # slot n + j; cons[b, e, slot, j] is row 4n + e, column slot n + j
+    blocks = jac[:, :m, :m].reshape(B, 4, n, 4, n).swapaxes(2, 3)
+    cons = jac[:, m:, :m].reshape(B, 4, 4, n)
+    for slot, d in ((_P, d_p), (_Q, d_q), (_S, d_s)):
+        blocks[:, e, slot] = d.reshape(B, 4, n, n)
+    jac[:, rows, rows] = -sigma[:, None]
+    jac[:, :m, m] = -V.reshape(B, m)
+    cons[:, e, e] = 2.0 * _matvec(cd.g, V)
+    return jac
 
 
 def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
@@ -809,7 +797,6 @@ class MixedSignReport:
     n_converged: int
     max_abs_sigma: float
     passed: bool
-    solutions: list = field(default_factory=list)
 
 
 def lorentz_mixed_sign_check(cd: CurvatureData,
@@ -832,7 +819,7 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
     max_sigma = max((abs(s.sigma) for s in sols), default=0.0)
     return MixedSignReport(pattern=pattern, n_converged=len(sols),
                            max_abs_sigma=max_sigma,
-                           passed=max_sigma < 1e-8, solutions=sols)
+                           passed=max_sigma < 1e-8)
 
 
 def wedge_matrix(y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -243,8 +243,6 @@ def riemann_per_point(spec, p, mode="auto"):
         return dg
 
     def christoffel(q):
-        if mode == "auto" and spec.analytic_gamma is not None:
-            return np.asarray(spec.analytic_gamma(q), dtype=float)
         _, g_inv = metric_at(q)
         dg = metric_derivatives(q)
         term = (np.einsum("imk->imk", dg) + np.einsum("kmi->imk", dg)

@@ -106,7 +106,7 @@ class TestCurvatureScale:
         # c^2, so the scale goes as 1 / c^2
         cd = riemann(catalog.schwarzschild(1.0).spec, [0.0, 4.0, 0.9, 0.0])
         scaled = CurvatureData(point=cd.point, g=c * c * cd.g,
-                               g_inv=cd.g_inv / (c * c), gamma=cd.gamma,
+                               g_inv=cd.g_inv / (c * c),
                                riemann_mixed=cd.riemann_mixed,
                                riemann_lowered=c * c * cd.riemann_lowered,
                                signature=cd.signature)

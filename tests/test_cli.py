@@ -172,6 +172,14 @@ class TestSvpCommand:
         report = json.loads(out_path.read_text())
         assert report["command"] == "svp"
 
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path):
+        code = main(["svp", "--metric", "sphere2", "--starts", "5",
+                     "--out", str(tmp_path / "absent" / "report.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write --out")
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_schwarzschild_all_pass(self, capsys):
@@ -311,6 +319,14 @@ class TestExitCodes:
                      "M=abc", "--point", "0,3,1,0"])
         assert code == 2
 
+    def test_repeated_param_is_config_error(self, capsys):
+        code = main(["svp", "--metric", "schwarzschild", "--params",
+                     "M=1, M=2", "--starts", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--params sets 'M' twice" in captured.err
+
     def test_undeclared_param_is_config_error(self, capsys):
         code = main(["svp", "--metric", "schwarzschild", "--params", "m=1",
                      "--point", "0,3,0.7854,0"])
@@ -404,6 +420,30 @@ class TestExitCodes:
                      "--deterministic"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_declared_signature_mismatch_is_domain_error(self, capsys,
+                                                         tmp_path):
+        # at y = -1 the metric is negative definite, not the declared ++
+        path = tmp_path / "halfplane.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "signature = +, +\ng[0,0] = 1 / y\ng[1,1] = 1 / y\n")
+        code = main(["svp", "--metric", str(path), "--point", "0,-1",
+                     "--starts", "5", "--deterministic"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has 2 negative eigenvalue(s)" in captured.err
+
+    def test_overflowing_metric_is_domain_error_without_warnings(
+            self, capsys, tmp_path, recwarn):
+        path = tmp_path / "halfplane.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "g[0,0] = 1 / y\ng[1,1] = 1 / y\n")
+        code = main(["verify", "--metric", str(path), "--point", "0,1e-300",
+                     "--starts", "5", "--deterministic"])
+        assert code == 3
+        assert "is singular at [0.0, 1e-300]" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn] == []
 
     def test_empty_start_batch_is_exit_4(self, capsys):
         # at r = 1000 the sampler finds no +++- start at all

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.errors import DifferentiationFailure, InvalidInput, SingularMetric
+from riemsvp.errors import (DifferentiationFailure, InvalidInput,
+                            SingularMetric, WrongSignature)
 from riemsvp.geometry import (MetricSpec, christoffel, complete_riemann,
                               independent_components, metric_at, riemann,
                               supports_complex_step, verify_tensor_symmetries)
@@ -63,25 +64,24 @@ class TestChristoffel:
     def test_sphere_numeric_matches_loops(self):
         entry = catalog.sphere2()
         p = np.array([1.1, 0.4])
-        got = christoffel(entry.spec, p, mode="numeric")
+        got = christoffel(entry.spec, p)
         want = oracles.christoffel_loops(entry.spec.g, p)
         assert np.abs(got - want).max() < 1e-8
 
     def test_euclidean_zero(self):
         entry = catalog.euclidean(3)
-        gam = christoffel(entry.spec, np.zeros(3), mode="numeric")
+        gam = christoffel(entry.spec, np.zeros(3))
         assert np.abs(gam).max() < 1e-12
 
     def test_schwarzschild_gamma_r_tt(self):
         # gamma^r_tt = f f' / 2 = (1/3) * (2/9) / 2 at M=1, r=3
         entry = catalog.schwarzschild(1.0)
-        gam = christoffel(entry.spec, [0.0, 3.0, math.pi / 4, 0.0],
-                          mode="numeric")
+        gam = christoffel(entry.spec, [0.0, 3.0, math.pi / 4, 0.0])
         assert gam[1, 0, 0] == pytest.approx(1.0 / 27.0, abs=1e-12)
 
     def test_symmetric_lower_indices(self):
         entry = catalog.kerr(1.0, 0.7)
-        gam = christoffel(entry.spec, [0.0, 4.0, 1.1, 0.0], mode="numeric")
+        gam = christoffel(entry.spec, [0.0, 4.0, 1.1, 0.0])
         assert np.abs(gam - np.swapaxes(gam, 1, 2)).max() < 1e-12
 
 
@@ -137,6 +137,15 @@ class TestRiemann:
         cd = riemann(entry.spec, p)
         want = oracles.lower_loops(cd.g, cd.riemann_mixed)
         assert np.abs(cd.riemann_lowered - want).max() < 1e-14
+
+
+class TestDeclaredSignature:
+    @pytest.mark.parametrize("mode", ["auto", "numeric"])
+    def test_mismatch_raises(self, mode):
+        spec = dataclasses.replace(catalog.schwarzschild(1.0).spec,
+                                   signature=(1, 1, 1, 1))
+        with pytest.raises(WrongSignature, match="1 negative eigenvalue"):
+            riemann(spec, [0.0, 3.0, 1.0, 0.0], mode=mode)
 
 
 class TestSymmetries:
@@ -198,7 +207,7 @@ class TestComplexStep:
         spec = polar_spec()
         p = np.array([2.0, 0.5])
         assert not supports_complex_step(spec, p)
-        gam = christoffel(spec, p, mode="numeric")
+        gam = christoffel(spec, p)
         # flat plane in polar coordinates: gamma^r_pp = -r, gamma^p_rp = 1/r
         assert gam[0, 1, 1] == pytest.approx(-2.0, rel=1e-9)
         assert gam[1, 0, 1] == pytest.approx(0.5, rel=1e-9)
@@ -222,7 +231,6 @@ def stencil_cases(tmp_path):
     """``(spec, point, mode)`` for every branch of the numeric path."""
     path = tmp_path / "schwarzschild.metric"
     path.write_text(SCHWARZSCHILD_FILE)
-    sphere = catalog.sphere2().spec
     cases = [(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.3], "auto")
              for a, r, th in ((0.0, 6.0, math.pi / 2), (0.5, 3.5, 1.0),
                               (0.9, 2.5, 0.3), (0.3, 40.0, 2.8))]
@@ -231,10 +239,7 @@ def stencil_cases(tmp_path):
         (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 0.5], "numeric"),
         (load_metric(path), [0.0, 4.0, 1.2, 0.3], "auto"),
         (polar_spec(), [2.0, 0.5], "numeric"),
-        # analytic_gamma without analytic_riemann: mode="auto" differentiates
-        # the analytic Christoffel symbols on the stencil
-        (dataclasses.replace(sphere, analytic_riemann=None), [1.1, 0.2], "auto"),
-        (sphere, [0.7, 0.2], "numeric"),
+        (catalog.sphere2().spec, [0.7, 0.2], "numeric"),
     ]
     return cases
 
@@ -272,12 +277,10 @@ class TestOneStencil:
             assert cd.path == "numeric"
             g_inv, gamma, mixed, lowered = oracles.riemann_per_point(
                 spec, p, mode=mode)
-            for got, want in ((cd.g_inv, g_inv), (cd.gamma, gamma),
+            for got, want in ((cd.g_inv, g_inv), (christoffel(spec, p), gamma),
                               (cd.riemann_mixed, mixed),
                               (cd.riemann_lowered, lowered)):
                 assert np.array_equal(got, want), (spec.id, p, mode)
-            if mode == "numeric":
-                assert np.array_equal(christoffel(spec, p, mode=mode), gamma)
 
     @pytest.mark.parametrize("spec, p, mode, evals", [
         (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 27),
@@ -289,21 +292,28 @@ class TestOneStencil:
         (dataclasses.replace(catalog.minkowski().spec,
                              ignorable=(0, 1, 2, 3)),
          [0.5, 1.0, 2.0, 3.0], "numeric", 1),
+        (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
+        (catalog.sphere2().spec, [1.0, 0.2], "auto", 1),
     ], ids=["kerr", "kerr-nothing-ignorable", "schwarzschild",
-            "space-form-3", "sphere2", "constant"])
+            "space-form-3", "sphere2", "constant", "schwarzschild-analytic",
+            "sphere2-analytic"])
     def test_metric_evaluations_per_riemann(self, spec, p, mode, evals):
-        # (4k + 1) stencil rows for the k coordinates the metric depends on,
-        # each one real and k complex-step evaluations
-        k = spec.dimension - len(spec.ignorable)
-        assert evals == (4 * k + 1) * (k + 1)
         calls = []
 
         def g(q):
             calls.append(q)
             return spec.g(q)
 
-        riemann(dataclasses.replace(spec, g=g), p, mode=mode)
+        cd = riemann(dataclasses.replace(spec, g=g), p, mode=mode)
         assert len(calls) == evals
+        if cd.path == "analytic":
+            # the metric at p; the curvature comes from the supplier
+            assert evals == 1
+        else:
+            # (4k + 1) stencil rows for the k coordinates the metric depends
+            # on, each one real and k complex-step evaluations
+            k = spec.dimension - len(spec.ignorable)
+            assert evals == (4 * k + 1) * (k + 1)
 
     @pytest.mark.parametrize("entry, p, row", [
         (catalog.sphere2(), [1e-3, 0.2], "[0.0, 0.2]"),
@@ -376,10 +386,9 @@ class TestIgnorableCoordinates:
             full = dataclasses.replace(spec, ignorable=())
             got, want = riemann(spec, p, mode=mode), riemann(full, p, mode=mode)
             assert got.path == want.path == "numeric"
-            for name in ("g_inv", "gamma", "riemann_mixed", "riemann_lowered"):
+            for name in ("g_inv", "riemann_mixed", "riemann_lowered"):
                 assert_bitwise_equal(getattr(got, name), getattr(want, name))
-            assert_bitwise_equal(christoffel(spec, p, mode="numeric"),
-                                 christoffel(full, p, mode="numeric"))
+            assert_bitwise_equal(christoffel(spec, p), christoffel(full, p))
 
     @pytest.mark.parametrize("ignorable", [(4,), (-1,), (0, 0), (1, 2, 1)],
                              ids=["above", "negative", "repeated",

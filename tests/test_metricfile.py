@@ -173,6 +173,26 @@ g[1,0] = 0 - u
             with pytest.raises(ParseError):
                 parse_metric_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("dimension = 2\ndimension = 3\ng[0,0] = 1\n",
+         "line 2: dimension is already set on line 1"),
+        ("dimension = 2\ncoordinates = x, y\ng[0,0] = 1\n"
+         "coordinates = u, v\n",
+         "line 4: coordinates is already set on line 2"),
+        ("dimension = 2\nsignature = +, +\nsignature = -, +\ng[0,0] = 1\n",
+         "line 3: signature is already set on line 2"),
+        ("dimension = 2\ng[0,0] = 1\n# again\ng[ 0 , 00 ] = 2\n",
+         "line 4: g[0,0] is already set on line 2"),
+        ("dimension = 2\ng[0,1] = 1\ng[1,0] = 0\ng[0,1] = 2\n",
+         "line 4: g[0,1] is already set on line 2"),
+    ], ids=["dimension", "coordinates", "signature", "component",
+            "component-after-partner"])
+    def test_repeated_setting_rejected(self, tmp_path, text, message):
+        path = tmp_path / "twice.metric"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message.replace("[", r"\[")):
+            parse_metric_file(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_metric_file(tmp_path / "absent.metric")
