@@ -30,7 +30,7 @@ from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      WrongSignature)
 from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
-from .svp import (SolverConfig, _kerr_reduced, _patterns,
+from .svp import (_ZERO_REL, SolverConfig, _kerr_reduced, _patterns,
                   _schwarzschild_reduced, lorentz_mixed_sign_check,
                   multistart, orbit, orbit_size, sigma_from_tensor,
                   wedge_det_defect)
@@ -45,7 +45,6 @@ EXIT_VERIFY_FAILED = 5
 # (algebra.curvature_scale), so they hold at every scale of the metric: a
 # sigma is non-zero above _ZERO_REL * rho, and matches an expected non-zero
 # value within _MATCH_REL of it.
-_ZERO_REL = 1e-6
 _MATCH_REL = 1e-3
 
 

@@ -182,8 +182,9 @@ def metric_at(spec: MetricSpec, p) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     SingularMetric
-        If ``|det g|`` falls below ``1e-14`` times the natural scale of the
-        matrix (coordinate singularities such as a sphere pole or a horizon).
+        If ``|det g| <= 1e-14 * max|g|**n``, a test that does not depend on
+        the units of the metric (coordinate singularities such as a sphere
+        pole or a horizon).
     """
     p = as_point(p, spec.dimension)
     g = _real_metric(spec, p)
@@ -191,8 +192,10 @@ def metric_at(spec: MetricSpec, p) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _real_metric(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
-    """``spec.g(p)`` as a real matrix of the metric's shape."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """``spec.g(p)`` as a real matrix of the metric's shape.  Values that
+    overflow or are not numbers fail the finite checks later, so numpy does
+    not warn about them."""
+    with np.errstate(all="ignore"):
         g = np.asarray(spec.g(p), dtype=float)
     if g.shape != (spec.dimension, spec.dimension):
         raise InvalidInput("metric supplier returned a wrongly shaped matrix")
@@ -220,8 +223,8 @@ def _checked_inverses(spec: MetricSpec, points: np.ndarray, G,
     gmax = np.abs(G[:nf]).max(axis=(1, 2))
     with np.errstate(over="ignore"):  # an infinite det or scale fails
         det = np.linalg.det(G[:nf])
-        scale = np.maximum(1.0, gmax) ** n
-    k = _first(~np.isfinite(det) | (np.abs(det) < 1e-14 * scale))
+        scale = gmax ** n
+    k = _first(~np.isfinite(det) | (np.abs(det) <= 1e-14 * scale))
     G_inv = np.linalg.inv(G[:k])
     defect = np.abs(G[:k] @ G_inv - np.eye(n)).max(axis=(1, 2))
     i = _first(defect > 1e-12 * np.maximum(
@@ -259,7 +262,8 @@ def _complex_step(spec: MetricSpec, p: np.ndarray, i: int) -> np.ndarray:
     """``spec.g`` at ``p`` with coordinate ``i`` shifted by ``1j * CS_STEP``."""
     zp = p.astype(complex)
     zp[i] += 1j * CS_STEP
-    return np.asarray(spec.g(zp))
+    with np.errstate(all="ignore"):  # a non-finite step fails later
+        return np.asarray(spec.g(zp))
 
 
 def _clean_complex_step(spec: MetricSpec, p: np.ndarray,
@@ -291,9 +295,9 @@ def _metric_first_derivatives(spec: MetricSpec, p: np.ndarray,
     gz = _clean_complex_step(spec, p, coords[0])
     if gz is None:
         h = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(p))
-        rows = _stencil(p, h, coords)[1:]
-        return _richardson(np.array([g] + [np.asarray(spec.g(q), dtype=float)
-                                           for q in rows]), h, coords)
+        F = [g] + [_real_metric(spec, q) for q in _stencil(p, h, coords)[1:]]
+        with np.errstate(all="ignore"):  # non-finite rows fail later
+            return _richardson(np.array(F), h, coords)
     dg[coords[0]] = gz.imag / CS_STEP
     for i in coords[1:]:
         dg[i] = _complex_step(spec, p, i).imag / CS_STEP

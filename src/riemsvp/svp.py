@@ -21,10 +21,12 @@ solve factors each system by an R-only QR and keeps the SVD for the
 systems whose R does not certify full column rank.  The multistart driver and
 the repeated-pair reduction :func:`meigen_reduce` share one sign-pattern
 rule (:func:`_patterns`) and one search: the starts of every pattern are
-drawn in turn from one random stream, by a block rejection sampler that
-reproduces drawing one vector at a time, and are solved as a single batch;
-the converged solutions are clustered by ``sigma``.  The single-start
-:func:`solve_newton` runs through the same core.
+drawn in turn from one random stream and are solved as a single batch; the
+converged solutions are clustered by ``sigma``.  A pattern's sampler takes
+Gaussian draws in stream order, drops the near-null ones, rescales the
+others onto ``<v, v> = +-1`` and lets each fill the next open slot of its
+sign, start by start.  The single-start :func:`solve_newton` runs through
+the same core.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import catalog as _catalog_mod
-from .algebra import inner, np_scalars
+from .algebra import curvature_scale, inner, np_scalars
 from .errors import (BadCase, InvalidInput, NoConvergence, OutOfDomain,
                      SingularJacobian, WrongSignature)
 from .geometry import CurvatureData, as_point, riemann
@@ -459,82 +461,50 @@ def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
                         f" (residual {fnorm:.3e})")
 
 
-def sample_unit_vector(rng: np.random.Generator, g: np.ndarray,
-                       sign: int) -> np.ndarray:
-    """Gaussian direction rescaled onto the quadric ``<v, v> = sign``.
-
-    Near-null draws (``|<v, v>| < 1e-6``) are rejected, as are draws whose
-    causal character does not match the requested sign.  This is
-    :func:`_sample_starts` for one start of one vector.
-    """
-    V, _ = _sample_starts(rng, g, (sign,), 1)
-    if not len(V):
-        raise WrongSignature(
-            f"could not sample a vector with <v,v> sign {sign:+d}; "
-            "the metric signature may not admit it")
-    return V[0]
-
-
 # Largest block of draws the start sampler classifies at once; it bounds the
 # sampler's memory whatever the rejection rate.
 _BLOCK = 2048
 
-# Draws the start sampler spends on one vector before it gives up.
+# Draws the start sampler may spend per vector asked for, over the whole call.
 _MAX_TRIES = 2000
 
 
 def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,
                    count: int) -> tuple[np.ndarray, int]:
-    """Up to ``count`` starts, one unit vector per sign each, drawn in order.
+    """Up to ``count`` starts, one unit vector per sign each.
 
-    Each vector is the first of its Gaussian draws ``v`` that is not near
-    null (``|<v, v>| < 1e-6``) and has the requested causal character,
-    rescaled onto ``<v, v> = sign``.  Returns the rows ``(v_1, ...,
-    v_len(signs))`` and the number of starts attempted: sampling stops at the
-    first vector not found in ``_MAX_TRIES`` draws, and its start still counts.
-
-    The draws come in blocks and are classified together.  The rows, and the
-    state the generator is left in, are those of drawing one vector at a
-    time: a block is redrawn up to the last draw the rows used.
+    Gaussian draws ``v`` are taken in stream order.  A draw that is not near
+    null (``|<v, v>| >= 1e-6``) is rescaled onto ``<v, v> = +-1`` and fills
+    the next open slot of its sign, start by start; any other draw is
+    dropped.  The call spends at most ``_MAX_TRIES`` draws per vector asked
+    for.  Returns the complete starts as rows ``(v_1, ..., v_len(signs))``
+    and the number attempted, which counts one incomplete start when the
+    draws ran out.  The draws come in growing blocks; the rows do not depend
+    on the block size.
     """
-    n, total = len(g), count * len(signs)
-    rows = [np.empty((0, n))]
-    found = tries = 0  # vectors found; draws spent on the next one
-    failed = False
-    size = min(_BLOCK, 2 * total)
-    while found < total and not failed:
-        state = rng.bit_generator.state
-        V = rng.standard_normal((size, n))
+    n = len(g)
+    slots = {s: [i for i, t in enumerate(signs) if t == s] for s in set(signs)}
+    need = {s: count * len(idx) for s, idx in slots.items()}
+    kept = {s: [np.empty((0, n))] for s in slots}
+    budget = _MAX_TRIES * count * len(signs)
+    size = min(_BLOCK, 2 * count * len(signs))
+    while budget and any(need.values()):
+        V = rng.standard_normal((min(size, budget), n))
+        budget -= len(V)
         # stacked, so each draw gets the products of ``float(v @ g @ v)``;
         # a single (size, n) @ (n, n) product can round differently
         qv = np.matmul(np.matmul(V[:, None, :], g), V[:, :, None])[:, 0, 0]
-        # nxt[s][k]: the first draw at or after k that is a unit-s candidate
-        nxt = {}
-        for s in set(signs):
-            first = np.full(size + 1, size)
-            hits = np.flatnonzero(~(np.abs(qv) < 1e-6) & (s * qv > 0))
-            first[hits] = hits
-            nxt[s] = np.minimum.accumulate(first[::-1])[::-1].tolist()
-        pos, keep = 0, []
-        while found < total:
-            hit = nxt[signs[found % len(signs)]][pos]
-            if tries + hit - pos >= _MAX_TRIES:
-                failed, pos = True, pos + _MAX_TRIES - tries
-                break
-            if hit == size:
-                tries += size - pos
-                pos = size
-                break
-            keep.append(hit)
-            found, tries, pos = found + 1, 0, hit + 1
-        rows.append(V[keep] / np.sqrt(np.abs(qv[keep]))[:, None])
-        if pos < size:
-            rng.bit_generator.state = state
-            rng.standard_normal((pos, n))
+        for s in slots:
+            hits = np.flatnonzero(s * qv >= 1e-6)[:need[s]]
+            kept[s].append(V[hits] / np.sqrt(s * qv[hits])[:, None])
+            need[s] -= len(hits)
         size = min(_BLOCK, 2 * size)
-    starts = found // len(signs)
-    vectors = np.concatenate(rows)[:starts * len(signs)]
-    return vectors.reshape(starts, len(signs) * n), starts + failed
+    kept = {s: np.concatenate(rows) for s, rows in kept.items()}
+    starts = min(len(kept[s]) // len(idx) for s, idx in slots.items())
+    out = np.empty((starts, len(signs), n))
+    for s, idx in slots.items():
+        out[:, idx] = kept[s][:starts * len(idx)].reshape(starts, len(idx), n)
+    return out.reshape(starts, len(signs) * n), starts + (starts < count)
 
 
 def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
@@ -671,11 +641,10 @@ def _ensure_trivial(clusters: list[SVPSolution], cd: CurvatureData,
     for signs in patterns:
         if signs[0] != signs[1] or signs[2] != signs[3]:
             continue
-        try:
-            v = sample_unit_vector(rng, cd.g, signs[0])
-            u = sample_unit_vector(rng, cd.g, signs[2])
-        except WrongSignature:
+        V, _ = _sample_starts(rng, cd.g, (signs[0], signs[2]), 1)
+        if not len(V):
             continue
+        v, u = V.reshape(2, cd.n)
         q = Quadruple(v, v.copy(), u, u.copy(), signs=signs)
         res = residual_norm(cd, q, 0.0)
         if res < cfg.tol * 10:
@@ -759,9 +728,15 @@ def _rotations_valid(cd: CurvatureData, q: Quadruple) -> bool:
             and abs(inner(cd.g, q.y, q.z)) < 1e-9)
 
 
+# A sigma is zero at or below _ZERO_REL times the curvature scale at the point
+# (algebra.curvature_scale), a window that holds at every scale of the metric.
+_ZERO_REL = 1e-6
+
+
 def check_proposition1(sol: SVPSolution, cd: CurvatureData) -> bool:
-    """Nonzero-sigma solutions must have ``<W, X> = <Y, Z> = 0``."""
-    if abs(sol.sigma) <= 1e-8:
+    """Nonzero-sigma solutions must have ``<W, X> = <Y, Z> = 0``; sigma is
+    zero within ``_ZERO_REL`` of the curvature scale."""
+    if abs(sol.sigma) <= _ZERO_REL * curvature_scale(cd):
         return True
     return (abs(inner(cd.g, sol.q.w, sol.q.x)) < 1e-8
             and abs(inner(cd.g, sol.q.y, sol.q.z)) < 1e-8)

@@ -2,11 +2,12 @@
 
 Everything here is implemented with plain loops and naive finite
 differences, deliberately sharing no code with the package under test.
-The exceptions are :func:`riemann_per_point`, the former per-point numeric
-curvature path, and the former Newton core (the functions after
-:func:`dot_ordered`), which repeat the package's numpy operations, and make
-their contractions with :func:`dot`, the package's former contraction
-kernel, so that results can be compared bit for bit.
+The exceptions are :func:`sample_starts_one_draw`, which takes ``<v, v>``
+from the package's stacked product, :func:`riemann_per_point`, the former
+per-point numeric curvature path, and the former Newton core (the
+functions after :func:`dot_ordered`), which repeat the package's numpy
+operations, and make their contractions with :func:`dot`, the package's
+former contraction kernel, so that results can be compared bit for bit.
 """
 
 import math
@@ -139,34 +140,40 @@ def svp_residual_loops(mixed, g, w, x, y, z, signs, sigma):
 
 
 def sample_starts_one_draw(rng, g, signs, count, max_tries=2000):
-    """Random starts drawn one Gaussian vector at a time.
+    """Random starts filled one Gaussian draw at a time.
 
-    Each vector is the first draw ``v`` that is not near null
-    (``|<v, v>| < 1e-6``) and has the requested sign, rescaled onto
-    ``<v, v> = sign``; sampling stops at the first vector not found in
-    ``max_tries`` draws, whose start still counts.  Returns the rows, one
-    start each, and the number of starts attempted.
+    Walks the generator's stream in order.  Each draw ``v`` that is not near
+    null (``|<v, v>| >= 1e-6``) is rescaled onto ``<v, v> = +-1`` and fills
+    the next open slot of its sign, start by start; every other draw is
+    dropped.  The walk stops when every slot is filled or after
+    ``max_tries`` draws per vector asked for.  Returns the complete starts,
+    one row each, and the number attempted: one more than complete when a
+    slot stayed open.  The stream is drawn 1000 vectors at a time, and
+    ``<v, v>`` is the package's stacked product, which rounds like
+    ``float(v @ g @ v)``.
     """
-    rows = []
-    attempted = 0
-    for _ in range(count):
-        attempted += 1
-        row = []
-        for sign in signs:
-            for _ in range(max_tries):
-                v = rng.standard_normal(len(g))
-                qv = float(v @ g @ v)
-                if abs(qv) < 1e-6:
-                    continue
-                if sign * qv > 0:
-                    row.append(v / math.sqrt(abs(qv)))
+    n, m = len(g), len(signs)
+    open_slots = {s: [(k, i) for k in range(count) for i in range(m)
+                      if signs[i] == s] for s in set(signs)}
+    rows = np.empty((count, m, n))
+    left, budget = count * m, max_tries * count * m
+    while left and budget:
+        V = rng.standard_normal((min(1000, budget), n))
+        budget -= len(V)
+        qv = np.matmul(np.matmul(V[:, None, :], g), V[:, :, None])[:, 0, 0]
+        # a draw whose sign has no open slot left is dropped unread
+        live = [s for s, slots in open_slots.items() if slots]
+        for k in np.flatnonzero(np.isin(np.sign(qv), live)).tolist():
+            q = float(qv[k])
+            slots = open_slots[1 if q > 0 else -1]
+            if abs(q) >= 1e-6 and slots:
+                rows[slots.pop(0)] = V[k] / math.sqrt(abs(q))
+                left -= 1
+                if not left:
                     break
-            else:
-                break
-        if len(row) < len(signs):
-            break
-        rows.append(np.concatenate(row))
-    return np.array(rows).reshape(len(rows), len(signs) * len(g)), attempted
+    starts = min(slots[0][0] if slots else count
+                 for slots in open_slots.values())
+    return rows[:starts].reshape(starts, m * n), starts + (starts < count)
 
 
 def riemann_per_point(spec, p, mode="auto"):
@@ -190,9 +197,9 @@ def riemann_per_point(spec, p, mode="auto"):
         if not np.all(np.isfinite(g)):
             raise SingularMetric(
                 f"metric '{spec.id}' is not finite at {q.tolist()}")
-        scale = max(1.0, float(np.abs(g).max())) ** n
+        scale = float(np.abs(g).max()) ** n
         det = np.linalg.det(g)
-        if not np.isfinite(det) or abs(det) < 1e-14 * scale:
+        if not np.isfinite(det) or abs(det) <= 1e-14 * scale:
             raise SingularMetric(
                 f"metric '{spec.id}' is singular at {q.tolist()} (det={det:.3e})")
         g_inv = np.linalg.inv(g)

@@ -205,8 +205,9 @@ class TestVerifyCommand:
         assert by_name["symmetries"]["pass"] is True
 
     def test_mixed_sign_check_without_evidence_is_skipped(self, capsys):
-        # far from the hole no +++- start is sampled, so the mixed-sign
-        # search has nothing to show and the check must not pass on it
+        # far from the hole +++- starts are rare (56 of 200 at seed 0) and
+        # none converges, so the mixed-sign search has nothing to show and
+        # the check must not pass on it
         code, out = run(capsys, "verify", "--metric", "schwarzschild",
                         "--params", "M=1", "--point", "0,100,1.5708,0",
                         "--seed", "0", "--deterministic")
@@ -347,6 +348,21 @@ class TestExitCodes:
         code = main(["invariants", "--metric", "sphere2", "--point", "0,0"])
         assert code == 3
 
+    @pytest.mark.parametrize("radius", [1.0, 1e-3])
+    def test_near_pole_does_not_depend_on_units(self, capsys, tmp_path,
+                                                radius):
+        # det g = radius^4 sin^2(th): the singular test compares it with
+        # max|g|^2 = radius^4, so a small sphere is no closer to singular
+        path = tmp_path / "sphere.metric"
+        path.write_text(f"dimension = 2\ncoordinates = th, ph\n"
+                        f"g[0,0] = {radius ** 2!r}\n"
+                        f"g[1,1] = {radius ** 2!r}*sin(th)^2\n")
+        code, out = run(capsys, "invariants", "--metric", str(path),
+                        "--point", "0.05,0", "--deterministic")
+        assert code == 0
+        scalar = json.loads(out)["invariants"]["ricci_scalar"]
+        assert scalar * radius ** 2 == pytest.approx(2.0, rel=1e-4)
+
     @pytest.mark.parametrize("command", ["orbit", "verify"])
     @pytest.mark.parametrize("metric, point", [
         (["--metric", "schwarzschild", "--params", "M=1"], "0,1.5,1.0,0"),
@@ -445,8 +461,24 @@ class TestExitCodes:
         assert "is singular at [0.0, 1e-300]" in capsys.readouterr().err
         assert [str(w.message) for w in recwarn] == []
 
+    def test_metric_overflowing_next_to_the_point_warns_nothing(
+            self, capsys, tmp_path, recwarn):
+        # exp(709.5) is finite, but the complex step and the real stencil
+        # next to it overflow
+        path = tmp_path / "growing.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "g[0,0] = exp(x)\ng[1,1] = exp(x)\n")
+        code = main(["invariants", "--metric", str(path),
+                     "--point", "709.5,0"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "domain error: metric 'growing' is singular at [709.5, 0.0] "
+            "(det=inf)\n")
+        assert [str(w.message) for w in recwarn] == []
+
     def test_empty_start_batch_is_exit_4(self, capsys):
-        # at r = 1000 the sampler finds no +++- start at all
+        # at r = 1000 the sampler finds one +++- start in 200, and it does
+        # not converge
         code = main(["svp", "--metric", "schwarzschild", "--params", "M=1",
                      "--point", "0,1000,1.5708,0", "--signs=+++-",
                      "--method", "multistart", "--seed", "0",

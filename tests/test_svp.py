@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,10 @@ from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
                          check_proposition1, closed_form_sigma,
                          feasible_patterns, kerr_reduced_solve,
                          lorentz_mixed_sign_check, meigen_reduce, multistart,
-                         orbit, orbit_size,
-                         parse_sign_pattern, residual,
-                         residual_norm, sample_unit_vector,
-                         schwarzschild_reduced_solve, sigma_from_tensor,
-                         sigma_values, solve_newton, trivial_pattern,
-                         wedge_det_defect, wedge_matrix)
+                         orbit, orbit_size, parse_sign_pattern, residual,
+                         residual_norm, schwarzschild_reduced_solve,
+                         sigma_from_tensor, sigma_values, solve_newton,
+                         trivial_pattern, wedge_det_defect, wedge_matrix)
 
 import oracles
 
@@ -581,7 +580,7 @@ def pattern_id(signs):
 
 
 class TestStartSampler:
-    """The block sampler against the one-draw-at-a-time rejection loop."""
+    """The block sampler against the one-draw-at-a-time fill loop."""
 
     @pytest.mark.parametrize(
         "case, signs", SAMPLER_PARAMS,
@@ -593,37 +592,80 @@ class TestStartSampler:
         assert signs in feasible_patterns(cd)
         for seed in (0, 5):
             for count in (1, 4, 200):
-                rng = np.random.default_rng(seed)
-                ref_rng = np.random.default_rng(seed)
-                V, attempted = _sample_starts(rng, cd.g, signs, count)
+                V, attempted = _sample_starts(np.random.default_rng(seed),
+                                              cd.g, signs, count)
                 ref, ref_attempted = oracles.sample_starts_one_draw(
-                    ref_rng, cd.g, signs, count)
+                    np.random.default_rng(seed), cd.g, signs, count)
                 assert attempted == ref_attempted
                 assert np.array_equal(V, ref)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_exhausted_draws_stop_sampling(self):
         from riemsvp.svp import _sample_starts
 
         g = np.diag([-1.0, 1e6, 1e6, 1e6])
         for signs in ((-1,), (1, -1, 1, 1)):
-            rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
-            V, attempted = _sample_starts(rng, g, signs, 3)
+            V, attempted = _sample_starts(np.random.default_rng(0), g, signs,
+                                          3)
             ref, ref_attempted = oracles.sample_starts_one_draw(
-                ref_rng, g, signs, 3)
+                np.random.default_rng(0), g, signs, 3)
             assert attempted == ref_attempted == 1
             assert V.shape == ref.shape == (0, 4 * len(signs))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-        with pytest.raises(WrongSignature):
-            sample_unit_vector(np.random.default_rng(0), g, -1)
 
-    def test_unit_vector_is_a_one_vector_start(self):
+    def test_near_null_draws_are_dropped(self):
+        from riemsvp.svp import _sample_starts
+
+        # with g = 1e-7 I about 99% of the draws have <v, v> < 1e-6
+        g = 1e-7 * np.eye(2)
+        V, attempted = _sample_starts(np.random.default_rng(1), g, (1, 1), 20)
+        ref, ref_attempted = oracles.sample_starts_one_draw(
+            np.random.default_rng(1), g, (1, 1), 20)
+        assert attempted == ref_attempted == 20
+        assert np.array_equal(V, ref)
+
+    @pytest.mark.parametrize("block", [3, 7])
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch, block):
+        from riemsvp import svp
+
         cd = SAMPLER_CASES["kerr"]()
-        for sign in (1, -1):
-            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            ref, _ = oracles.sample_starts_one_draw(ref_rng, cd.g, (sign,), 1)
-            assert np.array_equal(sample_unit_vector(rng, cd.g, sign), ref[0])
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        g = np.diag([-1.0, 1e6, 1e6, 1e6])
+        calls = [(cd.g, signs, count) for signs in ((1, 1, -1, -1), ALL_PLUS)
+                 for count in (1, 5, 40)] + [(g, (1, -1, 1, 1), 2)]
+        def sample(c):
+            return svp._sample_starts(np.random.default_rng(2), *c)
+
+        want = [sample(c) for c in calls]
+        monkeypatch.setattr(svp, "_BLOCK", block)
+        for c, (V, attempted) in zip(calls, want):
+            got, got_attempted = sample(c)
+            assert got_attempted == attempted
+            assert np.array_equal(got, V)
+
+    def test_batch_of_one_is_first_row(self):
+        from riemsvp.svp import _sample_starts
+
+        cd = SAMPLER_CASES["kerr"]()
+        for signs in feasible_patterns(cd):
+            V, attempted = _sample_starts(np.random.default_rng(9), cd.g,
+                                          signs, 200)
+            one, one_attempted = _sample_starts(np.random.default_rng(9), cd.g,
+                                                signs, 1)
+            assert (attempted, one_attempted) == (200, 1)
+            assert np.array_equal(one, V[:1])
+
+    def test_trivial_row_skips_a_pattern_without_vectors(self):
+        from riemsvp.svp import _ensure_trivial
+
+        n = 4
+        cd = CurvatureData(point=np.zeros(n), g=np.diag([-1.0, 1e6, 1e6, 1e6]),
+                           g_inv=np.diag([-1.0, 1e-6, 1e-6, 1e-6]),
+                           riemann_mixed=np.zeros((n,) * 4),
+                           riemann_lowered=np.zeros((n,) * 4),
+                           signature=(-1, 1, 1, 1))
+        cfg = SolverConfig(n_starts=5, rng_seed=0)
+        assert _ensure_trivial([], cd, cfg, [(-1, -1, -1, -1)]) == []
+        (sol,) = _ensure_trivial([], cd, cfg, [(-1, -1, -1, -1), ALL_PLUS])
+        assert sol.q.signs == ALL_PLUS and sol.trivial == "w=x"
+        assert sol.origin == "analytic" and sol.sigma == 0.0
 
 
 class TestMultistart:
@@ -765,6 +807,18 @@ class TestPairOrthogonality:
         sol = SVPSolution(q=quad, sigma=1.0, residual=0.0)
         assert not check_proposition1(sol, cd)
         assert residual_norm(cd, quad, 1.0) > 1e-3
+
+    def test_small_sigma_is_checked(self):
+        # sigma = M / r^3 = 1e-9 at r = 1000 is not zero at that curvature
+        point = [0.0, 1000.0, 1.2, 0.0]
+        cd = riemann(catalog.schwarzschild(1.0).spec, point)
+        sol = schwarzschild_reduced_solve(1.0, 1000.0, 1.2)
+        assert sol.sigma == pytest.approx(1e-9, rel=1e-12)
+        assert check_proposition1(sol, cd)
+        q = sol.q
+        bad = replace(sol, q=Quadruple(q.w, q.w.copy(), q.y, q.z, q.signs))
+        assert inner(cd.g, bad.q.w, bad.q.x) == pytest.approx(1.0)
+        assert not check_proposition1(bad, cd)
 
 
 class TestMeigen:
