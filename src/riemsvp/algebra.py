@@ -31,7 +31,12 @@ def ricci(cd: CurvatureData) -> np.ndarray:
 
 def ricci_scalar(cd: CurvatureData) -> float:
     """Scalar curvature ``R = g^ik R_ik``."""
-    return float(np.einsum("ik,ik->", cd.g_inv, ricci(cd)))
+    return _trace(cd, ricci(cd))
+
+
+def _trace(cd: CurvatureData, ric: np.ndarray) -> float:
+    """The scalar curvature from the Ricci tensor ``ric`` of ``cd``."""
+    return float(np.einsum("ik,ik->", cd.g_inv, ric))
 
 
 def kretschmann(cd: CurvatureData) -> float:
@@ -72,12 +77,16 @@ def weyl(cd: CurvatureData) -> np.ndarray:
     Satisfies all curvature symmetries and ``g^ik C_ijkl = 0``; adding back
     the Ricci and scalar trace terms reproduces the input tensor.
     """
+    ric = ricci(cd)
+    return _weyl(cd, ric, _trace(cd, ric))
+
+
+def _weyl(cd: CurvatureData, ric: np.ndarray, scal: float) -> np.ndarray:
+    """:func:`weyl` from the Ricci tensor and scalar curvature of ``cd``."""
     n = cd.n
     if n < 3:
         raise DimensionTooSmall("Weyl split requires dimension >= 3")
     g = cd.g
-    ric = ricci(cd)
-    scal = ricci_scalar(cd)
     trace_part = (np.einsum("il,jk->ijkl", ric, g)
                   - np.einsum("ik,jl->ijkl", ric, g)
                   + np.einsum("il,jk->ijkl", g, ric)
@@ -138,10 +147,15 @@ def np_scalars(cd: CurvatureData,
     known rotating-black-hole values; with it, the Schwarzschild tetrad gives
     a positive real middle scalar ``M / r**3``.
     """
+    return _np_scalars(cd, tetrad, None)
+
+
+def _np_scalars(cd: CurvatureData, tetrad: NPTetrad, c: Optional[np.ndarray]):
+    """:func:`np_scalars` with the Weyl tensor ``c`` of ``cd``, or ``None``."""
     defect = tetrad.normalization_defect(cd.g)
     if defect > 1e-8:
         raise BadTetrad(f"tetrad normalization defect {defect:.3e} exceeds 1.0e-08")
-    c = weyl(cd).astype(complex)
+    c = (weyl(cd) if c is None else c).astype(complex)
     lv = np.asarray(tetrad.l, dtype=complex)
     nv = np.asarray(tetrad.n, dtype=complex)
     mv = np.asarray(tetrad.m, dtype=complex)
@@ -179,18 +193,17 @@ class InvariantReport:
 
 def compute_invariants(cd: CurvatureData,
                        tetrad: Optional[NPTetrad] = None) -> InvariantReport:
-    """Assemble the invariant report; tetrad scalars only when one is given."""
-    if cd.n < 3:
-        wsq = 0.0  # the trace-free part vanishes identically below n = 3
-    else:
-        wsq = weyl_self_contraction(cd)
+    """Assemble the invariant report; tetrad scalars only when one is given.
+    The Ricci, scalar and Weyl curvatures are each computed once."""
+    ric = ricci(cd)
+    scal = _trace(cd, ric)
+    # the trace-free part vanishes identically below n = 3
+    c = _weyl(cd, ric, scal) if cd.n >= 3 else None
+    wsq = 0.0 if c is None else weyl_self_contraction(cd, c)
     wnorm = float(np.sqrt(wsq)) if wsq >= 0.0 else None
-    psis = None
-    inv_i = None
-    if tetrad is not None:
-        psis = np_scalars(cd, tetrad)
-        inv_i = invariant_i(psis)
-    return InvariantReport(ricci_scalar=ricci_scalar(cd),
+    psis = None if tetrad is None else _np_scalars(cd, tetrad, c)
+    inv_i = None if psis is None else invariant_i(psis)
+    return InvariantReport(ricci_scalar=scal,
                            kretschmann=kretschmann(cd),
                            weyl_sq=wsq, weyl_norm=wnorm,
                            np_scalars=psis, invariant_i=inv_i)

@@ -60,6 +60,11 @@ def _fmt_float(v: float) -> str:
     return text
 
 
+# the escapes of json.dumps(s, ensure_ascii=False)
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    c: "\\" + e for c, e in zip(b'"\\\b\f\n\r\t', '"\\bfnrt')}
+
+
 def render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner_pad = "  " * (indent + 1)
@@ -70,7 +75,7 @@ def render_json(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + obj.translate(_JSON_ESCAPES) + '"'
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -90,8 +95,8 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f'{inner_pad}"{k}": ' + render_json(v, indent + 1)
-                 for k, v in obj.items()]
+        parts = [inner_pad + render_json(str(k)) + ": "
+                 + render_json(v, indent + 1) for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -286,3 +286,28 @@ class TestInvariantReport:
         rep = compute_invariants(cd)
         assert rep.kretschmann >= 0.0
         assert rep.weyl_sq is not None
+
+    @pytest.mark.parametrize("entry, p, with_tetrad", [
+        (catalog.kerr(1.0, 0.7), [0.0, 3.5, 1.0, 0.0], True),
+        (catalog.kerr(1.0, 0.7), [0.0, 3.5, 1.0, 0.0], False),
+        (catalog.minkowski(), [0.0, 1.0, 2.0, 3.0], True),
+        (catalog.schwarzschild(2.0), [0.0, 9.0, 1.2, 0.0], False),
+        (catalog.space_form(-0.5, 3), [0.1, 0.2, 0.3], False),
+        (catalog.sphere2(), [0.9, 0.1], False),
+    ], ids=["kerr-tetrad", "kerr", "minkowski-tetrad", "schwarzschild",
+            "space-form-3", "sphere2"])
+    def test_fields_equal_the_public_functions(self, entry, p, with_tetrad):
+        cd = riemann(entry.spec, p)
+        tetrad = entry.tetrad(cd.point) if with_tetrad else None
+        rep = compute_invariants(cd, tetrad)
+        assert rep.ricci_scalar == ricci_scalar(cd)
+        assert rep.kretschmann == kretschmann(cd)
+        wsq = weyl_self_contraction(cd) if cd.n >= 3 else 0.0
+        assert rep.weyl_sq == wsq
+        assert rep.weyl_norm == (float(np.sqrt(wsq)) if wsq >= 0.0 else None)
+        if with_tetrad:
+            psis = np_scalars(cd, tetrad)
+            assert rep.np_scalars == psis
+            assert rep.invariant_i == invariant_i(psis)
+        else:
+            assert rep.np_scalars is None and rep.invariant_i is None

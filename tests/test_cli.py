@@ -83,6 +83,15 @@ class TestInvariantsCommand:
         assert psi2["re"] == pytest.approx(1.0 / 27.0, abs=1e-8)
         assert abs(psi2["im"]) < 1e-8
 
+    def test_control_character_in_metric_path(self, capsys, tmp_path):
+        path = tmp_path / "half\tplane.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "g[0,0] = 1 / y^2\ng[1,1] = 1 / y^2\n")
+        code, out = run(capsys, "invariants", "--metric", str(path),
+                        "--point=0.1,1.0", "--deterministic")
+        assert code == 0
+        assert json.loads(out)["config"]["metric"] == str(path)
+
 
 class TestSvpCommand:
     def test_sphere_clusters(self, capsys):
@@ -572,3 +581,10 @@ class TestJsonRenderer:
     def test_arrays(self):
         parsed = json.loads(render_json(np.array([1.0, 0.5])))
         assert parsed == [1.0, 0.5]
+
+    def test_strings_escaped_as_json_dumps(self):
+        text = "".join(map(chr, range(0x110000)))
+        text = text[:0xD800] + text[0xE000:]  # no lone surrogates
+        assert render_json(text) == json.dumps(text, ensure_ascii=False)
+        obj = {"key\t\x1f\"": ["\b\f\n\r\\", "\u00e9\u2028\x7f"]}
+        assert json.loads(render_json(obj)) == obj

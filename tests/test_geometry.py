@@ -294,9 +294,10 @@ class TestOneStencil:
          [0.5, 1.0, 2.0, 3.0], "numeric", 1),
         (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
         (catalog.sphere2().spec, [1.0, 0.2], "auto", 1),
+        (polar_spec(), [2.0, 0.5], "numeric", 90),
     ], ids=["kerr", "kerr-nothing-ignorable", "schwarzschild",
             "space-form-3", "sphere2", "constant", "schwarzschild-analytic",
-            "sphere2-analytic"])
+            "sphere2-analytic", "real-difference-fallback"])
     def test_metric_evaluations_per_riemann(self, spec, p, mode, evals):
         calls = []
 
@@ -311,9 +312,12 @@ class TestOneStencil:
             assert evals == 1
         else:
             # (4k + 1) stencil rows for the k coordinates the metric depends
-            # on, each one real and k complex-step evaluations
+            # on, each one real and k complex-step evaluations; on the
+            # real-difference fallback one real, one failed complex step and
+            # 4k real ones
             k = spec.dimension - len(spec.ignorable)
-            assert evals == (4 * k + 1) * (k + 1)
+            per_row = k + 1 if supports_complex_step(spec, p) else 4 * k + 2
+            assert evals == (4 * k + 1) * per_row
 
     @pytest.mark.parametrize("entry, p, row", [
         (catalog.sphere2(), [1e-3, 0.2], "[0.0, 0.2]"),
@@ -353,6 +357,35 @@ class TestOneStencil:
         with pytest.raises(error) as want:
             oracles.riemann_per_point(spec, [1.0, 0.2], mode="numeric")
         assert str(got.value) == str(want.value)
+
+    def test_one_row_falls_back(self):
+        # the complex step raises at the stencil row x = 1.001 only
+        calls = []
+
+        def g(p):
+            x, y = p
+            calls.append((np.iscomplexobj(p), float(np.real(x))))
+            if np.iscomplexobj(p) and abs(x.real - 1.001) < 1e-12:
+                raise TypeError("no complex step here")
+            return np.array([[1.0 + y * y / 10, x * y / 10],
+                             [x * y / 10, 1.0 + np.sin(x) ** 2]])
+
+        spec = MetricSpec(dimension=2, signature=(1, 1), g=g, id="one-row")
+        p = [1.0, 0.2]
+        cd = riemann(spec, p)
+        near = [(cplx, abs(x - 1.001) < 1e-4) for cplx, x in calls]
+        # that row: its metric, the failed step and 4k = 8 real evaluations;
+        # the other 8 rows: their metric and k = 2 complex steps
+        assert near.count((False, True)) == 9
+        assert near.count((True, True)) == 1
+        assert near.count((False, False)) == 8
+        assert near.count((True, False)) == 16
+        assert len(calls) == 8 * 3 + 10
+        g_inv, gamma, mixed, lowered = oracles.riemann_per_point(spec, p)
+        for got, want in ((cd.g_inv, g_inv), (christoffel(spec, p), gamma),
+                          (cd.riemann_mixed, mixed),
+                          (cd.riemann_lowered, lowered)):
+            assert np.array_equal(got, want)
 
 
 def ignorable_cases(tmp_path):
