@@ -561,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--point", default=None,
                        help="comma-separated coordinates")
         p.add_argument("--signs", default=defaults.sign_pattern,
-                       help="constraint sign pattern: ++++, +++-, ... or all")
+                       help="constraint sign pattern: ++++, +++-, ... or "
+                       "all; write one that starts with - as --signs=-+++")
         p.add_argument("--tol", type=float, default=defaults.tol)
         p.add_argument("--starts", type=int, default=defaults.n_starts)
         p.add_argument("--seed", type=int, default=defaults.rng_seed)

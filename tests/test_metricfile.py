@@ -5,7 +5,7 @@ import pytest
 
 from riemsvp import catalog
 from riemsvp.geometry import riemann, supports_complex_step
-from riemsvp.metricfile import (ParseError, evaluate, load_metric,
+from riemsvp.metricfile import (ParseError, compile_expression, load_metric,
                                 parse_expression, parse_metric_file)
 
 SPHERE_FILE = """\
@@ -39,7 +39,7 @@ def sphere_path(tmp_path):
 class TestExpressionGrammar:
     def evaluate_text(self, text, **env):
         node = parse_expression(text, tuple(env.keys()))
-        return evaluate(node, env)
+        return compile_expression(node)(np.array(list(env.values())))
 
     def test_precedence(self):
         assert self.evaluate_text("1 + 2 * 3", x=0.0) == 7.0
@@ -71,9 +71,7 @@ class TestExpressionGrammar:
             200.0015)
 
     def test_complex_inputs_supported(self):
-        node = parse_expression("sin(t)^2 + 1/t", ("t",))
-        z = 2.0 + 1e-30j
-        val = evaluate(node, {"t": z})
+        val = self.evaluate_text("sin(t)^2 + 1/t", t=2.0 + 1e-30j)
         assert isinstance(val, complex)
         assert val.real == pytest.approx(math.sin(2.0) ** 2 + 0.5)
 
@@ -200,6 +198,14 @@ g[1,0] = 0 - u
     def test_id_is_file_stem(self, sphere_path):
         assert load_metric(sphere_path).id == "sphere"
 
+    def test_coordinates_named_lambda_and_p(self, tmp_path):
+        path = tmp_path / "keywords.metric"
+        path.write_text("dimension = 2\ncoordinates = lambda, p\n"
+                        "g[0,0] = 1 + p\ng[1,1] = lambda^2\n")
+        spec = load_metric(path)
+        assert np.array_equal(spec.g(np.array([3.0, 0.5])),
+                              [[1.5, 0.0], [0.0, 9.0]])
+
 
 EVERY_NODE_FILE = """\
 # every node kind: literals, constants, names, unary minus, + - * / ^ and
@@ -216,38 +222,57 @@ g[1,2] = t - t
 """
 
 
-def tree_walk_g(definition, p):
-    """The metric of a definition file by walking each expression tree."""
-    comps = dict(definition.components)
-    for (i, j), node in list(comps.items()):
-        comps.setdefault((j, i), node)
-    env = {name: p[k] for k, name in enumerate(definition.coordinates)}
-    n = definition.dimension
-    mat = np.zeros((n, n), dtype=np.result_type(p.dtype, float))
-    for (i, j), node in comps.items():
-        mat[i, j] = evaluate(node, env)
-    return mat
+def sphere_reference(p):
+    """SPHERE_FILE's metric written out in numpy, in file order."""
+    theta, phi = p
+    g = np.zeros((2, 2), dtype=p.dtype)
+    g[0, 0] = 1.0
+    g[1, 1] = np.sin(theta) ** 2.0
+    return g
+
+
+def every_node_reference(p):
+    """EVERY_NODE_FILE's metric written out in numpy, operation by operation
+    in file order; a mirrored entry is the same expression."""
+    t, r, theta, phi = p
+    g = np.zeros((4, 4), dtype=p.dtype)
+    g[0, 0] = -(1.0 - 2.0 / r)
+    g[1, 1] = 1.0 / (1.0 - 2.0 * 1.0 / r)
+    g[2, 2] = r ** 2.0 + 1e-3 * np.tan(t / 7.0) * np.exp(-t ** 2.0)
+    g[3, 3] = (r ** 2.0 * np.sin(theta) ** 2.0
+               + np.cos(phi) * np.log(r) / np.sqrt(math.pi * math.e))
+    g[0, 3] = g[3, 0] = -0.25 * r ** -1.0 * np.sin(theta) ** 2.0
+    g[1, 2] = g[2, 1] = t - t
+    return g
 
 
 class TestCompiledComponents:
-    @pytest.mark.parametrize("text", [SPHERE_FILE, EVERY_NODE_FILE],
-                             ids=["sphere", "every-node"])
-    def test_bitwise_equal_to_tree_walk(self, tmp_path, text):
+    @pytest.mark.parametrize("text, reference", [
+        (SPHERE_FILE, sphere_reference),
+        (EVERY_NODE_FILE, every_node_reference),
+    ], ids=["sphere", "every-node"])
+    def test_bitwise_equal_to_hand_written(self, tmp_path, text, reference):
         path = tmp_path / "m.metric"
         path.write_text(text)
-        definition = parse_metric_file(path)
-        spec = definition.to_spec()
+        spec = load_metric(path)
         rng = np.random.default_rng(8)
-        n = definition.dimension
+        n = spec.dimension
         for _ in range(200):
             p = rng.uniform(0.2, 3.0, n) + np.r_[0.0, 3.0, 0.0, 0.0][:n]
-            assert np.array_equal(spec.g(p), tree_walk_g(definition, p))
+            assert np.array_equal(spec.g(p), reference(p))
             for k in range(n):
                 z = p.astype(complex)
                 z[k] += 1j * 1e-100
                 got = spec.g(z)
                 assert np.iscomplexobj(got)
-                assert np.array_equal(got, tree_walk_g(definition, z))
+                assert np.array_equal(got, reference(z))
+
+    def test_namespace_holds_only_the_functions(self):
+        entry = compile_expression(parse_expression("sqrt(x)", ("x",)))
+        assert entry.__globals__ == {"sin": np.sin, "cos": np.cos,
+                                     "tan": np.tan, "exp": np.exp,
+                                     "log": np.log, "sqrt": np.sqrt,
+                                     "__builtins__": {}}
 
 
 SCHWARZSCHILD_FILE = """\
