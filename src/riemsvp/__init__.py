@@ -5,8 +5,7 @@ from .algebra import (InvariantReport, NPTetrad, compute_invariants, inner,
                       ricci_scalar, weyl, weyl_self_contraction)
 from .errors import (BadCase, BadTetrad, DifferentiationFailure,
                      DimensionTooSmall, InvalidInput, NoConvergence,
-                     OutOfDomain, RiemSVPError, SingularJacobian,
-                     SingularMetric, WrongSignature)
+                     OutOfDomain, RiemSVPError, SingularMetric, WrongSignature)
 from .geometry import (CurvatureData, MetricSpec, SymmetryReport, christoffel,
                        complete_riemann, independent_components, metric_at,
                        riemann, verify_tensor_symmetries)
@@ -14,8 +13,8 @@ from .svp import (Quadruple, SolverConfig, SVPSolution, check_proposition1,
                   closed_form_sigma, kerr_reduced_solve,
                   lorentz_mixed_sign_check, meigen_reduce, multistart, orbit,
                   residual, residual_norm, schwarzschild_reduced_solve,
-                  sigma_from_tensor, sigma_values, solve_newton,
-                  wedge_det_defect, wedge_matrix)
+                  sigma_from_tensor, sigma_values, wedge_det_defect,
+                  wedge_matrix)
 from . import catalog
 
 __version__ = "0.1.0"

@@ -30,10 +30,10 @@ from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      WrongSignature)
 from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
-from .svp import (_ZERO_REL, SolverConfig, _kerr_reduced, _patterns,
-                  _schwarzschild_reduced, lorentz_mixed_sign_check,
-                  multistart, orbit, orbit_size, sigma_from_tensor,
-                  wedge_det_defect)
+from .svp import (_PROP1_TOL, _ZERO_REL, SolverConfig, _kerr_reduced,
+                  _patterns, _prop1_defect, _schwarzschild_reduced,
+                  lorentz_mixed_sign_check, multistart, orbit, orbit_size,
+                  sigma_from_tensor, wedge_det_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -361,11 +361,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         unit = rho or 1.0
         empty = None if nonzero else "no non-zero sigma converged"
 
-        d_prop1 = 0.0
-        for s in nonzero:
-            d_prop1 = max(d_prop1, abs(inner(cd.g, s.q.w, s.q.x)),
-                          abs(inner(cd.g, s.q.y, s.q.z)))
-        checks.append(_check("prop1", d_prop1 < 1e-8, d_prop1, empty))
+        d_prop1 = max((_prop1_defect(s, cd) for s in nonzero), default=0.0)
+        checks.append(_check("prop1", d_prop1 < _PROP1_TOL, d_prop1, empty))
 
         d_orbit = 0.0
         for s in sols:

@@ -22,11 +22,7 @@ class BadTetrad(RiemSVPError):
 
 
 class NoConvergence(RiemSVPError):
-    """Newton iteration hit the iteration cap without converging."""
-
-
-class SingularJacobian(RiemSVPError):
-    """Newton linearization degenerated; caller should retry from a new start."""
+    """No start converged, or a reduced solution failed its own check."""
 
 
 class WrongSignature(RiemSVPError):

@@ -112,14 +112,19 @@ class _Parser:
         return node
 
     def fold(self, node, *operands):
-        """Run an operation on constants now, so it cannot fail in a call."""
+        """Run an operation on constants now, so it cannot fail in a call; a
+        function call stays in the tree, to keep numpy's result types."""
         if not all(isinstance(x, ast.Constant) for x in operands):
             return node
         try:
-            return ast.Constant(float(compile_expression(node, self.name)(0)))
+            with np.errstate(all="ignore"):
+                value = float(compile_expression(node, self.name)(0))
         except (ArithmeticError, TypeError):  # TypeError: a complex power
+            value = np.nan
+        if not np.isfinite(value):
             raise ParseError(f"{self.name}: constant arithmetic in "
-                             f"{self.text!r} has no real value") from None
+                             f"{self.text!r} has no real value")
+        return node if isinstance(node, ast.Call) else ast.Constant(value)
 
     def binary(self, left, op, right):
         return self.fold(ast.BinOp(left, _OPERATORS[op](), right), left, right)
@@ -161,7 +166,8 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return ast.Call(ast.Name(text, ast.Load()), [arg], [])
+                call = ast.Call(ast.Name(text, ast.Load()), [arg], [])
+                return self.fold(call, arg)
             if text in _CONSTANTS:
                 return ast.Constant(float(_CONSTANTS[text]))
             if text not in self.variables:

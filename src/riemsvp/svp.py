@@ -25,8 +25,7 @@ drawn in turn from one random stream and are solved as a single batch; the
 converged solutions are clustered by ``sigma``.  A pattern's sampler takes
 Gaussian draws in stream order, drops the near-null ones, rescales the
 others onto ``<v, v> = +-1`` and lets each fill the next open slot of its
-sign, start by start.  The single-start :func:`solve_newton` runs through
-the same core.
+sign, start by start.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 from . import catalog as _catalog_mod
 from .algebra import curvature_scale, inner, np_scalars
 from .errors import (BadCase, InvalidInput, NoConvergence, OutOfDomain,
-                     SingularJacobian, WrongSignature)
+                     WrongSignature)
 from .geometry import CurvatureData, as_point, riemann
 
 Signs = tuple[int, int, int, int]
@@ -87,7 +86,6 @@ class SolverConfig:
     """Newton and multistart parameters."""
 
     tol: float = 1e-11
-    max_newton_iters: int = 60
     n_starts: int = 200
     sign_pattern: str = "++++"
     rng_seed: int = 0
@@ -149,6 +147,9 @@ _STEPS = (1.0, 0.5, 0.25, 0.125, 1.0 / 16.0)
 # the memory and changes no result.
 _MAX_BATCH = 1024
 
+# Newton steps a start may take; one that has not converged by then is capped.
+_MAX_NEWTON_ITERS = 60
+
 
 def _matvec(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """``a @ v`` for each vector ``v`` of ``vecs``: one stacked
@@ -204,8 +205,8 @@ def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
 
 
 def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
-    """:func:`_jacobian` for each row ``(w, x, y, z, sigma)`` of ``U``,
-    from the points alone: it makes every curvature contraction itself.
+    """The Jacobian of :func:`residual` in ``(w, x, y, z, sigma)`` at each
+    row of ``U``, from the points alone: it makes every contraction itself.
 
     Tensor row ``e n + i`` holds the derivatives of equation ``e`` in the
     slots ``_P[e]``, ``_Q[e]`` and ``_S[e]``, ``-sigma`` on the diagonal of
@@ -247,11 +248,6 @@ def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
 
 def residual_norm(cd: CurvatureData, q: Quadruple, sigma: float) -> float:
     return float(np.abs(residual(cd, q, sigma)).max())
-
-
-def _jacobian(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`residual` w.r.t. ``(w, x, y, z, sigma)``."""
-    return _jacobians(cd, np.append(q.flat(), sigma)[None])[0]
 
 
 def _svd_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -333,7 +329,7 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     the SVD), then the first length in ``_STEPS`` that lowers the max-norm
     of its residual.  It ends ``CONVERGED`` once that norm is below
     ``cfg.tol``, ``STALLED`` when no step length lowers it, ``SINGULAR`` on
-    a non-finite step and ``CAPPED`` after ``cfg.max_newton_iters`` steps;
+    a non-finite step and ``CAPPED`` after ``_MAX_NEWTON_ITERS`` steps;
     none of this depends on the other starts in the batch.  Returns the
     final points, their residual norms and the outcomes.
 
@@ -350,7 +346,7 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), CAPPED, dtype=object)
     live = np.arange(len(U))
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         done = fnorm[live] < cfg.tol
         outcome[live[done]] = CONVERGED
         live = live[~done]
@@ -379,12 +375,6 @@ def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
     return U, fnorm, outcome
 
 
-def _unpack(u: np.ndarray, n: int, signs: Signs) -> tuple[Quadruple, float]:
-    q = Quadruple(w=u[0:n], x=u[n:2 * n], y=u[2 * n:3 * n], z=u[3 * n:4 * n],
-                  signs=signs)
-    return q, float(u[4 * n])
-
-
 def _trivial_patterns(V: np.ndarray) -> list:
     """:func:`trivial_pattern` for each row of vectors ``V`` (B, 4, n)."""
     def same(a, b):
@@ -405,7 +395,7 @@ def trivial_pattern(q: Quadruple) -> Optional[str]:
 
 
 def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
-            origin: str = "multistart") -> list[SVPSolution]:
+            origin: str) -> list[SVPSolution]:
     """The reported solutions at converged rows ``(w, x, y, z, sigma)``.
 
     ``signs`` and ``seeds`` hold each row's sign pattern and start number.
@@ -420,8 +410,9 @@ def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
     trivial = _trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
     sols = []
     for u, r, row_signs, seed, label in zip(U, res, signs, seeds, trivial):
-        q, sigma = _unpack(u, n, row_signs)
-        sols.append(SVPSolution(q=q, sigma=sigma, residual=float(r),
+        q = Quadruple(u[:n], u[n:2 * n], u[2 * n:3 * n], u[3 * n:4 * n],
+                      row_signs)
+        sols.append(SVPSolution(q=q, sigma=float(u[4 * n]), residual=float(r),
                                 origin=origin, seed=seed, trivial=label))
     return sols
 
@@ -435,30 +426,6 @@ def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig):
     return _gauss_newton(
         lambda batch, idx: _residuals(cd, batch, signs[idx]),
         lambda batch: _jacobians(cd, batch), U, cfg)
-
-
-def solve_newton(cd: CurvatureData, q0: Quadruple, sigma0: float,
-                 cfg: SolverConfig) -> SVPSolution:
-    """Damped least-squares Newton on the full residual system.
-
-    The system has ``4n + 4`` equations in ``4n + 1`` unknowns but is
-    consistent at genuine solutions, so the minimum-norm least-squares step
-    converges to exact roots.  This is :func:`_gauss_newton` on a batch of
-    one.  Raises :class:`NoConvergence` on a stall or at the iteration cap
-    and :class:`SingularJacobian` when the linearization degenerates.
-    """
-    u = np.concatenate([q0.flat(), [sigma0]])
-    if not np.all(np.isfinite(u)):
-        raise InvalidInput("non-finite start")
-    (u,), (fnorm,), (outcome,) = _solve_full(cd, u[None], q0.signs, cfg)
-    if outcome == CONVERGED:
-        return _finish(cd, u[None], [q0.signs], [None])[0]
-    if outcome == SINGULAR:
-        raise SingularJacobian("singular or non-finite Newton step")
-    if outcome == STALLED:
-        raise NoConvergence(f"stalled at residual {fnorm:.3e}")
-    raise NoConvergence(f"no convergence after {cfg.max_newton_iters} iterations"
-                        f" (residual {fnorm:.3e})")
 
 
 # Largest block of draws the start sampler classifies at once; it bounds the
@@ -733,13 +700,22 @@ def _rotations_valid(cd: CurvatureData, q: Quadruple) -> bool:
 _ZERO_REL = 1e-6
 
 
+# Proposition 1 holds where both of its inner products are below _PROP1_TOL.
+_PROP1_TOL = 1e-8
+
+
+def _prop1_defect(sol: SVPSolution, cd: CurvatureData) -> float:
+    """``max(|<W, X>|, |<Y, Z>|)``; NaN when either product is NaN."""
+    q = sol.q
+    return float(np.abs([inner(cd.g, q.w, q.x), inner(cd.g, q.y, q.z)]).max())
+
+
 def check_proposition1(sol: SVPSolution, cd: CurvatureData) -> bool:
     """Nonzero-sigma solutions must have ``<W, X> = <Y, Z> = 0``; sigma is
     zero within ``_ZERO_REL`` of the curvature scale."""
     if abs(sol.sigma) <= _ZERO_REL * curvature_scale(cd):
         return True
-    return (abs(inner(cd.g, sol.q.w, sol.q.x)) < 1e-8
-            and abs(inner(cd.g, sol.q.y, sol.q.z)) < 1e-8)
+    return _prop1_defect(sol, cd) < _PROP1_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ def gauss_newton_sequential(res_fn, jac_fn, U, cfg):
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), svp.CAPPED, dtype=object)
     live = np.arange(len(U))
-    for _ in range(cfg.max_newton_iters):
+    for _ in range(svp._MAX_NEWTON_ITERS):
         done = fnorm[live] < cfg.tol
         outcome[live[done]] = svp.CONVERGED
         live = live[~done]

@@ -452,8 +452,12 @@ class TestExitCodes:
         ("(0-8)^(1/3) + y^2", "constant arithmetic"),
         ("(" * 300 + "y" + ")" * 300, "the expression nests too deeply"),
         (" + ".join(["y"] * 3000), "the expression nests too deeply"),
+        ("1e200*1e200 + y", "constant arithmetic"),
+        ("sqrt(0-1) + y^2", "constant arithmetic"),
+        ("log(0) + y", "constant arithmetic"),
     ], ids=["division-by-zero", "overflow", "complex-power",
-            "nested-parentheses", "long-sum"])
+            "nested-parentheses", "long-sum", "infinite-product",
+            "sqrt-of-negative", "log-of-zero"])
     def test_metric_file_component_is_config_error(self, capsys, tmp_path,
                                                    component, message):
         path = tmp_path / "bad.metric"

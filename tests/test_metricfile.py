@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -266,6 +267,11 @@ class TestCompiledComponents:
                 got = spec.g(z)
                 assert np.iscomplexobj(got)
                 assert np.array_equal(got, reference(z))
+
+    def test_function_of_a_constant_is_checked_not_folded(self):
+        # folding sqrt(2) would turn numpy's float64 into a float operand
+        node = parse_expression("sqrt(2) * y", ("y",))
+        assert isinstance(node.left, ast.Call)
 
     def test_namespace_holds_only_the_functions(self):
         entry = compile_expression(parse_expression("sqrt(x)", ("x",)))

@@ -16,8 +16,8 @@ from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
                          lorentz_mixed_sign_check, meigen_reduce, multistart,
                          orbit, orbit_size, parse_sign_pattern, residual,
                          residual_norm, schwarzschild_reduced_solve,
-                         sigma_from_tensor, sigma_values, solve_newton,
-                         trivial_pattern, wedge_det_defect, wedge_matrix)
+                         sigma_from_tensor, sigma_values, trivial_pattern,
+                         wedge_det_defect, wedge_matrix)
 
 import oracles
 
@@ -95,15 +95,15 @@ class TestResidual:
         assert residual_norm(cd, q, 0.9) == pytest.approx(0.1, abs=1e-13)
 
     def test_jacobian_matches_finite_differences(self):
-        from riemsvp.svp import _jacobian
+        from riemsvp.svp import _jacobians
 
         cd = riemann(catalog.space_form(0.8, 3).spec, np.zeros(3))
         rng = np.random.default_rng(11)
         n = 3
         q = Quadruple(*(rng.standard_normal(n) for _ in range(4)))
         sigma = 0.3
-        jac = _jacobian(cd, q, sigma)
         u0 = np.concatenate([q.flat(), [sigma]])
+        jac = _jacobians(cd, u0[None])[0]
         eps = 1e-7
         for col in range(4 * n + 1):
             up, dn = u0.copy(), u0.copy()
@@ -119,25 +119,46 @@ class TestResidual:
             assert np.abs(jac[:, col] - fd).max() < 1e-6
 
 
+def noisy_sphere_start():
+    """The closed-form sphere solution with 1e-3 noise on each vector."""
+    cd = sphere_cd()
+    rng = np.random.default_rng(0)
+    noisy = Quadruple(*(v + 1e-3 * rng.standard_normal(2)
+                        for v in sphere_solution().vectors))
+    return cd, np.append(noisy.flat(), sigma_from_tensor(cd, noisy))[None]
+
+
 class TestSolveNewton:
     def test_converges_from_noisy_start(self):
-        cd = sphere_cd()
-        q = sphere_solution()
-        rng = np.random.default_rng(0)
-        noisy = Quadruple(*(v + 1e-3 * rng.standard_normal(2)
-                            for v in q.vectors))
-        sol = solve_newton(cd, noisy, sigma_from_tensor(cd, noisy),
-                           SolverConfig())
-        assert abs(sol.sigma - 1.0) < 1e-11
-        assert sol.residual < 1e-11
+        from riemsvp.svp import _solve_full
+
+        cd, U0 = noisy_sphere_start()
+        (u,), (fnorm,), (outcome,) = _solve_full(cd, U0, ALL_PLUS,
+                                                 SolverConfig())
+        assert outcome == "converged"
+        assert abs(abs(u[-1]) - 1.0) < 1e-11
+        assert fnorm < 1e-11
 
     def test_exact_trivial_start_returns_immediately(self):
+        from riemsvp.svp import _solve_full
+
         cd = sphere_cd()
-        v = np.array([1.0, 0.0])
-        quad = Quadruple(v, v.copy(), v.copy(), v.copy())
-        sol = solve_newton(cd, quad, 0.0, SolverConfig(max_newton_iters=1))
-        assert sol.sigma == 0.0
-        assert sol.trivial == "all-equal"
+        U0 = np.array([[1.0, 0.0] * 4 + [0.0]])
+        U, _, (outcome,) = _solve_full(cd, U0, ALL_PLUS, SolverConfig())
+        assert outcome == "converged"
+        assert np.array_equal(U, U0)
+        q = Quadruple(*U[0, :8].reshape(4, 2))
+        assert trivial_pattern(q) == "all-equal"
+
+    def test_iteration_cap_ends_capped(self, monkeypatch):
+        from riemsvp import svp
+
+        cd, U0 = noisy_sphere_start()
+        monkeypatch.setattr(svp, "_MAX_NEWTON_ITERS", 1)
+        got = svp._solve_full(cd, U0, ALL_PLUS, SolverConfig())
+        assert list(got[2]) == ["capped"]
+        want = oracles.solve_full_reference(cd, U0, ALL_PLUS, SolverConfig())
+        assert_same_core_results((U0,) + tuple(got), (U0,) + want)
 
     def test_space_form_sigma_set(self):
         cd = riemann(catalog.space_form(2.0, 3).spec, np.zeros(3))
@@ -271,10 +292,11 @@ class TestBatchedCore:
 
 def converged_systems(cd):
     """Jacobians and right-hand sides at converged multistart solutions."""
-    from riemsvp.svp import _jacobian
+    from riemsvp.svp import _jacobians
 
     sols = multistart(cd, SolverConfig(n_starts=40, rng_seed=0))
-    jac = np.array([_jacobian(cd, s.q, s.sigma) for s in sols])
+    jac = np.array([_jacobians(cd, np.append(s.q.flat(), s.sigma)[None])[0]
+                    for s in sols])
     rhs = np.array([-residual(cd, s.q, s.sigma) for s in sols])
     return jac, rhs
 
@@ -465,19 +487,16 @@ class TestOneResidualPass:
         CORE_CASES["schwarzschild r=3"],
     ], ids=["n=2", "n=3", "n=4"])
     def test_jacobian_from_parts(self, make_cd):
-        from riemsvp.svp import _jacobian, _jacobians
+        from riemsvp.svp import _jacobians
 
         cd = make_cd()
         n = cd.n
         rng = np.random.default_rng(n)
         U = rng.standard_normal((6, 4 * n + 1))
-        signs = rng.choice([-1.0, 1.0], (6, 4))
         jac = _jacobians(cd, U)
         assert np.array_equal(jac, oracles.jacobians_loop(cd, U))
         for row, u in enumerate(U):
-            q = Quadruple(u[0:n], u[n:2 * n], u[2 * n:3 * n], u[3 * n:4 * n],
-                          tuple(int(v) for v in signs[row]))
-            assert np.array_equal(_jacobian(cd, q, u[4 * n]), jac[row])
+            assert np.array_equal(_jacobians(cd, u[None])[0], jac[row])
 
     @pytest.mark.parametrize("rows", [0, 1, 7, 300])
     def test_contractions_match_term_by_term_sums(self, rows):
@@ -807,6 +826,14 @@ class TestPairOrthogonality:
         sol = SVPSolution(q=quad, sigma=1.0, residual=0.0)
         assert not check_proposition1(sol, cd)
         assert residual_norm(cd, quad, 1.0) > 1e-3
+
+    @pytest.mark.parametrize("slot", [1, 3], ids=["x", "z"])
+    def test_non_finite_product_fails(self, slot):
+        cd = sphere_cd()
+        vecs = list(sphere_solution().vectors)
+        vecs[slot] = np.array([math.nan, 0.0])
+        sol = SVPSolution(q=Quadruple(*vecs), sigma=1.0, residual=0.0)
+        assert not check_proposition1(sol, cd)
 
     def test_small_sigma_is_checked(self):
         # sigma = M / r^3 = 1e-9 at r = 1000 is not zero at that curvature
