@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import NPTetrad
 from .errors import InvalidInput, OutOfDomain
-from .geometry import MetricSpec
+from .geometry import MetricSpec, jet_riemann
 
 Expected = Callable[[np.ndarray], list]
 
@@ -197,8 +197,8 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
 def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
     """Rotating black hole in Boyer-Lindquist ``(t, r, theta, phi)``.
 
-    Only the metric is analytic; curvature comes from the numeric
-    differentiation path.  The bundled null tetrad produces the
+    The curvature is exact: its supplier runs ``g`` on jets
+    (:func:`geometry.jet_riemann`).  The bundled null tetrad produces the
     type-D Weyl scalars, and the expected nonzero sigma is
     ``sqrt((|I| + Re I) / 6)`` built from the quadratic invariant.  The
     metric does not depend on ``t`` or ``phi``, which the spec declares
@@ -247,6 +247,7 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
         return [(0.0, "trivial"), (sigma, "special family")]
 
     spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g, id="kerr",
+                      analytic_riemann=lambda p: jet_riemann(g, p, (1, 2)),
                       ignorable=(0, 3))
 
     def admissible(p):

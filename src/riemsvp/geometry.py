@@ -13,26 +13,27 @@ With these choices the unit 2-sphere has ``riemann_lowered[0, 1, 0, 1] =
 sin(theta)**2`` in ``(theta, phi)`` coordinates; a regression test pins that
 sign.
 
-Numeric curvature is one pass over one stencil of ``4k + 1`` points: ``p``,
-then ``p ± h_j e_j`` and ``p ± h_j/2 e_j`` for each of the ``k`` coordinates
-``j`` the metric depends on, that is, every coordinate the spec does not
-declare ``ignorable``.  Each point evaluates the metric once and takes ``k``
-complex-step derivatives, so a numeric ``riemann`` calls the metric supplier
-``(4k + 1)(k + 1)`` times: 85 times for a 4D metric that declares nothing,
-27 for Schwarzschild and Kerr, which do not depend on ``t`` or ``phi``.
-The pass runs under one ``np.errstate``, stacks the metrics and their
-derivatives, and takes every Christoffel symbol in one contraction: a Kerr
-``riemann`` takes about 0.4 ms, 0.13 ms of it in the supplier (one core of
-a shared 2-core Xeon VM, Python 3.11, numpy 2.4).  Along an ignorable
-coordinate the Christoffel symbols are those at ``p`` and the metric
-derivatives are zero, which is exactly what the skipped evaluations would
-give, so the results are the same bit for bit.  The real part of a complex
-evaluation is not the metric: complex arithmetic rounds differently.
+Curvature comes from an exact path or a numeric one, which share the formula
+of R in the Christoffel symbols and their derivatives.  The exact path,
+:func:`jet_riemann`, runs ``g`` once on :class:`Jet` values; it is the
+curvature supplier of every metric file and of catalog Kerr.  The numeric
+path (``mode='numeric'``, suppliers without curvature) is one pass over a
+stencil of ``4k + 1`` points: ``p``, ``p ± h_j e_j`` and ``p ± h_j/2 e_j``
+for each of the ``k`` coordinates ``j`` the spec does not declare
+``ignorable``.  Each point takes the metric and ``k`` complex-step
+derivatives: ``(4k + 1)(k + 1)`` supplier calls, 85 for a 4D metric that
+declares nothing, 27 for Schwarzschild and Kerr.  Skipping an ignorable
+coordinate gives the bits that evaluating along it would.  The real part of
+a complex evaluation is not the metric: complex arithmetic rounds
+differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -192,7 +193,7 @@ def metric_at(spec: MetricSpec, p) -> tuple[np.ndarray, np.ndarray]:
     p = as_point(p, spec.dimension)
     with np.errstate(all="ignore"):
         g = _real_metric(spec, p)
-    return g, _checked_inverses(spec, p[None], [g])[0]
+        return g, _checked_inverses(spec, p[None], [g])[0]
 
 
 def _real_metric(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
@@ -215,39 +216,34 @@ def _checked_inverses(spec: MetricSpec, points: np.ndarray, G,
 
     Runs :func:`metric_at`'s checks (finite, determinant against the scale
     of the matrix, inversion defect) on every row of ``G``, and the
-    finiteness check on as many rows of metric derivatives ``dg`` as given.
-    Raises for the first row that fails, a row's metric before its
-    derivatives, as checking one row at a time would.
+    finiteness check on as many rows of metric derivatives ``dg`` as given,
+    in one stacked pass under the caller's ``np.errstate``.  Raises for the
+    first row that fails, a row's metric before its derivatives.
     """
     n = spec.dimension
     G = np.reshape(G, (-1, n, n))
-    nf = _first(~np.isfinite(G).all(axis=(1, 2)))
-    gmax = np.abs(G[:nf]).max(axis=(1, 2))
-    with np.errstate(over="ignore"):  # an infinite det or scale fails
-        det = np.linalg.det(G[:nf])
-        scale = gmax ** n
-    k = _first(~np.isfinite(det) | (np.abs(det) <= 1e-14 * scale))
-    G_inv = np.linalg.inv(G[:k])
-    defect = np.abs(G[:k] @ G_inv - np.eye(n)).max(axis=(1, 2))
-    i = _first(defect > 1e-12 * np.maximum(
-        1.0, gmax[:k] * np.abs(G_inv).max(axis=(1, 2))))
+    gmax = np.abs(G).reshape(len(G), -1).max(axis=1)
+    det = np.linalg.det(G)
+    # false on a row whose entries, det or scale are not finite
+    regular = (np.abs(det) > 1e-14 * gmax ** n) & (np.abs(det) < np.inf)
+    # an irregular row takes the identity, so inv cannot fail
+    G_inv = np.linalg.inv(np.where(regular[:, None, None], G, np.eye(n)))
+    defect = np.abs(G @ G_inv - np.eye(n)).reshape(len(G), -1).max(axis=1)
+    ok = regular & (defect <= 1e-12 * np.maximum(
+        1.0, gmax * np.abs(G_inv).reshape(len(G), -1).max(axis=1)))
+    if ok.all() and np.isfinite(dg).all():
+        return G_inv
+    i = _first(~ok)
     bad_dg = ~np.isfinite(np.reshape(dg, (-1, n, n, n))).all(axis=(1, 2, 3))
     d = _first(bad_dg)
     if d < min(i, len(bad_dg)):
         raise DifferentiationFailure(
             f"metric derivatives non-finite at {points[d].tolist()}")
-    if i < k:
-        raise SingularMetric(
-            f"metric '{spec.id}' is too ill-conditioned at {points[i].tolist()} "
-            f"(inversion defect {defect[i]:.3e})")
-    if k < nf:
-        raise SingularMetric(
-            f"metric '{spec.id}' is singular at {points[k].tolist()} "
-            f"(det={det[k]:.3e})")
-    if nf < len(G):
-        raise SingularMetric(
-            f"metric '{spec.id}' is not finite at {points[nf].tolist()}")
-    return G_inv
+    at = points[i].tolist()
+    raise SingularMetric(f"metric '{spec.id}' " + (
+        f"is not finite at {at}" if not np.isfinite(G[i]).all() else
+        f"is singular at {at} (det={det[i]:.3e})" if not regular[i] else
+        f"is too ill-conditioned at {at} (inversion defect {defect[i]:.3e})"))
 
 
 def supports_complex_step(spec: MetricSpec, p) -> bool:
@@ -334,10 +330,145 @@ def _christoffel_rows(spec: MetricSpec, points: np.ndarray):
             _checked_inverses(spec, points, G[:evaluated], dg[:a])
             raise
         G_inv = _checked_inverses(spec, points, G, dg)
-        # gamma^l_ik = 1/2 g^lm (d_i g_mk + d_k g_mi - d_m g_ik)
-        term = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
-        gamma = 0.5 * np.einsum("rlm,rimk->rlik", G_inv, term)
-    return G, G_inv, gamma
+        return G, G_inv, _christoffel(G_inv, dg)
+
+
+def _christoffel(G_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """``gamma[r, l, i, k] = 1/2 g^lm (d_i g_mk + d_k g_mi - d_m g_ik)``
+    for stacked inverses ``G_inv[r]`` and derivatives ``dg[r, j] = d_j g``."""
+    term = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
+    return 0.5 * np.einsum("rlm,rimk->rlik", G_inv, term)
+
+
+def _curvature(gamma: np.ndarray, dgamma: np.ndarray, p) -> np.ndarray:
+    """``riemann_mixed`` from the Christoffel symbols at ``p`` and their
+    derivatives ``dgamma[j, l, i, k] = d gamma^l_ik / d x^j``."""
+    if not np.all(np.isfinite(dgamma)):
+        raise DifferentiationFailure(
+            f"Christoffel derivatives non-finite at {p.tolist()}")
+    # R^l_kij = d_i gamma^l_jk - d_j gamma^l_ik
+    #           + gamma^h_jk gamma^l_ih - gamma^h_ik gamma^l_jh
+    return (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
+            + np.einsum("hjk,lih->lkij", gamma, gamma)
+            - np.einsum("hik,ljh->lkij", gamma, gamma))
+
+
+class Jet:
+    """A value ``v`` with its gradient ``d`` and row-major Hessian ``h``
+    (float tuples) over ``k`` coordinates: second-order forward mode
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch.
+    13).  ``sin cos tan exp log sqrt`` are methods, which numpy's functions
+    call; an operation without a derivative raises Python's error."""
+
+    __slots__ = ("v", "d", "h")
+
+    def __init__(self, v, d, h):
+        self.v, self.d, self.h = v, d, h
+
+    def _chain(self, f0, f1, f2):
+        """``f(self)`` from ``f`` and its first two derivatives at ``v``."""
+        d = self.d
+        return Jet(f0, tuple([f1 * x for x in d]),
+                   tuple([f1 * h + f2 * x * y
+                          for h, (x, y) in zip(self.h, product(d, d))]))
+
+    def __add__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v + o, self.d, self.h)
+        return Jet(self.v + o.v, tuple(map(add, self.d, o.d)),
+                   tuple(map(add, self.h, o.h)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._chain(-self.v, -1.0, 0.0)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return self._chain(self.v * o, o, 0.0)
+        a, b, ad, bd = self.v, o.v, self.d, o.d
+        return Jet(a * b, tuple([a * y + b * x for x, y in zip(ad, bd)]),
+                   tuple([a * hb + b * ha + x * y + u * w
+                          for ha, hb, (x, y), (u, w) in zip(
+                              self.h, o.h, product(ad, bd), product(bd, ad))]))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return self * (1.0 / o)
+
+    def __rtruediv__(self, o):
+        q = o / self.v
+        return self._chain(q, -q / self.v, 2.0 * q / self.v ** 2)
+
+    def __pow__(self, o):
+        if isinstance(o, Jet):
+            return (o * self.log()).exp()
+        c, v = float(o), self.v
+        return self._chain(v ** c, c * v ** (c - 1) if c else 0.0,
+                           c * (c - 1) * v ** (c - 2) if c not in (0, 1) else 0.0)
+
+    def __rpow__(self, o):
+        f, ln = o ** self.v, math.log(o)
+        return self._chain(f, f * ln, f * ln * ln)
+
+    def sin(self):
+        return self._chain(math.sin(self.v), math.cos(self.v), -math.sin(self.v))
+
+    def cos(self):
+        return self._chain(math.cos(self.v), -math.sin(self.v), -math.cos(self.v))
+
+    def tan(self):
+        return self.sin() / self.cos()
+
+    def exp(self):
+        e = math.exp(self.v)
+        return self._chain(e, e, e)
+
+    def log(self):
+        return self._chain(math.log(self.v), 1.0 / self.v, -1.0 / self.v ** 2)
+
+    def sqrt(self):
+        return self ** 0.5
+
+
+def jet_riemann(g: MetricFn, p: np.ndarray, coords) -> np.ndarray:
+    """``riemann_mixed`` at ``p``, exact up to rounding, from ``g`` run once
+    on jets over ``coords`` (an object array; ``g`` returns jets and numbers).
+    :class:`DifferentiationFailure` where a derivative fails or is not finite."""
+    n, k = len(p), len(coords)
+    q = np.array(p.tolist(), dtype=object)
+    for a, j in enumerate(coords):
+        q[j] = Jet(float(p[j]), tuple(float(a == b) for b in range(k)),
+                   (0.0,) * (k * k))
+    try:
+        with np.errstate(all="ignore"):
+            C = np.array([(x.v,) + x.d + x.h if isinstance(x, Jet)
+                          else (x,) + (0.0,) * (k + k * k)
+                          for x in np.asarray(g(q)).flat],
+                         dtype=float).reshape(n, n, 1 + k + k * k)
+        finite = np.isfinite(C).all()
+    except (ArithmeticError, ValueError, TypeError):
+        finite = False
+    if not finite:
+        raise DifferentiationFailure(
+            f"metric derivatives non-finite at {p.tolist()}")
+    # D[0, j] = d_j g and D[1 + i, j] = d_i d_j g
+    c, D = np.array(coords, dtype=int), np.zeros((n + 1, n, n, n))
+    D[0, c] = C[..., 1:k + 1].transpose(2, 0, 1)
+    D[1 + c[:, None], c] = C[..., k + 1:].reshape(n, n, k, k).transpose(2, 3, 0, 1)
+    g_inv = np.linalg.inv(C[..., 0])
+    gammas = _christoffel(np.broadcast_to(g_inv, (n + 1, n, n)), D)
+    # d_j gamma^l_ik = g^lm (d_j gamma_mik - d_j g_mb gamma^b_ik), with the
+    # first-kind symbols gamma_mik
+    dg_gamma = g_inv @ (D[0] @ gammas[0].reshape(n, n * n))
+    return _curvature(gammas[0], gammas[1:] - dg_gamma.reshape((n,) * 4), p)
 
 
 def christoffel(spec: MetricSpec, p) -> np.ndarray:
@@ -349,13 +480,14 @@ def christoffel(spec: MetricSpec, p) -> np.ndarray:
 def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     """Evaluate the metric, its inverse and the curvature at ``p``.
 
-    With ``mode='auto'`` and an ``analytic_riemann`` supplier this is one
-    :func:`metric_at` and one call of the supplier.  Otherwise
-    (``mode='numeric'``, or no supplier) the Christoffel symbols at the
-    stencil's rows (see the module docstring) are differentiated by central
-    differences with one Richardson level.  Either way the symmetric part of the metric at
-    ``p`` must have as many negative eigenvalues as the declared signature
-    has minus signs (:class:`WrongSignature` otherwise).
+    With ``mode='auto'`` and an ``analytic_riemann`` supplier (a table, or
+    the exact :func:`jet_riemann`) this is one :func:`metric_at` and one
+    call of the supplier.  Otherwise (``mode='numeric'``, or no supplier)
+    the Christoffel symbols at the stencil's rows (see the module docstring)
+    are differentiated by central differences with one Richardson level.
+    Either way the symmetric part of the metric at ``p`` must have as many
+    negative eigenvalues as the declared signature has minus signs
+    (:class:`WrongSignature` otherwise).
     """
     p = as_point(p, spec.dimension)
     if mode not in ("auto", "numeric"):
@@ -368,18 +500,8 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
         h = FD_OUTER_REL_STEP * np.maximum(1.0, np.abs(p))
         coords = spec.varying
         G, G_inv, gammas = _christoffel_rows(spec, _stencil(p, h, coords))
-        g, g_inv, gamma = G[0], G_inv[0], gammas[0]
-        # dgamma[j, l, i, k] = d gamma^l_ik / d x^j
-        dgamma = _richardson(gammas, h, coords)
-        if not np.all(np.isfinite(dgamma)):
-            raise DifferentiationFailure(
-                f"Christoffel derivatives non-finite at {p.tolist()}")
-        # R^l_kij = d_i gamma^l_jk - d_j gamma^l_ik
-        #           + gamma^h_jk gamma^l_ih - gamma^h_ik gamma^l_jh
-        mixed = (np.einsum("iljk->lkij", dgamma)
-                 - np.einsum("jlik->lkij", dgamma)
-                 + np.einsum("hjk,lih->lkij", gamma, gamma)
-                 - np.einsum("hik,ljh->lkij", gamma, gamma))
+        g, g_inv = G[0], G_inv[0]
+        mixed = _curvature(gammas[0], _richardson(gammas, h, coords), p)
         path = "numeric"
 
     negative = int((np.linalg.eigvalsh(0.5 * (g + g.T)) < 0).sum())

@@ -20,12 +20,13 @@ written (which permits building deliberately broken, asymmetric metrics
 for verification testing).
 
 The parser builds ``ast`` nodes, coordinate k read as ``p[k]``, and runs
-each operation on constants at once with the float arithmetic a call would
-run, so one without a real value is a :class:`ParseError`.  Python's compiler
-turns each component into ``lambda p: <expr>`` once, when the spec is built;
-it takes numpy scalars, complex ones too.  A Schwarzschild file's ``g`` costs
-about 3.9 µs a call, as the catalog's does (timeit, shared 2-vCPU VM).  A
-coordinate that no component names is ignorable: numeric curvature skips it.
+each operation that reads no coordinate at once, so one without a real
+value is a :class:`ParseError`.  Python's compiler turns each component into
+``lambda p: <expr>`` once, when the spec is built; it takes numpy scalars,
+complex ones and :class:`~riemsvp.geometry.Jet` values, on which the
+curvature supplier runs it, so a file's curvature is exact.  A Schwarzschild
+file's ``g`` costs about 3.9 µs a call, as the catalog's does (timeit,
+shared 2-vCPU VM).  A coordinate that no component names is ignorable.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import MetricSpec
+from .geometry import MetricSpec, jet_riemann
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -90,6 +91,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.variables = {v: k for k, v in enumerate(variables)}
+        self.values = {}  # a kept node that reads no coordinate: its value
         self.name = name
 
     def peek(self):
@@ -111,23 +113,34 @@ class _Parser:
             raise ParseError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
         return node
 
-    def fold(self, node, *operands):
-        """Run an operation on constants now, so it cannot fail in a call; a
-        function call stays in the tree, to keep numpy's result types."""
-        if not all(isinstance(x, ast.Constant) for x in operands):
+    def fold(self, make, *operands):
+        """``make(*operands)``, run once now on the operands' values when none
+        reads a coordinate, so it cannot fail in a call.  Only an operation
+        on literal constants is folded: a call, and an operation on one,
+        keep numpy's result types."""
+        node = make(*operands)
+        values = [x.value if isinstance(x, ast.Constant) else self.values.get(x)
+                  for x in operands]
+        if None in values:
             return node
         try:
             with np.errstate(all="ignore"):
-                value = float(compile_expression(node, self.name)(0))
+                value = float(compile_expression(
+                    make(*map(ast.Constant, values)), self.name)(0))
         except (ArithmeticError, TypeError):  # TypeError: a complex power
             value = np.nan
         if not np.isfinite(value):
             raise ParseError(f"{self.name}: constant arithmetic in "
                              f"{self.text!r} has no real value")
-        return node if isinstance(node, ast.Call) else ast.Constant(value)
+        if isinstance(node, ast.Call) or not all(
+                isinstance(x, ast.Constant) for x in operands):
+            self.values[node] = value
+            return node
+        return ast.Constant(value)
 
     def binary(self, left, op, right):
-        return self.fold(ast.BinOp(left, _OPERATORS[op](), right), left, right)
+        return self.fold(lambda a, b: ast.BinOp(a, _OPERATORS[op](), b),
+                         left, right)
 
     def expr(self):
         node = self.term()
@@ -145,7 +158,7 @@ class _Parser:
         if self.peek()[1] == "-":
             self.advance()
             arg = self.factor()
-            return self.fold(ast.UnaryOp(ast.USub(), arg), arg)
+            return self.fold(lambda a: ast.UnaryOp(ast.USub(), a), arg)
         return self.power()
 
     def power(self):
@@ -166,8 +179,8 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                call = ast.Call(ast.Name(text, ast.Load()), [arg], [])
-                return self.fold(call, arg)
+                return self.fold(
+                    lambda a: ast.Call(ast.Name(text, ast.Load()), [a], []), arg)
             if text in _CONSTANTS:
                 return ast.Constant(float(_CONSTANTS[text]))
             if text not in self.variables:
@@ -227,9 +240,10 @@ class MetricDefinition:
 
         used = {node.slice.value for expr in self.components.values()
                 for node in ast.walk(expr) if isinstance(node, ast.Subscript)}
-        ignorable = tuple(k for k in range(n) if k not in used)
-        return MetricSpec(dimension=n, signature=self.signature, g=g,
-                          id=self.id, ignorable=ignorable)
+        return MetricSpec(
+            dimension=n, signature=self.signature, g=g, id=self.id,
+            analytic_riemann=lambda p: jet_riemann(g, p, sorted(used)),
+            ignorable=tuple(k for k in range(n) if k not in used))
 
 
 _ASSIGN_RE = re.compile(r"^\s*g\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")

@@ -455,9 +455,10 @@ class TestExitCodes:
         ("1e200*1e200 + y", "constant arithmetic"),
         ("sqrt(0-1) + y^2", "constant arithmetic"),
         ("log(0) + y", "constant arithmetic"),
+        ("log(log(0.5)) + y", "constant arithmetic"),
     ], ids=["division-by-zero", "overflow", "complex-power",
             "nested-parentheses", "long-sum", "infinite-product",
-            "sqrt-of-negative", "log-of-zero"])
+            "sqrt-of-negative", "log-of-zero", "log-of-a-negative-log"])
     def test_metric_file_component_is_config_error(self, capsys, tmp_path,
                                                    component, message):
         path = tmp_path / "bad.metric"
@@ -470,6 +471,17 @@ class TestExitCodes:
         assert captured.err.startswith(
             f"configuration error: g[0,0]: {message}")
         assert "Traceback" not in captured.err
+
+    def test_metric_without_second_derivatives_is_domain_error(
+            self, capsys, tmp_path):
+        # sqrt(x^2) has no derivative at x = 0 (the stencil saw a flat metric)
+        path = tmp_path / "kink.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "g[0,0] = sqrt(x^2) + 1\ng[1,1] = 1\n")
+        code = main(["invariants", "--metric", str(path), "--point", "0,1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "domain error: metric derivatives non-finite at [0.0, 1.0]\n")
 
     def test_declared_signature_mismatch_is_domain_error(self, capsys,
                                                          tmp_path):
@@ -533,27 +545,26 @@ class TestExitCodes:
 class TestCurvatureOnce:
     @pytest.mark.parametrize("command", ["svp", "orbit"])
     def test_kerr_metric_evaluations(self, capsys, monkeypatch, command):
-        # the numeric curvature at the point is one stencil, (4k + 1)(k + 1)
-        # metric calls for the k = 2 coordinates Kerr depends on, shared by
-        # the reduced solver
+        # the curvature at the point is one call of Kerr's curvature
+        # supplier, shared by the reduced solver
         calls = []
         make = catalog.kerr
 
         def counting_kerr(mass, spin):
             entry = make(mass, spin)
 
-            def g(p):
+            def curvature(p):
                 calls.append(p)
-                return entry.spec.g(p)
+                return entry.spec.analytic_riemann(p)
 
-            return dataclasses.replace(
-                entry, spec=dataclasses.replace(entry.spec, g=g))
+            return dataclasses.replace(entry, spec=dataclasses.replace(
+                entry.spec, analytic_riemann=curvature))
 
         monkeypatch.setattr(catalog, "kerr", counting_kerr)
         code = main([command, "--metric", "kerr", "--deterministic"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["command"] == command
-        assert len(calls) == 27
+        assert len(calls) == 1
 
 
 def third_party_modules(code):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
+from riemsvp.algebra import kretschmann
 from riemsvp.errors import (DifferentiationFailure, InvalidInput,
                             SingularMetric, WrongSignature)
-from riemsvp.geometry import (MetricSpec, christoffel, complete_riemann,
+from riemsvp.geometry import (Jet, MetricSpec, christoffel, complete_riemann,
                               independent_components, metric_at, riemann,
                               supports_complex_step, verify_tensor_symmetries)
 from riemsvp.metricfile import load_metric
@@ -124,7 +125,7 @@ class TestRiemann:
     def test_numeric_matches_loop_oracle_kerr(self):
         entry = catalog.kerr(1.0, 0.5)
         p = np.array([0.0, 3.5, 1.0, 0.0])
-        cd = riemann(entry.spec, p)
+        cd = riemann(entry.spec, p, mode="numeric")
         assert cd.path == "numeric"
         gamma_fn = lambda q: oracles.christoffel_loops(entry.spec.g, q, h=1e-6)
         want = oracles.riemann_mixed_loops(gamma_fn, p, h=1e-4)
@@ -231,13 +232,13 @@ def stencil_cases(tmp_path):
     """``(spec, point, mode)`` for every branch of the numeric path."""
     path = tmp_path / "schwarzschild.metric"
     path.write_text(SCHWARZSCHILD_FILE)
-    cases = [(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.3], "auto")
+    cases = [(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.3], "numeric")
              for a, r, th in ((0.0, 6.0, math.pi / 2), (0.5, 3.5, 1.0),
                               (0.9, 2.5, 0.3), (0.3, 40.0, 2.8))]
     cases += [
         (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 0.9, 0.0], "numeric"),
         (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 0.5], "numeric"),
-        (load_metric(path), [0.0, 4.0, 1.2, 0.3], "auto"),
+        (load_metric(path), [0.0, 4.0, 1.2, 0.3], "numeric"),
         (polar_spec(), [2.0, 0.5], "numeric"),
         (catalog.sphere2().spec, [0.7, 0.2], "numeric"),
     ]
@@ -283,9 +284,9 @@ class TestOneStencil:
                 assert np.array_equal(got, want), (spec.id, p, mode)
 
     @pytest.mark.parametrize("spec, p, mode, evals", [
-        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 27),
+        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 27),
         (dataclasses.replace(catalog.kerr(1.0, 0.7).spec, ignorable=()),
-         [0.0, 3.0, 1.0, 0.0], "auto", 85),
+         [0.0, 3.0, 1.0, 0.0], "numeric", 85),
         (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 27),
         (catalog.space_form(2.0, 3).spec, [0.1, 0.2, 0.3], "numeric", 52),
         (catalog.sphere2().spec, [1.0, 0.2], "numeric", 27),
@@ -393,13 +394,13 @@ def ignorable_cases(tmp_path):
     coordinates, at points where those coordinates are not zero."""
     path = tmp_path / "schwarzschild.metric"
     path.write_text(SCHWARZSCHILD_FILE)
-    cases = [(catalog.kerr(1.0, a).spec, [1.7, r, th, -2.4], "auto")
+    cases = [(catalog.kerr(1.0, a).spec, [1.7, r, th, -2.4], "numeric")
              for a, r, th in ((0.0, 6.0, math.pi / 2), (0.3, 3.5, 1.0),
                               (0.7, 2.5, 0.3), (0.95, 40.0, 2.8))]
     cases += [
         (catalog.schwarzschild(1.0).spec, [-3.0, 3.0, 0.9, 0.4], "numeric"),
         (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 5.5], "numeric"),
-        (load_metric(path), [12.0, 4.0, 1.2, 0.3], "auto"),
+        (load_metric(path), [12.0, 4.0, 1.2, 0.3], "numeric"),
         # the real-difference fallback for the metric derivatives
         (dataclasses.replace(polar_spec(), ignorable=(1,)), [2.0, 0.5],
          "numeric"),
@@ -456,3 +457,118 @@ class TestIgnorableCoordinates:
         assert len(calls) == 10
         assert cd.riemann_lowered[0, 1, 0, 1] == pytest.approx(
             -1.0 / p[1] ** 4, rel=1e-8)
+
+
+X0, Y0 = 0.7, 1.3
+
+
+def operator_cases():
+    """``(f, value, gradient, Hessian)``: an operation on the jets ``x`` and
+    ``y`` at (``X0``, ``Y0``) and its closed-form derivatives there."""
+    x, y, L = X0, Y0, math.log(X0)
+    return {
+        "add": (lambda x, y: x + y, x + y, [1, 1], [[0, 0], [0, 0]]),
+        "add-number": (lambda x, y: 2.5 + x, 2.5 + x, [1, 0], [[0, 0], [0, 0]]),
+        "sub": (lambda x, y: x - y, x - y, [1, -1], [[0, 0], [0, 0]]),
+        "sub-from-number": (lambda x, y: 2.5 - y, 2.5 - y, [0, -1],
+                            [[0, 0], [0, 0]]),
+        "neg": (lambda x, y: -x, -x, [-1, 0], [[0, 0], [0, 0]]),
+        "mul": (lambda x, y: x * y, x * y, [y, x], [[0, 1], [1, 0]]),
+        "mul-number": (lambda x, y: np.float64(3.0) * x, 3 * x, [3, 0],
+                       [[0, 0], [0, 0]]),
+        "div": (lambda x, y: x / y, x / y, [1 / y, -x / y ** 2],
+                [[0, -1 / y ** 2], [-1 / y ** 2, 2 * x / y ** 3]]),
+        "div-by-number": (lambda x, y: x / 4.0, x / 4, [0.25, 0],
+                          [[0, 0], [0, 0]]),
+        "number-div": (lambda x, y: 2.0 / y, 2 / y, [0, -2 / y ** 2],
+                       [[0, 0], [0, 4 / y ** 3]]),
+        "pow-number": (lambda x, y: x ** 3.0, x ** 3, [3 * x ** 2, 0],
+                       [[6 * x, 0], [0, 0]]),
+        "pow": (lambda x, y: x ** y, x ** y,
+                [y * x ** (y - 1), x ** y * L],
+                [[y * (y - 1) * x ** (y - 2), x ** (y - 1) * (1 + y * L)],
+                 [x ** (y - 1) * (1 + y * L), x ** y * L * L]]),
+        "number-pow": (lambda x, y: 2.0 ** y, 2 ** y,
+                       [0, 2 ** y * math.log(2)],
+                       [[0, 0], [0, 2 ** y * math.log(2) ** 2]]),
+    }
+
+
+# f(u), f'(u), f''(u) of each function
+FUNCTIONS = {
+    "sin": (math.sin, math.cos, lambda u: -math.sin(u)),
+    "cos": (math.cos, lambda u: -math.sin(u), lambda u: -math.cos(u)),
+    "tan": (math.tan, lambda u: 1 / math.cos(u) ** 2,
+            lambda u: 2 * math.tan(u) / math.cos(u) ** 2),
+    "exp": (math.exp, math.exp, math.exp),
+    "log": (math.log, lambda u: 1 / u, lambda u: -1 / u ** 2),
+    "sqrt": (math.sqrt, lambda u: 0.5 / math.sqrt(u),
+             lambda u: -0.25 * u ** -1.5),
+}
+
+
+def jets():
+    return (Jet(X0, (1.0, 0.0), (0.0,) * 4), Jet(Y0, (0.0, 1.0), (0.0,) * 4))
+
+
+def assert_jet(got, value, gradient, hessian):
+    assert got.v == pytest.approx(value, rel=1e-14)
+    assert got.d == pytest.approx(tuple(gradient), rel=1e-14, abs=1e-15)
+    assert got.h == pytest.approx(tuple(np.ravel(hessian)), rel=1e-14,
+                                  abs=1e-15)
+
+
+class TestExactCurvature:
+    @pytest.mark.parametrize("name", list(operator_cases()))
+    def test_operator_derivatives(self, name):
+        f, value, gradient, hessian = operator_cases()[name]
+        assert_jet(f(*jets()), value, gradient, hessian)
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_function_derivatives(self, name):
+        # numpy's function of u = x y, so every second derivative is used:
+        # d_x = f' y, d_y = f' x, d_xx = f'' y^2, d_xy = f'' x y + f',
+        # d_yy = f'' x^2
+        f, f1, f2 = FUNCTIONS[name]
+        x, y = jets()
+        got = getattr(np, name)(x * y)
+        u = X0 * Y0
+        assert_jet(got, f(u), [f1(u) * Y0, f1(u) * X0],
+                   [[f2(u) * Y0 ** 2, f2(u) * u + f1(u)],
+                    [f2(u) * u + f1(u), f2(u) * X0 ** 2]])
+
+    @pytest.mark.parametrize("c, value, slope, curvature",
+                             [(0, 1.0, 0.0, 0.0), (1, 0.0, 1.0, 0.0),
+                              (2, 0.0, 0.0, 2.0)])
+    def test_integer_power_at_zero(self, c, value, slope, curvature):
+        got = Jet(0.0, (1.0,), (0.0,)) ** c
+        assert (got.v, got.d, got.h) == (value, (slope,), (curvature,))
+
+    @pytest.mark.parametrize("r, tol", [(3.0, 1e-13), (5.0, 1e-13),
+                                        (800.0, 1e-13), (1e4, 2e-12)])
+    def test_schwarzschild_file_matches_table(self, tmp_path, r, tol):
+        # the file's g rounds each component; the curvature's terms of
+        # order one cancel to order M/r, so the error grows with r/M
+        path = tmp_path / "schwarzschild.metric"
+        path.write_text(SCHWARZSCHILD_FILE)
+        spec, table = load_metric(path), catalog.schwarzschild(1.0).spec
+        p = np.array([0.0, r, 1.2, 0.0])
+        g = table.g(p)
+        want = np.einsum("ih,hjkl->ijkl", g, table.analytic_riemann(p))
+        got = np.einsum("ih,hjkl->ijkl", g, spec.analytic_riemann(p))
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        if r < 1e3:  # beyond, the determinant test calls g singular
+            assert riemann(spec, p).path == "analytic"
+
+    @pytest.mark.parametrize("a, r, th", [(0.6, 3.0, 0.15), (0.9, 2.5, 0.3),
+                                          (0.5, 3.5, 1.0), (0.3, 40.0, 2.8)])
+    def test_kerr_exact(self, a, r, th):
+        cd = riemann(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.0])
+        assert cd.path == "analytic"
+        assert cd.symmetry_defect <= 1e-12
+        # K = 48 M^2 (r^6 - 15 r^4 u^2 + 15 r^2 u^4 - u^6) / Sigma^6 with
+        # u = a cos(theta) and Sigma = r^2 + u^2
+        u = a * math.cos(th)
+        want = (48.0 * (r ** 6 - 15 * r ** 4 * u ** 2 + 15 * r ** 2 * u ** 4
+                        - u ** 6) / (r ** 2 + u ** 2) ** 6)
+        assert kretschmann(cd) == pytest.approx(want, rel=1e-12)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from riemsvp import catalog
+from riemsvp import catalog, metricfile
 from riemsvp.geometry import riemann, supports_complex_step
 from riemsvp.metricfile import (ParseError, compile_expression, load_metric,
                                 parse_expression, parse_metric_file)
@@ -102,7 +102,7 @@ class TestMetricFile:
     def test_numeric_curvature_from_file(self, sphere_path):
         spec = load_metric(sphere_path)
         assert supports_complex_step(spec, np.array([1.0, 0.0]))
-        cd = riemann(spec, [math.pi / 3, 0.0])
+        cd = riemann(spec, [math.pi / 3, 0.0], mode="numeric")
         assert cd.path == "numeric"
         assert cd.riemann_lowered[0, 1, 0, 1] == pytest.approx(0.75, abs=1e-9)
 
@@ -268,10 +268,44 @@ class TestCompiledComponents:
                 assert np.iscomplexobj(got)
                 assert np.array_equal(got, reference(z))
 
+    @pytest.mark.parametrize("text, p", [
+        (SPHERE_FILE, [1.1, 0.4]),
+        (EVERY_NODE_FILE, [0.3, 4.0, 1.1, 0.7]),
+    ], ids=["sphere", "every-node"])
+    def test_exact_curvature_matches_stencil(self, tmp_path, text, p):
+        # the compiled components run on jets: exact, so the stencil's
+        # Richardson error is the whole difference
+        path = tmp_path / "m.metric"
+        path.write_text(text)
+        spec = load_metric(path)
+        exact, stencil = riemann(spec, p), riemann(spec, p, mode="numeric")
+        assert exact.path == "analytic"
+        assert exact.symmetry_defect <= 1e-14
+        scale = np.abs(exact.riemann_lowered).max()
+        assert np.abs(exact.riemann_lowered
+                      - stencil.riemann_lowered).max() <= 1e-8 * scale
+
     def test_function_of_a_constant_is_checked_not_folded(self):
         # folding sqrt(2) would turn numpy's float64 into a float operand
         node = parse_expression("sqrt(2) * y", ("y",))
         assert isinstance(node.left, ast.Call)
+
+    def test_constant_operations_checked_once(self, monkeypatch):
+        # each operation that reads no coordinate is run once, on the values
+        # of its operands, so the work of loading grows with the expression
+        # and not with its square
+        compiled = []
+        compile_ = metricfile.compile_expression
+
+        def counting(node, name="expression"):
+            compiled.append(sum(1 for _ in ast.walk(node)))
+            return compile_(node, name)
+
+        monkeypatch.setattr(metricfile, "compile_expression", counting)
+        node = parse_expression(" + ".join(["sqrt(2)"] * 200) + " + y", ("y",))
+        assert len(compiled) == 399  # 200 calls and 199 sums
+        assert max(compiled) <= 5
+        assert isinstance(node.left, ast.BinOp)
 
     def test_namespace_holds_only_the_functions(self):
         entry = compile_expression(parse_expression("sqrt(x)", ("x",)))
