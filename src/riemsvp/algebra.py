@@ -1,7 +1,8 @@
 """Inner products, curvature contractions, Weyl split, and null-tetrad scalars.
 
-Complex arithmetic is confined to :func:`np_scalars` and
-:func:`invariant_i`; every other operation stays real.
+Complex arithmetic is confined to the null tetrad (:class:`NPTetrad`,
+:func:`np_scalars`) and :func:`invariant_i`; every other operation stays
+real.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def kretschmann(cd: CurvatureData) -> float:
 def _raise_all(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """``t^ijkl = g^ia g^jb g^kc g^ld t_abcd`` as four O(n^5) products.
 
-    Any matrix may stand for ``g_inv``: the frame transform of
-    :func:`curvature_scale` is the same product.
+    Any matrix may stand for ``g_inv``: the frame transforms of
+    :func:`curvature_scale` and :func:`np_scalars` are the same product.
     """
     n = g_inv.shape[0]
     for _ in range(4):
@@ -86,14 +87,13 @@ def _weyl(cd: CurvatureData, ric: np.ndarray, scal: float) -> np.ndarray:
     n = cd.n
     if n < 3:
         raise DimensionTooSmall("Weyl split requires dimension >= 3")
-    g = cd.g
-    trace_part = (np.einsum("il,jk->ijkl", ric, g)
-                  - np.einsum("ik,jl->ijkl", ric, g)
-                  + np.einsum("il,jk->ijkl", g, ric)
-                  - np.einsum("ik,jl->ijkl", g, ric)) / (n - 2)
-    scalar_part = (np.einsum("il,jk->ijkl", g, g)
-                   - np.einsum("ik,jl->ijkl", g, g)) * (scal / ((n - 1) * (n - 2)))
-    return cd.riemann_lowered + trace_part - scalar_part
+    # C = R + (P o g) with the Schouten tensor P and o the Kulkarni-Nomizu
+    # product, built from half = P_il g_jk - P_ik g_jl and its swap of the
+    # pairs i, j and k, l
+    schouten = (ric - (scal / (2 * (n - 1))) * cd.g) / (n - 2)
+    o = np.multiply.outer(schouten, cd.g)
+    half = o.transpose(0, 2, 3, 1) - o.transpose(0, 2, 1, 3)
+    return cd.riemann_lowered + half + half.transpose(1, 0, 3, 2)
 
 
 def weyl_self_contraction(cd: CurvatureData, c: Optional[np.ndarray] = None) -> float:
@@ -121,31 +121,32 @@ class NPTetrad:
     m: np.ndarray
     ln_sign: int = -1
 
+    def frame(self) -> np.ndarray:
+        """The rows ``l, n, m, conj(m)`` as one complex ``4 x n`` array."""
+        m = np.asarray(self.m, dtype=complex)
+        return np.stack([np.asarray(self.l, dtype=complex),
+                         np.asarray(self.n, dtype=complex), m, np.conj(m)])
+
     def normalization_defect(self, g: np.ndarray) -> float:
-        """Largest violation of the tetrad inner-product conditions."""
-        lv = np.asarray(self.l, dtype=float)
-        nv = np.asarray(self.n, dtype=float)
-        mv = np.asarray(self.m, dtype=complex)
-        mb = np.conj(mv)
-        checks = [
-            lv @ g @ lv,
-            nv @ g @ nv,
-            lv @ g @ nv - self.ln_sign,
-            mv @ g @ mv,
-            mv @ g @ mb - 1.0,
-            lv @ g @ mv,
-            nv @ g @ mv,
-        ]
-        return float(max(abs(complex(c)) for c in checks))
+        """Largest violation of the tetrad inner-product conditions, read
+        from the Gram matrix of the frame."""
+        e = self.frame()
+        f = e @ g @ e.T
+        f[0, 1] -= self.ln_sign
+        f[2, 3] -= 1.0
+        # <l,l> <n,n> <l,n> <m,m> <m,mbar> <l,m> <n,m>
+        return float(np.abs(f[(0, 1, 0, 2, 2, 0, 1), (0, 1, 1, 2, 3, 2, 2)]).max())
 
 
 def np_scalars(cd: CurvatureData,
                tetrad: NPTetrad) -> tuple[complex, complex, complex, complex, complex]:
     """The five complex Weyl curvature scalars for a null tetrad.
 
-    The overall sign convention is pinned by a regression test against the
-    known rotating-black-hole values; with it, the Schwarzschild tetrad gives
-    a positive real middle scalar ``M / r**3``.
+    They are components of the Weyl tensor in the frame ``(l, n, m,
+    conj(m))`` (Newman & Penrose, J. Math. Phys. 3, 566, 1962).  The overall
+    sign convention is pinned by a regression test against the known
+    rotating-black-hole values; with it, the Schwarzschild tetrad gives a
+    positive real middle scalar ``M / r**3``.
     """
     return _np_scalars(cd, tetrad, None)
 
@@ -155,22 +156,11 @@ def _np_scalars(cd: CurvatureData, tetrad: NPTetrad, c: Optional[np.ndarray]):
     defect = tetrad.normalization_defect(cd.g)
     if defect > 1e-8:
         raise BadTetrad(f"tetrad normalization defect {defect:.3e} exceeds 1.0e-08")
-    c = (weyl(cd) if c is None else c).astype(complex)
-    lv = np.asarray(tetrad.l, dtype=complex)
-    nv = np.asarray(tetrad.n, dtype=complex)
-    mv = np.asarray(tetrad.m, dtype=complex)
-    mb = np.conj(mv)
-
-    # Sign fixed so the static black hole gives a positive real psi2.
-    def contract(a, b, u, v):
-        return -complex(np.einsum("ijkl,i,j,k,l->", c, a, b, u, v))
-
-    psi0 = contract(lv, mv, lv, mv)
-    psi1 = contract(lv, nv, lv, mv)
-    psi2 = contract(lv, mv, mb, nv)
-    psi3 = contract(lv, nv, mb, nv)
-    psi4 = contract(mb, nv, mb, nv)
-    return (psi0, psi1, psi2, psi3, psi4)
+    # f[a, b, c, d] = -C(e_a, e_b, e_c, e_d); the sign makes the static
+    # black hole's psi2 positive and real
+    f = -_raise_all(weyl(cd) if c is None else c, tetrad.frame())
+    return tuple(complex(f[i]) for i in
+                 ((0, 2, 0, 2), (0, 1, 0, 2), (0, 2, 3, 1), (0, 1, 3, 1), (3, 1, 3, 1)))
 
 
 def invariant_i(psis) -> complex:

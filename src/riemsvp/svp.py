@@ -888,11 +888,7 @@ def _kerr_reduced(cd: CurvatureData, tetrad) -> SVPSolution:
     yc = np.array([0.5, -0.5, -0.5, -0.5])
     frame = np.stack([-yc, xc, yc, xc])  # rows: w, x, y, z
 
-    basis = np.stack([np.asarray(tetrad.l, dtype=complex),
-                      np.asarray(tetrad.n, dtype=complex),
-                      np.asarray(tetrad.m, dtype=complex),
-                      np.conj(np.asarray(tetrad.m, dtype=complex))])
-    coords = frame.astype(complex) @ basis
+    coords = frame @ tetrad.frame()
     if np.abs(coords.imag).max() > 1e-12:
         raise NoConvergence("tetrad combination produced a non-real vector")
     vecs = coords.real

@@ -8,6 +8,9 @@ per-point numeric curvature path, and the former Newton core (the
 functions after :func:`dot_ordered`), which repeat the package's numpy
 operations, and make their contractions with :func:`dot`, the package's
 former contraction kernel, so that results can be compared bit for bit.
+The former invariant kernels (:func:`weyl_einsum` and after) repeat the
+package's per-term formulas, against which its whole-tensor kernels are
+compared to rounding.
 """
 
 import math
@@ -474,3 +477,45 @@ def trivial_pattern_per_row(q, atol=1e-6):
     if same(y, z):
         return "y=z"
     return None
+
+
+def weyl_einsum(g, ric, scal, lowered):
+    """The Weyl split with one ``einsum`` per outer product of the trace
+    terms, the package's former kernel."""
+    n = g.shape[0]
+    trace_part = (np.einsum("il,jk->ijkl", ric, g)
+                  - np.einsum("ik,jl->ijkl", ric, g)
+                  + np.einsum("il,jk->ijkl", g, ric)
+                  - np.einsum("ik,jl->ijkl", g, ric)) / (n - 2)
+    scalar_part = (np.einsum("il,jk->ijkl", g, g)
+                   - np.einsum("ik,jl->ijkl", g, g)) * (scal / ((n - 1) * (n - 2)))
+    return lowered + trace_part - scalar_part
+
+
+def tetrad_defect_products(tetrad, g):
+    """The seven tetrad inner-product conditions as chained products, the
+    package's former check."""
+    lv = np.asarray(tetrad.l, dtype=float)
+    nv = np.asarray(tetrad.n, dtype=float)
+    mv = np.asarray(tetrad.m, dtype=complex)
+    mb = np.conj(mv)
+    checks = [lv @ g @ lv, nv @ g @ nv, lv @ g @ nv - tetrad.ln_sign,
+              mv @ g @ mv, mv @ g @ mb - 1.0, lv @ g @ mv, nv @ g @ mv]
+    return float(max(abs(complex(c)) for c in checks))
+
+
+def np_scalars_contractions(c, tetrad):
+    """psi0 ... psi4 as five-operand contractions of the Weyl tensor ``c``
+    with tetrad vectors, the package's former kernel."""
+    lv = np.asarray(tetrad.l, dtype=complex)
+    nv = np.asarray(tetrad.n, dtype=complex)
+    mv = np.asarray(tetrad.m, dtype=complex)
+    mb = np.conj(mv)
+    c = c.astype(complex)
+
+    def contract(a, b, u, v):
+        return -complex(np.einsum("ijkl,i,j,k,l->", c, a, b, u, v))
+
+    return (contract(lv, mv, lv, mv), contract(lv, nv, lv, mv),
+            contract(lv, mv, mb, nv), contract(lv, nv, mb, nv),
+            contract(mb, nv, mb, nv))

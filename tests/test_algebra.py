@@ -234,6 +234,64 @@ class TestNPScalars:
         assert entry.tetrad(p).normalization_defect(g) < 1e-10
 
 
+class TestFrameKernels:
+    """The whole-tensor kernels against the former per-term formulas."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("th", [0.15, math.pi / 2, 2.9])
+    def test_psis_match_contractions(self, a, th):
+        entry = catalog.kerr(1.0, a)
+        p = np.array([0.0, 3.0, th, 0.0])
+        cd = riemann(entry.spec, p)
+        got = np.array(np_scalars(cd, entry.tetrad(p)))
+        want = np.array(oracles.np_scalars_contractions(weyl(cd), entry.tetrad(p)))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_psis_flat(self):
+        entry = catalog.minkowski()
+        cd = riemann(entry.spec, np.zeros(4))
+        want = oracles.np_scalars_contractions(weyl(cd), entry.tetrad(cd.point))
+        assert np_scalars(cd, entry.tetrad(cd.point)) == want == (0j,) * 5
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("negative", [0, 1])
+    def test_weyl_matches_einsum_split(self, n, negative):
+        rng = np.random.default_rng(10 * n + negative)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) < negative, -1, 1)
+        g = (q * lam) @ q.T
+        g = 0.5 * (g + g.T)
+        # a sum of h_il h_jk - h_ik h_jl over symmetric h has every
+        # algebraic symmetry of a curvature tensor
+        lowered = np.zeros((n,) * 4)
+        for _ in range(3):
+            h = rng.standard_normal((n, n))
+            h = h + h.T
+            lowered += (np.einsum("il,jk->ijkl", h, h)
+                        - np.einsum("ik,jl->ijkl", h, h))
+        g_inv = np.linalg.inv(g)
+        cd = CurvatureData(point=np.zeros(n), g=g, g_inv=g_inv,
+                           riemann_mixed=np.einsum("ih,hjkl->ijkl", g_inv, lowered),
+                           riemann_lowered=lowered,
+                           signature=(-1,) * negative + (1,) * (n - negative))
+        want = oracles.weyl_einsum(g, ricci(cd), ricci_scalar(cd), lowered)
+        assert np.abs(weyl(cd) - want).max() <= 1e-14 * np.abs(lowered).max()
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+    def test_normalization_defect_matches_products(self, a):
+        entry = catalog.kerr(1.0, a)
+        p = np.array([0.0, 3.0, 1.0, 0.0])
+        g, t = entry.spec.g(p), entry.tetrad(p)
+        rng = np.random.default_rng(int(10 * a))
+        for _ in range(5):
+            bent = NPTetrad(l=t.l * (1 + 1e-6 * rng.standard_normal(4)),
+                            n=t.n + 1e-6 * rng.standard_normal(4),
+                            m=t.m * (1 + 1e-6 * rng.standard_normal(4)))
+            want = oracles.tetrad_defect_products(bent, g)
+            assert want > 1e-7
+            assert abs(bent.normalization_defect(g) - want) <= 1e-15
+
+
 class TestInvariantI:
     def test_kerr_equator(self):
         # 3 * psi2^2 with psi2 = 1/27

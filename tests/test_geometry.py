@@ -52,6 +52,16 @@ class TestMetricAt:
         with pytest.raises(InvalidInput):
             metric_at(entry.spec, [np.nan, 0.0])
 
+    def test_wrongly_shaped_supplier(self):
+        # the stencil's first row fails before any metric is stacked
+        spec = MetricSpec(dimension=2, signature=(1, 1),
+                          g=lambda p: np.eye(3) + 0.0 * p[0])
+        for evaluate in (lambda: metric_at(spec, [0.0, 1.0]),
+                         lambda: christoffel(spec, [0.0, 1.0]),
+                         lambda: riemann(spec, [0.0, 1.0], mode="numeric")):
+            with pytest.raises(InvalidInput, match="wrongly shaped"):
+                evaluate()
+
 
 class TestChristoffel:
     def test_sphere_closed_form(self):
@@ -160,7 +170,8 @@ class TestSymmetries:
 
     def test_kerr_numeric_path(self):
         entry = catalog.kerr(1.0, 0.5)
-        cd = riemann(entry.spec, [0.0, 3.0, math.pi / 4, 0.0])
+        cd = riemann(entry.spec, [0.0, 3.0, math.pi / 4, 0.0], mode="numeric")
+        assert cd.path == "numeric"
         rep = verify_tensor_symmetries(cd, tol=1e-6)
         assert rep.passed
         assert rep.max_defect < 1e-6
@@ -559,6 +570,16 @@ class TestExactCurvature:
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
         if r < 1e3:  # beyond, the determinant test calls g singular
             assert riemann(spec, p).path == "analytic"
+
+    def test_replaced_metric_keeps_the_exact_supplier(self):
+        p = [0.0, 3.0, 1.0, 0.0]
+        old, new = catalog.kerr(1.0, 0.3).spec, catalog.kerr(1.0, 0.8).spec
+        want = riemann(new, p).riemann_lowered
+        kept = riemann(dataclasses.replace(old, g=new.g), p)
+        assert np.array_equal(kept.riemann_mixed, riemann(old, p).riemann_mixed)
+        cd = riemann(dataclasses.replace(old, g=new.g, analytic_riemann=None), p)
+        assert cd.path == "numeric"
+        assert np.abs(cd.riemann_lowered - want).max() <= 1e-8 * np.abs(want).max()
 
     @pytest.mark.parametrize("a, r, th", [(0.6, 3.0, 0.15), (0.9, 2.5, 0.3),
                                           (0.5, 3.5, 1.0), (0.3, 40.0, 2.8)])
