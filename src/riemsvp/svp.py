@@ -6,30 +6,30 @@ The unknowns are four tangent vectors ``(W, X, Y, Z)`` and a scalar
     R(Y, Z) X = sigma W        R(Z, Y) W = sigma X
     R(W, X) Z = sigma Y        R(X, W) Y = sigma Z
 
-together with the normalizations ``<V, V> = +-1`` for each vector.  The
-residual of this system (4n tensor equations plus 4 constraints) and its
-Jacobian are evaluated for a whole batch of points at once; the residual
-contracts the curvature's plane pair with a bivector, which has
-n(n - 1)/2 components.  Every contraction is one stacked matrix-vector
-product per row (:func:`_matvec`) on an operand its caller lays out as
-(..., rows, n).  One damped least-squares Newton core,
-:func:`_gauss_newton`, drives a batch of starts to zero together, and each
-start ends exactly as it would alone, whatever the sign pattern of its
-batch-mates.  A Newton step costs one Jacobian, one least-squares solve
-and one residual pass, which tries every step length of every start.  The
-solve factors each system by an R-only QR and keeps the SVD for the
-systems whose R does not certify full column rank.  The multistart driver and
-the repeated-pair reduction :func:`meigen_reduce` share one sign-pattern
-rule (:func:`_patterns`) and one search: the starts of every pattern are
-drawn in turn from one random stream and are solved as a single batch; the
-converged solutions are clustered by ``sigma``.  A pattern's sampler takes
-Gaussian draws in stream order, drops the near-null ones, rescales the
-others onto ``<v, v> = +-1`` and lets each fill the next open slot of its
-sign, start by start.
+together with the normalizations ``<V, V> = +-1`` for each vector.  A
+search builds its system once (:func:`_system`): the residual (4n tensor
+equations plus 4 constraints, or the repeated pair's 2n plus 2) and its
+Jacobian, over curvature layouts made once, for a batch of points at a
+time.  Every contraction is one stacked matrix-vector product per row
+(:func:`_matvec`), so each start ends exactly as it would alone, whatever
+the sign pattern of its batch-mates, in the one damped least-squares
+Newton core, :func:`_gauss_newton`, that drives a batch to zero together.
+A Newton step costs one Jacobian, one least-squares solve and one residual
+pass, which tries every step length of every start.  The solve factors each
+system by an R-only QR and keeps the SVD for the systems whose R does not
+certify full column rank.  The multistart driver and the repeated-pair
+reduction :func:`meigen_reduce` share one sign-pattern rule
+(:func:`_patterns`) and one search: the starts of every pattern are drawn in
+turn from one random stream and are solved as a single batch; the converged
+solutions are clustered by ``sigma``.  A pattern's sampler takes Gaussian
+draws in stream order, drops the near-null ones, rescales the others onto
+``<v, v> = +-1`` and lets each fill the next open slot of its sign, start
+by start.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -93,8 +93,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise InvalidInput("tol must be positive and finite")
-        if self.n_starts < 1:
-            raise InvalidInput("n_starts must be at least 1")
+        starts = self.n_starts
+        if not isinstance(starts, (int, np.integer)) or starts < 1:
+            raise InvalidInput("n_starts must be an integer of at least 1")
         seed = self.rng_seed
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InvalidInput("rng_seed must be a non-negative integer")
@@ -133,6 +134,8 @@ def sigma_from_tensor(cd: CurvatureData, q: Quadruple) -> float:
 _P = np.array([1, 0, 3, 2])
 _Q = np.array([2, 3, 0, 1])
 _S = np.array([3, 2, 1, 0])
+# Equations 0 and 1 of a pair row (y, z), which stands for (y, z, y, z).
+_PAIR_VECTORS = tuple(t[:2] % 2 for t in (_P, _Q, _S))
 
 # Outcomes of one start in the Newton core.
 CONVERGED, STALLED, CAPPED, SINGULAR = ("converged", "stalled", "capped",
@@ -168,11 +171,6 @@ def _sigmas(cd: CurvatureData, V: np.ndarray) -> np.ndarray:
     return _matvec(_matvec(rzy.reshape(B, n, n), x)[:, None], w)[:, 0]
 
 
-def _split(U: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors (B, 4, n) and sigmas (B,) of rows ``(w, x, y, z, sigma)``."""
-    return U[:, :4 * n].reshape(len(U), 4, n), U[:, 4 * n]
-
-
 @functools.cache
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs ``i < j`` of a bivector's components."""
@@ -181,60 +179,73 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _residuals(cd: CurvatureData, U: np.ndarray, signs) -> np.ndarray:
-    """:func:`residual` for each row ``(w, x, y, z, sigma)`` of ``U``.
+_System = collections.namedtuple("_System", "residuals jacobians")
 
-    ``signs`` is one sign pattern or one per row.  The curvature is
-    antisymmetric in its plane pair, so equation ``e`` contracts that pair
-    with the bivector ``q ^ s`` of its second and third vectors, components
-    ``i < j``, and then the result with its first vector ``p``.
-    """
-    n, B = cd.n, len(U)
-    V, sigma = _split(U, n)
+
+def _system(cd: CurvatureData, pair: bool = False) -> _System:
+    """The SVP system at ``cd``, its curvature operators laid out once.
+
+    ``residuals(U, signs, out=None)`` is :func:`residual` at each row
+    ``(w, x, y, z, sigma)`` of ``U`` for one sign pattern or one per row,
+    into ``out`` if given; ``jacobians(U)`` is its Jacobian at each row.
+    With ``pair`` a row ``(y, z, sigma)`` stands for ``(y, z, y, z, sigma)``
+    and the system is the first two equations and constraints, with the
+    columns of the repeated vectors summed.  Equation ``e`` contracts the
+    plane pair with the bivector ``q ^ s`` (``i < j``), then with ``p``; its
+    Jacobian rows hold the derivatives in the slots ``_P[e]``, ``_Q[e]``,
+    ``_S[e]``, ``-sigma`` on the diagonal of slot ``e`` and ``-V[e]`` in
+    the sigma column, and constraint ``e`` holds ``2 g V[e]`` in slot ``e``.
+    The Jacobian's layouts are made on its first call."""
+    n, k, g, r = cd.n, 2 if pair else 4, cd.g, cd.riemann_mixed
+    P, Q, S = _PAIR_VECTORS if pair else (_P, _Q, _S)
     i, j = _pairs(n)
-    q, s = V[:, _Q], V[:, _S]
-    plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
     # a strided view: numpy multiplies it in its own loop, and a C-contiguous
     # copy would go to BLAS, slower at these sizes and rounded differently
-    pair = cd.riemann_mixed[:, :, i, j].reshape(n * n, len(i))
-    maps = _matvec(_matvec(pair, plane).reshape(B, 4, n, n), V[:, _P])
-    tensor = (maps - sigma[:, None, None] * V).reshape(B, 4 * n)
-    cons = (_matvec(_matvec(cd.g, V)[..., None, :], V)[..., 0]
-            - np.asarray(signs, dtype=float))
-    return np.concatenate([tensor, cons], axis=1)
+    plane_pair = r[:, :, i, j].reshape(n * n, len(i))
 
+    def residuals(U, signs, out=None):
+        B = len(U)
+        V, sigma = U[:, :k * n].reshape(B, k, n), U[:, k * n]
+        q, s = V[:, Q], V[:, S]
+        plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
+        maps = _matvec(_matvec(plane_pair, plane).reshape(B, k, n, n), V[:, P])
+        out = np.empty((B, k * n + k)) if out is None else out
+        np.subtract(maps, sigma[:, None, None] * V,
+                    out=out[:, :k * n].reshape(B, k, n))
+        np.subtract(_matvec(_matvec(g, V)[..., None, :], V)[..., 0], signs,
+                    out=out[:, k * n:])
+        return out
 
-def _jacobians(cd: CurvatureData, U: np.ndarray) -> np.ndarray:
-    """The Jacobian of :func:`residual` in ``(w, x, y, z, sigma)`` at each
-    row of ``U``, from the points alone: it makes every contraction itself.
+    @functools.cache
+    def layouts():
+        return r.reshape(n ** 3, n), r.swapaxes(1, 3).reshape(n ** 3, n)
 
-    Tensor row ``e n + i`` holds the derivatives of equation ``e`` in the
-    slots ``_P[e]``, ``_Q[e]`` and ``_S[e]``, ``-sigma`` on the diagonal of
-    its own slot ``e`` and ``-V[e, i]`` in the sigma column; constraint row
-    ``4n + e`` holds ``2 g V[e]`` in slot ``e``.
-    """
-    n, B = cd.n, len(U)
-    V, sigma = _split(U, n)
-    r = cd.riemann_mixed
-    p, q = V[:, _P], V[:, _Q]
-    # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
-    rs = _matvec(r.reshape(n ** 3, n), V[:, _S]).reshape(B, 4, n, n, n)
-    d_p = _matvec(rs.reshape(B, 4, n * n, n), q)
-    d_q = _matvec(rs.swapaxes(-2, -1).reshape(B, 4, n * n, n), p)
-    rp = _matvec(r.swapaxes(1, 3).reshape(n ** 3, n), p)
-    d_s = _matvec(rp.reshape(B, 4, n * n, n), q)
-    m, e, rows = 4 * n, np.arange(4), np.arange(4 * n)
-    jac = np.zeros((B, m + 4, m + 1))
-    # views of jac: blocks[b, e, slot, i, j] is row e n + i, column
-    # slot n + j; cons[b, e, slot, j] is row 4n + e, column slot n + j
-    blocks = jac[:, :m, :m].reshape(B, 4, n, 4, n).swapaxes(2, 3)
-    cons = jac[:, m:, :m].reshape(B, 4, 4, n)
-    for slot, d in ((_P, d_p), (_Q, d_q), (_S, d_s)):
-        blocks[:, e, slot] = d.reshape(B, 4, n, n)
-    jac[:, rows, rows] = -sigma[:, None]
-    jac[:, :m, m] = -V.reshape(B, m)
-    cons[:, e, e] = 2.0 * _matvec(cd.g, V)
-    return jac
+    def jacobians(U):
+        B, m = len(U), 4 * n
+        V, sigma = U[:, :k * n].reshape(B, k, n), U[:, k * n]
+        r_s, r_p = layouts()
+        p, q = V[:, P], V[:, Q]
+        # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
+        rs = _matvec(r_s, V[:, S]).reshape(B, k, n, n, n)
+        d_p = _matvec(rs.reshape(B, k, n * n, n), q)
+        d_q = _matvec(rs.swapaxes(-2, -1).reshape(B, k, n * n, n), p)
+        d_s = _matvec(_matvec(r_p, p).reshape(B, k, n * n, n), q)
+        e, rows = np.arange(k), np.arange(k * n)
+        jac = np.zeros((B, k * n + k, m + 1))
+        # views of jac: blocks[b, e, slot, i, j] is row e n + i, column
+        # slot n + j of the full system; cons[b, e, slot, j] is row kn + e
+        blocks = jac[:, :k * n, :m].reshape(B, k, n, 4, n).swapaxes(2, 3)
+        cons = jac[:, k * n:, :m].reshape(B, k, 4, n)
+        for slot, d in ((_P[:k], d_p), (_Q[:k], d_q), (_S[:k], d_s)):
+            blocks[:, e, slot] = d.reshape(B, k, n, n)
+        jac[:, rows, rows] = -sigma[:, None]
+        jac[:, :k * n, m] = -V.reshape(B, k * n)
+        cons[:, e, e] = 2.0 * _matvec(g, V)
+        # the pair's columns: the repeated vectors' columns, summed
+        return (np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:m],
+                                jac[:, :, m:]], axis=2) if pair else jac)
+
+    return _System(residuals, jacobians)
 
 
 def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
@@ -243,7 +254,7 @@ def residual(cd: CurvatureData, q: Quadruple, sigma: float) -> np.ndarray:
     Blocks: the four tensor equations (n entries each), then the four
     normalization constraints ``<V, V> - sign_V``.
     """
-    return _residuals(cd, np.append(q.flat(), sigma)[None], q.signs)[0]
+    return _system(cd).residuals(np.append(q.flat(), sigma)[None], q.signs)[0]
 
 
 def residual_norm(cd: CurvatureData, q: Quadruple, sigma: float) -> float:
@@ -295,9 +306,11 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ok = np.flatnonzero(np.isfinite(aug).all(axis=(1, 2)))
     if not ok.size:
         return steps
-    r = np.linalg.qr(aug[ok], mode="r")
+    r = np.linalg.qr(aug[ok] if ok.size < len(aug) else aug, mode="r")
     diag = np.abs(np.diagonal(r[:, :k, :k], axis1=1, axis2=2))
     full = diag.min(axis=1) > _QR_RANK_TOL * diag.max(axis=1)
+    if full.all() and ok.size == len(aug):
+        return np.linalg.solve(r[:, :k, :k], r[:, :k, k:])[..., 0]
     if full.any():
         steps[ok[full]] = np.linalg.solve(r[full, :k, :k],
                                           r[full, :k, k:])[..., 0]
@@ -318,60 +331,66 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # A start that overflows gets a non-finite residual or step, which the
 # comparisons in the core reject, so the floating-point warnings carry nothing.
 @np.errstate(over="ignore", invalid="ignore")
-def _gauss_newton(res_fn, jac_fn, U: np.ndarray, cfg: SolverConfig):
+def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
+                  cfg: SolverConfig):
     """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
 
-    ``res_fn(points, idx)`` maps the points of the starts ``idx`` to their
-    residuals (B, m) and ``jac_fn(points)`` maps points to Jacobians
-    (B, m, k), row by row, so each start may have its own equations.  Each
-    start iterates on its own: it takes the minimum-norm Gauss-Newton step
-    (:func:`_lstsq_steps`: QR when the Jacobian has full column rank, else
-    the SVD), then the first length in ``_STEPS`` that lowers the max-norm
-    of its residual.  It ends ``CONVERGED`` once that norm is below
-    ``cfg.tol``, ``STALLED`` when no step length lowers it, ``SINGULAR`` on
-    a non-finite step and ``CAPPED`` after ``_MAX_NEWTON_ITERS`` steps;
-    none of this depends on the other starts in the batch.  Returns the
-    final points, their residual norms and the outcomes.
-
-    An iteration makes one Jacobian call, on the points alone, and one
-    residual call, on every step length of every live start.
+    ``system`` is one search's :func:`_system` and ``signs`` holds each
+    start's signs.  Each start iterates on its own: it takes the
+    minimum-norm Gauss-Newton step (:func:`_lstsq_steps`), then the first
+    length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
+    ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
+    step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
+    after ``_MAX_NEWTON_ITERS`` steps, whatever its batch-mates do.  Returns
+    the final points, their residual norms and the outcomes.  A pass makes
+    one Jacobian call on the live points and one residual call, into one
+    array, on every step length of each; the live starts are repacked only
+    on a pass where one of them ends.
     """
     if len(U) > _MAX_BATCH:
-        slices = [_gauss_newton(lambda batch, idx, lo=lo: res_fn(batch, lo + idx),
-                                jac_fn, U[lo:lo + _MAX_BATCH], cfg)
+        slices = [_gauss_newton(system, U[lo:lo + _MAX_BATCH],
+                                signs[lo:lo + _MAX_BATCH], cfg)
                   for lo in range(0, len(U), _MAX_BATCH)]
         return tuple(np.concatenate(part) for part in zip(*slices))
     U = np.array(U, dtype=float)
-    F = res_fn(U, np.arange(len(U)))
+    F = system.residuals(U, signs)
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), CAPPED, dtype=object)
-    live = np.arange(len(U))
+    outcome[fnorm < cfg.tol] = CONVERGED
+    live = np.flatnonzero(~(fnorm < cfg.tol))
+    # the live starts' points, residuals, norms and trial signs
+    u, f, fn = U[live], F[live], fnorm[live]
+    tried = np.tile(signs[live], (len(_STEPS), 1))
+    buf = np.empty((len(tried), F.shape[1]))
+    lengths, offsets = np.array(_STEPS)[:, None, None], np.arange(len(live))
     for _ in range(_MAX_NEWTON_ITERS):
-        done = fnorm[live] < cfg.tol
-        outcome[live[done]] = CONVERGED
-        live = live[~done]
         if not live.size:
             break
-        step = _lstsq_steps(jac_fn(U[live]), -F[live])
-        finite = np.isfinite(step).all(axis=1)
-        outcome[live[~finite]] = SINGULAR
-        live, step = live[finite], step[finite]
+        step = _lstsq_steps(system.jacobians(u), -f)
         # every step length in one residual pass, length-major; each start
-        # takes the first length that lowers its norm
-        u_try = (U[live] + np.multiply.outer(_STEPS, step)).reshape(
-            -1, U.shape[1])
-        f_try = res_fn(u_try, np.tile(live, len(_STEPS)))
+        # takes the first length that lowers its norm, and a non-finite
+        # step lowers none
+        u_try = (u + lengths * step).reshape(-1, U.shape[1])
+        f_try = system.residuals(u_try, tried, out=buf[:len(u_try)])
         fn_try = np.abs(f_try).max(axis=1)
-        better = fn_try.reshape(len(_STEPS), len(live)) < fnorm[live]
-        hit = better.any(axis=0)
-        pick = better.argmax(axis=0)[hit] * len(live) + np.flatnonzero(hit)
-        outcome[live[~hit]] = STALLED
-        live = live[hit]
-        U[live], F[live], fnorm[live] = u_try[pick], f_try[pick], fn_try[pick]
-        # five trial rows per start: free them before the next Jacobian
-        del u_try, f_try
-    else:
-        outcome[live[fnorm[live] < cfg.tol]] = CONVERGED
+        better = fn_try.reshape(len(_STEPS), len(u)) < fn
+        pick = better.argmax(axis=0) * len(u) + offsets
+        u_new, f, fn_new = u_try[pick], f_try[pick], fn_try[pick]
+        stuck, done = ~better.any(axis=0), fn_new < cfg.tol
+        if stuck.any() or done.any():
+            # a start no length improves keeps its point
+            u_new[stuck], fn_new[stuck] = u[stuck], fn[stuck]
+            outcome[live[done]] = CONVERGED
+            outcome[live[stuck]] = STALLED
+            outcome[live[~np.isfinite(step).all(axis=1)]] = SINGULAR
+            keep = ~(done | stuck)
+            U[live[~keep]], fnorm[live[~keep]] = u_new[~keep], fn_new[~keep]
+            live, u_new, f, fn_new = (a[keep] for a in (live, u_new, f,
+                                                        fn_new))
+            tried = np.tile(signs[live], (len(_STEPS), 1))
+            offsets = np.arange(len(live))
+        u, fn = u_new, fn_new
+    U[live], fnorm[live] = u, fn
     return U, fnorm, outcome
 
 
@@ -405,8 +424,8 @@ def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
     n = cd.n
     U = U.copy()
     U[np.ix_(U[:, 4 * n] < 0.0, np.r_[0:n, 4 * n])] *= -1.0
-    res = np.abs(_residuals(cd, U, np.reshape(np.asarray(signs, dtype=float),
-                                              (-1, 4)))).max(axis=1)
+    res = np.abs(_system(cd).residuals(
+        U, np.reshape(np.asarray(signs, dtype=float), (-1, 4)))).max(axis=1)
     trivial = _trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
     sols = []
     for u, r, row_signs, seed, label in zip(U, res, signs, seeds, trivial):
@@ -417,15 +436,13 @@ def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
     return sols
 
 
-def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig):
-    """:func:`_gauss_newton` on the full system for a batch of starts.
-
-    ``signs`` is one sign pattern or one per row.
-    """
-    signs = np.broadcast_to(np.asarray(signs, dtype=float), (len(U), 4))
-    return _gauss_newton(
-        lambda batch, idx: _residuals(cd, batch, signs[idx]),
-        lambda batch: _jacobians(cd, batch), U, cfg)
+def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig,
+                pair: bool = False):
+    """:func:`_gauss_newton` on the full or, with ``pair``, the repeated-pair
+    system; ``signs`` is one sign pattern or one per row."""
+    signs = np.asarray(signs, dtype=float)[..., :2 if pair else 4]
+    return _gauss_newton(_system(cd, pair), U, np.broadcast_to(
+        signs, (len(U), signs.shape[-1])), cfg)
 
 
 # Largest block of draws the start sampler classifies at once; it bounds the
@@ -487,40 +504,23 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     full residual is below ``cfg.tol``; on the full system that is the norm
     the core converged on, so only reduced solutions can fail it.
     """
-    n = cd.n
+    n, k = cd.n, 2 if pair else 4
     rng = np.random.default_rng(cfg.rng_seed)
     blocks, signs, seeds = [], [], []
     start_index = 0
     for pattern in patterns:
-        V, attempted = _sample_starts(rng, cd.g, pattern[:2 if pair else 4],
-                                      cfg.n_starts)
+        V, attempted = _sample_starts(rng, cd.g, pattern[:k], cfg.n_starts)
         blocks.append(V)
         signs += [pattern] * len(V)
         seeds += range(start_index + 1, start_index + 1 + len(V))
         start_index += attempted
     V = np.concatenate(blocks)
-    row_signs = np.reshape(np.asarray(signs, dtype=float), (-1, 4))
-    if not pair:
-        U, _, outcome = _solve_full(cd, np.column_stack([V, _sigmas(cd, V)]),
-                                    row_signs, cfg)
-    else:
-        # the pair (y, z) is the full system at (y, z, y, z): its equations
-        # are the first two tensor blocks and the first two constraints, and
-        # its Jacobian sums the columns of the repeated vectors
-        rows = np.r_[0:2 * n, 4 * n, 4 * n + 1]
-
-        def embed(U):
-            return np.concatenate([U[:, :2 * n], U], axis=1)
-
-        def jac_fn(U):
-            jac = _jacobians(cd, embed(U))[:, rows]
-            return np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
-                                   jac[:, :, 4 * n:]], axis=2)
-
-        U, _, outcome = _gauss_newton(
-            lambda U, idx: _residuals(cd, embed(U), row_signs[idx])[:, rows],
-            jac_fn, np.column_stack([V, _sigmas(cd, embed(V))]), cfg)
-        U = embed(U)
+    # a pair row (y, z, sigma) stands for (y, z, y, z, sigma)
+    U, _, outcome = _solve_full(
+        cd, np.column_stack([V, _sigmas(cd, np.tile(V, 4 // k))]),
+        np.reshape(np.asarray(signs, dtype=float), (-1, 4)), cfg, pair)
+    if pair:
+        U = np.concatenate([U[:, :2 * n], U], axis=1)
     conv = np.flatnonzero(outcome == CONVERGED)
     sols = _finish(cd, U[conv], [signs[i] for i in conv],
                    [seeds[i] for i in conv],
@@ -676,7 +676,7 @@ def orbit(sol: SVPSolution, cd: CurvatureData,
         emit(Quadruple(rt * (w + x), rt * (w - x), rt * (y + z), rt * (y - z),
                        q.signs), sigma)
     U = np.array([np.append(quad.flat(), sig) for quad, sig in members])
-    res = np.abs(_residuals(cd, U, [quad.signs for quad, _ in members]))
+    res = np.abs(_system(cd).residuals(U, [quad.signs for quad, _ in members]))
     return [SVPSolution(q=quad, sigma=sig, residual=float(r), origin="orbit",
                         seed=sol.seed)
             for (quad, sig), r in zip(members, res.max(axis=1))]

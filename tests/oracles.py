@@ -320,7 +320,7 @@ def residuals_ordered(cd, U, signs):
     result with ``p``.
     """
     n = cd.n
-    V, sigma = svp._split(U, n)
+    V, sigma = U[:, :4 * n].reshape(len(U), 4, n), U[:, 4 * n]
     i, j = np.triu_indices(n, 1)
     q, s = V[:, svp._Q], V[:, svp._S]
     plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
@@ -347,7 +347,7 @@ def jacobians_loop(cd, U):
     one slice assignment per equation and vector slot.
     """
     n = cd.n
-    V, sigma = svp._split(U, n)
+    V, sigma = U[:, :4 * n].reshape(len(U), 4, n), U[:, 4 * n]
     r = cd.riemann_mixed[None, None]
     p, q, s = V[:, svp._P], V[:, svp._Q], V[:, svp._S]
     rs = dot(r, s)

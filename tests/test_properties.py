@@ -96,7 +96,7 @@ class TestResidualStructure:
             assert np.abs(np.sort(res) - np.sort(base)).max() < 1e-11
 
     def test_jacobian_fd_match_random_curvature(self):
-        from riemsvp.svp import _jacobians
+        from riemsvp.svp import _system
 
         for entry in (catalog.sphere2(), catalog.schwarzschild(1.0)):
             cd = riemann(entry.spec, entry.default_point)
@@ -104,7 +104,7 @@ class TestResidualStructure:
             q = Quadruple(*(RNG.standard_normal(n) for _ in range(4)))
             sigma = float(RNG.standard_normal())
             u0 = np.concatenate([q.flat(), [sigma]])
-            jac = _jacobians(cd, u0[None])[0]
+            jac = _system(cd).jacobians(u0[None])[0]
             eps = 1e-6
             scale = max(1.0, np.abs(jac).max())
             for col in range(4 * n + 1):

@@ -95,7 +95,7 @@ class TestResidual:
         assert residual_norm(cd, q, 0.9) == pytest.approx(0.1, abs=1e-13)
 
     def test_jacobian_matches_finite_differences(self):
-        from riemsvp.svp import _jacobians
+        from riemsvp.svp import _system
 
         cd = riemann(catalog.space_form(0.8, 3).spec, np.zeros(3))
         rng = np.random.default_rng(11)
@@ -103,7 +103,7 @@ class TestResidual:
         q = Quadruple(*(rng.standard_normal(n) for _ in range(4)))
         sigma = 0.3
         u0 = np.concatenate([q.flat(), [sigma]])
-        jac = _jacobians(cd, u0[None])[0]
+        jac = _system(cd).jacobians(u0[None])[0]
         eps = 1e-7
         for col in range(4 * n + 1):
             up, dn = u0.copy(), u0.copy()
@@ -167,6 +167,14 @@ class TestSolveNewton:
         values = sigma_values(sols)
         assert all(min(abs(v - 0.0), abs(v - 2.0)) < 1e-9 for v in values)
         assert any(abs(v - 2.0) < 1e-9 for v in values)
+
+    @pytest.mark.xfail(strict=True, reason="no start converges on a space "
+                       "form with |kappa| <= 1e-3: every one stalls")
+    def test_small_curvature_space_form_sigma(self):
+        cd = riemann(catalog.space_form(-1e-3, 4).spec, np.zeros(4))
+        sols = multistart(cd, SolverConfig(n_starts=40, rng_seed=0))
+        assert any(v == pytest.approx(1e-3, rel=1e-6)
+                   for v in sigma_values(sols))
 
     def test_sigma_reported_nonnegative(self):
         cd = sphere_cd()
@@ -292,10 +300,11 @@ class TestBatchedCore:
 
 def converged_systems(cd):
     """Jacobians and right-hand sides at converged multistart solutions."""
-    from riemsvp.svp import _jacobians
+    from riemsvp.svp import _system
 
     sols = multistart(cd, SolverConfig(n_starts=40, rng_seed=0))
-    jac = np.array([_jacobians(cd, np.append(s.q.flat(), s.sigma)[None])[0]
+    jacobians = _system(cd).jacobians
+    jac = np.array([jacobians(np.append(s.q.flat(), s.sigma)[None])[0]
                     for s in sols])
     rhs = np.array([-residual(cd, s.q, s.sigma) for s in sols])
     return jac, rhs
@@ -388,9 +397,9 @@ def recorded_core(monkeypatch):
     calls = []
     real = svp._gauss_newton
 
-    def recording(res_fn, jac_fn, U, cfg):
+    def recording(system, U, signs, cfg):
         start = np.array(U, dtype=float)
-        out = real(res_fn, jac_fn, U, cfg)
+        out = real(system, U, signs, cfg)
         calls.append((start,) + tuple(out))
         return out
 
@@ -487,16 +496,17 @@ class TestOneResidualPass:
         CORE_CASES["schwarzschild r=3"],
     ], ids=["n=2", "n=3", "n=4"])
     def test_jacobian_from_parts(self, make_cd):
-        from riemsvp.svp import _jacobians
+        from riemsvp.svp import _system
 
         cd = make_cd()
         n = cd.n
         rng = np.random.default_rng(n)
         U = rng.standard_normal((6, 4 * n + 1))
-        jac = _jacobians(cd, U)
+        jacobians = _system(cd).jacobians
+        jac = jacobians(U)
         assert np.array_equal(jac, oracles.jacobians_loop(cd, U))
         for row, u in enumerate(U):
-            assert np.array_equal(_jacobians(cd, u[None])[0], jac[row])
+            assert np.array_equal(jacobians(u[None])[0], jac[row])
 
     @pytest.mark.parametrize("rows", [0, 1, 7, 300])
     def test_contractions_match_term_by_term_sums(self, rows):
@@ -536,12 +546,13 @@ class TestOneResidualPass:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kernels_on_an_empty_batch(self, n):
-        from riemsvp.svp import _jacobians, _lstsq_steps, _residuals, _sigmas
+        from riemsvp.svp import _lstsq_steps, _sigmas, _system
 
         cd = riemann(catalog.space_form(0.8, n).spec, np.zeros(n))
         U = np.zeros((0, 4 * n + 1))
-        assert _residuals(cd, U, np.zeros((0, 4))).shape == (0, 4 * n + 4)
-        jac = _jacobians(cd, U)
+        system = _system(cd)
+        assert system.residuals(U, np.zeros((0, 4))).shape == (0, 4 * n + 4)
+        jac = system.jacobians(U)
         assert jac.shape == (0, 4 * n + 4, 4 * n + 1)
         assert _sigmas(cd, U[:, :4 * n]).shape == (0,)
         steps = _lstsq_steps(jac, np.zeros((0, 4 * n + 4)))
@@ -561,7 +572,7 @@ class TestOneResidualPass:
 
         monkeypatch.setattr(svp, "_matvec", recording)
         cd = CORE_CASES["schwarzschild r=3"]()
-        svp._residuals(cd, np.ones((3, 17)), ALL_PLUS)
+        svp._system(cd).residuals(np.ones((3, 17)), ALL_PLUS)
         pair = seen[0]
         assert pair.shape == (16, 6)
         assert not pair.flags.c_contiguous
@@ -578,6 +589,63 @@ class TestOneResidualPass:
         assert labels == [oracles.trivial_pattern_per_row(q) for q in quads]
         assert labels == [trivial_pattern(q) for q in quads]
         assert set(labels) == {"all-equal", "w=x", "y=z", None}
+
+
+PAIR_CASES = {
+    "dense n=2": lambda: dense_cd(2),
+    "dense n=3": lambda: dense_cd(3),
+    "dense n=4": lambda: dense_cd(4),
+    "space-form n=3": lambda: riemann(catalog.space_form(0.8, 3).spec,
+                                      np.zeros(3)),
+    "schwarzschild r=3": CORE_CASES["schwarzschild r=3"],
+}
+
+
+class TestPairSystem:
+    """The repeated-pair system against the full system it stands for."""
+
+    @pytest.mark.parametrize("rows", [0, 9])
+    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
+    def test_matches_embedded_full_system(self, case, rows):
+        from riemsvp.svp import _system
+
+        # a pair row (y, z, sigma) is the full system at (y, z, y, z,
+        # sigma): its first two equations and constraints, with the
+        # columns of the repeated vectors summed
+        cd = PAIR_CASES[case]()
+        n = cd.n
+        rng = np.random.default_rng(n + rows)
+        U = rng.standard_normal((rows, 2 * n + 1))
+        signs = rng.choice([-1.0, 1.0], size=(rows, 2))
+        full = _system(cd)
+        embedded = np.concatenate([U[:, :2 * n], U], axis=1)
+        sel = np.r_[0:2 * n, 4 * n, 4 * n + 1]
+        want_res = full.residuals(embedded, np.tile(signs, 2))[:, sel]
+        jac = full.jacobians(embedded)[:, sel]
+        want_jac = np.concatenate([jac[:, :, :2 * n] + jac[:, :, 2 * n:4 * n],
+                                   jac[:, :, 4 * n:]], axis=2)
+        pair = _system(cd, pair=True)
+        got_res, got_jac = pair.residuals(U, signs), pair.jacobians(U)
+        assert got_res.shape == (rows, 2 * n + 2)
+        assert got_jac.shape == (rows, 2 * n + 2, 2 * n + 1)
+        # bit for bit, signed zeros included
+        assert got_res.tobytes() == want_res.tobytes()
+        assert got_jac.tobytes() == want_jac.tobytes()
+
+    def test_split_batch_matches_sequential_ladder(self, monkeypatch):
+        from riemsvp import svp
+
+        cd = CORE_CASES["schwarzschild r=3"]()
+        patterns = [p + p for p in itertools.product((1, -1), repeat=2)]
+        cfg = SolverConfig(n_starts=12, rng_seed=0)
+        want = oracles.search_reference(cd, cfg, patterns, pair=True)
+        calls = recorded_core(monkeypatch)
+        monkeypatch.setattr(svp, "_MAX_BATCH", 7)
+        svp._search(cd, cfg, patterns, pair=True)
+        # one call per slice of at most seven starts, then the whole batch
+        assert len(calls) == 1 + -(-len(want[0]) // 7)
+        assert_same_core_results(calls[-1], want)
+        assert "converged" in set(want[3])
 
 
 SAMPLER_CASES = {
@@ -738,6 +806,12 @@ class TestMultistart:
         assert parse_sign_pattern("enumerate-all") is None
         with pytest.raises(InvalidInput):
             parse_sign_pattern("+++")
+
+    @pytest.mark.parametrize("starts", [0, -2, 2.5, 3.0, "3", None])
+    def test_starts_must_be_a_positive_integer(self, starts):
+        with pytest.raises(InvalidInput, match="n_starts"):
+            SolverConfig(n_starts=starts)
+        assert SolverConfig(n_starts=np.int64(3)).n_starts == 3
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
