@@ -72,9 +72,9 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
     """Constant sectional curvature ``kappa``, realized algebraically.
 
     The curvature is supplied directly in an orthonormal chart at a point
-    (``g`` is the identity), so the entry is valid pointwise only: the
-    numeric differentiation path sees a constant metric and returns zero
-    curvature by construction.
+    (``g`` is the identity), so the entry is valid pointwise only: curvature
+    derived from ``g`` (``mode='numeric'``) sees a constant metric and is
+    zero by construction.
     """
     if not float(n).is_integer() or n < 2:
         raise InvalidInput(f"space form needs an integer n >= 2, got {n}")

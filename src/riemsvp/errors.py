@@ -10,7 +10,7 @@ class SingularMetric(RiemSVPError):
 
 
 class DifferentiationFailure(RiemSVPError):
-    """Numerical differentiation produced non-finite values."""
+    """Differentiating the metric failed or produced non-finite values."""
 
 
 class DimensionTooSmall(RiemSVPError):

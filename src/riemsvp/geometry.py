@@ -13,19 +13,15 @@ With these choices the unit 2-sphere has ``riemann_lowered[0, 1, 0, 1] =
 sin(theta)**2`` in ``(theta, phi)`` coordinates; a regression test pins that
 sign.
 
-Curvature comes from an exact path or a numeric one, which share the formula
-of R in the Christoffel symbols and their derivatives.  The exact path,
-:func:`jet_riemann`, runs ``g`` once on :class:`Jet` values; it is the
-curvature supplier of every metric file and of catalog Kerr.  The numeric
-path (``mode='numeric'``, suppliers without curvature) is one pass over a
-stencil of ``4k + 1`` points: ``p``, ``p ± h_j e_j`` and ``p ± h_j/2 e_j``
-for each of the ``k`` coordinates ``j`` the spec does not declare
-``ignorable``.  Each point takes the metric and ``k`` complex-step
-derivatives: ``(4k + 1)(k + 1)`` supplier calls, 85 for a 4D metric that
-declares nothing, 27 for Schwarzschild and Kerr.  Skipping an ignorable
-coordinate gives the bits that evaluating along it would.  The real part of
-a complex evaluation is not the metric: complex arithmetic rounds
-differently.
+Curvature comes from a supplier (``analytic_riemann``: a table, or the
+exact :func:`jet_riemann`) or is derived from ``g`` in the call
+(``mode='numeric'``, or a spec without a supplier).  Every derivative of a
+metric comes from one place, :func:`_metric_jets`, which runs ``g`` once on
+:class:`Jet` values over the coordinates the spec does not declare
+``ignorable`` and gives g and its first and second derivatives exact up to
+rounding.  A metric supplier must therefore compute with numpy operations
+on its input: a ``math`` function of a coordinate, or a coordinate stored
+into a float array, raises :class:`InvalidInput`.
 """
 
 from __future__ import annotations
@@ -40,16 +36,6 @@ import numpy as np
 
 from .errors import (DifferentiationFailure, InvalidInput, SingularMetric,
                      WrongSignature)
-
-# Relative step for real central differences of the metric (first derivatives).
-FD_REL_STEP = 1e-5
-# Relative step for the outer differentiation of the Christoffel symbols.
-# Larger than FD_REL_STEP because the inner evaluations carry rounding noise
-# that an overly small outer step would amplify.
-FD_OUTER_REL_STEP = 1e-3
-# Imaginary perturbation for complex-step first derivatives.  No subtractive
-# cancellation occurs, so the step can sit far below the rounding threshold.
-CS_STEP = 1e-100
 
 MetricFn = Callable[[np.ndarray], np.ndarray]
 
@@ -66,26 +52,29 @@ class MetricSpec:
         Signs of the diagonalized metric, length ``n``.
     g : callable
         Maps a coordinate array of length ``n`` to the symmetric ``n x n``
-        metric matrix.  Implementations that accept complex coordinate
-        arrays enable high-accuracy complex-step differentiation.
+        metric matrix.  It must compute with numpy operations (``+ - * /
+        **``, ``np.sin`` and the like, ``np.array`` of its entries) on the
+        array it is given, which holds :class:`Jet` values when curvature
+        is derived from it; a ``math`` function of a coordinate, or a
+        coordinate stored into a float array, raises :class:`InvalidInput`.
     analytic_riemann : callable, optional
         Maps a point to the ``(n, n, n, n)`` array ``riemann_mixed``.  It is
-        the only analytic supplier: Christoffel symbols are always
-        differentiated from ``g``.  ``dataclasses.replace(spec, g=...)``
-        keeps it, and for a metric file or catalog Kerr it is the exact
-        curvature of the old ``g``; pass ``analytic_riemann=None`` as well
-        to take the stencil's curvature of the new ``g``.
+        the only analytic supplier: Christoffel symbols always come from
+        ``g``.  ``dataclasses.replace(spec, g=...)`` keeps it, and for a
+        metric file or catalog Kerr it is the exact curvature of the old
+        ``g``; pass ``analytic_riemann=None`` as well to take the exact
+        curvature of the new ``g`` (:func:`jet_riemann`).
     id : str
         Stable label used in reports.
     ignorable : tuple of int
         Coordinates that no metric component depends on (cyclic
         coordinates, such as ``t`` and ``phi`` of a stationary,
-        axisymmetric metric).  The declaration promises that ``g`` returns
-        the same matrix, bit for bit, whatever the value of these
-        coordinates, for real and for complex input, and so does the
-        analytic supplier; numeric curvature then skips all work along them.
-        ``dataclasses.replace(spec, g=...)`` keeps the declaration, so clear
-        it (``ignorable=()``) when the new supplier reads those coordinates.
+        axisymmetric metric).  The declaration promises that ``g`` does not
+        read these coordinates, and that the analytic supplier's result
+        does not depend on them either; curvature derived from ``g`` then
+        carries no derivatives along them.  ``dataclasses.replace(spec,
+        g=...)`` keeps the declaration, so clear it (``ignorable=()``) when
+        the new supplier reads those coordinates.
     """
 
     dimension: int
@@ -189,18 +178,23 @@ def metric_at(spec: MetricSpec, p) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     SingularMetric
-        If ``|det g| <= 1e-14 * max|g|**n``, a test that does not depend on
-        the units of the metric (coordinate singularities such as a sphere
-        pole or a horizon).
+        If ``g`` is not finite, if it is singular (coordinate singularities
+        such as a sphere pole or a horizon), or if its inverse leaves a
+        defect above rounding.  Singular means that, with row and column
+        ``i`` of ``g`` scaled by ``1/sqrt(max_j |g_ij|)``, the eigenvalues
+        of its symmetric part have ``min|λ| <= 1e-14 max|λ|``: rescaling a
+        coordinate or the units of the metric does not change the test.
     """
-    return _metric_at(spec, as_point(p, spec.dimension))
+    return _metric_at(spec, as_point(p, spec.dimension))[:2]
 
 
-def _metric_at(spec: MetricSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`metric_at` at a point :func:`as_point` has validated."""
+def _metric_at(spec: MetricSpec,
+               p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`metric_at` at a point :func:`as_point` has validated, and the
+    number of negative eigenvalues of the symmetric part of the metric."""
     with np.errstate(all="ignore"):
         g = _real_metric(spec, p)
-        return g, _checked_inverses(spec, p[None], [g])[0]
+        return (g,) + _checked_inverse(spec, p, g)
 
 
 def _real_metric(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
@@ -212,134 +206,37 @@ def _real_metric(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
     return g
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry of ``mask``, or its length."""
-    return int(np.argmax(mask)) if mask.any() else len(mask)
+def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
+    """The inverse of the metric ``g`` at ``p`` after :func:`metric_at`'s
+    checks, and the number of negative eigenvalues of its symmetric part,
+    under the caller's ``np.errstate``.
 
-
-def _checked_inverses(spec: MetricSpec, points: np.ndarray, G,
-                      dg=()) -> np.ndarray:
-    """Inverses of the metrics ``G`` taken at the leading rows of ``points``.
-
-    Runs :func:`metric_at`'s checks (finite, determinant against the scale
-    of the matrix, inversion defect) on every row of ``G``, and the
-    finiteness check on as many rows of metric derivatives ``dg`` as given,
-    in one stacked pass under the caller's ``np.errstate``.  Raises for the
-    first row that fails, a row's metric before its derivatives.
+    The eigenvalues are those of the symmetric part of ``S g S`` with ``S =
+    diag(1/sqrt(max_j |g_ij|))``, symmetric equilibration (van der Sluis,
+    *Numer. Math.* 14, 1969), whose entries lie in ``[-1, 1]`` for a
+    symmetric ``g``.  It has the inertia of the symmetric part of ``g``
+    (Sylvester's law), so its negative count is the metric's.  A zero row
+    leaves ``S`` infinite: singular.
     """
-    n = spec.dimension
-    G = np.reshape(G, (-1, n, n))
-    eye = np.eye(n)
-    gmax = np.abs(G).max(axis=(1, 2))
-    det = np.linalg.det(G)
-    # false on a row whose entries, det or scale are not finite
-    regular = (np.abs(det) > 1e-14 * gmax ** n) & (np.abs(det) < np.inf)
-    # an irregular row takes the identity, so inv cannot fail
-    G_inv = np.linalg.inv(G if regular.all() else
-                          np.where(regular[:, None, None], G, eye))
-    defect = np.abs(G @ G_inv - eye).max(axis=(1, 2))
-    ok = regular & (defect <= 1e-12 * np.maximum(
-        1.0, gmax * np.abs(G_inv).max(axis=(1, 2))))
-    if ok.all() and (len(dg) == 0 or np.isfinite(dg).all()):
-        return G_inv
-    i = _first(~ok)
-    bad_dg = ~np.isfinite(np.reshape(dg, (-1, n, n, n))).all(axis=(1, 2, 3))
-    d = _first(bad_dg)
-    if d < min(i, len(bad_dg)):
-        raise DifferentiationFailure(
-            f"metric derivatives non-finite at {points[d].tolist()}")
-    at = points[i].tolist()
-    raise SingularMetric(f"metric '{spec.id}' " + (
-        f"is not finite at {at}" if not np.isfinite(G[i]).all() else
-        f"is singular at {at} (det={det[i]:.3e})" if not regular[i] else
-        f"is too ill-conditioned at {at} (inversion defect {defect[i]:.3e})"))
-
-
-def supports_complex_step(spec: MetricSpec, p) -> bool:
-    """True when the metric supplier evaluates cleanly on complex points: a
-    complex step in the first varying coordinate, or in 0 if none varies."""
-    z = as_point(p, spec.dimension).astype(complex)
-    z[(spec.varying or (0,))[0]] += 1j * CS_STEP
-    with np.errstate(all="ignore"):
-        return _clean_complex_step(spec, z) is not None
-
-
-def _clean_complex_step(spec: MetricSpec, z: np.ndarray) -> Optional[np.ndarray]:
-    """``spec.g`` at the complex-shifted point ``z``, or ``None`` when it
-    raises or is not a finite complex matrix of the metric's shape."""
-    try:
-        gz = np.asarray(spec.g(z))
-    except Exception:
-        return None
-    clean = (np.iscomplexobj(gz) and gz.shape == (spec.dimension,) * 2
-             and bool(np.isfinite(gz).all()))
-    return gz if clean else None
-
-
-def _stencil(p: np.ndarray, h: np.ndarray, coords) -> np.ndarray:
-    """The ``4k + 1`` rows ``p``, then ``p ± h_j e_j`` and ``p ± h_j/2 e_j``
-    for each of the ``k`` coordinates ``j`` in ``coords``, in that order."""
-    rows = np.tile(p, (4 * len(coords) + 1, 1))
-    for a, j in enumerate(coords):
-        rows[4 * a + 1:4 * a + 5, j] += (h[j], -h[j], h[j] / 2.0, -(h[j] / 2.0))
-    return rows
-
-
-def _richardson(F: np.ndarray, h: np.ndarray, coords) -> np.ndarray:
-    """Central differences with one Richardson level, one per coordinate.
-
-    ``F`` holds values at the rows of :func:`_stencil` with the same
-    ``coords``, ``p`` first.  A coordinate not in ``coords`` takes the value
-    at ``p`` for its four rows, so its derivative is an exact zero.
-    """
-    n = len(h)
-    rows = np.zeros((n, 4), dtype=int)
-    rows[list(coords)] = np.arange(1, 4 * len(coords) + 1).reshape(-1, 4)
-    F = F[rows]
-    h = h.reshape((n,) + (1,) * (F.ndim - 2))
-    coarse = (F[:, 0] - F[:, 1]) / (2.0 * h)
-    fine = (F[:, 2] - F[:, 3]) / (2.0 * (h / 2.0))
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _christoffel_rows(spec: MetricSpec, points: np.ndarray):
-    """Metric, inverse and Christoffel symbols at every row of ``points``.
-
-    Each row calls ``spec.g`` once for the metric and once per varying
-    coordinate for its complex-step derivatives; a row whose first step is
-    not clean takes real differences with one Richardson level, four calls
-    per varying coordinate.  The error raised is the one that evaluating
-    and checking the rows one at a time would raise first.
-    """
-    n, coords = spec.dimension, spec.varying
-    G = np.empty((len(points), n, n))
-    dg = np.zeros((len(points), n, n, n))
-    # Z[a, b] is row a shifted by 1j * CS_STEP in coordinate coords[b]
-    Z = np.repeat(points.astype(complex)[:, None], len(coords), axis=1)
-    for b, j in enumerate(coords):
-        Z[:, b, j] += 1j * CS_STEP
-    evaluated = 0  # rows whose metric is in G
-    with np.errstate(all="ignore"):  # non-finite values fail the checks
+    s = 1.0 / np.sqrt(np.abs(g).max(axis=1))
+    finite, a = bool(np.isfinite(g).all()), s[:, None] * g * s
+    lam = (np.linalg.eigvalsh(0.5 * (a + a.T))
+           if finite and np.isfinite(s).all() else np.zeros(1))
+    ratio = np.abs(lam).min() / max(np.abs(lam).max(), np.finfo(float).tiny)
+    if ratio > 1e-14:
         try:
-            for a, (q, z) in enumerate(zip(points, Z)):
-                G[a] = _real_metric(spec, q)
-                evaluated = a + 1
-                gz = _clean_complex_step(spec, z[0]) if coords else None
-                if gz is not None:
-                    dg[a, coords[0]] = gz.imag / CS_STEP
-                    for j, zj in zip(coords[1:], z[1:]):
-                        dg[a, j] = np.asarray(spec.g(zj)).imag / CS_STEP
-                elif coords:
-                    h = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(q))
-                    F = [G[a]] + [_real_metric(spec, x)
-                                  for x in _stencil(q, h, coords)[1:]]
-                    dg[a] = _richardson(np.array(F), h, coords)
-        except Exception:
-            # a failed check on a row already evaluated comes first
-            _checked_inverses(spec, points, G[:evaluated], dg[:a])
-            raise
-        G_inv = _checked_inverses(spec, points, G, dg)
-        return G, G_inv, _christoffel(G_inv, dg)
+            g_inv = np.linalg.inv(g)
+        except np.linalg.LinAlgError:  # asymmetric, regular symmetric part
+            g_inv = np.full_like(g, np.nan)
+        defect = np.abs(g @ g_inv - np.eye(len(g))).max()
+        if defect <= 1e-12 * max(1.0, np.abs(g).max() * np.abs(g_inv).max()):
+            return g_inv, int((lam < 0).sum())
+    raise SingularMetric(f"metric '{spec.id}' " + (
+        f"is not finite at {p.tolist()}" if not finite else
+        f"is singular at {p.tolist()} (equilibrated eigenvalue ratio "
+        f"{ratio:.3e})" if ratio <= 1e-14 else
+        f"is too ill-conditioned at {p.tolist()} (inversion defect "
+        f"{defect:.3e})"))
 
 
 def _christoffel(G_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -367,12 +264,20 @@ class Jet:
     (float tuples) over ``k`` coordinates: second-order forward mode
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch.
     13).  ``sin cos tan exp log sqrt`` are methods, which numpy's functions
-    call; an operation without a derivative raises Python's error."""
+    call; an operation without a derivative raises Python's error, and a
+    conversion to float (``math.sin``, a store into a float array)
+    :class:`InvalidInput`."""
 
     __slots__ = ("v", "d", "h")
 
     def __init__(self, v, d, h):
         self.v, self.d, self.h = v, d, h
+
+    def __float__(self):
+        raise InvalidInput(
+            "the metric supplier converted a coordinate to float (a math "
+            "function, or a store into a float array); curvature is derived "
+            "from g on jets, so g must use numpy operations on p")
 
     def _chain(self, f0, f1, f2):
         """``f(self)`` from ``f`` and its first two derivatives at ``v``."""
@@ -447,10 +352,13 @@ class Jet:
         return self ** 0.5
 
 
-def jet_riemann(g: MetricFn, p: np.ndarray, coords) -> np.ndarray:
-    """``riemann_mixed`` at ``p``, exact up to rounding, from ``g`` run once
-    on jets over ``coords`` (an object array; ``g`` returns jets and numbers).
-    :class:`DifferentiationFailure` where a derivative fails or is not finite."""
+def _metric_jets(g: MetricFn, p: np.ndarray, coords):
+    """``g`` at ``p`` and its derivatives ``D``, with ``D[0, j] = d_j g``
+    and ``D[1 + i, j] = d_i d_j g``, exact up to rounding, from ``g`` run
+    once on jets over ``coords`` (an object array; ``g`` returns jets and
+    numbers).  Derivatives along the other coordinates are zeros.
+    :class:`DifferentiationFailure` where a derivative fails or is not
+    finite."""
     n, k = len(p), len(coords)
     q = np.array(p.tolist(), dtype=object)
     for a, j in enumerate(coords):
@@ -468,61 +376,72 @@ def jet_riemann(g: MetricFn, p: np.ndarray, coords) -> np.ndarray:
     if not finite:
         raise DifferentiationFailure(
             f"metric derivatives non-finite at {p.tolist()}")
-    # D[0, j] = d_j g and D[1 + i, j] = d_i d_j g
     c, D = np.array(coords, dtype=int), np.zeros((n + 1, n, n, n))
     D[0, c] = C[..., 1:k + 1].transpose(2, 0, 1)
     D[1 + c[:, None], c] = C[..., k + 1:].reshape(n, n, k, k).transpose(2, 3, 0, 1)
-    g_inv = np.linalg.inv(C[..., 0])
-    gammas = _christoffel(np.broadcast_to(g_inv, (n + 1, n, n)), D)
-    # d_j gamma^l_ik = g^lm (d_j gamma_mik - d_j g_mb gamma^b_ik), with the
-    # first-kind symbols gamma_mik
-    dg_gamma = g_inv @ (D[0] @ gammas[0].reshape(n, n * n))
-    return _curvature(gammas[0], gammas[1:] - dg_gamma.reshape((n,) * 4), p)
+    return C[..., 0], D
+
+
+def jet_riemann(g: MetricFn, p: np.ndarray, coords) -> np.ndarray:
+    """``riemann_mixed`` at ``p``, exact up to rounding, from the metric's
+    jets over ``coords`` (:func:`_metric_jets`).  Raises
+    :class:`DifferentiationFailure` where a derivative fails or is not
+    finite."""
+    n = len(p)
+    G, D = _metric_jets(g, p, coords)
+    with np.errstate(all="ignore"):  # non-finite values fail _curvature's check
+        g_inv = np.linalg.inv(G)
+        gammas = _christoffel(np.broadcast_to(g_inv, (n + 1, n, n)), D)
+        # d_j gamma^l_ik = g^lm (d_j gamma_mik - d_j g_mb gamma^b_ik), with
+        # the first-kind symbols gamma_mik
+        dg_gamma = g_inv @ (D[0] @ gammas[0].reshape(n, n * n))
+        return _curvature(gammas[0], gammas[1:] - dg_gamma.reshape((n,) * 4), p)
 
 
 def christoffel(spec: MetricSpec, p) -> np.ndarray:
-    """Christoffel symbols ``gamma[l, i, k]`` of the Levi-Civita connection,
-    from the metric's derivatives at ``p``."""
-    return _christoffel_rows(spec, as_point(p, spec.dimension)[None])[2][0]
+    """Christoffel symbols ``gamma[l, i, k]`` of the Levi-Civita connection
+    at ``p``: :func:`metric_at`'s inverse with the metric's first
+    derivatives from :func:`_metric_jets`."""
+    p = as_point(p, spec.dimension)
+    g_inv = _metric_at(spec, p)[1]
+    dg = _metric_jets(spec.g, p, spec.varying)[1][:1]
+    with np.errstate(all="ignore"):
+        return _christoffel(g_inv[None], dg)[0]
 
 
 def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     """Evaluate the metric, its inverse and the curvature at ``p``.
 
+    The metric and its inverse are :func:`metric_at`'s, and the symmetric
+    part of the metric must have as many negative eigenvalues as the
+    declared signature has minus signs (:class:`WrongSignature` otherwise).
     With ``mode='auto'`` and an ``analytic_riemann`` supplier (a table, or
-    the exact :func:`jet_riemann`) this is one :func:`metric_at` and one
-    call of the supplier.  Otherwise (``mode='numeric'``, or no supplier)
-    the Christoffel symbols at the stencil's rows (see the module docstring)
-    are differentiated by central differences with one Richardson level.
-    Either way the symmetric part of the metric at ``p`` must have as many
-    negative eigenvalues as the declared signature has minus signs
-    (:class:`WrongSignature` otherwise).
+    the exact :func:`jet_riemann`) the curvature is one call of the
+    supplier, on path ``'analytic'``.  Otherwise (``mode='numeric'``, or no
+    supplier) it is derived from ``spec.g`` in the call, exactly, by
+    :func:`jet_riemann` over the coordinates the spec does not declare
+    ignorable, on path ``'numeric'``.
 
-    The exact path evaluates ``g`` twice, for the metric and on jets: Kerr's
-    jet values differ from ``spec.g`` in the last bit at about 1,300 of
-    3,000 random exterior points, and multistart answers follow those bits.
+    Curvature derived from ``g`` evaluates it twice, for the metric and on
+    jets: Kerr's jet values differ from ``spec.g`` in the last bit at about
+    1,300 of 3,000 random exterior points, and multistart answers follow
+    those bits.
     """
     p = as_point(p, spec.dimension)
     if mode not in ("auto", "numeric"):
         raise InvalidInput(f"unknown differentiation mode '{mode}'")
-    if mode == "auto" and spec.analytic_riemann is not None:
-        g, g_inv = _metric_at(spec, p)
-        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
-        path = "analytic"
-    else:
-        h = FD_OUTER_REL_STEP * np.maximum(1.0, np.abs(p))
-        coords = spec.varying
-        G, G_inv, gammas = _christoffel_rows(spec, _stencil(p, h, coords))
-        g, g_inv = G[0], G_inv[0]
-        mixed = _curvature(gammas[0], _richardson(gammas, h, coords), p)
-        path = "numeric"
-
-    negative = int((np.linalg.eigvalsh(0.5 * (g + g.T)) < 0).sum())
+    g, g_inv, negative = _metric_at(spec, p)
     declared = sum(1 for s in spec.signature if s < 0)
     if negative != declared:
         raise WrongSignature(
             f"metric '{spec.id}' has {negative} negative eigenvalue(s) at "
             f"{p.tolist()}, but its declared signature has {declared}")
+    if mode == "auto" and spec.analytic_riemann is not None:
+        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
+        path = "analytic"
+    else:
+        mixed = jet_riemann(spec.g, p, spec.varying)
+        path = "numeric"
     lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
     return CurvatureData(point=p, g=g, g_inv=g_inv, riemann_mixed=mixed,
                          riemann_lowered=lowered,

@@ -3,8 +3,7 @@
 Everything here is implemented with plain loops and naive finite
 differences, deliberately sharing no code with the package under test.
 The exceptions are :func:`sample_starts_one_draw`, which takes ``<v, v>``
-from the package's stacked product, :func:`riemann_per_point`, the former
-per-point numeric curvature path, and the former Newton core (the
+from the package's stacked product, and the former Newton core (the
 functions after :func:`dot_ordered`), which repeat the package's numpy
 operations, and make their contractions with :func:`dot`, the package's
 former contraction kernel, so that results can be compared bit for bit.
@@ -18,7 +17,6 @@ import math
 import numpy as np
 
 from riemsvp import svp
-from riemsvp.errors import DifferentiationFailure, InvalidInput, SingularMetric
 
 
 def fd_metric_derivatives(g_fn, p, h=1e-6):
@@ -177,106 +175,6 @@ def sample_starts_one_draw(rng, g, signs, count, max_tries=2000):
     starts = min(slots[0][0] if slots else count
                  for slots in open_slots.values())
     return rows[:starts].reshape(starts, m * n), starts + (starts < count)
-
-
-def riemann_per_point(spec, p, mode="auto"):
-    """Curvature by nested per-point differentiation.
-
-    The outer central differences call the Christoffel routine at each of
-    the ``4n`` offset points, and each of those evaluates, checks and
-    inverts the metric and probes complex-step support on its own: ``103``
-    metric evaluations for a 4D complex-capable metric.  Raises the
-    package's error types with its messages.  Returns ``(g_inv, gamma,
-    riemann_mixed, riemann_lowered)``.
-    """
-    p = np.asarray(p, dtype=float)
-    n = spec.dimension
-
-    def metric_at(q):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.asarray(spec.g(q), dtype=float)
-        if g.shape != (n, n):
-            raise InvalidInput("metric supplier returned a wrongly shaped matrix")
-        if not np.all(np.isfinite(g)):
-            raise SingularMetric(
-                f"metric '{spec.id}' is not finite at {q.tolist()}")
-        scale = float(np.abs(g).max()) ** n
-        det = np.linalg.det(g)
-        if not np.isfinite(det) or abs(det) <= 1e-14 * scale:
-            raise SingularMetric(
-                f"metric '{spec.id}' is singular at {q.tolist()} (det={det:.3e})")
-        g_inv = np.linalg.inv(g)
-        defect = np.abs(g @ g_inv - np.eye(n)).max()
-        if defect > 1e-12 * max(1.0, np.abs(g).max() * np.abs(g_inv).max()):
-            raise SingularMetric(
-                f"metric '{spec.id}' is too ill-conditioned at {q.tolist()} "
-                f"(inversion defect {defect:.3e})")
-        return g, g_inv
-
-    def supports_complex_step(q):
-        try:
-            zq = q.astype(complex)
-            zq[0] += 1j * 1e-100
-            gz = np.asarray(spec.g(zq))
-        except Exception:
-            return False
-        return (np.iscomplexobj(gz) and gz.shape == (n, n)
-                and bool(np.all(np.isfinite(gz))))
-
-    def richardson_central(f, q, i, h):
-        def central(step):
-            up, dn = q.copy(), q.copy()
-            up[i] += step
-            dn[i] -= step
-            return (f(up) - f(dn)) / (2.0 * step)
-
-        coarse = central(h)
-        fine = central(h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-
-    def metric_derivatives(q):
-        dg = np.empty((n, n, n))
-        if supports_complex_step(q):
-            zp = q.astype(complex)
-            for i in range(n):
-                zq = zp.copy()
-                zq[i] += 1j * 1e-100
-                dg[i] = np.asarray(spec.g(zq)).imag / 1e-100
-        else:
-            for i in range(n):
-                h = max(1e-5, 1e-5 * abs(q[i]))
-                dg[i] = richardson_central(
-                    lambda r: np.asarray(spec.g(r), dtype=float), q, i, h)
-        if not np.all(np.isfinite(dg)):
-            raise DifferentiationFailure(
-                f"metric derivatives non-finite at {q.tolist()}")
-        return dg
-
-    def christoffel(q):
-        _, g_inv = metric_at(q)
-        dg = metric_derivatives(q)
-        term = (np.einsum("imk->imk", dg) + np.einsum("kmi->imk", dg)
-                - np.einsum("mik->imk", dg))
-        return 0.5 * np.einsum("lm,imk->lik", g_inv, term)
-
-    g, g_inv = metric_at(p)
-    gamma = christoffel(p)
-    if mode == "auto" and spec.analytic_riemann is not None:
-        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
-    else:
-        dgamma = np.empty((n, n, n, n))
-        for j in range(n):
-            h = 1e-3 * max(1.0, abs(p[j]))
-            dgamma[j] = richardson_central(christoffel, p, j, h)
-        if not np.all(np.isfinite(dgamma)):
-            raise DifferentiationFailure(
-                f"Christoffel derivatives non-finite at {p.tolist()}")
-        mixed = (np.einsum("iljk->lkij", dgamma)
-                 - np.einsum("jlik->lkij", dgamma)
-                 + np.einsum("hjk,lih->lkij", gamma, gamma)
-                 - np.einsum("hik,ljh->lkij", gamma, gamma))
-    lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
-    return g_inv, gamma, mixed, lowered
 
 
 def dot_ordered(a, vecs, axis=-1):

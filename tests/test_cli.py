@@ -61,6 +61,16 @@ class TestInvariantsCommand:
             48.0 / 729.0, rel=1e-10)
         assert report["invariants"]["np_scalars"] is None
 
+    def test_far_schwarzschild_point_is_regular(self, capsys):
+        # |det g| falls below 1e-14 max|g|^4 from r ~ 2,660, but the
+        # equilibrated metric is as regular as at r = 3
+        code, out = run(capsys, "invariants", "--metric", "schwarzschild",
+                        "--params", "M=1", "--point", "0,3000,0.7854,0",
+                        "--deterministic")
+        assert code == 0
+        assert json.loads(out)["invariants"]["kretschmann"] == pytest.approx(
+            48.0 / 3000.0 ** 6, rel=1e-10)
+
     def test_euclidean_zeros(self, capsys):
         code, out = run(capsys, "invariants", "--metric", "euclidean",
                         "--params", "n=4", "--point", "0,0,0,0",
@@ -474,7 +484,7 @@ class TestExitCodes:
 
     def test_metric_without_second_derivatives_is_domain_error(
             self, capsys, tmp_path):
-        # sqrt(x^2) has no derivative at x = 0 (the stencil saw a flat metric)
+        # sqrt(x^2) has no derivative at x = 0
         path = tmp_path / "kink.metric"
         path.write_text("dimension = 2\ncoordinates = x, y\n"
                         "g[0,0] = sqrt(x^2) + 1\ng[1,1] = 1\n")
@@ -501,16 +511,19 @@ class TestExitCodes:
         path = tmp_path / "halfplane.metric"
         path.write_text("dimension = 2\ncoordinates = x, y\n"
                         "g[0,0] = 1 / y\ng[1,1] = 1 / y\n")
+        # g = 1e300 times the identity is regular, but its derivatives
+        # (-1/y^2 = -1e600) overflow
         code = main(["verify", "--metric", str(path), "--point", "0,1e-300",
                      "--starts", "5", "--deterministic"])
         assert code == 3
-        assert "is singular at [0.0, 1e-300]" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "domain error: metric derivatives non-finite at [0.0, 1e-300]\n")
         assert [str(w.message) for w in recwarn] == []
 
     def test_metric_overflowing_next_to_the_point_warns_nothing(
             self, capsys, tmp_path, recwarn):
-        # exp(709.5) is finite, but the complex step and the real stencil
-        # next to it overflow
+        # exp(709.5) is finite and the metric regular, but the sums of its
+        # derivatives in the Christoffel symbols overflow
         path = tmp_path / "growing.metric"
         path.write_text("dimension = 2\ncoordinates = x, y\n"
                         "g[0,0] = exp(x)\ng[1,1] = exp(x)\n")
@@ -518,8 +531,8 @@ class TestExitCodes:
                      "--point", "709.5,0"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "domain error: metric 'growing' is singular at [709.5, 0.0] "
-            "(det=inf)\n")
+            "domain error: Christoffel derivatives non-finite at "
+            "[709.5, 0.0]\n")
         assert [str(w.message) for w in recwarn] == []
 
     def test_empty_start_batch_is_exit_4(self, capsys):

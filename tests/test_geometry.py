@@ -10,7 +10,7 @@ from riemsvp.errors import (DifferentiationFailure, InvalidInput,
                             SingularMetric, WrongSignature)
 from riemsvp.geometry import (Jet, MetricSpec, christoffel, complete_riemann,
                               independent_components, metric_at, riemann,
-                              supports_complex_step, verify_tensor_symmetries)
+                              verify_tensor_symmetries)
 from riemsvp.metricfile import load_metric
 
 import oracles
@@ -52,8 +52,42 @@ class TestMetricAt:
         with pytest.raises(InvalidInput):
             metric_at(entry.spec, [np.nan, 0.0])
 
+    @pytest.mark.parametrize("r", [3000.0, 1e7])
+    def test_regular_far_from_the_hole(self, r):
+        # det g = -r^4 sin^2(theta) is tiny against max|g|^4 = r^8 sin^8(theta),
+        # but the equilibrated metric is the identity up to signs
+        entry = catalog.schwarzschild(1.0)
+        cd = riemann(entry.spec, [0.0, r, math.pi / 4, 0.0])
+        assert kretschmann(cd) == pytest.approx(48.0 / r ** 6, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_near_the_pole_at_every_scale(self, c):
+        # det g / max|g|^2 = sin^2(1e-7) = 1e-14 at any scale c, but only the
+        # pole itself is singular
+        sphere = catalog.sphere2().spec
+        spec = dataclasses.replace(sphere, g=lambda p: c * sphere.g(p))
+        g, g_inv = metric_at(spec, [1e-7, 0.2])
+        assert np.allclose(g @ g_inv, np.eye(2), atol=1e-12)
+        with pytest.raises(SingularMetric, match="is singular at"):
+            metric_at(spec, [0.0, 0.2])
+
+    def test_zero_row_is_singular(self):
+        spec = MetricSpec(dimension=3, signature=(1, 1, 1),
+                          g=lambda p: np.diag([1.0 + p[0], 0.0, 2.0]))
+        with pytest.raises(SingularMetric,
+                           match=r"is singular at \[0.5, 0.0, 0.0\]"):
+            metric_at(spec, [0.5, 0.0, 0.0])
+
+    def test_singular_asymmetric_metric(self):
+        # a metric file may set g[0,1] and g[1,0] apart: this g is singular,
+        # its equilibrated symmetric part is not
+        spec = MetricSpec(dimension=2, signature=(1, 1), id="skew",
+                          g=lambda p: np.array([[1.0, 2.0], [0.5, 1.0 + p[0]]]))
+        with pytest.raises(SingularMetric, match="is too ill-conditioned at"):
+            metric_at(spec, [0.0, 0.0])
+
     def test_wrongly_shaped_supplier(self):
-        # the stencil's first row fails before any metric is stacked
+        # the metric at the point fails before its derivatives are taken
         spec = MetricSpec(dimension=2, signature=(1, 1),
                           g=lambda p: np.eye(3) + 0.0 * p[0])
         for evaluate in (lambda: metric_at(spec, [0.0, 1.0]),
@@ -132,6 +166,18 @@ class TestRiemann:
         assert rel < 1e-6
         assert cd_a.path == "analytic" and cd_n.path == "numeric"
 
+    @pytest.mark.parametrize("r", [2.7, 7.0, 40.0])
+    def test_numeric_schwarzschild_matches_table(self, r):
+        # derived from g exactly: the rounding of g sets the error, which
+        # grows like r/M
+        entry = catalog.schwarzschild(1.0)
+        p = np.array([0.0, r, 1.1, 0.0])
+        want = riemann(entry.spec, p).riemann_mixed
+        cd = riemann(entry.spec, p, mode="numeric")
+        assert cd.path == "numeric"
+        assert (np.abs(cd.riemann_mixed - want).max()
+                <= 1e-13 * np.abs(want).max())
+
     def test_numeric_matches_loop_oracle_kerr(self):
         entry = catalog.kerr(1.0, 0.5)
         p = np.array([0.0, 3.5, 1.0, 0.0])
@@ -200,31 +246,9 @@ class TestSymmetries:
 
 
 def polar_spec():
-    """Flat plane in polar coordinates, real coordinates only."""
-    def g(p):
-        if np.iscomplexobj(p):
-            raise TypeError("real coordinates only")
-        return np.diag([1.0, float(p[0]) ** 2])
-
-    return MetricSpec(dimension=2, signature=(1, 1), g=g, id="polar")
-
-
-class TestComplexStep:
-    def test_catalog_metrics_support_it(self):
-        for entry in (catalog.sphere2(), catalog.schwarzschild(1.0),
-                      catalog.kerr(1.0, 0.3)):
-            assert supports_complex_step(entry.spec, entry.default_point)
-
-    def test_real_only_supplier_falls_back(self):
-        spec = polar_spec()
-        p = np.array([2.0, 0.5])
-        assert not supports_complex_step(spec, p)
-        gam = christoffel(spec, p)
-        # flat plane in polar coordinates: gamma^r_pp = -r, gamma^p_rp = 1/r
-        assert gam[0, 1, 1] == pytest.approx(-2.0, rel=1e-9)
-        assert gam[1, 0, 1] == pytest.approx(0.5, rel=1e-9)
-        cd = riemann(spec, p, mode="numeric")
-        assert np.abs(cd.riemann_lowered).max() < 1e-6
+    """Flat plane in polar coordinates."""
+    return MetricSpec(dimension=2, signature=(1, 1), id="polar",
+                      g=lambda p: np.diag([1.0 + 0.0 * p[0], p[0] ** 2]))
 
 
 SCHWARZSCHILD_FILE = """\
@@ -239,77 +263,91 @@ g[3,3] = r^2 * sin(theta)^2
 """
 
 
-def stencil_cases(tmp_path):
-    """``(spec, point, mode)`` for every branch of the numeric path."""
-    path = tmp_path / "schwarzschild.metric"
-    path.write_text(SCHWARZSCHILD_FILE)
-    cases = [(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.3], "numeric")
-             for a, r, th in ((0.0, 6.0, math.pi / 2), (0.5, 3.5, 1.0),
-                              (0.9, 2.5, 0.3), (0.3, 40.0, 2.8))]
-    cases += [
-        (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 0.9, 0.0], "numeric"),
-        (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 0.5], "numeric"),
-        (load_metric(path), [0.0, 4.0, 1.2, 0.3], "numeric"),
-        (polar_spec(), [2.0, 0.5], "numeric"),
-        (catalog.sphere2().spec, [0.7, 0.2], "numeric"),
-    ]
-    return cases
+def float_converting_spec(style):
+    """The round sphere written with a ``math`` function of a coordinate,
+    or stored into a float array: neither runs on jets."""
+    def g(p):
+        if style == "math":
+            return np.array([[1.0, 0.0], [0.0, math.sin(p[0]) ** 2]])
+        out = np.zeros((2, 2))
+        out[0, 0], out[1, 1] = 1.0, np.sin(p[0]) ** 2
+        return out
+
+    return MetricSpec(dimension=2, signature=(1, 1), g=g, id=style)
+
+
+class TestDerivedCurvature:
+    def test_polar_plane(self):
+        spec, p = polar_spec(), [2.0, 0.5]
+        gam = christoffel(spec, p)
+        # flat plane in polar coordinates: gamma^r_pp = -r, gamma^p_rp = 1/r
+        assert gam[0, 1, 1] == pytest.approx(-2.0, rel=1e-15)
+        assert gam[1, 0, 1] == pytest.approx(0.5, rel=1e-15)
+        cd = riemann(spec, p)
+        assert cd.path == "numeric"
+        assert np.abs(cd.riemann_lowered).max() <= 1e-15
+
+    @pytest.mark.parametrize("style", ["math", "float-array"])
+    def test_float_converting_supplier_is_invalid_input(self, style, capsys,
+                                                        recwarn):
+        spec, p = float_converting_spec(style), [1.0, 0.2]
+        metric_at(spec, p)  # real input is fine
+        for evaluate in (lambda: riemann(spec, p), lambda: christoffel(spec, p),
+                         lambda: riemann(spec, p, mode="numeric")):
+            with pytest.raises(InvalidInput,
+                               match="converted a coordinate to float"):
+                evaluate()
+        assert [str(w.message) for w in recwarn] == []
+        assert capsys.readouterr().err == ""
 
 
 def failing_spec(plan):
-    """A flat 2D metric that fails at chosen values of its first coordinate.
-
-    ``plan`` maps a value to ``"nan"`` (a non-finite metric), ``"singular"``
-    (a zero determinant), ``"dnan"`` (a non-finite complex step in the
-    second coordinate), ``"both"`` (the last two) or ``"raise"`` (the
-    supplier raises).
+    """A flat 2D metric that fails at every point in the ways ``plan``
+    names: ``"nan"`` (a non-finite metric), ``"singular"`` (a zero
+    determinant) and ``"raise"`` (the supplier raises) on real input,
+    ``"dnan"`` (a non-finite derivative) and ``"jets-raise"`` (the supplier
+    raises) on jets.
     """
     def g(p):
-        x = p[0]
-        kind = next((k for r, k in plan.items() if abs(np.real(x) - r) < 1e-12),
-                    None)
-        if kind == "raise":
+        jets = p.dtype == object
+        if "raise" in plan and not jets:
             raise ZeroDivisionError("supplier failed")
+        if "jets-raise" in plan and jets:
+            raise ZeroDivisionError("supplier failed on jets")
+        x = p[0]
         out = np.array([[1.0 + 0.0 * x, 0.0 * x], [0.0 * x, 1.0 + 0.0 * x]])
-        if kind == "nan" and not np.iscomplexobj(p):
+        if "nan" in plan and not jets:
             out[1, 1] = np.nan
-        if kind in ("singular", "both"):
+        if "singular" in plan and not jets:
             out[1, 1] = 0.0
-        if kind in ("dnan", "both") and np.iscomplexobj(p) and p[1].imag != 0:
-            out[1, 1] = complex(1.0, np.inf)
+        if "dnan" in plan and jets:
+            out[1, 1] = Jet(1.0, (np.nan, 0.0), (0.0,) * 4)
         return out
 
     return MetricSpec(dimension=2, signature=(1, 1), g=g, id="failing")
 
 
 class TestOneStencil:
-    def test_bit_identical_to_per_point_path(self, tmp_path):
-        for spec, p, mode in stencil_cases(tmp_path):
-            cd = riemann(spec, p, mode=mode)
-            assert cd.path == "numeric"
-            g_inv, gamma, mixed, lowered = oracles.riemann_per_point(
-                spec, p, mode=mode)
-            for got, want in ((cd.g_inv, g_inv), (christoffel(spec, p), gamma),
-                              (cd.riemann_mixed, mixed),
-                              (cd.riemann_lowered, lowered)):
-                assert np.array_equal(got, want), (spec.id, p, mode)
+    """Curvature derived from ``g`` reads it at ``p`` only, on a one-point
+    stencil of two rows: the metric itself, then ``g`` on jets."""
 
     @pytest.mark.parametrize("spec, p, mode, evals", [
-        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 27),
+        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 2),
         (dataclasses.replace(catalog.kerr(1.0, 0.7).spec, ignorable=()),
-         [0.0, 3.0, 1.0, 0.0], "numeric", 85),
-        (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 27),
-        (catalog.space_form(2.0, 3).spec, [0.1, 0.2, 0.3], "numeric", 52),
-        (catalog.sphere2().spec, [1.0, 0.2], "numeric", 27),
+         [0.0, 3.0, 1.0, 0.0], "numeric", 2),
+        (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "numeric", 2),
+        (catalog.space_form(2.0, 3).spec, [0.1, 0.2, 0.3], "numeric", 2),
+        (catalog.sphere2().spec, [1.0, 0.2], "numeric", 2),
         (dataclasses.replace(catalog.minkowski().spec,
                              ignorable=(0, 1, 2, 3)),
-         [0.5, 1.0, 2.0, 3.0], "numeric", 1),
+         [0.5, 1.0, 2.0, 3.0], "numeric", 2),
         (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
         (catalog.sphere2().spec, [1.0, 0.2], "auto", 1),
-        (polar_spec(), [2.0, 0.5], "numeric", 90),
+        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
+        (polar_spec(), [2.0, 0.5], "auto", 2),
     ], ids=["kerr", "kerr-nothing-ignorable", "schwarzschild",
             "space-form-3", "sphere2", "constant", "schwarzschild-analytic",
-            "sphere2-analytic", "real-difference-fallback"])
+            "sphere2-analytic", "kerr-analytic", "no-supplier"])
     def test_metric_evaluations_per_riemann(self, spec, p, mode, evals):
         calls = []
 
@@ -319,102 +357,68 @@ class TestOneStencil:
 
         cd = riemann(dataclasses.replace(spec, g=g), p, mode=mode)
         assert len(calls) == evals
-        if cd.path == "analytic":
-            # the metric at p; the curvature comes from the supplier
-            assert evals == 1
-        else:
-            # (4k + 1) stencil rows for the k coordinates the metric depends
-            # on, each one real and k complex-step evaluations; on the
-            # real-difference fallback one real, one failed complex step and
-            # 4k real ones
-            k = spec.dimension - len(spec.ignorable)
-            per_row = k + 1 if supports_complex_step(spec, p) else 4 * k + 2
-            assert evals == (4 * k + 1) * per_row
+        # the metric at p, then the supplier's curvature (catalog Kerr's
+        # supplier runs its own g on jets) or g once on jets
+        assert evals == {"analytic": 1, "numeric": 2}[cd.path]
 
-    @pytest.mark.parametrize("entry, p, row", [
-        (catalog.sphere2(), [1e-3, 0.2], "[0.0, 0.2]"),
-        (catalog.schwarzschild(1.0), [0.0, 2.002, 1.0, 0.0], "[0.0, 1.99999"),
+    @pytest.mark.parametrize("entry, p", [
+        (catalog.sphere2(), [1e-3, 0.2]),
+        (catalog.schwarzschild(1.0), [0.0, 2.002, 1.0, 0.0]),
     ], ids=["sphere-pole", "schwarzschild-horizon"])
-    def test_singular_stencil_row(self, entry, p, row):
-        metric_at(entry.spec, p)
-        with pytest.raises(SingularMetric) as got:
-            riemann(entry.spec, p, mode="numeric")
-        assert f"is singular at {row}" in str(got.value)
-        with pytest.raises(SingularMetric) as want:
-            oracles.riemann_per_point(entry.spec, p, mode="numeric")
-        assert str(got.value) == str(want.value)
+    def test_singular_stencil_row(self, entry, p):
+        # a finite-difference step of 1e-3 from these points reaches the
+        # pole or crosses the horizon; the jets never leave p
+        derived = riemann(entry.spec, p, mode="numeric")
+        table = riemann(entry.spec, p)
+        assert derived.path == "numeric" and table.path == "analytic"
+        scale = np.abs(table.riemann_mixed).max()
+        assert np.abs(derived.riemann_mixed
+                      - table.riemann_mixed).max() <= 1e-9 * scale
 
     @pytest.mark.parametrize("plan, error, message", [
-        ({0.999: "nan"}, SingularMetric, "'failing' is not finite at [0.999, 0.2]"),
-        ({1.0005: "singular", 1.001: "dnan"}, DifferentiationFailure,
-         "metric derivatives non-finite at [1.001, 0.2]"),
-        ({1.001: "singular", 0.999: "dnan"}, SingularMetric,
-         "'failing' is singular at [1.001, 0.2]"),
-        ({1.001: "singular", 0.999: "raise"}, SingularMetric,
-         "'failing' is singular at [1.001, 0.2]"),
-        ({0.999: "dnan", 1.0005: "raise"}, DifferentiationFailure,
-         "metric derivatives non-finite at [0.999, 0.2]"),
-        ({1.0005: "raise"}, ZeroDivisionError, "supplier failed"),
-        ({1.001: "both"}, SingularMetric, "'failing' is singular at [1.001, 0.2]"),
+        ({"nan"}, SingularMetric, "'failing' is not finite at [1.0, 0.2]"),
+        ({"dnan"}, DifferentiationFailure,
+         "metric derivatives non-finite at [1.0, 0.2]"),
+        ({"singular"}, SingularMetric, "'failing' is singular at [1.0, 0.2]"),
+        ({"singular", "jets-raise"}, SingularMetric,
+         "'failing' is singular at [1.0, 0.2]"),
+        ({"raise"}, ZeroDivisionError, "supplier failed"),
+        ({"singular", "dnan"}, SingularMetric,
+         "'failing' is singular at [1.0, 0.2]"),
     ], ids=["not-finite", "derivative-first", "metric-first",
-            "metric-before-raise", "derivative-before-raise", "raise",
+            "metric-before-raise", "raise",
             "metric-before-derivative-on-one-row"])
     def test_first_failing_row_wins(self, plan, error, message):
-        # stencil rows in order: x = 1, 1.001, 0.999, 1.0005, 0.9995, then
-        # the rows of the second coordinate at x = 1
+        # the metric's checks run before g is evaluated on jets, in
+        # riemann and christoffel alike; the supplier's own error on real
+        # input propagates
         spec = failing_spec(plan)
         with pytest.raises(error) as got:
             riemann(spec, [1.0, 0.2], mode="numeric")
         assert message in str(got.value)
         with pytest.raises(error) as want:
-            oracles.riemann_per_point(spec, [1.0, 0.2], mode="numeric")
+            christoffel(spec, [1.0, 0.2])
         assert str(got.value) == str(want.value)
-
-    def test_one_row_falls_back(self):
-        # the complex step raises at the stencil row x = 1.001 only
-        calls = []
-
-        def g(p):
-            x, y = p
-            calls.append((np.iscomplexobj(p), float(np.real(x))))
-            if np.iscomplexobj(p) and abs(x.real - 1.001) < 1e-12:
-                raise TypeError("no complex step here")
-            return np.array([[1.0 + y * y / 10, x * y / 10],
-                             [x * y / 10, 1.0 + np.sin(x) ** 2]])
-
-        spec = MetricSpec(dimension=2, signature=(1, 1), g=g, id="one-row")
-        p = [1.0, 0.2]
-        cd = riemann(spec, p)
-        near = [(cplx, abs(x - 1.001) < 1e-4) for cplx, x in calls]
-        # that row: its metric, the failed step and 4k = 8 real evaluations;
-        # the other 8 rows: their metric and k = 2 complex steps
-        assert near.count((False, True)) == 9
-        assert near.count((True, True)) == 1
-        assert near.count((False, False)) == 8
-        assert near.count((True, False)) == 16
-        assert len(calls) == 8 * 3 + 10
-        g_inv, gamma, mixed, lowered = oracles.riemann_per_point(spec, p)
-        for got, want in ((cd.g_inv, g_inv), (christoffel(spec, p), gamma),
-                          (cd.riemann_mixed, mixed),
-                          (cd.riemann_lowered, lowered)):
-            assert np.array_equal(got, want)
 
 
 def ignorable_cases(tmp_path):
-    """``(spec, point, mode)`` of metrics that declare ignorable
-    coordinates, at points where those coordinates are not zero."""
+    """``(spec, point)`` of metrics that declare ignorable coordinates, at
+    points where those coordinates are not zero."""
     path = tmp_path / "schwarzschild.metric"
     path.write_text(SCHWARZSCHILD_FILE)
-    cases = [(catalog.kerr(1.0, a).spec, [1.7, r, th, -2.4], "numeric")
+    cases = [(catalog.kerr(1.0, a).spec, [1.7, r, th, -2.4])
              for a, r, th in ((0.0, 6.0, math.pi / 2), (0.3, 3.5, 1.0),
                               (0.7, 2.5, 0.3), (0.95, 40.0, 2.8))]
+    rng = np.random.default_rng(11)
+    cases += [(catalog.kerr(1.0, a).spec,
+               [rng.uniform(-5, 5), rng.uniform(2.0, 50.0),
+                rng.uniform(0.05, 3.09), rng.uniform(-5, 5)])
+              for a in (0.0, 0.5, 0.9) for _ in range(10)]
     cases += [
-        (catalog.schwarzschild(1.0).spec, [-3.0, 3.0, 0.9, 0.4], "numeric"),
-        (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 5.5], "numeric"),
-        (load_metric(path), [12.0, 4.0, 1.2, 0.3], "numeric"),
-        # the real-difference fallback for the metric derivatives
-        (dataclasses.replace(polar_spec(), ignorable=(1,)), [2.0, 0.5],
-         "numeric"),
+        (catalog.schwarzschild(1.0).spec, [-3.0, 3.0, 0.9, 0.4]),
+        (catalog.schwarzschild(2.0).spec, [1.0, 700.0, 2.0, 5.5]),
+        (load_metric(path), [12.0, 4.0, 1.2, 0.3]),
+        (dataclasses.replace(polar_spec(), ignorable=(1,)), [2.0, 0.5]),
     ]
     return cases
 
@@ -426,10 +430,12 @@ def assert_bitwise_equal(got, want):
 
 class TestIgnorableCoordinates:
     def test_bit_identical_to_full_stencil(self, tmp_path):
-        for spec, p, mode in ignorable_cases(tmp_path):
+        # jets over the varying coordinates against jets over every one
+        for spec, p in ignorable_cases(tmp_path):
             assert spec.ignorable
             full = dataclasses.replace(spec, ignorable=())
-            got, want = riemann(spec, p, mode=mode), riemann(full, p, mode=mode)
+            got = riemann(spec, p, mode="numeric")
+            want = riemann(full, p, mode="numeric")
             assert got.path == want.path == "numeric"
             for name in ("g_inv", "riemann_mixed", "riemann_lowered"):
                 assert_bitwise_equal(getattr(got, name), getattr(want, name))
@@ -442,32 +448,6 @@ class TestIgnorableCoordinates:
         with pytest.raises(InvalidInput):
             dataclasses.replace(catalog.kerr(1.0, 0.5).spec,
                                 ignorable=ignorable)
-
-    def test_complex_step_checked_on_a_varying_coordinate(self):
-        # the supplier fails on a complex step in x, which it does not read
-        def g(p):
-            if np.iscomplexobj(p) and p[0].imag != 0:
-                raise TypeError("no complex step in x")
-            return np.eye(2) / p[1] ** 2
-
-        spec = MetricSpec(dimension=2, signature=(1, 1), g=g,
-                          id="half-plane", ignorable=(0,))
-        p = [0.3, 1.5]
-        assert supports_complex_step(spec, p)
-        assert not supports_complex_step(
-            dataclasses.replace(spec, ignorable=()), p)
-        calls = []
-
-        def counting(q):
-            calls.append(q)
-            return g(q)
-
-        cd = riemann(dataclasses.replace(spec, g=counting), p)
-        # complex steps: (4k + 1)(k + 1) calls with k = 1, against 25 for
-        # the real-difference fallback
-        assert len(calls) == 10
-        assert cd.riemann_lowered[0, 1, 0, 1] == pytest.approx(
-            -1.0 / p[1] ** 4, rel=1e-8)
 
 
 X0, Y0 = 0.7, 1.3
@@ -568,8 +548,7 @@ class TestExactCurvature:
         want = np.einsum("ih,hjkl->ijkl", g, table.analytic_riemann(p))
         got = np.einsum("ih,hjkl->ijkl", g, spec.analytic_riemann(p))
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
-        if r < 1e3:  # beyond, the determinant test calls g singular
-            assert riemann(spec, p).path == "analytic"
+        assert riemann(spec, p).path == "analytic"
 
     def test_replaced_metric_keeps_the_exact_supplier(self):
         p = [0.0, 3.0, 1.0, 0.0]
