@@ -7,8 +7,7 @@ from .errors import (BadCase, BadTetrad, DifferentiationFailure,
                      DimensionTooSmall, InvalidInput, NoConvergence,
                      OutOfDomain, RiemSVPError, SingularMetric, WrongSignature)
 from .geometry import (CurvatureData, MetricSpec, SymmetryReport, christoffel,
-                       complete_riemann, independent_components, metric_at,
-                       riemann, verify_tensor_symmetries)
+                       metric_at, riemann, verify_tensor_symmetries)
 from .svp import (Quadruple, SolverConfig, SVPSolution, check_proposition1,
                   closed_form_sigma, kerr_reduced_solve,
                   lorentz_mixed_sign_check, meigen_reduce, multistart, orbit,

@@ -1,4 +1,5 @@
-"""Built-in metrics with analytic curvature tables and expected results.
+"""Built-in metrics with expected results, and closed-form curvature tables
+where one exists (Kerr's curvature is derived from its ``g``).
 
 Stable catalog ids: ``sphere2``, ``space-form``, ``euclidean``,
 ``minkowski``, ``schwarzschild``, ``kerr``.
@@ -14,7 +15,7 @@ import numpy as np
 
 from .algebra import NPTetrad
 from .errors import InvalidInput, OutOfDomain
-from .geometry import MetricSpec, jet_riemann
+from .geometry import MetricSpec
 
 Expected = Callable[[np.ndarray], list]
 
@@ -197,8 +198,8 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
 def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
     """Rotating black hole in Boyer-Lindquist ``(t, r, theta, phi)``.
 
-    The curvature is exact: its supplier runs ``g`` on jets
-    (:func:`geometry.jet_riemann`).  The bundled null tetrad produces the
+    The entry has no curvature table: :func:`geometry.riemann` derives the
+    curvature from ``g``, exactly, on jets.  The bundled null tetrad gives the
     type-D Weyl scalars, and the expected nonzero sigma is
     ``sqrt((|I| + Re I) / 6)`` built from the quadratic invariant.  The
     metric does not depend on ``t`` or ``phi``, which the spec declares
@@ -247,7 +248,6 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
         return [(0.0, "trivial"), (sigma, "special family")]
 
     spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g, id="kerr",
-                      analytic_riemann=lambda p: jet_riemann(g, p, (1, 2)),
                       ignorable=(0, 3))
 
     def admissible(p):

@@ -333,7 +333,7 @@ def _check(name, passed, max_defect, skip=None) -> dict:
 
 def cmd_verify(args) -> tuple[dict, int]:
     entry, point, cd, scfg = _prepare(args)
-    sym_tol = 1e-10 if cd.path == "analytic" else 1e-6
+    sym_tol = 1e-10
     checks: list[dict] = []
 
     g_defect = float(np.abs(cd.g - cd.g.T).max() / max(1.0, np.abs(cd.g).max()))

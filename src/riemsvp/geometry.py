@@ -13,15 +13,15 @@ With these choices the unit 2-sphere has ``riemann_lowered[0, 1, 0, 1] =
 sin(theta)**2`` in ``(theta, phi)`` coordinates; a regression test pins that
 sign.
 
-Curvature comes from a supplier (``analytic_riemann``: a table, or the
-exact :func:`jet_riemann`) or is derived from ``g`` in the call
-(``mode='numeric'``, or a spec without a supplier).  Every derivative of a
-metric comes from one place, :func:`_metric_jets`, which runs ``g`` once on
-:class:`Jet` values over the coordinates the spec does not declare
-``ignorable`` and gives g and its first and second derivatives exact up to
-rounding.  A metric supplier must therefore compute with numpy operations
-on its input: a ``math`` function of a coordinate, or a coordinate stored
-into a float array, raises :class:`InvalidInput`.
+Curvature has two sources: a closed-form table (``analytic_riemann``), or
+derivation from ``g`` in the call (``mode='numeric'``, or a spec without a
+table).  Every derivative of a metric comes from one place,
+:func:`_metric_jets`, which runs ``g`` once on :class:`Jet` values over the
+coordinates the spec does not declare ``ignorable`` and gives g and its
+first and second derivatives exact up to rounding.  A metric supplier must
+therefore compute with numpy operations on its input: a ``math`` function
+of a coordinate, a coordinate stored into a float array, a comparison of a
+coordinate or its ``abs`` raises :class:`InvalidInput`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ MetricFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A metric with an optional analytic curvature supplier.
+    """A metric with an optional closed-form curvature table.
 
     Parameters
     ----------
@@ -55,15 +55,14 @@ class MetricSpec:
         metric matrix.  It must compute with numpy operations (``+ - * /
         **``, ``np.sin`` and the like, ``np.array`` of its entries) on the
         array it is given, which holds :class:`Jet` values when curvature
-        is derived from it; a ``math`` function of a coordinate, or a
-        coordinate stored into a float array, raises :class:`InvalidInput`.
+        is derived from it; a ``math`` function of a coordinate, a
+        coordinate stored into a float array, a comparison of a coordinate
+        or its ``abs`` raises :class:`InvalidInput`.
     analytic_riemann : callable, optional
-        Maps a point to the ``(n, n, n, n)`` array ``riemann_mixed``.  It is
-        the only analytic supplier: Christoffel symbols always come from
-        ``g``.  ``dataclasses.replace(spec, g=...)`` keeps it, and for a
-        metric file or catalog Kerr it is the exact curvature of the old
-        ``g``; pass ``analytic_riemann=None`` as well to take the exact
-        curvature of the new ``g`` (:func:`jet_riemann`).
+        Maps a point to the ``(n, n, n, n)`` array ``riemann_mixed`` from a
+        closed form.  It is the only curvature supplier: Christoffel symbols
+        always come from ``g``, and without it the curvature is derived from
+        ``g`` (:func:`riemann`).
     id : str
         Stable label used in reports.
     ignorable : tuple of int
@@ -123,13 +122,6 @@ class CurvatureData:
     @property
     def n(self) -> int:
         return len(self.point)
-
-    @property
-    def symmetry_defect(self) -> float:
-        """The largest relative violation of the algebraic symmetries;
-        above ``1e-6`` it signals a differentiation problem, a diagnostic
-        rather than an exception."""
-        return max(_symmetry_defects(self.riemann_lowered)[0])
 
     @property
     def is_lorentz(self) -> bool:
@@ -192,18 +184,12 @@ def _metric_at(spec: MetricSpec,
                p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`metric_at` at a point :func:`as_point` has validated, and the
     number of negative eigenvalues of the symmetric part of the metric."""
-    with np.errstate(all="ignore"):
-        g = _real_metric(spec, p)
+    with np.errstate(all="ignore"):  # non-finite values fail the checks
+        g = np.asarray(spec.g(p), dtype=float)
+        if g.shape != (spec.dimension, spec.dimension):
+            raise InvalidInput(
+                "metric supplier returned a wrongly shaped matrix")
         return (g,) + _checked_inverse(spec, p, g)
-
-
-def _real_metric(spec: MetricSpec, p: np.ndarray) -> np.ndarray:
-    """``spec.g(p)`` as a real matrix of the metric's shape.  Callers ignore
-    numpy's floating-point errors: non-finite values fail later checks."""
-    g = np.asarray(spec.g(p), dtype=float)
-    if g.shape != (spec.dimension, spec.dimension):
-        raise InvalidInput("metric supplier returned a wrongly shaped matrix")
-    return g
 
 
 def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
@@ -265,19 +251,29 @@ class Jet:
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch.
     13).  ``sin cos tan exp log sqrt`` are methods, which numpy's functions
     call; an operation without a derivative raises Python's error, and a
-    conversion to float (``math.sin``, a store into a float array)
-    :class:`InvalidInput`."""
+    conversion to float (``math.sin``, a store into a float array), a
+    comparison or ``abs`` :class:`InvalidInput` that names it."""
 
     __slots__ = ("v", "d", "h")
 
     def __init__(self, v, d, h):
         self.v, self.d, self.h = v, d, h
 
-    def __float__(self):
-        raise InvalidInput(
-            "the metric supplier converted a coordinate to float (a math "
-            "function, or a store into a float array); curvature is derived "
-            "from g on jets, so g must use numpy operations on p")
+    def _unsupported(what):
+        def method(self, *_):
+            raise InvalidInput(
+                f"the metric supplier {what}; curvature is derived from g on "
+                "jets, so g must use numpy operations on p")
+        return method
+
+    __float__ = _unsupported("converted a coordinate to float (a math "
+                             "function, or a store into a float array)")
+    __lt__ = _unsupported("compared a coordinate with '<'")
+    __le__ = _unsupported("compared a coordinate with '<='")
+    __gt__ = _unsupported("compared a coordinate with '>'")
+    __ge__ = _unsupported("compared a coordinate with '>='")
+    __abs__ = _unsupported("took abs of a coordinate")
+    del _unsupported
 
     def _chain(self, f0, f1, f2):
         """``f(self)`` from ``f`` and its first two derivatives at ``v``."""
@@ -415,12 +411,13 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     The metric and its inverse are :func:`metric_at`'s, and the symmetric
     part of the metric must have as many negative eigenvalues as the
     declared signature has minus signs (:class:`WrongSignature` otherwise).
-    With ``mode='auto'`` and an ``analytic_riemann`` supplier (a table, or
-    the exact :func:`jet_riemann`) the curvature is one call of the
-    supplier, on path ``'analytic'``.  Otherwise (``mode='numeric'``, or no
-    supplier) it is derived from ``spec.g`` in the call, exactly, by
+    With ``mode='auto'`` and an ``analytic_riemann`` table the curvature is
+    one call of the table, on path ``'analytic'``.  Otherwise
+    (``mode='numeric'``, or no table, as for catalog Kerr and every metric
+    file) it is derived from ``spec.g`` in the call, exactly, by
     :func:`jet_riemann` over the coordinates the spec does not declare
-    ignorable, on path ``'numeric'``.
+    ignorable, on path ``'numeric'``; ``dataclasses.replace(spec, g=...)``
+    of such a spec gives the new ``g``'s curvature.
 
     Curvature derived from ``g`` evaluates it twice, for the metric and on
     jets: Kerr's jet values differ from ``spec.g`` in the last bit at about
@@ -448,60 +445,16 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
                          signature=tuple(spec.signature), path=path)
 
 
-def _symmetry_defects(r: np.ndarray) -> tuple[list[float], float]:
-    """Defects of the algebraic symmetries of a lowered curvature tensor.
-
-    Returns the first-pair and second-pair antisymmetry, pair symmetry and
-    first Bianchi defects, each relative to ``max(1, max |R|)``, and that
-    scale.
-    """
+def verify_tensor_symmetries(cd: CurvatureData, tol: float = 1e-10) -> SymmetryReport:
+    """Check antisymmetries, pair symmetry, and the first Bianchi identity,
+    each defect relative to ``max(1, max |R|)``."""
+    r = cd.riemann_lowered
     scale = max(1.0, float(np.abs(r).max()))
     terms = (r + np.einsum("jikl->ijkl", r), r + np.einsum("ijlk->ijkl", r),
              r - np.einsum("klij->ijkl", r),
              r + np.einsum("iljk->ijkl", r) + np.einsum("iklj->ijkl", r))
-    return [float(np.abs(t).max() / scale) for t in terms], scale
-
-
-def verify_tensor_symmetries(cd: CurvatureData, tol: float = 1e-10) -> SymmetryReport:
-    """Check antisymmetries, pair symmetry, and the first Bianchi identity."""
-    (a1, a2, pair, bianchi), scale = _symmetry_defects(cd.riemann_lowered)
-    passed = max(a1, a2, pair, bianchi) < tol
+    a1, a2, pair, bianchi = (float(np.abs(t).max() / scale) for t in terms)
     return SymmetryReport(antisym_first_pair=a1, antisym_second_pair=a2,
                           pair_symmetry=pair, bianchi_first=bianchi,
-                          scale=scale, tol=tol, passed=passed)
-
-
-def independent_components(lowered: np.ndarray) -> dict:
-    """Extract a spanning set of components for a 4D curvature tensor.
-
-    Returns the 21 components ``R[i, j, k, l]`` with ``i < j``, ``k < l`` and
-    ``(i, j) <= (k, l)`` lexicographically; the first Bianchi identity makes
-    one of them redundant, leaving 20 independent values.
-    """
-    n = lowered.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = {}
-    for a, ij in enumerate(pairs):
-        for kl in pairs[a:]:
-            out[ij + kl] = float(lowered[ij + kl])
-    return out
-
-
-def complete_riemann(components: dict, n: int) -> np.ndarray:
-    """Rebuild the full tensor from the output of :func:`independent_components`.
-
-    The entry ``(0, 2, 1, 3)`` is recomputed from the first Bianchi identity,
-    so only 20 of the 21 stored values are actually used in 4D.
-    """
-    full = np.zeros((n,) * 4)
-    comps = dict(components)
-    if n == 4 and (0, 2, 1, 3) in comps:
-        # Bianchi with (i,j,k,l)=(0,1,2,3): R_0123 + R_0312 + R_0231 = 0,
-        # and R_0231 = -R_0213, so R_0213 = R_0123 + R_0312.
-        comps[(0, 2, 1, 3)] = comps[(0, 1, 2, 3)] + comps[(0, 3, 1, 2)]
-    for (i, j, k, l), v in comps.items():
-        for (ii, jj, s1) in ((i, j, 1.0), (j, i, -1.0)):
-            for (kk, ll, s2) in ((k, l, 1.0), (l, k, -1.0)):
-                full[ii, jj, kk, ll] = s1 * s2 * v
-                full[kk, ll, ii, jj] = s1 * s2 * v
-    return full
+                          scale=scale, tol=tol,
+                          passed=max(a1, a2, pair, bianchi) < tol)

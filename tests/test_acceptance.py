@@ -173,8 +173,7 @@ def test_acceptance_6_property_suites():
     for entry in entries:
         for p in points_for(entry):
             cd = riemann(entry.spec, p)
-            tol = 1e-10 if cd.path == "analytic" else 1e-6
-            rep = verify_tensor_symmetries(cd, tol)
+            rep = verify_tensor_symmetries(cd, 1e-10)
             if not rep.passed:
                 issues.append(("symmetry", entry.spec.id, rep.max_defect))
 

@@ -558,20 +558,21 @@ class TestExitCodes:
 class TestCurvatureOnce:
     @pytest.mark.parametrize("command", ["svp", "orbit"])
     def test_kerr_metric_evaluations(self, capsys, monkeypatch, command):
-        # the curvature at the point is one call of Kerr's curvature
-        # supplier, shared by the reduced solver
+        # the curvature at the point is derived from Kerr's g once, on
+        # jets, and shared by the reduced solver
         calls = []
         make = catalog.kerr
 
         def counting_kerr(mass, spin):
             entry = make(mass, spin)
 
-            def curvature(p):
-                calls.append(p)
-                return entry.spec.analytic_riemann(p)
+            def g(p):
+                if p.dtype == object:
+                    calls.append(p)
+                return entry.spec.g(p)
 
             return dataclasses.replace(entry, spec=dataclasses.replace(
-                entry.spec, analytic_riemann=curvature))
+                entry.spec, g=g))
 
         monkeypatch.setattr(catalog, "kerr", counting_kerr)
         code = main([command, "--metric", "kerr", "--deterministic"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from riemsvp import catalog
 from riemsvp.algebra import kretschmann
 from riemsvp.errors import (DifferentiationFailure, InvalidInput,
                             SingularMetric, WrongSignature)
-from riemsvp.geometry import (Jet, MetricSpec, christoffel, complete_riemann,
-                              independent_components, metric_at, riemann,
-                              verify_tensor_symmetries)
+from riemsvp.geometry import (Jet, MetricSpec, christoffel, metric_at,
+                              riemann, verify_tensor_symmetries)
 from riemsvp.metricfile import load_metric
 
 import oracles
@@ -218,31 +218,18 @@ class TestSymmetries:
         entry = catalog.kerr(1.0, 0.5)
         cd = riemann(entry.spec, [0.0, 3.0, math.pi / 4, 0.0], mode="numeric")
         assert cd.path == "numeric"
-        rep = verify_tensor_symmetries(cd, tol=1e-6)
+        rep = verify_tensor_symmetries(cd, tol=1e-10)
         assert rep.passed
-        assert rep.max_defect < 1e-6
-        assert cd.symmetry_defect < 1e-6
+        assert rep.max_defect < 1e-10
 
-    def test_reconstruction_from_20_components(self):
-        # the analytic table builds symmetric partners through different
-        # float paths, so agreement holds to a few ulps, not bit-exactly
-        entry = catalog.schwarzschild(1.0)
-        cd = riemann(entry.spec, [0.0, 5.0, 1.0, 0.2])
-        comps = independent_components(cd.riemann_lowered)
-        assert len(comps) == 21
-        rebuilt = complete_riemann(comps, 4)
-        scale = np.abs(cd.riemann_lowered).max()
-        assert np.abs(rebuilt - cd.riemann_lowered).max() < 1e-15 * max(1, scale)
-
-    def test_reconstruction_drops_dependent_entry(self):
-        # corrupting the Bianchi-dependent slot must not matter
-        entry = catalog.schwarzschild(1.0)
-        cd = riemann(entry.spec, [0.0, 3.5, 1.3, 0.0])
-        comps = independent_components(cd.riemann_lowered)
-        comps[(0, 2, 1, 3)] = 123.456
-        rebuilt = complete_riemann(comps, 4)
-        scale = np.abs(cd.riemann_lowered).max()
-        assert np.abs(rebuilt - cd.riemann_lowered).max() < 1e-15 * max(1, scale)
+    @pytest.mark.xfail(strict=True, reason=(
+        "Kerr's coordinate-basis symmetry defect near the axis at large r "
+        "is 3.4e-10 of max(1, max|R|), above the 1e-10 window: the formula "
+        "cancels there, and only a window relative to the curvature scale "
+        "would tell rounding from a wrong tensor"))
+    def test_kerr_far_axis_within_window(self):
+        cd = riemann(catalog.kerr(1.0, 0.9).spec, [0.0, 1000.0, 0.01, 0.0])
+        assert verify_tensor_symmetries(cd, 1e-10).passed
 
 
 def polar_spec():
@@ -300,6 +287,32 @@ class TestDerivedCurvature:
         assert [str(w.message) for w in recwarn] == []
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("g, message", [
+        (lambda p: np.diag([1.0 + 0.0 * p[0],
+                            p[0] ** 2 if p[0] > 0 else -p[0]]),
+         "compared a coordinate with '>'"),
+        (lambda p: np.diag([1.0 + 0.0 * p[0], 1.0 + np.abs(p[0])]),
+         "took abs of a coordinate"),
+    ], ids=["branch", "abs"])
+    def test_branching_supplier_is_invalid_input(self, g, message, capsys,
+                                                 recwarn):
+        # jets have no comparison and no abs; the error names the operation
+        # instead of a non-finite derivative
+        spec, p = MetricSpec(dimension=2, signature=(1, 1), g=g), [1.0, 0.5]
+        metric_at(spec, p)  # real input is fine
+        for evaluate in (lambda: riemann(spec, p), lambda: christoffel(spec, p)):
+            with pytest.raises(InvalidInput, match=message):
+                evaluate()
+        assert [str(w.message) for w in recwarn] == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("compare, op", [
+        (operator.lt, "<"), (operator.le, "<="), (operator.gt, ">"),
+        (operator.ge, ">=")], ids=["lt", "le", "gt", "ge"])
+    def test_jet_comparison_names_the_operator(self, compare, op):
+        with pytest.raises(InvalidInput, match=f"with '{op}'"):
+            compare(Jet(1.0, (1.0,), (0.0,)), 0.0)
+
 
 def failing_spec(plan):
     """A flat 2D metric that fails at every point in the ways ``plan``
@@ -343,11 +356,11 @@ class TestOneStencil:
          [0.5, 1.0, 2.0, 3.0], "numeric", 2),
         (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
         (catalog.sphere2().spec, [1.0, 0.2], "auto", 1),
-        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
+        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 2),
         (polar_spec(), [2.0, 0.5], "auto", 2),
     ], ids=["kerr", "kerr-nothing-ignorable", "schwarzschild",
             "space-form-3", "sphere2", "constant", "schwarzschild-analytic",
-            "sphere2-analytic", "kerr-analytic", "no-supplier"])
+            "sphere2-analytic", "kerr-auto", "no-supplier"])
     def test_metric_evaluations_per_riemann(self, spec, p, mode, evals):
         calls = []
 
@@ -357,8 +370,7 @@ class TestOneStencil:
 
         cd = riemann(dataclasses.replace(spec, g=g), p, mode=mode)
         assert len(calls) == evals
-        # the metric at p, then the supplier's curvature (catalog Kerr's
-        # supplier runs its own g on jets) or g once on jets
+        # the metric at p, then the table's curvature or g once on jets
         assert evals == {"analytic": 1, "numeric": 2}[cd.path]
 
     @pytest.mark.parametrize("entry, p", [
@@ -545,27 +557,27 @@ class TestExactCurvature:
         spec, table = load_metric(path), catalog.schwarzschild(1.0).spec
         p = np.array([0.0, r, 1.2, 0.0])
         g = table.g(p)
+        derived = riemann(spec, p)
         want = np.einsum("ih,hjkl->ijkl", g, table.analytic_riemann(p))
-        got = np.einsum("ih,hjkl->ijkl", g, spec.analytic_riemann(p))
+        got = np.einsum("ih,hjkl->ijkl", g, derived.riemann_mixed)
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
-        assert riemann(spec, p).path == "analytic"
+        assert derived.path == "numeric"
 
-    def test_replaced_metric_keeps_the_exact_supplier(self):
+    def test_replaced_metric_gives_the_new_curvature(self):
         p = [0.0, 3.0, 1.0, 0.0]
         old, new = catalog.kerr(1.0, 0.3).spec, catalog.kerr(1.0, 0.8).spec
-        want = riemann(new, p).riemann_lowered
-        kept = riemann(dataclasses.replace(old, g=new.g), p)
-        assert np.array_equal(kept.riemann_mixed, riemann(old, p).riemann_mixed)
-        cd = riemann(dataclasses.replace(old, g=new.g, analytic_riemann=None), p)
-        assert cd.path == "numeric"
-        assert np.abs(cd.riemann_lowered - want).max() <= 1e-8 * np.abs(want).max()
+        want = riemann(new, p)
+        cd = riemann(dataclasses.replace(old, g=new.g), p)
+        assert cd.path == want.path == "numeric"
+        for name in ("g", "riemann_mixed", "riemann_lowered"):
+            assert_bitwise_equal(getattr(cd, name), getattr(want, name))
 
     @pytest.mark.parametrize("a, r, th", [(0.6, 3.0, 0.15), (0.9, 2.5, 0.3),
                                           (0.5, 3.5, 1.0), (0.3, 40.0, 2.8)])
     def test_kerr_exact(self, a, r, th):
         cd = riemann(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.0])
-        assert cd.path == "analytic"
-        assert cd.symmetry_defect <= 1e-12
+        assert cd.path == "numeric"
+        assert verify_tensor_symmetries(cd).max_defect <= 1e-12
         # K = 48 M^2 (r^6 - 15 r^4 u^2 + 15 r^2 u^4 - u^6) / Sigma^6 with
         # u = a cos(theta) and Sigma = r^2 + u^2
         u = a * math.cos(th)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog, metricfile
-from riemsvp.geometry import riemann
+from riemsvp.geometry import riemann, verify_tensor_symmetries
 from riemsvp.metricfile import (ParseError, compile_expression, load_metric,
                                 parse_expression, parse_metric_file)
 
@@ -272,16 +272,16 @@ class TestCompiledComponents:
         (EVERY_NODE_FILE, [0.3, 4.0, 1.1, 0.7]),
     ], ids=["sphere", "every-node"])
     def test_exact_curvature_matches_stencil(self, tmp_path, text, p):
-        # the file's supplier runs the compiled components on jets over the
-        # coordinates they read, as curvature derived from g on its one-point
-        # stencil does, so the two agree bit for bit
+        # a file has no curvature table, so both modes derive the curvature
+        # from the compiled components on jets, and agree bit for bit
         path = tmp_path / "m.metric"
         path.write_text(text)
         spec = load_metric(path)
         exact, derived = riemann(spec, p), riemann(spec, p, mode="numeric")
-        assert exact.path == "analytic" and derived.path == "numeric"
-        assert exact.symmetry_defect <= 1e-14
+        assert exact.path == derived.path == "numeric"
+        assert verify_tensor_symmetries(exact).max_defect <= 1e-14
         assert np.array_equal(exact.riemann_mixed, derived.riemann_mixed)
+        assert np.array_equal(exact.riemann_lowered, derived.riemann_lowered)
 
     def test_function_of_a_constant_is_checked_not_folded(self):
         # folding sqrt(2) would turn numpy's float64 into a float operand
