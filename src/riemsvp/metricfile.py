@@ -9,25 +9,28 @@ A definition file is line-oriented, with an integer ``dimension``::
     g[0,0] = 1
     g[1,1] = sin(theta)^2
 
-Component expressions use a small grammar: ``+ - * / ^`` (with ``^``
-right-associative), parentheses, unary minus, the functions ``sin cos tan
-exp log sqrt``, the constants ``pi`` and ``e``, numeric literals, and the
-declared coordinate names, which are distinct and none of those eight
-names.  A key or a component may be set only once.  Unset components
-default to zero; a component whose transpose partner is set is mirrored,
-while explicitly setting both ``g[i,j]`` and ``g[j,i]`` keeps each as
-written (which permits building deliberately broken, asymmetric metrics
-for verification testing).
+Component expressions are Python's expression grammar over a few tokens:
+``+ - * / ^`` (``^`` for ``**``, right-associative and tighter than a unary
+minus on its left), parentheses, unary minus, one-argument calls of ``sin
+cos tan exp log sqrt``, the constants ``pi`` and ``e``, finite numeric
+literals, and the declared coordinate names, which are distinct ASCII
+identifiers and none of those eight names.  A key or a component may be
+set only once.  Unset components default to zero; a component whose
+transpose partner is set is mirrored, while explicitly setting both
+``g[i,j]`` and ``g[j,i]`` keeps each as written (which permits building
+deliberately broken, asymmetric metrics for verification testing).
 
-The parser builds ``ast`` nodes, coordinate k read as ``p[k]``, and runs
-each operation that reads no coordinate at once, so one without a real
-value is a :class:`ParseError`.  Python's compiler turns each component into
-``lambda p: <expr>`` once, when the spec is built; it takes numpy scalars,
-complex ones and :class:`~riemsvp.geometry.Jet` values, on which
-:func:`~riemsvp.geometry.riemann` derives the curvature from it, so a file's
-curvature is exact; a file has no curvature table.  A Schwarzschild
-file's ``g`` costs about 3.9 µs a call, as the catalog's does (timeit,
-shared 2-vCPU VM).  A coordinate that no component names is ignorable.
+Each component's tokens become Python source for :func:`ast.parse`,
+coordinate k read as ``p[k]``; one walk rejects each node outside the
+grammar and runs each operation that reads no coordinate at once, so one
+without a real value is a :class:`ParseError`.  Python's compiler turns
+each component into ``lambda p: <expr>`` once, when the spec is built; it
+takes numpy scalars, complex ones and :class:`~riemsvp.geometry.Jet`
+values, on which :func:`~riemsvp.geometry.riemann` derives the curvature
+from it, so a file's curvature is exact; a file has no curvature table.  A
+Schwarzschild file's ``g`` costs about 3.9 µs a call, as the catalog's
+does (timeit, shared 2-vCPU VM).  A coordinate that no component names is
+ignorable.
 """
 
 from __future__ import annotations
@@ -54,12 +57,13 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
-_OPERATORS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div,
-              "^": ast.Pow}
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
-_TOKEN_RE = re.compile(r"""
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+_TOKEN_RE = re.compile(rf"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<name>{_NAME_RE.pattern})
   | (?P<op>[-+*/^()])
   | (?P<ws>\s+)
 """, re.VERBOSE)
@@ -84,124 +88,87 @@ def tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over: expr -> term -> factor -> power -> atom."""
+def _source(text: str, variables, name: str) -> str:
+    """``text`` as Python source: coordinate k reads ``p[k]``, a constant or
+    literal is its float's ``repr``, and ``^`` is ``**``."""
+    tokens = tokenize(text)
+    index = {v: k for k, v in enumerate(variables)}
+    words = []
+    for (kind, tok), (_, after) in zip(tokens, tokens[1:]):
+        if kind == "num":
+            value = float(tok)
+            if not np.isfinite(value):
+                raise ParseError(f"{name}: literal {tok!r} in {text!r} is "
+                                 "not finite")
+            words.append(repr(value))
+        elif kind == "name" and after == "(":
+            if tok not in _FUNCTIONS:
+                raise ParseError(f"unknown function {tok!r}")
+            words.append(tok)
+        elif kind == "name" and tok in _CONSTANTS:
+            words.append(repr(float(_CONSTANTS[tok])))
+        elif kind == "name":
+            if tok not in index:
+                raise ParseError(f"unknown name {tok!r}; coordinates are "
+                                 f"{', '.join(index)}")
+            words.append(f"p[{index[tok]}]")
+        else:
+            words.append("**" if tok == "^" else tok)
+    return " ".join(words)
 
-    def __init__(self, text: str, variables, name: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.variables = {v: k for k, v in enumerate(variables)}
-        self.values = {}  # a kept node that reads no coordinate: its value
-        self.name = name
 
-    def peek(self):
-        return self.tokens[self.pos]
+def parse_expression(text: str, variables, name: str = "expression"):
+    """The ``ast`` node of an expression, coordinate k read as ``p[k]``.
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    Only an operation on literal constants is folded: a call, and an
+    operation on one, keep numpy's result types."""
+    values = {}  # a kept node that reads no coordinate: its value
 
-    def expect(self, value: str):
-        kind, text = self.advance()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text!r} in {self.text!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
-        return node
-
-    def fold(self, make, *operands):
-        """``make(*operands)``, run once now on the operands' values when none
-        reads a coordinate, so it cannot fail in a call.  Only an operation
-        on literal constants is folded: a call, and an operation on one,
-        keep numpy's result types."""
+    def fold(make, *operands):
         node = make(*operands)
-        values = [x.value if isinstance(x, ast.Constant) else self.values.get(x)
-                  for x in operands]
-        if None in values:
+        known = [x.value if isinstance(x, ast.Constant) else values.get(x)
+                 for x in operands]
+        if None in known:
             return node
         try:
             with np.errstate(all="ignore"):
                 value = float(compile_expression(
-                    make(*map(ast.Constant, values)), self.name)(0))
+                    make(*map(ast.Constant, known)), name)(0))
         except (ArithmeticError, TypeError):  # TypeError: a complex power
             value = np.nan
         if not np.isfinite(value):
-            raise ParseError(f"{self.name}: constant arithmetic in "
-                             f"{self.text!r} has no real value")
+            raise ParseError(f"{name}: constant arithmetic in {text!r} has "
+                             "no real value")
         if isinstance(node, ast.Call) or not all(
                 isinstance(x, ast.Constant) for x in operands):
-            self.values[node] = value
+            values[node] = value
             return node
         return ast.Constant(value)
 
-    def binary(self, left, op, right):
-        return self.fold(lambda a, b: ast.BinOp(a, _OPERATORS[op](), b),
-                         left, right)
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            node = self.binary(node, self.advance()[1], self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            node = self.binary(node, self.advance()[1], self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[1] == "-":
-            self.advance()
-            arg = self.factor()
-            return self.fold(lambda a: ast.UnaryOp(ast.USub(), a), arg)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[1] == "^":
-            # right-associative, binds tighter than unary minus on the left
-            return self.binary(base, self.advance()[1], self.factor())
-        return base
-
-    def atom(self):
-        kind, text = self.advance()
-        if kind == "num":
-            return ast.Constant(float(text))
-        if kind == "name":
-            if self.peek()[1] == "(":
-                if text not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}")
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return self.fold(
-                    lambda a: ast.Call(ast.Name(text, ast.Load()), [a], []), arg)
-            if text in _CONSTANTS:
-                return ast.Constant(float(_CONSTANTS[text]))
-            if text not in self.variables:
-                raise ParseError(f"unknown name {text!r}; coordinates are "
-                                 f"{', '.join(self.variables)}")
-            return ast.Subscript(ast.Name("p", ast.Load()),
-                                 ast.Constant(self.variables[text]), ast.Load())
-        if text == "(":
-            node = self.expr()
-            self.expect(")")
+    def walk(node):
+        if isinstance(node, (ast.Constant, ast.Subscript)):
             return node
-        raise ParseError(f"unexpected token {text!r} in {self.text!r}")
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return fold(lambda a: ast.UnaryOp(node.op, a),
+                        walk(node.operand))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+            return fold(lambda a, b: ast.BinOp(a, node.op, b),
+                        walk(node.left), walk(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and len(node.args) == 1 and not node.keywords):
+            return fold(lambda a: ast.Call(node.func, [a], []),
+                        walk(node.args[0]))
+        raise ParseError(f"{name}: cannot parse {text!r}")
 
-
-def parse_expression(text: str, variables, name: str = "expression"):
-    """The ``ast`` node of an expression, coordinate k read as ``p[k]``."""
     try:
-        return _Parser(text, variables, name).parse()
-    except RecursionError:
-        raise ParseError(f"{name}: the expression nests too deeply") from None
+        return walk(ast.parse(_source(text, variables, name),
+                              mode="eval").body)
+    except SyntaxError as exc:
+        if "too many nested" not in exc.msg:
+            raise ParseError(f"{name}: cannot parse {text!r}") from None
+    except (RecursionError, MemoryError):
+        pass
+    raise ParseError(f"{name}: the expression nests too deeply")
 
 
 def compile_expression(node: ast.expr, name: str = "expression"):
@@ -302,10 +269,12 @@ def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
         raise ParseError("dimension must be at least 2")
     if coordinates is None:
         coordinates = tuple(f"x{i}" for i in range(dimension))
-    free = set(coordinates) - set(_CONSTANTS) - set(_FUNCTIONS)
+    free = {v for v in coordinates if _NAME_RE.fullmatch(v)
+            and v not in _CONSTANTS and v not in _FUNCTIONS}
     if len(coordinates) != dimension or len(free) != dimension:
-        raise ParseError(f"need {dimension} distinct coordinate names, none "
-                         "of them pi, e or a function name")
+        raise ParseError(f"need {dimension} distinct coordinate names, each "
+                         "an ASCII identifier and none of them pi, e or a "
+                         "function name")
     if signature is None:
         signature = (1,) * dimension
     if len(signature) != dimension:

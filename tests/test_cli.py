@@ -466,9 +466,14 @@ class TestExitCodes:
         ("sqrt(0-1) + y^2", "constant arithmetic"),
         ("log(0) + y", "constant arithmetic"),
         ("log(log(0.5)) + y", "constant arithmetic"),
+        ("1e400", "literal '1e400' in '1e400' is not finite"),
+        ("1e400 + y", "literal '1e400' in '1e400 + y' is not finite"),
+        (" ^ ".join(["y"] * 3000), "the expression nests too deeply"),
     ], ids=["division-by-zero", "overflow", "complex-power",
             "nested-parentheses", "long-sum", "infinite-product",
-            "sqrt-of-negative", "log-of-zero", "log-of-a-negative-log"])
+            "sqrt-of-negative", "log-of-zero", "log-of-a-negative-log",
+            "overflowing-literal", "overflowing-literal-sum",
+            "long-power-chain"])
     def test_metric_file_component_is_config_error(self, capsys, tmp_path,
                                                    component, message):
         path = tmp_path / "bad.metric"

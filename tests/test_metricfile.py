@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riemsvp import catalog, metricfile
 from riemsvp.geometry import riemann, verify_tensor_symmetries
@@ -35,6 +36,34 @@ def sphere_path(tmp_path):
     path = tmp_path / "sphere.metric"
     path.write_text(SPHERE_FILE)
     return path
+
+
+# a binary operator's symbol, its precedence level, and the least levels of
+# its left and right operands that need no parentheses; unary minus is
+# level 3 and an atom level 5
+BINARY = {ast.Add: ("+", 1, 1, 2), ast.Sub: ("-", 1, 1, 2),
+          ast.Mult: ("*", 2, 2, 3), ast.Div: ("/", 2, 2, 3),
+          ast.Pow: ("^", 4, 5, 3)}
+
+
+def render(node):
+    """File text of an expression tree over coordinates x, y, lambda, p, with
+    only the parentheses it needs: ``^`` is right-associative and binds
+    tighter than a unary minus on its left.  Returns the text and its
+    precedence level."""
+    def operand(child, least):
+        text, level = render(child)
+        return text if level >= least else f"({text})"
+
+    if isinstance(node, ast.Subscript):
+        return ("x", "y", "lambda", "p")[node.slice.value], 5
+    if isinstance(node, ast.Call):
+        return f"{node.func.id}({render(node.args[0])[0]})", 5
+    if isinstance(node, ast.UnaryOp):
+        return "-" + operand(node.operand, 3), 3
+    symbol, level, left, right = BINARY[type(node.op)]
+    return (f"{operand(node.left, left)} {symbol} "
+            f"{operand(node.right, right)}", level)
 
 
 class TestExpressionGrammar:
@@ -87,6 +116,33 @@ class TestExpressionGrammar:
             parse_expression("1 @ 2", ("x",))
         with pytest.raises(ParseError):
             parse_expression("y + 1", ("x",))
+
+    @pytest.mark.parametrize("text", [
+        "+x", "()", "sin()", "sin(x)(y)", "(x)(y)", "2(x)", "sin(^x)",
+        "x * * y",
+    ])
+    def test_python_only_forms_rejected(self, text):
+        # Python's own grammar reads each of these; the file grammar does not
+        with pytest.raises(ParseError):
+            parse_expression(text, ("x", "y"))
+
+    @given(st.recursive(
+        st.integers(0, 3).map(lambda k: ast.Subscript(
+            ast.Name("p", ast.Load()), ast.Constant(k), ast.Load())),
+        lambda sub: st.one_of(
+            sub.map(lambda a: ast.UnaryOp(ast.USub(), a)),
+            st.builds(lambda a, op, b: ast.BinOp(a, op(), b), sub,
+                      st.sampled_from(list(BINARY)), sub),
+            st.builds(lambda f, a: ast.Call(ast.Name(f, ast.Load()), [a], []),
+                      st.sampled_from(sorted(metricfile._FUNCTIONS)), sub)),
+        max_leaves=12))
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_tree_parses_to_itself(self, tree):
+        # over coordinates only nothing folds, and the text has only the
+        # parentheses that the precedence rules need
+        text, _ = render(tree)
+        node = parse_expression(text, ("x", "y", "lambda", "p"))
+        assert ast.dump(node) == ast.dump(tree)
 
 
 class TestMetricFile:
@@ -164,6 +220,14 @@ g[1,0] = 0 - u
                                   "g[0,0] = 1 / e^2\ng[1,1] = 1 / e^2\n"),
             "coordrepeat.metric": ("dimension = 2\ncoordinates = x, x\n"
                                    "g[0,0] = 1\ng[1,1] = 1 / x^2\n"),
+            # a name no expression can read would make its coordinate
+            # silently ignorable
+            "coordempty.metric": ("dimension = 2\ncoordinates = x, \n"
+                                  "g[0,0] = 1\ng[1,1] = 1 + x^2\n"),
+            "coorddigit.metric": ("dimension = 2\ncoordinates = x, 2y\n"
+                                  "g[0,0] = 1\ng[1,1] = 1 + x^2\n"),
+            "coordspace.metric": ("dimension = 2\ncoordinates = x, y z\n"
+                                  "g[0,0] = 1\ng[1,1] = 1 + x^2\n"),
         }
         for name, text in cases.items():
             path = tmp_path / name
