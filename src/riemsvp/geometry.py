@@ -17,17 +17,18 @@ Curvature has two sources: a closed-form table (``analytic_riemann``), or
 derivation from ``g`` in the call (``mode='numeric'``, or a spec without a
 table).  Every derivative of a metric comes from one place,
 :func:`_metric_jets`, which runs ``g`` once on :class:`Jet` values over the
-coordinates the spec does not declare ``ignorable`` and gives g and its
-first and second derivatives exact up to rounding.  A metric supplier must
-therefore compute with numpy operations on its input: a ``math`` function
-of a coordinate, a coordinate stored into a float array, a comparison of a
-coordinate or its ``abs`` raises :class:`InvalidInput`.
+``k`` coordinates the spec does not declare ``ignorable`` (so ``g`` must
+compute with numpy operations on its input, see :class:`MetricSpec`).  It
+gives g and ``1 + k`` derivative stacks exact up to rounding, the first
+derivatives and the second ones along each varying coordinate, so that no
+contraction sums the zeros along an ignorable coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Callable, Optional
@@ -38,6 +39,12 @@ from .errors import (DifferentiationFailure, InvalidInput, SingularMetric,
                      WrongSignature)
 
 MetricFn = Callable[[np.ndarray], np.ndarray]
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n), (n, n))  # a read-only view
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def as_point(p, n: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise InvalidInput(f"point must have length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput("point coordinates must be finite")
     return arr
 
@@ -202,21 +209,24 @@ def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
     *Numer. Math.* 14, 1969), whose entries lie in ``[-1, 1]`` for a
     symmetric ``g``.  It has the inertia of the symmetric part of ``g``
     (Sylvester's law), so its negative count is the metric's.  A zero row
-    leaves ``S`` infinite: singular.
+    leaves ``S`` infinite: singular.  ``max`` propagates NaN and inf, so the
+    row maxima also test finiteness.
     """
-    s = 1.0 / np.sqrt(np.abs(g).max(axis=1))
-    finite, a = bool(np.isfinite(g).all()), s[:, None] * g * s
+    rows = np.abs(g).max(axis=1)
+    top, s = rows.max(), 1.0 / np.sqrt(rows)
+    finite, a = math.isfinite(top), s[:, None] * g * s
     lam = (np.linalg.eigvalsh(0.5 * (a + a.T))
-           if finite and np.isfinite(s).all() else np.zeros(1))
-    ratio = np.abs(lam).min() / max(np.abs(lam).max(), np.finfo(float).tiny)
+           if finite and rows.min() > 0.0 else np.zeros(1))
+    size = np.abs(lam)
+    ratio = size.min() / max(size.max(), _TINY)
     if ratio > 1e-14:
         try:
             g_inv = np.linalg.inv(g)
         except np.linalg.LinAlgError:  # asymmetric, regular symmetric part
             g_inv = np.full_like(g, np.nan)
-        defect = np.abs(g @ g_inv - np.eye(len(g))).max()
-        if defect <= 1e-12 * max(1.0, np.abs(g).max() * np.abs(g_inv).max()):
-            return g_inv, int((lam < 0).sum())
+        defect = np.abs(g @ g_inv - _eye(len(g))).max()
+        if defect <= 1e-12 * max(1.0, top * np.abs(g_inv).max()):
+            return g_inv, int(np.count_nonzero(lam < 0))
     raise SingularMetric(f"metric '{spec.id}' " + (
         f"is not finite at {p.tolist()}" if not finite else
         f"is singular at {p.tolist()} (equilibrated eigenvalue ratio "
@@ -225,24 +235,11 @@ def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
         f"{defect:.3e})"))
 
 
-def _christoffel(G_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+def _christoffel(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """``gamma[r, l, i, k] = 1/2 g^lm (d_i g_mk + d_k g_mi - d_m g_ik)``
-    for stacked inverses ``G_inv[r]`` and derivatives ``dg[r, j] = d_j g``."""
+    for stacked derivatives ``dg[r, j] = d_j g``."""
     term = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
-    return 0.5 * np.einsum("rlm,rimk->rlik", G_inv, term)
-
-
-def _curvature(gamma: np.ndarray, dgamma: np.ndarray, p) -> np.ndarray:
-    """``riemann_mixed`` from the Christoffel symbols at ``p`` and their
-    derivatives ``dgamma[j, l, i, k] = d gamma^l_ik / d x^j``."""
-    if not np.all(np.isfinite(dgamma)):
-        raise DifferentiationFailure(
-            f"Christoffel derivatives non-finite at {p.tolist()}")
-    # R^l_kij = d_i gamma^l_jk - d_j gamma^l_ik
-    #           + gamma^h_jk gamma^l_ih - gamma^h_ik gamma^l_jh
-    return (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-            + np.einsum("hjk,lih->lkij", gamma, gamma)
-            - np.einsum("hik,ljh->lkij", gamma, gamma))
+    return 0.5 * np.einsum("lm,rimk->rlik", g_inv, term)
 
 
 class Jet:
@@ -268,10 +265,8 @@ class Jet:
 
     __float__ = _unsupported("converted a coordinate to float (a math "
                              "function, or a store into a float array)")
-    __lt__ = _unsupported("compared a coordinate with '<'")
-    __le__ = _unsupported("compared a coordinate with '<='")
-    __gt__ = _unsupported("compared a coordinate with '>'")
-    __ge__ = _unsupported("compared a coordinate with '>='")
+    __lt__, __le__, __gt__, __ge__ = map(_unsupported, [
+        f"compared a coordinate with '{op}'" for op in ("<", "<=", ">", ">=")])
     __abs__ = _unsupported("took abs of a coordinate")
     del _unsupported
 
@@ -349,49 +344,56 @@ class Jet:
 
 
 def _metric_jets(g: MetricFn, p: np.ndarray, coords):
-    """``g`` at ``p`` and its derivatives ``D``, with ``D[0, j] = d_j g``
-    and ``D[1 + i, j] = d_i d_j g``, exact up to rounding, from ``g`` run
-    once on jets over ``coords`` (an object array; ``g`` returns jets and
-    numbers).  Derivatives along the other coordinates are zeros.
-    :class:`DifferentiationFailure` where a derivative fails or is not
-    finite."""
+    """``g`` at ``p`` and the stacks ``D[0, j] = d_j g`` and ``D[1 + a, j] =
+    d_c d_j g`` along the ``k`` coordinates ``c = coords[a]``, exact up to
+    rounding and zeros along the others, from ``g`` run once on jets over
+    ``coords`` (an object array; ``g`` returns jets and numbers).
+    :class:`DifferentiationFailure` where a derivative fails or is not finite."""
     n, k = len(p), len(coords)
     q = np.array(p.tolist(), dtype=object)
     for a, j in enumerate(coords):
         q[j] = Jet(float(p[j]), tuple(float(a == b) for b in range(k)),
                    (0.0,) * (k * k))
+    zeros, flat = (0.0,) * (k + k * k), []
     try:
         with np.errstate(all="ignore"):
-            C = np.array([(x.v,) + x.d + x.h if isinstance(x, Jet)
-                          else (x,) + (0.0,) * (k + k * k)
-                          for x in np.asarray(g(q)).flat],
-                         dtype=float).reshape(n, n, 1 + k + k * k)
-        finite = np.isfinite(C).all()
+            for x in np.asarray(g(q)).flat:
+                jet = isinstance(x, Jet)
+                flat.append(x.v if jet else x)
+                flat += x.d + x.h if jet else zeros
+            C = np.array(flat, dtype=float).reshape(n, n, 1 + k + k * k)
     except (ArithmeticError, ValueError, TypeError):
-        finite = False
-    if not finite:
+        C = None
+    if C is None or not np.isfinite(C).all():
         raise DifferentiationFailure(
             f"metric derivatives non-finite at {p.tolist()}")
-    c, D = np.array(coords, dtype=int), np.zeros((n + 1, n, n, n))
-    D[0, c] = C[..., 1:k + 1].transpose(2, 0, 1)
-    D[1 + c[:, None], c] = C[..., k + 1:].reshape(n, n, k, k).transpose(2, 3, 0, 1)
+    D = np.zeros((1 + k, n, n, n))
+    D[:, list(coords)] = C[..., 1:].reshape(n, n, 1 + k, k).transpose(2, 3, 0, 1)
     return C[..., 0], D
 
 
 def jet_riemann(g: MetricFn, p: np.ndarray, coords) -> np.ndarray:
-    """``riemann_mixed`` at ``p``, exact up to rounding, from the metric's
-    jets over ``coords`` (:func:`_metric_jets`).  Raises
-    :class:`DifferentiationFailure` where a derivative fails or is not
-    finite."""
-    n = len(p)
+    """``riemann_mixed`` at ``p``, exact up to rounding, from one contraction
+    of the metric's jet stacks over ``coords`` (:func:`_metric_jets`).
+    :class:`DifferentiationFailure` where a derivative fails or is not finite."""
+    n, c = len(p), list(coords)
     G, D = _metric_jets(g, p, coords)
-    with np.errstate(all="ignore"):  # non-finite values fail _curvature's check
+    with np.errstate(all="ignore"):  # non-finite values fail the check below
         g_inv = np.linalg.inv(G)
-        gammas = _christoffel(np.broadcast_to(g_inv, (n + 1, n, n)), D)
+        gammas = _christoffel(g_inv, D)
+        gamma, dgamma = gammas[0], np.zeros((n,) * 4)
         # d_j gamma^l_ik = g^lm (d_j gamma_mik - d_j g_mb gamma^b_ik), with
         # the first-kind symbols gamma_mik
-        dg_gamma = g_inv @ (D[0] @ gammas[0].reshape(n, n * n))
-        return _curvature(gammas[0], gammas[1:] - dg_gamma.reshape((n,) * 4), p)
+        dg_gamma = g_inv @ (D[0, c] @ gamma.reshape(n, n * n))
+        dgamma[c] = gammas[1:] - dg_gamma.reshape(D[1:].shape)
+        if not np.isfinite(dgamma).all():
+            raise DifferentiationFailure(
+                f"Christoffel derivatives non-finite at {p.tolist()}")
+        # R^l_kij = d_i gamma^l_jk - d_j gamma^l_ik + gamma^h_jk gamma^l_ih
+        #           - gamma^h_ik gamma^l_jh: (i, j) transposes subtracted
+        t = dgamma.transpose(1, 3, 0, 2)
+        x = np.einsum("hjk,lih->lkij", gamma, gamma)
+        return t - t.transpose(0, 1, 3, 2) + x - x.transpose(0, 1, 3, 2)
 
 
 def christoffel(spec: MetricSpec, p) -> np.ndarray:
@@ -399,10 +401,9 @@ def christoffel(spec: MetricSpec, p) -> np.ndarray:
     at ``p``: :func:`metric_at`'s inverse with the metric's first
     derivatives from :func:`_metric_jets`."""
     p = as_point(p, spec.dimension)
-    g_inv = _metric_at(spec, p)[1]
-    dg = _metric_jets(spec.g, p, spec.varying)[1][:1]
+    g_inv, D = _metric_at(spec, p)[1], _metric_jets(spec.g, p, spec.varying)[1]
     with np.errstate(all="ignore"):
-        return _christoffel(g_inv[None], dg)[0]
+        return _christoffel(g_inv, D[:1])[0]
 
 
 def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
@@ -434,11 +435,9 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
             f"metric '{spec.id}' has {negative} negative eigenvalue(s) at "
             f"{p.tolist()}, but its declared signature has {declared}")
     if mode == "auto" and spec.analytic_riemann is not None:
-        mixed = np.asarray(spec.analytic_riemann(p), dtype=float)
-        path = "analytic"
+        mixed, path = np.asarray(spec.analytic_riemann(p), dtype=float), "analytic"
     else:
-        mixed = jet_riemann(spec.g, p, spec.varying)
-        path = "numeric"
+        mixed, path = jet_riemann(spec.g, p, spec.varying), "numeric"
     lowered = np.einsum("ih,hjkl->ijkl", g, mixed)
     return CurvatureData(point=p, g=g, g_inv=g_inv, riemann_mixed=mixed,
                          riemann_lowered=lowered,

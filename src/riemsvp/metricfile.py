@@ -73,13 +73,14 @@ class ParseError(InvalidInput):
     """Malformed metric definition file or expression."""
 
 
-def tokenize(text: str) -> list[tuple[str, str]]:
+def tokenize(text: str, name: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r} in {text!r}")
+            raise ParseError(f"{name}: unexpected character {text[pos]!r} in "
+                             f"{text!r}")
         pos = m.end()
         kind = m.lastgroup
         if kind != "ws":
@@ -91,7 +92,7 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 def _source(text: str, variables, name: str) -> str:
     """``text`` as Python source: coordinate k reads ``p[k]``, a constant or
     literal is its float's ``repr``, and ``^`` is ``**``."""
-    tokens = tokenize(text)
+    tokens = tokenize(text, name)
     index = {v: k for k, v in enumerate(variables)}
     words = []
     for (kind, tok), (_, after) in zip(tokens, tokens[1:]):
@@ -103,14 +104,14 @@ def _source(text: str, variables, name: str) -> str:
             words.append(repr(value))
         elif kind == "name" and after == "(":
             if tok not in _FUNCTIONS:
-                raise ParseError(f"unknown function {tok!r}")
+                raise ParseError(f"{name}: unknown function {tok!r}")
             words.append(tok)
         elif kind == "name" and tok in _CONSTANTS:
             words.append(repr(float(_CONSTANTS[tok])))
         elif kind == "name":
             if tok not in index:
-                raise ParseError(f"unknown name {tok!r}; coordinates are "
-                                 f"{', '.join(index)}")
+                raise ParseError(f"{name}: unknown name {tok!r}; coordinates "
+                                 f"are {', '.join(index)}")
             words.append(f"p[{index[tok]}]")
         else:
             words.append("**" if tok == "^" else tok)

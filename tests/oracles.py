@@ -9,7 +9,11 @@ operations, and make their contractions with :func:`dot`, the package's
 former contraction kernel, so that results can be compared bit for bit.
 The former invariant kernels (:func:`weyl_einsum` and after) repeat the
 package's per-term formulas, against which its whole-tensor kernels are
-compared to rounding.
+compared to rounding.  The former curvature kernels
+(:func:`jet_riemann_reference` and :func:`christoffel_reference`) repeat the
+package's numpy operations on its :class:`~riemsvp.geometry.Jet` values over
+an ``(n + 1)``-stack of derivatives with every coordinate's zeros, so that
+the varying-coordinate pass can be compared bit for bit.
 """
 
 import math
@@ -17,6 +21,8 @@ import math
 import numpy as np
 
 from riemsvp import svp
+from riemsvp.errors import DifferentiationFailure
+from riemsvp.geometry import Jet, metric_at
 
 
 def fd_metric_derivatives(g_fn, p, h=1e-6):
@@ -417,3 +423,65 @@ def np_scalars_contractions(c, tetrad):
     return (contract(lv, mv, lv, mv), contract(lv, nv, lv, mv),
             contract(lv, mv, mb, nv), contract(lv, nv, mb, nv),
             contract(mb, nv, mb, nv))
+
+
+def _metric_jets_reference(g, p, coords):
+    """``g`` at ``p`` and ``D`` with ``D[0, j] = d_j g`` and ``D[1 + i, j] =
+    d_i d_j g`` over every coordinate, zeros off ``coords``: the package's
+    former layout."""
+    n, k = len(p), len(coords)
+    q = np.array(p.tolist(), dtype=object)
+    for a, j in enumerate(coords):
+        q[j] = Jet(float(p[j]), tuple(float(a == b) for b in range(k)),
+                   (0.0,) * (k * k))
+    try:
+        with np.errstate(all="ignore"):
+            C = np.array([(x.v,) + x.d + x.h if isinstance(x, Jet)
+                          else (x,) + (0.0,) * (k + k * k)
+                          for x in np.asarray(g(q)).flat],
+                         dtype=float).reshape(n, n, 1 + k + k * k)
+        finite = np.isfinite(C).all()
+    except (ArithmeticError, ValueError, TypeError):
+        finite = False
+    if not finite:
+        raise DifferentiationFailure(
+            f"metric derivatives non-finite at {p.tolist()}")
+    c, D = np.array(coords, dtype=int), np.zeros((n + 1, n, n, n))
+    D[0, c] = C[..., 1:k + 1].transpose(2, 0, 1)
+    D[1 + c[:, None], c] = C[..., k + 1:].reshape(n, n, k, k).transpose(2, 3, 0, 1)
+    return C[..., 0], D
+
+
+def _christoffel_reference(G_inv, dg):
+    """Christoffel symbols for stacked inverses ``G_inv[r]`` and derivatives
+    ``dg[r]``."""
+    term = dg + dg.transpose(0, 3, 2, 1) - dg.transpose(0, 2, 1, 3)
+    return 0.5 * np.einsum("rlm,rimk->rlik", G_inv, term)
+
+
+def jet_riemann_reference(g, p, coords):
+    """``riemann_mixed`` from the ``(n + 1)``-stack with four ``einsum``
+    terms, the package's former kernel."""
+    n = len(p)
+    G, D = _metric_jets_reference(g, p, coords)
+    with np.errstate(all="ignore"):
+        g_inv = np.linalg.inv(G)
+        gammas = _christoffel_reference(np.broadcast_to(g_inv, (n + 1, n, n)), D)
+        dg_gamma = g_inv @ (D[0] @ gammas[0].reshape(n, n * n))
+        gamma, dgamma = gammas[0], gammas[1:] - dg_gamma.reshape((n,) * 4)
+        if not np.all(np.isfinite(dgamma)):
+            raise DifferentiationFailure(
+                f"Christoffel derivatives non-finite at {p.tolist()}")
+        return (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
+                + np.einsum("hjk,lih->lkij", gamma, gamma)
+                - np.einsum("hik,ljh->lkij", gamma, gamma))
+
+
+def christoffel_reference(spec, p):
+    """Christoffel symbols from :func:`metric_at`'s inverse and the first
+    stack of the former layout, the package's former kernel."""
+    p = np.asarray(p, dtype=float)
+    g_inv = metric_at(spec, p)[1]
+    dg = _metric_jets_reference(spec.g, p, spec.varying)[1][:1]
+    with np.errstate(all="ignore"):
+        return _christoffel_reference(g_inv[None], dg)[0]

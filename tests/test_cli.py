@@ -469,11 +469,15 @@ class TestExitCodes:
         ("1e400", "literal '1e400' in '1e400' is not finite"),
         ("1e400 + y", "literal '1e400' in '1e400 + y' is not finite"),
         (" ^ ".join(["y"] * 3000), "the expression nests too deeply"),
+        ("1 + z", "unknown name 'z'; coordinates are x, y"),
+        ("foo(y) + 1", "unknown function 'foo'"),
+        ("1 + y @ 2", "unexpected character '@' in '1 + y @ 2'"),
     ], ids=["division-by-zero", "overflow", "complex-power",
             "nested-parentheses", "long-sum", "infinite-product",
             "sqrt-of-negative", "log-of-zero", "log-of-a-negative-log",
             "overflowing-literal", "overflowing-literal-sum",
-            "long-power-chain"])
+            "long-power-chain", "unknown-name", "unknown-function",
+            "unexpected-character"])
     def test_metric_file_component_is_config_error(self, capsys, tmp_path,
                                                    component, message):
         path = tmp_path / "bad.metric"

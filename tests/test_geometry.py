@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from riemsvp.geometry import (Jet, MetricSpec, christoffel, metric_at,
 from riemsvp.metricfile import load_metric
 
 import oracles
+from test_metricfile import EVERY_NODE_FILE, HALFPLANE_FILE
 
 
 class TestMetricAt:
@@ -85,6 +87,22 @@ class TestMetricAt:
                           g=lambda p: np.array([[1.0, 2.0], [0.5, 1.0 + p[0]]]))
         with pytest.raises(SingularMetric, match="is too ill-conditioned at"):
             metric_at(spec, [0.0, 0.0])
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[np.inf, 0.0], [0.0, 1.0]], "is not finite at [0.0, 1.0]"),
+        ([[1.0, -np.inf], [-np.inf, 1.0]], "is not finite at [0.0, 1.0]"),
+        ([[1e300, np.nan], [np.nan, 1.0]], "is not finite at [0.0, 1.0]"),
+        ([[-0.0, -0.0], [-0.0, 1.0]], "is singular at [0.0, 1.0] "
+         "(equilibrated eigenvalue ratio 0.000e+00)"),
+    ], ids=["plus-inf", "minus-inf", "nan-beside-larger", "negative-zero-row"])
+    def test_row_maxima_decide(self, entries, message):
+        # one pass of row maxima of |g| tests finiteness, zero rows and scale,
+        # so max must propagate inf and NaN past a larger finite entry
+        spec = MetricSpec(dimension=2, signature=(1, 1), id="m",
+                          g=lambda p: np.array(entries))
+        with pytest.raises(SingularMetric,
+                           match=re.escape(f"metric 'm' {message}") + "$"):
+            metric_at(spec, [0.0, 1.0])
 
     def test_wrongly_shaped_supplier(self):
         # the metric at the point fails before its derivatives are taken
@@ -460,6 +478,55 @@ class TestIgnorableCoordinates:
         with pytest.raises(InvalidInput):
             dataclasses.replace(catalog.kerr(1.0, 0.5).spec,
                                 ignorable=ignorable)
+
+
+def former_kernel_cases(tmp_path):
+    """``(spec, point)`` families for the former curvature kernels."""
+    files = {}
+    for name, text in (("schwarzschild", SCHWARZSCHILD_FILE),
+                       ("every-node", EVERY_NODE_FILE),
+                       ("half-plane", HALFPLANE_FILE)):
+        (tmp_path / f"{name}.metric").write_text(text)
+        files[name] = load_metric(tmp_path / f"{name}.metric")
+    rng = np.random.default_rng(24)
+    kerr = {a: catalog.kerr(1.0, a).spec for a in (0.1, 0.5, 0.9)}
+    schwarzschild = catalog.schwarzschild(1.0).spec
+    return {
+        "kerr-near-axis": [(kerr[a], [0.3, r, 0.02, -1.1])
+                           for a in kerr for r in (2.5, 40.0)],
+        "kerr-random": [(kerr[a], [rng.uniform(-5, 5), rng.uniform(2.0, 50.0),
+                                   rng.uniform(0.05, 3.09), rng.uniform(-5, 5)])
+                        for a in kerr for _ in range(5)],
+        "schwarzschild": [(schwarzschild, [0.0, r, th, 0.4])
+                          for r, th in ((2.5, 0.3), (7.0, 1.1), (3000.0, 2.0))],
+        "schwarzschild-file": [(files["schwarzschild"], [12.0, 4.0, 1.2, 0.3])],
+        "every-node-file": [(files["every-node"], [0.3, 4.0, 1.1, 0.7]),
+                            (files["every-node"], [-1.2, 9.0, 2.5, -0.4])],
+        "half-plane": [(files["half-plane"], [x, y]) for x, y in
+                       ((0.3, 1.2), (-40.0, 1e-3), (7.0, 300.0))],
+        "sphere2": [(catalog.sphere2().spec, [th, 0.3])
+                    for th in (0.01, 1.1, 3.0)],
+        "every-coordinate": [
+            (dataclasses.replace(kerr[0.5], ignorable=()), [1.7, 3.5, 1.0, -2.4]),
+            (dataclasses.replace(schwarzschild, ignorable=()),
+             [-3.0, 3.0, 0.9, 0.4])],
+    }
+
+
+class TestFormerKernels:
+    @pytest.mark.parametrize("family", [
+        "kerr-near-axis", "kerr-random", "schwarzschild", "schwarzschild-file",
+        "every-node-file", "half-plane", "sphere2", "every-coordinate"])
+    def test_bit_identical_to_former_kernels(self, tmp_path, family):
+        # the (1 + k)-stack pass with two contractions against the former
+        # (n + 1)-stack pass with four
+        for spec, p in former_kernel_cases(tmp_path)[family]:
+            cd = riemann(spec, p, mode="numeric")
+            assert cd.path == "numeric"
+            assert_bitwise_equal(cd.riemann_mixed, oracles.jet_riemann_reference(
+                spec.g, cd.point, spec.varying))
+            assert_bitwise_equal(christoffel(spec, p),
+                                 oracles.christoffel_reference(spec, p))
 
 
 X0, Y0 = 0.7, 1.3
