@@ -79,8 +79,9 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
     """
     if not float(n).is_integer() or n < 2:
         raise InvalidInput(f"space form needs an integer n >= 2, got {n}")
-    n = int(n)
-    kappa = float(kappa)
+    n, kappa = int(n), float(kappa)
+    if not math.isfinite(kappa):
+        raise InvalidInput(f"space form needs a finite kappa, got {kappa}")
     eye = np.eye(n)
 
     def riem(p):

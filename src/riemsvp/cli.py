@@ -30,8 +30,8 @@ from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      WrongSignature)
 from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
-from .svp import (_PROP1_TOL, _ZERO_REL, SolverConfig, _kerr_reduced,
-                  _patterns, _prop1_defect, _schwarzschild_reduced,
+from .svp import (_MIXED_TOL, _PROP1_TOL, _ZERO_REL, SolverConfig,
+                  _kerr_reduced, _patterns, _prop1_defect, _schwarzschild_reduced,
                   lorentz_mixed_sign_check, multistart, orbit, orbit_size,
                   sigma_from_tensor, wedge_det_defect)
 
@@ -325,116 +325,107 @@ def cmd_catalog(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check(name, passed, max_defect, skip=None) -> dict:
-    """One verify check; a check with a ``skip`` note is reported skipped."""
-    return {"name": name, "pass": bool(passed), "max_defect": float(max_defect),
-            "skipped": skip is not None, "note": skip}
+# The checks on the solutions of a search, in report order.
+_SOLUTION_CHECKS = ("prop1", "orbit-closure", "remark2-lorentz", "det-S",
+                    "example2-identities", "example3-byproduct",
+                    "sigma-equals-R")
+
+
+def _check(name, defect=0.0, window=math.inf, skip=None) -> dict:
+    """One verify check, passed when ``defect < window``; a check with a
+    ``skip`` note is reported skipped."""
+    return {"name": name, "pass": bool(defect < window),
+            "max_defect": float(defect), "skipped": skip is not None,
+            "note": skip}
+
+
+def _example2_defect(s, cd: CurvatureData, kappa: float, unit: float) -> float:
+    """The worst of Example 2's identities at ``s`` on a space form of
+    curvature ``kappa``, relative to ``unit`` where curvature-valued."""
+    g, (w, x, y, z), sg = cd.g, s.q.vectors, s.sigma
+    wy, wz = inner(g, w, y), inner(g, w, z)
+    return max(abs(kappa * inner(g, z, x) - sg * wy) / unit,
+               abs(-kappa * inner(g, y, x) - sg * wz) / unit,
+               abs(-kappa * inner(g, z, w) - sg * inner(g, x, y)) / unit,
+               abs(kappa * inner(g, y, w) - sg * inner(g, x, z)) / unit,
+               abs(wy ** 2 + wz ** 2 - 1.0))
+
+
+def _solution_checks(metric: str, entry, cd: CurvatureData,
+                     scfg: SolverConfig) -> list[dict]:
+    """The :func:`_check` arguments of each of ``_SOLUTION_CHECKS``, in
+    order, from a search at ``cd`` on the ``--metric`` ``metric``."""
+    sols = multistart(cd, scfg)
+    rho = curvature_scale(cd)
+    nonzero = _nonzero(sols, rho)
+    # curvature-valued defects are relative to rho, absolute where the
+    # metric is flat; the checks on the non-zero sigmas are skipped, not
+    # passed, when there is none
+    unit = rho or 1.0
+    empty = None if nonzero else "no non-zero sigma converged"
+
+    def members(s):
+        try:
+            return orbit(s, cd, tol=max(10 * s.residual, 1e-9))
+        except InvalidInput:
+            return []
+
+    checks = [
+        {"defect": max((_prop1_defect(s, cd) for s in nonzero), default=0.0),
+         "window": _PROP1_TOL, "skip": empty},
+        {"defect": max((m.residual for s in sols for m in members(s)),
+                       default=0.0), "window": 1e-9}]
+    if cd.is_lorentz:
+        rep = lorentz_mixed_sign_check(cd, scfg)
+        # a search that converged nothing is no evidence either way
+        checks.append({"defect": rep.max_abs_sigma, "window": _MIXED_TOL,
+                       "skip": None if rep.n_converged
+                       else "no mixed-sign start converged"})
+    else:
+        checks.append({"skip": "not a Lorentz metric"})
+    checks.append(
+        {"defect": max((wedge_det_defect(s.q.y, s.q.z) for s in sols),
+                       default=0.0), "window": 1e-8}
+        if metric == "schwarzschild" else
+        {"skip": "static black hole only"})
+    if metric != "space-form":
+        checks += [{"skip": "space forms only"}] * 2
+    else:
+        kappa = entry.params["kappa"]
+        checks.append({"defect": max((_example2_defect(s, cd, kappa, unit)
+                                      for s in nonzero), default=0.0),
+                       "window": 1e-8, "skip": empty})
+        if entry.params["n"] == 4:
+            ric = ricci(cd)
+            checks.append({"defect": max(
+                (abs(float(w @ ric @ w + x @ ric @ x)
+                     - float(y @ ric @ y + z @ ric @ z)) / unit
+                 for w, x, y, z in (s.q.vectors for s in nonzero)),
+                default=0.0), "window": 1e-8, "skip": empty})
+        else:
+            checks.append({"skip": "needs n = 4"})
+    checks.append({"defect": max(
+        (abs(s.sigma - sigma_from_tensor(cd, s.q)) / unit
+         for s in sols if s.q.signs == (1, 1, 1, 1)), default=0.0),
+        "window": 1e-8})
+    return checks
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     entry, point, cd, scfg = _prepare(args)
     sym_tol = 1e-10
-    checks: list[dict] = []
-
     g_defect = float(np.abs(cd.g - cd.g.T).max() / max(1.0, np.abs(cd.g).max()))
     sym = verify_tensor_symmetries(cd, sym_tol)
     sym_defect = max(g_defect, sym.antisym_first_pair, sym.antisym_second_pair,
                      sym.pair_symmetry)
-    checks.append(_check("symmetries", sym_defect < sym_tol, sym_defect))
-    checks.append(_check("bianchi", sym.bianchi_first < sym_tol,
-                         sym.bianchi_first))
-
-    geometry_ok = checks[0]["pass"] and checks[1]["pass"]
-    solution_checks = ["prop1", "orbit-closure", "remark2-lorentz", "det-S",
-                      "example2-identities", "example3-byproduct",
-                      "sigma-equals-R"]
-    if not geometry_ok:
-        for name in solution_checks:
-            checks.append(_check(name, True, 0.0, "geometry invalid"))
-    else:
-        sols = multistart(cd, scfg)
-        rho = curvature_scale(cd)
-        nonzero = _nonzero(sols, rho)
-        # curvature-valued defects are relative to rho, absolute where the
-        # metric is flat; the checks on the non-zero sigmas are skipped, not
-        # passed, when there is none
-        unit = rho or 1.0
-        empty = None if nonzero else "no non-zero sigma converged"
-
-        d_prop1 = max((_prop1_defect(s, cd) for s in nonzero), default=0.0)
-        checks.append(_check("prop1", d_prop1 < _PROP1_TOL, d_prop1, empty))
-
-        d_orbit = 0.0
-        for s in sols:
-            try:
-                members = orbit(s, cd, tol=max(10 * s.residual, 1e-9))
-            except InvalidInput:
-                continue
-            d_orbit = max(d_orbit, max(m.residual for m in members))
-        checks.append(_check("orbit-closure", d_orbit < 1e-9, d_orbit))
-
-        if cd.is_lorentz:
-            rep = lorentz_mixed_sign_check(cd, scfg)
-            # a search that converged nothing is no evidence either way
-            note = None if rep.n_converged else "no mixed-sign start converged"
-            checks.append(_check("remark2-lorentz", rep.passed,
-                                 rep.max_abs_sigma, note))
-        else:
-            checks.append(_check("remark2-lorentz", True, 0.0,
-                                 "not a Lorentz metric"))
-
-        if args.metric == "schwarzschild":
-            d_det = max((wedge_det_defect(s.q.y, s.q.z) for s in sols),
-                        default=0.0)
-            checks.append(_check("det-S", d_det < 1e-8, d_det))
-        else:
-            checks.append(_check("det-S", True, 0.0, "static black hole only"))
-
-        if args.metric == "space-form":
-            kappa = entry.params["kappa"]
-            d_e2 = 0.0
-            for s in nonzero:
-                w, x, y, z = s.q.vectors
-                sg = s.sigma
-                ips = {key: inner(cd.g, a, b) for key, (a, b) in
-                       {"zx": (z, x), "yx": (y, x), "zw": (z, w),
-                        "yw": (y, w), "wy": (w, y), "wz": (w, z),
-                        "xy": (x, y), "xz": (x, z)}.items()}
-                d_e2 = max(
-                    d_e2,
-                    abs(kappa * ips["zx"] - sg * ips["wy"]) / unit,
-                    abs(-kappa * ips["yx"] - sg * ips["wz"]) / unit,
-                    abs(-kappa * ips["zw"] - sg * ips["xy"]) / unit,
-                    abs(kappa * ips["yw"] - sg * ips["xz"]) / unit,
-                    abs(ips["wy"] ** 2 + ips["wz"] ** 2 - 1.0))
-            checks.append(_check("example2-identities", d_e2 < 1e-8, d_e2,
-                                 empty))
-
-            if entry.params["n"] == 4:
-                ric = ricci(cd)
-                d_e3 = 0.0
-                for s in nonzero:
-                    w, x, y, z = s.q.vectors
-                    lhs = float(w @ ric @ w + x @ ric @ x)
-                    rhs = float(y @ ric @ y + z @ ric @ z)
-                    d_e3 = max(d_e3, abs(lhs - rhs) / unit)
-                checks.append(_check("example3-byproduct", d_e3 < 1e-8, d_e3,
-                                     empty))
-            else:
-                checks.append(_check("example3-byproduct", True, 0.0,
-                                     "needs n = 4"))
-        else:
-            for name in ("example2-identities", "example3-byproduct"):
-                checks.append(_check(name, True, 0.0, "space forms only"))
-
-        d_sr = 0.0
-        for s in sols:
-            if s.q.signs == (1, 1, 1, 1):
-                d_sr = max(d_sr,
-                           abs(s.sigma - sigma_from_tensor(cd, s.q)) / unit)
-        checks.append(_check("sigma-equals-R", d_sr < 1e-8, d_sr))
-
-    failed = [c for c in checks if not c["skipped"] and not c["pass"]]
+    checks = [_check("symmetries", sym_defect, sym_tol),
+              _check("bianchi", sym.bianchi_first, sym_tol)]
+    solution = (_solution_checks(args.metric, entry, cd, scfg)
+                if checks[0]["pass"] and checks[1]["pass"] else
+                [{"skip": "geometry invalid"}] * len(_SOLUTION_CHECKS))
+    checks += [_check(name, **kw) for name, kw in zip(_SOLUTION_CHECKS,
+                                                       solution)]
+    failed = [c for c in checks if not c["pass"]]
     report = _base_report(args, "verify")
     report["point"] = point
     report["curvature_path"] = cd.path

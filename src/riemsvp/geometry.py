@@ -230,7 +230,7 @@ def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
     raise SingularMetric(f"metric '{spec.id}' " + (
         f"is not finite at {p.tolist()}" if not finite else
         f"is singular at {p.tolist()} (equilibrated eigenvalue ratio "
-        f"{ratio:.3e})" if ratio <= 1e-14 else
+        f"{ratio:.3e})" if not ratio > 1e-14 else
         f"is too ill-conditioned at {p.tolist()} (inversion defect "
         f"{defect:.3e})"))
 

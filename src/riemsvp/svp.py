@@ -413,27 +413,48 @@ def trivial_pattern(q: Quadruple) -> Optional[str]:
     return _trivial_patterns(np.stack(q.vectors)[None])[0]
 
 
-def _finish(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
-            origin: str) -> list[SVPSolution]:
-    """The reported solutions at converged rows ``(w, x, y, z, sigma)``.
+# Sigma values closer than this are one cluster.
+_CLUSTER_EPS = 1e-7
+
+
+def _clusters(cd: CurvatureData, U: np.ndarray, signs: list[Signs], seeds,
+              origin: str, tol: float) -> list[SVPSolution]:
+    """The reported clusters of converged rows ``(w, x, y, z, sigma)``.
 
     ``signs`` and ``seeds`` hold each row's sign pattern and start number.
     A negative sigma is flipped together with ``W``, which maps solutions to
-    solutions, so the reported sigma is >= 0.
+    solutions, so the reported sigma is >= 0.  Rows whose full residual is
+    not below ``tol`` are dropped; the rest are taken in increasing sigma,
+    ties in row order.  A row joins the last cluster when its sigma is
+    within ``_CLUSTER_EPS`` of that cluster's representative, and opens a
+    new one otherwise.  No earlier cluster can take it: each opened at least
+    ``_CLUSTER_EPS`` above every earlier representative, and no later row
+    has a smaller sigma.  The representative is the first row of least
+    residual; the cluster counts its rows and keeps their first trivial
+    label.  Grouping is by sigma only: the solution sets are typically
+    continuous manifolds (the zero family always is), which grouping by
+    orbit would splinter into singletons.
     """
     n = cd.n
     U = U.copy()
     U[np.ix_(U[:, 4 * n] < 0.0, np.r_[0:n, 4 * n])] *= -1.0
     res = np.abs(_system(cd).residuals(
         U, np.reshape(np.asarray(signs, dtype=float), (-1, 4)))).max(axis=1)
-    trivial = _trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
-    sols = []
-    for u, r, row_signs, seed, label in zip(U, res, signs, seeds, trivial):
-        q = Quadruple(u[:n], u[n:2 * n], u[2 * n:3 * n], u[3 * n:4 * n],
-                      row_signs)
-        sols.append(SVPSolution(q=q, sigma=float(u[4 * n]), residual=float(r),
-                                origin=origin, seed=seed, trivial=label))
-    return sols
+    labels = _trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
+    sigma = U[:, 4 * n]
+    kept = np.flatnonzero(res < tol)
+    groups = []  # [representative row, count, label] per cluster
+    for i in kept[np.argsort(sigma[kept], kind="stable")]:
+        if not groups or abs(sigma[groups[-1][0]] - sigma[i]) >= _CLUSTER_EPS:
+            groups.append([i, 0, None])
+        last = groups[-1]
+        last[0] = i if res[i] < res[last[0]] else last[0]
+        last[1], last[2] = last[1] + 1, last[2] or labels[i]
+    return [SVPSolution(q=Quadruple(*U[i, :4 * n].reshape(4, n), signs[i]),
+                        sigma=float(sigma[i]), residual=float(res[i]),
+                        origin=origin, seed=seeds[i], trivial=label,
+                        count=count)
+            for i, count, label in groups]
 
 
 def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig,
@@ -500,9 +521,10 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     pattern's numbers follow all the starts attempted before it.  With
     ``pair`` the unknowns are the pair ``(y, z)`` of the repeated-pair
     reduction ``(w, x, y, z) = (y, z, y, z)``, sampled with each pattern's
-    first two signs.  Returns, in start order, the converged solutions whose
-    full residual is below ``cfg.tol``; on the full system that is the norm
-    the core converged on, so only reduced solutions can fail it.
+    first two signs.  Returns the :func:`_clusters` of the converged starts,
+    in increasing sigma; on the full system the residual they must be below,
+    ``cfg.tol``, is the norm the core converged on, so only reduced
+    solutions can fail it.
     """
     n, k = cd.n, 2 if pair else 4
     rng = np.random.default_rng(cfg.rng_seed)
@@ -522,10 +544,9 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     if pair:
         U = np.concatenate([U[:, :2 * n], U], axis=1)
     conv = np.flatnonzero(outcome == CONVERGED)
-    sols = _finish(cd, U[conv], [signs[i] for i in conv],
-                   [seeds[i] for i in conv],
-                   origin="meigen" if pair else "multistart")
-    return [sol for sol in sols if sol.residual < cfg.tol]
+    return _clusters(cd, U[conv], [signs[i] for i in conv],
+                     [seeds[i] for i in conv],
+                     "meigen" if pair else "multistart", cfg.tol)
 
 
 def feasible_patterns(cd: CurvatureData) -> list[Signs]:
@@ -558,14 +579,7 @@ def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     empty nonzero set is a legitimate outcome.
     """
     patterns = _patterns(cd, cfg)
-    clusters = _cluster(_search(cd, cfg, patterns))
-    clusters = _ensure_trivial(clusters, cd, cfg, patterns)
-    clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
-    return clusters
-
-
-# Sigma values closer than this are one cluster.
-_CLUSTER_EPS = 1e-7
+    return _ensure_trivial(_search(cd, cfg, patterns), cd, cfg, patterns)
 
 
 def sigma_values(solutions) -> list[float]:
@@ -575,29 +589,6 @@ def sigma_values(solutions) -> list[float]:
         if not out or abs(s - out[-1]) > _CLUSTER_EPS:
             out.append(s)
     return out
-
-
-def _cluster(solutions: list[SVPSolution]) -> list[SVPSolution]:
-    # Group by sigma value only.  Solution sets of the SVP are typically
-    # continuous manifolds (the zero family always is), so grouping by
-    # discrete orbit equivalence would splinter them into singletons.
-    reps: list[SVPSolution] = []
-    for sol in sorted(solutions, key=lambda s: s.sigma):
-        merged = False
-        for rep in reps:
-            if abs(rep.sigma - sol.sigma) >= _CLUSTER_EPS:
-                continue
-            rep.count += 1
-            if sol.residual < rep.residual:
-                rep.q, rep.sigma = sol.q, sol.sigma
-                rep.residual = sol.residual
-                rep.seed = sol.seed
-            rep.trivial = rep.trivial or sol.trivial
-            merged = True
-            break
-        if not merged:
-            reps.append(sol)
-    return reps
 
 
 def _ensure_trivial(clusters: list[SVPSolution], cd: CurvatureData,
@@ -615,9 +606,9 @@ def _ensure_trivial(clusters: list[SVPSolution], cd: CurvatureData,
         q = Quadruple(v, v.copy(), u, u.copy(), signs=signs)
         res = residual_norm(cd, q, 0.0)
         if res < cfg.tol * 10:
-            clusters.append(SVPSolution(q=q, sigma=0.0, residual=res,
-                                        origin="analytic",
-                                        trivial=trivial_pattern(q)))
+            clusters.insert(0, SVPSolution(
+                q=q, sigma=0.0, residual=res, origin="analytic",
+                trivial=trivial_pattern(q)))
             break
     return clusters
 
@@ -700,8 +691,9 @@ def _rotations_valid(cd: CurvatureData, q: Quadruple) -> bool:
 _ZERO_REL = 1e-6
 
 
-# Proposition 1 holds where both of its inner products are below _PROP1_TOL.
-_PROP1_TOL = 1e-8
+# Proposition 1 holds where both of its inner products are below _PROP1_TOL,
+# and Remark 2 where every mixed-sign |sigma| is below _MIXED_TOL.
+_PROP1_TOL = _MIXED_TOL = 1e-8
 
 
 def _prop1_defect(sol: SVPSolution, cd: CurvatureData) -> float:
@@ -735,9 +727,7 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     metric raises :class:`WrongSignature` here too.
     """
     patterns = dict.fromkeys(p[:2] * 2 for p in _patterns(cd, cfg))
-    clusters = _cluster(_search(cd, cfg, list(patterns), pair=True))
-    clusters.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
-    return clusters
+    return _search(cd, cfg, list(patterns), pair=True)
 
 
 @dataclass(frozen=True)
@@ -770,7 +760,7 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
     max_sigma = max((abs(s.sigma) for s in sols), default=0.0)
     return MixedSignReport(pattern=pattern, n_converged=len(sols),
                            max_abs_sigma=max_sigma,
-                           passed=max_sigma < 1e-8)
+                           passed=max_sigma < _MIXED_TOL)
 
 
 def wedge_matrix(y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ compared to rounding.  The former curvature kernels
 (:func:`jet_riemann_reference` and :func:`christoffel_reference`) repeat the
 package's numpy operations on its :class:`~riemsvp.geometry.Jet` values over
 an ``(n + 1)``-stack of derivatives with every coordinate's zeros, so that
-the varying-coordinate pass can be compared bit for bit.
+the varying-coordinate pass can be compared bit for bit.  The former cluster
+path (:func:`clusters_reference`) builds and merges one solution per row,
+as the package did before it took the rows in one sorted pass.
 """
 
 import math
@@ -485,3 +487,41 @@ def christoffel_reference(spec, p):
     dg = _metric_jets_reference(spec.g, p, spec.varying)[1][:1]
     with np.errstate(all="ignore"):
         return _christoffel_reference(g_inv[None], dg)[0]
+
+
+def clusters_reference(cd, U, signs, seeds, origin, tol):
+    """The former cluster path: one solution per converged row, the
+    residual filter, the first-match merge over every cluster so far, and
+    the final sort by ``(sigma, seed)``."""
+    n = cd.n
+    U = U.copy()
+    U[np.ix_(U[:, 4 * n] < 0.0, np.r_[0:n, 4 * n])] *= -1.0
+    res = np.abs(svp._system(cd).residuals(
+        U, np.reshape(np.asarray(signs, dtype=float), (-1, 4)))).max(axis=1)
+    trivial = svp._trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
+    sols = []
+    for u, r, row_signs, seed, label in zip(U, res, signs, seeds, trivial):
+        q = svp.Quadruple(u[:n], u[n:2 * n], u[2 * n:3 * n], u[3 * n:4 * n],
+                          row_signs)
+        sols.append(svp.SVPSolution(q=q, sigma=float(u[4 * n]),
+                                    residual=float(r), origin=origin,
+                                    seed=seed, trivial=label))
+    sols = [sol for sol in sols if sol.residual < tol]
+    reps = []
+    for sol in sorted(sols, key=lambda s: s.sigma):
+        merged = False
+        for rep in reps:
+            if abs(rep.sigma - sol.sigma) >= svp._CLUSTER_EPS:
+                continue
+            rep.count += 1
+            if sol.residual < rep.residual:
+                rep.q, rep.sigma = sol.q, sol.sigma
+                rep.residual = sol.residual
+                rep.seed = sol.seed
+            rep.trivial = rep.trivial or sol.trivial
+            merged = True
+            break
+        if not merged:
+            reps.append(sol)
+    reps.sort(key=lambda s: (s.sigma, s.seed if s.seed is not None else -1))
+    return reps

@@ -51,6 +51,12 @@ class TestSpaceForm:
         with pytest.raises(InvalidInput):
             catalog.space_form(1.0, 1)
 
+    @pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+    def test_non_finite_kappa(self, kappa):
+        # a non-finite kappa would give a NaN curvature tensor
+        with pytest.raises(InvalidInput, match="finite kappa"):
+            catalog.get("space-form", kappa=kappa, n=3)
+
 
 class TestSchwarzschild:
     def test_table_coefficient_a(self):

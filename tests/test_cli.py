@@ -502,6 +502,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "domain error: metric derivatives non-finite at [0.0, 1.0]\n")
 
+    def test_overflowing_equilibration_is_domain_error(self, capsys,
+                                                       tmp_path):
+        # the equilibrated symmetric part overflows, so its eigenvalue ratio
+        # is NaN: singular, not a crash
+        path = tmp_path / "overflow.metric"
+        path.write_text("dimension = 2\ncoordinates = x, y\n"
+                        "g[0,0] = 1 + 0*y\ng[0,1] = 1.7e308\n"
+                        "g[1,0] = 0\ng[1,1] = 5e-324\n")
+        code = main(["invariants", "--metric", str(path), "--point", "0,1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "domain error: metric 'overflow' is singular at [0.0, 1.0] "
+            "(equilibrated eigenvalue ratio nan)\n")
+
     def test_declared_signature_mismatch_is_domain_error(self, capsys,
                                                          tmp_path):
         # at y = -1 the metric is negative definite, not the declared ++

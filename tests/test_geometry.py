@@ -94,7 +94,12 @@ class TestMetricAt:
         ([[1e300, np.nan], [np.nan, 1.0]], "is not finite at [0.0, 1.0]"),
         ([[-0.0, -0.0], [-0.0, 1.0]], "is singular at [0.0, 1.0] "
          "(equilibrated eigenvalue ratio 0.000e+00)"),
-    ], ids=["plus-inf", "minus-inf", "nan-beside-larger", "negative-zero-row"])
+        ([[1.0, 1.7e308], [0.0, 5e-324]], "is singular at [0.0, 1.0] "
+         "(equilibrated eigenvalue ratio nan)"),
+        ([[1e308, 1e308], [0.0, 5e-324]], "is singular at [0.0, 1.0] "
+         "(equilibrated eigenvalue ratio nan)"),
+    ], ids=["plus-inf", "minus-inf", "nan-beside-larger", "negative-zero-row",
+            "overflowing-equilibration", "overflowing-equilibration-rows"])
     def test_row_maxima_decide(self, entries, message):
         # one pass of row maxima of |g| tests finiteness, zero rows and scale,
         # so max must propagate inf and NaN past a larger finite entry

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riemsvp import catalog
 from riemsvp.algebra import inner, invariant_i, np_scalars
@@ -589,6 +590,70 @@ class TestOneResidualPass:
         assert labels == [oracles.trivial_pattern_per_row(q) for q in quads]
         assert labels == [trivial_pattern(q) for q in quads]
         assert set(labels) == {"all-equal", "w=x", "y=z", None}
+
+
+# sigma gaps, in units of the cluster window, around and at the window
+CLUSTER_GAPS = (0.0, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0)
+
+
+@st.composite
+def cluster_rows(draw, n=4):
+    """Rows ``(w, x, y, z, sigma)`` with their signs and seeds, and a
+    residual quantile for the tolerance (1 keeps every row).
+
+    Sigma runs in chains of window-sized gaps from a start that may be zero
+    or negative, and each row may be negated (which turns a zero sigma into
+    -0.0); rows may repeat, which ties their residuals, and may have
+    ``w = +-x`` or ``y = +-z``."""
+    from riemsvp.svp import _CLUSTER_EPS
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = [draw(st.sampled_from([0.0, -2.5 * _CLUSTER_EPS, 0.7, -3.0]))]
+    for gap in draw(st.lists(st.sampled_from(CLUSTER_GAPS), max_size=14)):
+        sigma.append(sigma[-1] + gap * _CLUSTER_EPS)
+    rows = []
+    for s in sigma:
+        v = rng.standard_normal((4, n))
+        for a, b in ((0, 1), (2, 3)):
+            tie = draw(st.sampled_from([0.0, 1.0, -1.0]))
+            v[b] = tie * v[a] if tie else v[b]
+        rows.append(np.append(v, draw(st.sampled_from([1.0, -1.0])) * s))
+    rows = [rows[i] for i in draw(st.lists(
+        st.integers(0, len(rows) - 1), min_size=1, max_size=24))]
+    signs = [draw(st.sampled_from(list(itertools.product((1, -1), repeat=4))))
+             for _ in rows]
+    seeds = draw(st.lists(st.one_of(st.none(), st.integers(1, 99)),
+                          min_size=len(rows), max_size=len(rows)))
+    return (np.array(rows), signs, seeds,
+            draw(st.sampled_from([1.0, 0.9, 0.5, 0.2])))
+
+
+class TestClusters:
+    """The one-pass cluster rule against the former all-pairs merge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_rows())
+    def test_matches_former_merge_and_sort(self, case):
+        from riemsvp.svp import _clusters, _system
+
+        cd = dense_cd()
+        U, signs, seeds, quantile = case
+        # flipping a negative sigma with W only changes residual signs
+        res = np.abs(_system(cd).residuals(U, np.array(signs, float)))
+        tol = (math.inf if quantile == 1.0
+               else float(np.quantile(res.max(axis=1), quantile)))
+        got = _clusters(cd, U, signs, seeds, "multistart", tol)
+        want = oracles.clusters_reference(cd, U, signs, seeds, "multistart",
+                                          tol)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (repr(a.sigma), repr(a.residual), a.origin, a.seed,
+                    a.trivial, a.count, a.q.signs) == (
+                repr(b.sigma), repr(b.residual), b.origin, b.seed,
+                b.trivial, b.count, b.q.signs)
+            for u, v in zip(a.q.vectors, b.q.vectors):
+                assert np.array_equal(u, v)
+                assert np.array_equal(np.signbit(u), np.signbit(v))
 
 
 PAIR_CASES = {
