@@ -1,5 +1,5 @@
-"""Built-in metrics with expected results, and closed-form curvature tables
-where one exists (Kerr's curvature is derived from its ``g``).
+"""Built-in metrics with expected results, each with a closed-form
+curvature table.
 
 Stable catalog ids: ``sphere2``, ``space-form``, ``euclidean``,
 ``minkowski``, ``schwarzschild``, ``kerr``.
@@ -196,15 +196,43 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
                         expected_sigma=expected, params={"M": mass})
 
 
+def _type_d_pattern() -> np.ndarray:
+    """The vacuum type-D curvature per unit ``psi2`` in a null tetrad ``(l,
+    n, m, conj(m))`` with ``<l, n> = -1`` and ``<m, conj(m)> = 1``: the
+    components ``P^abcd`` with every frame index raised, so that the
+    curvature is ``psi2 P + c.c.`` (Stephani et al., *Exact Solutions*, 2nd
+    ed., ch. 4).  Its 24 entries are +-1, antisymmetric in each pair and
+    symmetric under the swap of the pairs; returned over the pairs ``(a,
+    b)`` and ``(c, d)`` as a complex ``16 x 16`` matrix."""
+    out = np.zeros((4, 4, 4, 4))
+    table = [(0, 1, 0, 1, -1), (0, 1, 2, 3, 1), (0, 2, 1, 3, 1),
+             (1, 3, 0, 2, 1), (2, 3, 0, 1, 1), (2, 3, 2, 3, -1)]
+    for (a, b, c, d, sign) in table:
+        out[a, b, c, d] = out[b, a, d, c] = sign
+        out[b, a, c, d] = out[a, b, d, c] = -sign
+    return out.reshape(16, 16).astype(complex)
+
+
+_TYPE_D = _type_d_pattern()
+
+
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product ``out[(i, k), (j, l)] = a[i, j] b[k, l]`` of two
+    ``4 x 4`` matrices."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+
+
 def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
     """Rotating black hole in Boyer-Lindquist ``(t, r, theta, phi)``.
 
-    The entry has no curvature table: :func:`geometry.riemann` derives the
-    curvature from ``g``, exactly, on jets.  The bundled null tetrad gives the
-    type-D Weyl scalars, and the expected nonzero sigma is
-    ``sqrt((|I| + Re I) / 6)`` built from the quadratic invariant.  The
-    metric does not depend on ``t`` or ``phi``, which the spec declares
-    ignorable.
+    The curvature table is the vacuum type-D form in the bundled Kinnersley
+    tetrad ``E`` (rows ``l, n, m, conj(m)``): ``psi2 = M / (r - i a
+    cos(theta))^3`` times the constant frame components ``_TYPE_D``, plus
+    the complex conjugate, carried to coordinates by ``E`` on the upper
+    index and the lowered tetrad ``g E^T`` on the three lower ones, with no
+    derivative and no inverse.  The expected nonzero sigma is ``sqrt((|I| +
+    Re I) / 6)`` built from the quadratic invariant.  The metric does not
+    depend on ``t`` or ``phi``, which the spec declares ignorable.
     """
     if not (0 < mass < math.inf and 0.0 <= spin < mass):
         raise InvalidInput("need mass > 0 and 0 <= spin < mass")
@@ -248,8 +276,16 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
         sigma = math.sqrt((abs(inv) + inv.real) / 6.0)
         return [(0.0, "trivial"), (sigma, "special family")]
 
-    spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g, id="kerr",
-                      ignorable=(0, 3))
+    def riem(p):
+        # R^l_kij = 2 Re(psi2 E_al L_kb L_ic L_jd P^abcd) with the tetrad's
+        # lowered vectors L = g E^T: two products over the index pairs
+        e = tetrad(p).frame()
+        low = g(p) @ e.T
+        out = _pairs(psi2(p) * e.T, low) @ _TYPE_D @ _pairs(low, low).T
+        return 2.0 * out.real.reshape(4, 4, 4, 4)
+
+    spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1), g=g,
+                      analytic_riemann=riem, id="kerr", ignorable=(0, 3))
 
     def admissible(p):
         r, th = p[1], p[2]

@@ -339,16 +339,22 @@ def _check(name, defect=0.0, window=math.inf, skip=None) -> dict:
             "note": skip}
 
 
+def _worst(defects) -> float:
+    """The largest of ``defects``, NaN when any is NaN (Python's ``max``
+    keeps a NaN only when it comes first), and 0 when there is none."""
+    return float(np.max(np.fromiter(defects, float), initial=0.0))
+
+
 def _example2_defect(s, cd: CurvatureData, kappa: float, unit: float) -> float:
     """The worst of Example 2's identities at ``s`` on a space form of
     curvature ``kappa``, relative to ``unit`` where curvature-valued."""
     g, (w, x, y, z), sg = cd.g, s.q.vectors, s.sigma
     wy, wz = inner(g, w, y), inner(g, w, z)
-    return max(abs(kappa * inner(g, z, x) - sg * wy) / unit,
-               abs(-kappa * inner(g, y, x) - sg * wz) / unit,
-               abs(-kappa * inner(g, z, w) - sg * inner(g, x, y)) / unit,
-               abs(kappa * inner(g, y, w) - sg * inner(g, x, z)) / unit,
-               abs(wy ** 2 + wz ** 2 - 1.0))
+    return _worst((abs(kappa * inner(g, z, x) - sg * wy) / unit,
+                   abs(-kappa * inner(g, y, x) - sg * wz) / unit,
+                   abs(-kappa * inner(g, z, w) - sg * inner(g, x, y)) / unit,
+                   abs(kappa * inner(g, y, w) - sg * inner(g, x, z)) / unit,
+                   abs(wy ** 2 + wz ** 2 - 1.0)))
 
 
 def _solution_checks(metric: str, entry, cd: CurvatureData,
@@ -371,10 +377,10 @@ def _solution_checks(metric: str, entry, cd: CurvatureData,
             return []
 
     checks = [
-        {"defect": max((_prop1_defect(s, cd) for s in nonzero), default=0.0),
+        {"defect": _worst(_prop1_defect(s, cd) for s in nonzero),
          "window": _PROP1_TOL, "skip": empty},
-        {"defect": max((m.residual for s in sols for m in members(s)),
-                       default=0.0), "window": 1e-9}]
+        {"defect": _worst(m.residual for s in sols for m in members(s)),
+         "window": 1e-9}]
     if cd.is_lorentz:
         rep = lorentz_mixed_sign_check(cd, scfg)
         # a search that converged nothing is no evidence either way
@@ -384,29 +390,29 @@ def _solution_checks(metric: str, entry, cd: CurvatureData,
     else:
         checks.append({"skip": "not a Lorentz metric"})
     checks.append(
-        {"defect": max((wedge_det_defect(s.q.y, s.q.z) for s in sols),
-                       default=0.0), "window": 1e-8}
+        {"defect": _worst(wedge_det_defect(s.q.y, s.q.z) for s in sols),
+         "window": 1e-8}
         if metric == "schwarzschild" else
         {"skip": "static black hole only"})
     if metric != "space-form":
         checks += [{"skip": "space forms only"}] * 2
     else:
         kappa = entry.params["kappa"]
-        checks.append({"defect": max((_example2_defect(s, cd, kappa, unit)
-                                      for s in nonzero), default=0.0),
+        checks.append({"defect": _worst(_example2_defect(s, cd, kappa, unit)
+                                        for s in nonzero),
                        "window": 1e-8, "skip": empty})
         if entry.params["n"] == 4:
             ric = ricci(cd)
-            checks.append({"defect": max(
-                (abs(float(w @ ric @ w + x @ ric @ x)
-                     - float(y @ ric @ y + z @ ric @ z)) / unit
-                 for w, x, y, z in (s.q.vectors for s in nonzero)),
-                default=0.0), "window": 1e-8, "skip": empty})
+            checks.append({"defect": _worst(
+                abs(float(w @ ric @ w + x @ ric @ x)
+                    - float(y @ ric @ y + z @ ric @ z)) / unit
+                for w, x, y, z in (s.q.vectors for s in nonzero)),
+                "window": 1e-8, "skip": empty})
         else:
             checks.append({"skip": "needs n = 4"})
-    checks.append({"defect": max(
-        (abs(s.sigma - sigma_from_tensor(cd, s.q)) / unit
-         for s in sols if s.q.signs == (1, 1, 1, 1)), default=0.0),
+    checks.append({"defect": _worst(
+        abs(s.sigma - sigma_from_tensor(cd, s.q)) / unit
+        for s in sols if s.q.signs == (1, 1, 1, 1)),
         "window": 1e-8})
     return checks
 
@@ -416,8 +422,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     sym_tol = 1e-10
     g_defect = float(np.abs(cd.g - cd.g.T).max() / max(1.0, np.abs(cd.g).max()))
     sym = verify_tensor_symmetries(cd, sym_tol)
-    sym_defect = max(g_defect, sym.antisym_first_pair, sym.antisym_second_pair,
-                     sym.pair_symmetry)
+    sym_defect = _worst((g_defect, sym.antisym_first_pair,
+                         sym.antisym_second_pair, sym.pair_symmetry))
     checks = [_check("symmetries", sym_defect, sym_tol),
               _check("bianchi", sym.bianchi_first, sym_tol)]
     solution = (_solution_checks(args.metric, entry, cd, scfg)

@@ -414,11 +414,11 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
     declared signature has minus signs (:class:`WrongSignature` otherwise).
     With ``mode='auto'`` and an ``analytic_riemann`` table the curvature is
     one call of the table, on path ``'analytic'``.  Otherwise
-    (``mode='numeric'``, or no table, as for catalog Kerr and every metric
-    file) it is derived from ``spec.g`` in the call, exactly, by
-    :func:`jet_riemann` over the coordinates the spec does not declare
-    ignorable, on path ``'numeric'``; ``dataclasses.replace(spec, g=...)``
-    of such a spec gives the new ``g``'s curvature.
+    (``mode='numeric'``, or no table, as for every metric file) it is
+    derived from ``spec.g`` in the call, exactly, by :func:`jet_riemann`
+    over the coordinates the spec does not declare ignorable, on path
+    ``'numeric'``; ``dataclasses.replace(spec, g=...)`` of such a spec gives
+    the new ``g``'s curvature.
 
     Curvature derived from ``g`` evaluates it twice, for the metric and on
     jets: Kerr's jet values differ from ``spec.g`` in the last bit at about

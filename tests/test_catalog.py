@@ -153,6 +153,60 @@ class TestKerr:
                 catalog.kerr(mass, spin)
 
 
+def kerr_table_points():
+    """``(a, point)`` over the benchmark decks' Kerr range, r from 3 to 50
+    and theta from 0.35 to 2.8."""
+    rng = np.random.default_rng(5)
+    cases = [(a, [0.0, r, th, 0.0]) for a in (0.1, 0.5, 0.9)
+             for r in (3.0, 50.0) for th in (0.35, math.pi / 2, 2.8)]
+    cases += [(rng.uniform(0.0, 0.95),
+               [rng.uniform(-5, 5), math.exp(rng.uniform(math.log(3.0),
+                                                         math.log(50.0))),
+                rng.uniform(0.35, 2.8), rng.uniform(-5, 5)])
+              for _ in range(12)]
+    return [(a, np.array(p)) for a, p in cases]
+
+
+class TestKerrTable:
+    """Kerr's closed-form curvature: psi2 times the type-D pattern in the
+    Kinnersley tetrad, plus its conjugate."""
+
+    @pytest.mark.parametrize("th", [1e-4, 0.01, 1.0])
+    @pytest.mark.parametrize("r", [10.0, 1e3, 1e5])
+    def test_zero_spin_is_the_schwarzschild_table(self, r, th):
+        p = np.array([0.0, r, th, 0.0])
+        got = riemann(catalog.kerr(1.0, 0.0).spec, p)
+        want = riemann(catalog.schwarzschild(1.0).spec, p)
+        assert got.path == want.path == "analytic"
+        scale = np.abs(want.riemann_mixed).max()
+        assert (np.abs(got.riemann_mixed - want.riemann_mixed).max()
+                <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("a, p", kerr_table_points())
+    def test_matches_the_derived_curvature(self, a, p):
+        spec = catalog.kerr(1.0, a).spec
+        got, want = riemann(spec, p), riemann(spec, p, mode="numeric")
+        assert (got.path, want.path) == ("analytic", "numeric")
+        scale = np.abs(want.riemann_mixed).max()
+        assert (np.abs(got.riemann_mixed - want.riemann_mixed).max()
+                <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("a, p", kerr_table_points())
+    def test_weyl_scalars_are_type_d(self, a, p):
+        # pins the sign: psi2 = M / (r - i a cos(theta))^3, all else zero
+        entry = catalog.kerr(1.0, a)
+        psis = np_scalars(riemann(entry.spec, p), entry.tetrad(p))
+        psi2 = 1.0 / (p[1] - 1j * a * math.cos(p[2])) ** 3
+        want = (0.0, 0.0, psi2, 0.0, 0.0)
+        assert np.abs(np.subtract(psis, want)).max() <= 1e-14 * abs(psi2)
+
+    @pytest.mark.parametrize("a, p", kerr_table_points()
+                             + [(0.9, np.array([0.0, 1e4, 0.01, 0.0]))])
+    def test_symmetry_defect_at_rounding(self, a, p):
+        cd = riemann(catalog.kerr(1.0, a).spec, p)
+        assert verify_tensor_symmetries(cd).max_defect <= 1e-15
+
+
 class TestFlatEntries:
     def test_euclidean(self):
         entry = catalog.euclidean(4)

@@ -246,12 +246,18 @@ class TestSymmetries:
         assert rep.max_defect < 1e-10
 
     @pytest.mark.xfail(strict=True, reason=(
-        "Kerr's coordinate-basis symmetry defect near the axis at large r "
-        "is 3.4e-10 of max(1, max|R|), above the 1e-10 window: the formula "
-        "cancels there, and only a window relative to the curvature scale "
-        "would tell rounding from a wrong tensor"))
+        "the symmetry defect of Kerr's curvature derived from g near the "
+        "axis at large r is 3.4e-10 of max(1, max|R|), above the 1e-10 "
+        "window: the formula cancels there, and only a window relative to "
+        "the curvature scale would tell rounding from a wrong tensor"))
     def test_kerr_far_axis_within_window(self):
+        cd = riemann(catalog.kerr(1.0, 0.9).spec, [0.0, 1000.0, 0.01, 0.0],
+                     mode="numeric")
+        assert verify_tensor_symmetries(cd, 1e-10).passed
+
+    def test_kerr_table_far_axis_within_window(self):
         cd = riemann(catalog.kerr(1.0, 0.9).spec, [0.0, 1000.0, 0.01, 0.0])
+        assert cd.path == "analytic"
         assert verify_tensor_symmetries(cd, 1e-10).passed
 
 
@@ -379,11 +385,14 @@ class TestOneStencil:
          [0.5, 1.0, 2.0, 3.0], "numeric", 2),
         (catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
         (catalog.sphere2().spec, [1.0, 0.2], "auto", 1),
-        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 2),
+        (dataclasses.replace(catalog.kerr(1.0, 0.7).spec,
+                             analytic_riemann=None),
+         [0.0, 3.0, 1.0, 0.0], "auto", 2),
+        (catalog.kerr(1.0, 0.7).spec, [0.0, 3.0, 1.0, 0.0], "auto", 1),
         (polar_spec(), [2.0, 0.5], "auto", 2),
     ], ids=["kerr", "kerr-nothing-ignorable", "schwarzschild",
             "space-form-3", "sphere2", "constant", "schwarzschild-analytic",
-            "sphere2-analytic", "kerr-auto", "no-supplier"])
+            "sphere2-analytic", "kerr-auto", "kerr-analytic", "no-supplier"])
     def test_metric_evaluations_per_riemann(self, spec, p, mode, evals):
         calls = []
 
@@ -593,6 +602,22 @@ def assert_jet(got, value, gradient, hessian):
                                   abs=1e-15)
 
 
+KERR_EXACT_POINTS = [(0.6, 3.0, 0.15), (0.9, 2.5, 0.3), (0.5, 3.5, 1.0),
+                     (0.3, 40.0, 2.8)]
+
+
+def assert_kerr_exact(cd, a, r, th):
+    """Kerr's curvature at ``(r, th)`` is symmetric to rounding and has the
+    closed-form Kretschmann scalar."""
+    assert verify_tensor_symmetries(cd).max_defect <= 1e-12
+    # K = 48 M^2 (r^6 - 15 r^4 u^2 + 15 r^2 u^4 - u^6) / Sigma^6 with
+    # u = a cos(theta) and Sigma = r^2 + u^2
+    u = a * math.cos(th)
+    want = (48.0 * (r ** 6 - 15 * r ** 4 * u ** 2 + 15 * r ** 2 * u ** 4
+                    - u ** 6) / (r ** 2 + u ** 2) ** 6)
+    assert kretschmann(cd) == pytest.approx(want, rel=1e-12)
+
+
 class TestExactCurvature:
     @pytest.mark.parametrize("name", list(operator_cases()))
     def test_operator_derivatives(self, name):
@@ -635,24 +660,39 @@ class TestExactCurvature:
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
         assert derived.path == "numeric"
 
-    def test_replaced_metric_gives_the_new_curvature(self):
+    def test_replaced_metric_gives_the_new_curvature(self, tmp_path):
         p = [0.0, 3.0, 1.0, 0.0]
-        old, new = catalog.kerr(1.0, 0.3).spec, catalog.kerr(1.0, 0.8).spec
+        (tmp_path / "old.metric").write_text(SCHWARZSCHILD_FILE)
+        (tmp_path / "new.metric").write_text(
+            SCHWARZSCHILD_FILE.replace("M = 1", "M = 1.2")
+            .replace("2/r", "2.4/r"))
+        old, new = (load_metric(tmp_path / f"{name}.metric")
+                    for name in ("old", "new"))
         want = riemann(new, p)
         cd = riemann(dataclasses.replace(old, g=new.g), p)
         assert cd.path == want.path == "numeric"
         for name in ("g", "riemann_mixed", "riemann_lowered"):
             assert_bitwise_equal(getattr(cd, name), getattr(want, name))
 
-    @pytest.mark.parametrize("a, r, th", [(0.6, 3.0, 0.15), (0.9, 2.5, 0.3),
-                                          (0.5, 3.5, 1.0), (0.3, 40.0, 2.8)])
+    def test_replaced_metric_keeps_the_table(self):
+        # a table is the curvature of the g it was written for
+        p = [0.0, 3.0, 1.0, 0.0]
+        old, new = catalog.kerr(1.0, 0.3).spec, catalog.kerr(1.0, 0.8).spec
+        want = riemann(old, p)
+        cd = riemann(dataclasses.replace(old, g=new.g), p)
+        assert cd.path == want.path == "analytic"
+        assert_bitwise_equal(cd.g, riemann(new, p).g)
+        assert_bitwise_equal(cd.riemann_mixed, want.riemann_mixed)
+
+    @pytest.mark.parametrize("a, r, th", KERR_EXACT_POINTS)
     def test_kerr_exact(self, a, r, th):
-        cd = riemann(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.0])
+        cd = riemann(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.0],
+                     mode="numeric")
         assert cd.path == "numeric"
-        assert verify_tensor_symmetries(cd).max_defect <= 1e-12
-        # K = 48 M^2 (r^6 - 15 r^4 u^2 + 15 r^2 u^4 - u^6) / Sigma^6 with
-        # u = a cos(theta) and Sigma = r^2 + u^2
-        u = a * math.cos(th)
-        want = (48.0 * (r ** 6 - 15 * r ** 4 * u ** 2 + 15 * r ** 2 * u ** 4
-                        - u ** 6) / (r ** 2 + u ** 2) ** 6)
-        assert kretschmann(cd) == pytest.approx(want, rel=1e-12)
+        assert_kerr_exact(cd, a, r, th)
+
+    @pytest.mark.parametrize("a, r, th", KERR_EXACT_POINTS)
+    def test_kerr_table_exact(self, a, r, th):
+        cd = riemann(catalog.kerr(1.0, a).spec, [0.0, r, th, 0.0])
+        assert cd.path == "analytic"
+        assert_kerr_exact(cd, a, r, th)
