@@ -111,15 +111,13 @@ def weyl_self_contraction(cd: CurvatureData, c: Optional[np.ndarray] = None) -> 
 class NPTetrad:
     """Newman-Penrose null tetrad ``(l, n, m, conj(m))``.
 
-    ``l`` and ``n`` are real null vectors with ``<l, n> = ln_sign``;
-    ``m`` is complex null with ``<m, conj(m)> = 1``; all other pairings
-    vanish.
+    ``l`` and ``n`` are real null vectors with ``<l, n> = -1``; ``m`` is
+    complex null with ``<m, conj(m)> = 1``; all other pairings vanish.
     """
 
     l: np.ndarray
     n: np.ndarray
     m: np.ndarray
-    ln_sign: int = -1
 
     def frame(self) -> np.ndarray:
         """The rows ``l, n, m, conj(m)`` as one complex ``4 x n`` array."""
@@ -132,7 +130,7 @@ class NPTetrad:
         from the Gram matrix of the frame."""
         e = self.frame()
         f = e @ g @ e.T
-        f[0, 1] -= self.ln_sign
+        f[0, 1] += 1.0
         f[2, 3] -= 1.0
         # <l,l> <n,n> <l,n> <m,m> <m,mbar> <l,m> <n,m>
         return float(np.abs(f[(0, 1, 0, 2, 2, 0, 1), (0, 1, 1, 2, 3, 2, 2)]).max())

@@ -47,9 +47,7 @@ def sphere2() -> CatalogEntry:
     """
 
     def g(p):
-        th = p[0]
-        return np.array([[1.0 + 0.0 * th, 0.0 * th],
-                         [0.0 * th, np.sin(th) ** 2]])
+        return np.array([[1.0, 0.0], [0.0, np.sin(p[0]) ** 2]])
 
     def riem(p):
         s2 = math.sin(p[0]) ** 2
@@ -91,7 +89,7 @@ def space_form(kappa: float, n: int) -> CatalogEntry:
                         - np.einsum("il,jk->ijkl", eye, eye))
 
     spec = MetricSpec(dimension=n, signature=(1,) * n,
-                      g=lambda p: np.eye(n) + 0.0 * p[0],
+                      g=lambda p: np.eye(n),
                       analytic_riemann=riem, id="space-form")
 
     def expected(p):
@@ -123,7 +121,7 @@ def minkowski() -> CatalogEntry:
                         m=np.array([0.0, 0.0, 1.0, 1.0j]) / rt)
 
     spec = MetricSpec(dimension=4, signature=(-1, 1, 1, 1),
-                      g=lambda p: eta + 0.0 * p[0],
+                      g=lambda p: eta.copy(),
                       analytic_riemann=lambda p: np.zeros((4, 4, 4, 4)),
                       id="minkowski")
     return CatalogEntry(spec=spec, admissible=lambda p: True,
@@ -152,12 +150,11 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
     def g(p):
         r, th = p[1], p[2]
         f = 1.0 - 2.0 * mass / r
-        zero = 0.0 * r
         return np.array([
-            [-f, zero, zero, zero],
-            [zero, 1.0 / f, zero, zero],
-            [zero, zero, r ** 2, zero],
-            [zero, zero, zero, r ** 2 * np.sin(th) ** 2],
+            [-f, 0.0, 0.0, 0.0],
+            [0.0, 1.0 / f, 0.0, 0.0],
+            [0.0, 0.0, r ** 2, 0.0],
+            [0.0, 0.0, 0.0, r ** 2 * np.sin(th) ** 2],
         ])
 
     def riem(p):
@@ -244,13 +241,12 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
         sin2 = np.sin(th) ** 2
         sigma = r ** 2 + spin ** 2 * np.cos(th) ** 2
         delta = r ** 2 - 2.0 * mass * r + spin ** 2
-        zero = 0.0 * r
         g_tphi = -2.0 * mass * spin * r * sin2 / sigma
         return np.array([
-            [-(1.0 - 2.0 * mass * r / sigma), zero, zero, g_tphi],
-            [zero, sigma / delta, zero, zero],
-            [zero, zero, sigma, zero],
-            [g_tphi, zero, zero,
+            [-(1.0 - 2.0 * mass * r / sigma), 0.0, 0.0, g_tphi],
+            [0.0, sigma / delta, 0.0, 0.0],
+            [0.0, 0.0, sigma, 0.0],
+            [g_tphi, 0.0, 0.0,
              (r ** 2 + spin ** 2 + 2.0 * mass * spin ** 2 * r * sin2 / sigma) * sin2],
         ])
 

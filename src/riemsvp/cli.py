@@ -28,7 +28,8 @@ from .algebra import compute_invariants, curvature_scale, inner, ricci
 from .errors import (BadCase, DifferentiationFailure, InvalidInput,
                      NoConvergence, OutOfDomain, SingularMetric,
                      WrongSignature)
-from .geometry import CurvatureData, riemann, verify_tensor_symmetries
+from .geometry import (_SYMMETRY_TOL, CurvatureData, riemann,
+                       verify_tensor_symmetries)
 from .metricfile import load_metric
 from .svp import (_MIXED_TOL, _PROP1_TOL, _ZERO_REL, SolverConfig,
                   _kerr_reduced, _patterns, _prop1_defect, _schwarzschild_reduced,
@@ -220,8 +221,7 @@ def _solution_record(sol, cd) -> dict:
         "count": sol.count,
         "trivial": sol.trivial,
         "seed": sol.seed,
-        # a solution whose residual is not finite has no orbit
-        "orbit_size": orbit_size(sol, cd) if math.isfinite(sol.residual) else 0,
+        "orbit_size": orbit_size(sol, cd),
         "quadruple": _quadruple_record(sol.q),
     }
 
@@ -299,7 +299,7 @@ def cmd_orbit(args) -> tuple[dict, int]:
     entry, point, cd, cfg = _prepare(args)
     sols, _ = _run_solver(args, entry, point, cd, cfg)
     base = (_nonzero(sols, curvature_scale(cd)) or sols)[0]
-    members = orbit(base, cd, tol=max(10.0 * base.residual, 1e-9))
+    members = orbit(base, cd)
     report = _base_report(args, "orbit")
     report["point"] = point
     report["base"] = _solution_record(base, cd)
@@ -369,17 +369,10 @@ def _solution_checks(metric: str, entry, cd: CurvatureData,
     # passed, when there is none
     unit = rho or 1.0
     empty = None if nonzero else "no non-zero sigma converged"
-
-    def members(s):
-        try:
-            return orbit(s, cd, tol=max(10 * s.residual, 1e-9))
-        except InvalidInput:
-            return []
-
     checks = [
         {"defect": _worst(_prop1_defect(s, cd) for s in nonzero),
          "window": _PROP1_TOL, "skip": empty},
-        {"defect": _worst(m.residual for s in sols for m in members(s)),
+        {"defect": _worst(m.residual for s in sols for m in orbit(s, cd)),
          "window": 1e-9}]
     if cd.is_lorentz:
         rep = lorentz_mixed_sign_check(cd, scfg)
@@ -419,13 +412,12 @@ def _solution_checks(metric: str, entry, cd: CurvatureData,
 
 def cmd_verify(args) -> tuple[dict, int]:
     entry, point, cd, scfg = _prepare(args)
-    sym_tol = 1e-10
     g_defect = float(np.abs(cd.g - cd.g.T).max() / max(1.0, np.abs(cd.g).max()))
-    sym = verify_tensor_symmetries(cd, sym_tol)
+    sym = verify_tensor_symmetries(cd)
     sym_defect = _worst((g_defect, sym.antisym_first_pair,
                          sym.antisym_second_pair, sym.pair_symmetry))
-    checks = [_check("symmetries", sym_defect, sym_tol),
-              _check("bianchi", sym.bianchi_first, sym_tol)]
+    checks = [_check("symmetries", sym_defect, _SYMMETRY_TOL),
+              _check("bianchi", sym.bianchi_first, _SYMMETRY_TOL)]
     solution = (_solution_checks(args.metric, entry, cd, scfg)
                 if checks[0]["pass"] and checks[1]["pass"] else
                 [{"skip": "geometry invalid"}] * len(_SOLUTION_CHECKS))

@@ -27,7 +27,7 @@ contraction sums the zeros along an ignorable coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add
@@ -151,9 +151,7 @@ class SymmetryReport:
     antisym_second_pair: float
     pair_symmetry: float
     bianchi_first: float
-    scale: float
-    tol: float
-    passed: bool = field(default=False)
+    passed: bool
 
     @property
     def max_defect(self) -> float:
@@ -444,9 +442,13 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
                          signature=tuple(spec.signature), path=path)
 
 
-def verify_tensor_symmetries(cd: CurvatureData, tol: float = 1e-10) -> SymmetryReport:
+_SYMMETRY_TOL = 1e-10  # every defect's window, relative to max(1, max|R|)
+
+
+def verify_tensor_symmetries(cd: CurvatureData) -> SymmetryReport:
     """Check antisymmetries, pair symmetry, and the first Bianchi identity,
-    each defect relative to ``max(1, max |R|)``."""
+    each defect relative to ``max(1, max |R|)``; passed below
+    ``_SYMMETRY_TOL``."""
     r = cd.riemann_lowered
     scale = max(1.0, float(np.abs(r).max()))
     terms = (r + np.einsum("jikl->ijkl", r), r + np.einsum("ijlk->ijkl", r),
@@ -455,5 +457,4 @@ def verify_tensor_symmetries(cd: CurvatureData, tol: float = 1e-10) -> SymmetryR
     a1, a2, pair, bianchi = (float(np.abs(t).max() / scale) for t in terms)
     return SymmetryReport(antisym_first_pair=a1, antisym_second_pair=a2,
                           pair_symmetry=pair, bianchi_first=bianchi,
-                          scale=scale, tol=tol,
-                          passed=max(a1, a2, pair, bianchi) < tol)
+                          passed=max(a1, a2, pair, bianchi) < _SYMMETRY_TOL)

@@ -40,8 +40,7 @@ import numpy as np
 
 from . import catalog as _catalog_mod
 from .algebra import curvature_scale, inner, np_scalars
-from .errors import (BadCase, InvalidInput, NoConvergence, OutOfDomain,
-                     WrongSignature)
+from .errors import BadCase, InvalidInput, NoConvergence, WrongSignature
 from .geometry import CurvatureData, as_point, riemann
 
 Signs = tuple[int, int, int, int]
@@ -78,7 +77,6 @@ class SVPSolution:
     seed: Optional[int] = None
     trivial: Optional[str] = None
     count: int = 1
-    tetrad_components: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -629,21 +627,16 @@ _SWAPS = [
 ]
 
 
-def orbit(sol: SVPSolution, cd: CurvatureData,
-          tol: float = 1e-10) -> list[SVPSolution]:
+def orbit(sol: SVPSolution, cd: CurvatureData) -> list[SVPSolution]:
     """All solutions generated from ``sol`` by the structural transforms.
 
     Emits the 16 per-vector sign patterns (sigma flips with the parity of
     the number of minus signs), the 7 vector swaps, and, when the pairs are
     orthogonal unit pairs of equal constraint sign, the 3 plane rotations
     by ``1/sqrt(2)``.  Sigma values are reported signed, before any
-    non-negativity normalization.  Each member's residual stays below
-    ``10 * tol``.
+    non-negativity normalization.  Each member carries its own residual,
+    which the caller judges (``verify``'s ``orbit-closure`` check).
     """
-    if sol.residual >= tol:
-        raise InvalidInput(
-            f"orbit requires a converged solution (residual {sol.residual:.3e} "
-            f">= {tol:.1e})")
     q, sigma = sol.q, sol.sigma
     members: list[tuple[Quadruple, float]] = []
 
@@ -734,7 +727,6 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
 class MixedSignReport:
     """Result of the mixed-constraint-sign vanishing check."""
 
-    pattern: Signs
     n_converged: int
     max_abs_sigma: float
     passed: bool
@@ -745,8 +737,8 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
     """On a Lorentz metric, mixed constraint signs force ``sigma = 0``.
 
     Runs the multistart search with a mixed sign pattern (default
-    ``(+, +, +, -)``) and reports the largest ``|sigma|`` among converged
-    solutions; it passes below 1e-8.
+    ``(+, +, +, -)``) and reports the number of converged solutions and
+    the largest ``|sigma|`` among them; it passes below ``_MIXED_TOL``.
     """
     if not cd.is_lorentz:
         raise WrongSignature("mixed-sign check needs a Lorentz metric "
@@ -758,8 +750,7 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
                                             for s in pattern))
     sols = multistart(cd, sub)
     max_sigma = max((abs(s.sigma) for s in sols), default=0.0)
-    return MixedSignReport(pattern=pattern, n_converged=len(sols),
-                           max_abs_sigma=max_sigma,
+    return MixedSignReport(n_converged=len(sols), max_abs_sigma=max_sigma,
                            passed=max_sigma < _MIXED_TOL)
 
 
@@ -851,11 +842,13 @@ def kerr_reduced_solve(mass: float, spin: float, r: float,
     Works in the null-tetrad frame where only the middle Weyl scalar
     ``psi2`` survives.  Setting ``Z = X``, ``W = -Y`` with the component
     ansatz collapses the system to two scalar equations whose solution has
+    ``sigma = Re psi2``, of either sign; with ``W`` negated where ``Re psi2
+    < 0`` the reported value is
 
         sigma = |Re psi2| = sqrt((|I| + Re I) / 6),
 
-    with ``I`` the quadratic Weyl invariant.  The tetrad components of the
-    solution are attached; ``q`` holds the coordinate-basis vectors.
+    with ``I`` the quadratic Weyl invariant.  ``q`` holds the
+    coordinate-basis vectors.
     """
     entry = _catalog_mod.kerr(mass, spin)
     point = as_point([0.0, r, theta, 0.0], 4)
@@ -866,27 +859,24 @@ def kerr_reduced_solve(mass: float, spin: float, r: float,
 def _kerr_reduced(cd: CurvatureData, tetrad) -> SVPSolution:
     """:func:`kerr_reduced_solve` on the curvature ``cd`` and the null
     tetrad at a point of the exterior."""
-    psis = np_scalars(cd, tetrad)
-    re_psi2 = psis[2].real
-    if re_psi2 <= 0:
-        raise OutOfDomain("reduction requires Re(psi2) > 0, which holds on "
-                          "the exterior domain")
-    sigma = re_psi2
-
+    re_psi2 = np_scalars(cd, tetrad)[2].real
     # tetrad coefficients (l, n, m, mbar): x solves -2 x1 x2 = 2 x3 x4 = 1/2
     xc = np.array([0.5, -0.5, 0.5, 0.5])
     yc = np.array([0.5, -0.5, -0.5, -0.5])
-    frame = np.stack([-yc, xc, yc, xc])  # rows: w, x, y, z
-
-    coords = frame @ tetrad.frame()
+    coords = np.stack([-yc, xc, yc, xc]) @ tetrad.frame()  # rows: w, x, y, z
     if np.abs(coords.imag).max() > 1e-12:
         raise NoConvergence("tetrad combination produced a non-real vector")
     vecs = coords.real
+    # the quadruple solves the system with sigma = Re psi2 of either sign;
+    # the flip (W, sigma) -> (-W, -sigma) reports sigma = |Re psi2|
+    if re_psi2 < 0:
+        vecs[0] = -vecs[0]
+    sigma = abs(re_psi2)
     quad = Quadruple(w=vecs[0], x=vecs[1], y=vecs[2], z=vecs[3],
                      signs=ALL_PLUS)
     res = residual_norm(cd, quad, sigma)
     return SVPSolution(q=quad, sigma=sigma, residual=res,
-                       origin="reduced-kerr", tetrad_components=frame)
+                       origin="reduced-kerr")
 
 
 def closed_form_sigma(case: str, **params) -> float:

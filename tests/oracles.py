@@ -405,7 +405,7 @@ def tetrad_defect_products(tetrad, g):
     nv = np.asarray(tetrad.n, dtype=float)
     mv = np.asarray(tetrad.m, dtype=complex)
     mb = np.conj(mv)
-    checks = [lv @ g @ lv, nv @ g @ nv, lv @ g @ nv - tetrad.ln_sign,
+    checks = [lv @ g @ lv, nv @ g @ nv, lv @ g @ nv + 1.0,
               mv @ g @ mv, mv @ g @ mb - 1.0, lv @ g @ mv, nv @ g @ mv]
     return float(max(abs(complex(c)) for c in checks))
 

@@ -258,7 +258,7 @@ class TestAnalyticExactness:
                    catalog.minkowski()]
         for entry in entries:
             cd = riemann(entry.spec, entry.default_point)
-            rep = verify_tensor_symmetries(cd, tol=1e-12)
+            rep = verify_tensor_symmetries(cd)
             assert rep.max_defect < 1e-12, entry.spec.id
 
     def test_numeric_reproduces_analytic(self):

@@ -103,6 +103,10 @@ class TestInvariantsCommand:
         assert json.loads(out)["config"]["metric"] == str(path)
 
 
+# Kerr points outside the horizon where Re psi2 < 0: (spin, --point)
+KERR_NEGATIVE_PSI2 = [(0.9, "0,1.5,0.1,0"), (0.99, "0,1.2,0.05,0")]
+
+
 class TestSvpCommand:
     def test_sphere_clusters(self, capsys):
         code, out = run(capsys, "svp", "--metric", "sphere2", "--point",
@@ -122,6 +126,19 @@ class TestSvpCommand:
         sigmas = [s["sigma"] for s in report["solutions"]]
         assert any(abs(v - 2.0) < 1e-9 for v in sigmas)
         assert all(e["matched"] for e in report["expected"])
+
+    @pytest.mark.parametrize("spin, point", KERR_NEGATIVE_PSI2)
+    def test_kerr_negative_re_psi2_matched(self, capsys, spin, point):
+        code, out = run(capsys, "svp", "--metric", "kerr", "--params",
+                        f"M=1,a={spin}", "--point", point, "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        (sol,) = report["solutions"]
+        assert sol["origin"] == "reduced-kerr"
+        assert sol["residual"] < 1e-10
+        special = report["expected"][1]
+        assert special["matched"] is True
+        assert sol["sigma"] == pytest.approx(special["sigma"], rel=1e-12)
 
     def test_far_field_spurious_sigma_not_matched(self, capsys):
         # at r = 1000 the starts find only 0 and a spurious 3.5e-11, which
@@ -294,6 +311,27 @@ class TestVerifyCommand:
             assert by_name[name]["pass"] is False
             assert by_name[name]["max_defect"] is None
 
+    def test_orbit_closure_judges_every_solution(self, capsys, monkeypatch):
+        # a solution that is not one (W doubled, residual not finite) has
+        # an orbit of non-solutions, which orbit-closure must fail
+        from riemsvp import cli
+        from riemsvp.svp import SolverConfig, multistart
+
+        cd = riemann(catalog.sphere2().spec, [1.0472, 0.0])
+        good = max(multistart(cd, SolverConfig(n_starts=30)),
+                   key=lambda s: s.sigma)
+        bad = dataclasses.replace(
+            good, residual=math.inf,
+            q=dataclasses.replace(good.q, w=2.0 * good.q.w))
+        monkeypatch.setattr(cli, "multistart", lambda cd, cfg: [good, bad])
+        code, out = run(capsys, "verify", "--metric", "sphere2", "--point",
+                        "1.0472,0", "--deterministic")
+        assert code == 5
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        check = by_name["orbit-closure"]
+        assert check["pass"] is False
+        assert check["max_defect"] > 1.0
+
     @pytest.mark.parametrize("metric", [
         ["--metric", "space-form", "--params", "kappa=1e6,n=4"],
         ["--metric", "euclidean"],
@@ -357,6 +395,18 @@ class TestOrbitCommand:
         assert len(report["members"]) == 26
         assert max(abs(m["sigma"]) for m in report["members"]) == \
             pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("spin, point", KERR_NEGATIVE_PSI2)
+    def test_kerr_negative_re_psi2(self, capsys, spin, point):
+        code, out = run(capsys, "orbit", "--metric", "kerr", "--params",
+                        f"M=1,a={spin}", "--point", point, "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        p = np.array(point.split(","), dtype=float)
+        want = catalog.kerr(1.0, spin).expected_sigma(p)[1][0]
+        assert report["base"]["sigma"] == pytest.approx(want, rel=1e-12)
+        assert len(report["members"]) == report["base"]["orbit_size"]
+        assert max(m["residual"] for m in report["members"]) < 1e-9
 
 
 class TestCatalogCommand:

@@ -923,14 +923,8 @@ class TestOrbit:
     def test_all_members_near_solutions(self):
         cd = riemann(catalog.schwarzschild(1.0).spec, [0.0, 3.0, 1.0, 0.0])
         sol = schwarzschild_reduced_solve(1.0, 3.0, 1.0)
-        members = orbit(sol, cd, tol=1e-10)
+        members = orbit(sol, cd)
         assert max(m.residual for m in members) < 1e-9
-
-    def test_requires_converged_input(self):
-        cd = sphere_cd()
-        bad = SVPSolution(q=sphere_solution(), sigma=0.5, residual=0.5)
-        with pytest.raises(InvalidInput):
-            orbit(bad, cd)
 
     def test_size_without_building_the_orbit(self):
         sizes = set()
@@ -938,7 +932,7 @@ class TestOrbit:
             cd = riemann(entry.spec, entry.default_point)
             cfg = SolverConfig(n_starts=30, rng_seed=0)
             for sol in multistart(cd, cfg):
-                members = orbit(sol, cd, tol=max(10.0 * sol.residual, 1e-9))
+                members = orbit(sol, cd)
                 assert orbit_size(sol, cd) == len(members)
                 sizes.add(len(members))
         assert sizes == {23, 26}
@@ -1090,7 +1084,6 @@ class TestKerrReduced:
         sol = kerr_reduced_solve(1.0, 0.5, 3.0, math.pi / 2)
         assert abs(sol.sigma - 1.0 / 27.0) < 1e-8
         assert sol.origin == "reduced-kerr"
-        assert sol.tetrad_components is not None
 
     def test_zero_spin_matches_schwarzschild(self):
         a = kerr_reduced_solve(1.0, 0.0, 3.0, math.pi / 4)
@@ -1109,6 +1102,19 @@ class TestKerrReduced:
     def test_full_residual_small(self):
         sol = kerr_reduced_solve(1.0, 0.5, 3.0, 1.0)
         assert sol.residual < 1e-9
+
+    @pytest.mark.parametrize("spin, r, theta", [(0.9, 1.5, 0.1),
+                                                (0.99, 1.2, 0.05)])
+    def test_negative_re_psi2(self, spin, r, theta):
+        # near the axis at high spin Re psi2 < 0 outside the horizon; the
+        # reported sigma is |Re psi2|, the special family's value
+        entry = catalog.kerr(1.0, spin)
+        p = np.array([0.0, r, theta, 0.0])
+        assert np_scalars(riemann(entry.spec, p), entry.tetrad(p))[2].real < 0
+        want = entry.expected_sigma(p)[1][0]
+        sol = kerr_reduced_solve(1.0, spin, r, theta)
+        assert sol.sigma == pytest.approx(want, rel=1e-12)
+        assert sol.residual < 1e-10
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
