@@ -107,6 +107,11 @@ def weyl_self_contraction(cd: CurvatureData, c: Optional[np.ndarray] = None) -> 
     return float(np.einsum("ijkl,ijkl->", c, _raise_all(c, cd.g_inv)))
 
 
+# the entries <l,l> <n,n> <l,n> <m,m> <m,mbar> <l,m> <n,m> of a tetrad's
+# flattened 4 x 4 Gram matrix
+_CONDITIONS = np.array([0, 5, 1, 10, 11, 2, 6])
+
+
 @dataclass(frozen=True)
 class NPTetrad:
     """Newman-Penrose null tetrad ``(l, n, m, conj(m))``.
@@ -122,18 +127,31 @@ class NPTetrad:
     def frame(self) -> np.ndarray:
         """The rows ``l, n, m, conj(m)`` as one complex ``4 x n`` array."""
         m = np.asarray(self.m, dtype=complex)
-        return np.stack([np.asarray(self.l, dtype=complex),
-                         np.asarray(self.n, dtype=complex), m, np.conj(m)])
+        return np.array([self.l, self.n, m, m.conj()], dtype=complex)
 
     def normalization_defect(self, g: np.ndarray) -> float:
         """Largest violation of the tetrad inner-product conditions, read
-        from the Gram matrix of the frame."""
+        from the Gram matrix ``E g E^T`` of the frame ``E``, each relative to
+        the size of the terms it sums (``|E| |g| |E|^T``, 0 where they all
+        vanish), so that it stays at rounding level at every scale and near a
+        horizon, where the terms grow without bound."""
         e = self.frame()
         f = e @ g @ e.T
         f[0, 1] += 1.0
         f[2, 3] -= 1.0
-        # <l,l> <n,n> <l,n> <m,m> <m,mbar> <l,m> <n,m>
-        return float(np.abs(f[(0, 1, 0, 2, 2, 0, 1), (0, 1, 1, 2, 3, 2, 2)]).max())
+        a = np.abs(e)
+        off = np.abs(f.take(_CONDITIONS))
+        size = (a @ np.abs(g) @ a.T).take(_CONDITIONS)
+        return float((off / np.maximum(size, np.finfo(float).tiny)).max())
+
+    def checked_frame(self, g: np.ndarray) -> np.ndarray:
+        """:meth:`frame`, once the tetrad passes its normalization check
+        against ``g``; raises :class:`BadTetrad` unless the defect is at
+        most 1e-8 (a NaN defect fails)."""
+        defect = self.normalization_defect(g)
+        if not defect <= 1e-8:
+            raise BadTetrad(f"tetrad normalization defect {defect:.3e} exceeds 1.0e-08")
+        return self.frame()
 
 
 def np_scalars(cd: CurvatureData,
@@ -151,12 +169,9 @@ def np_scalars(cd: CurvatureData,
 
 def _np_scalars(cd: CurvatureData, tetrad: NPTetrad, c: Optional[np.ndarray]):
     """:func:`np_scalars` with the Weyl tensor ``c`` of ``cd``, or ``None``."""
-    defect = tetrad.normalization_defect(cd.g)
-    if defect > 1e-8:
-        raise BadTetrad(f"tetrad normalization defect {defect:.3e} exceeds 1.0e-08")
     # f[a, b, c, d] = -C(e_a, e_b, e_c, e_d); the sign makes the static
     # black hole's psi2 positive and real
-    f = -_raise_all(weyl(cd) if c is None else c, tetrad.frame())
+    f = -_raise_all(weyl(cd) if c is None else c, tetrad.checked_frame(cd.g))
     return tuple(complex(f[i]) for i in
                  ((0, 2, 0, 2), (0, 1, 0, 2), (0, 2, 3, 1), (0, 1, 3, 1), (3, 1, 3, 1)))
 

@@ -130,6 +130,21 @@ def minkowski() -> CatalogEntry:
                         expected_sigma=lambda p: [(0.0, "flat")])
 
 
+def _kinnersley(mass: float, spin: float, p) -> NPTetrad:
+    """The Kinnersley null tetrad of the rotating black hole of ``mass``
+    and ``spin`` at the Boyer-Lindquist point ``p``; at zero spin it is the
+    static black hole's."""
+    r, th = p[1], p[2]
+    delta = r ** 2 - 2.0 * mass * r + spin ** 2
+    sigma = r ** 2 + spin ** 2 * math.cos(th) ** 2
+    lvec = np.array([(r ** 2 + spin ** 2) / delta, 1.0, 0.0, spin / delta])
+    nvec = np.array([(r ** 2 + spin ** 2) / (2.0 * sigma),
+                     -delta / (2.0 * sigma), 0.0, spin / (2.0 * sigma)])
+    mvec = (np.array([1j * spin * math.sin(th), 0.0, 1.0, 1j / math.sin(th)])
+            / (math.sqrt(2.0) * (r + 1j * spin * math.cos(th))))
+    return NPTetrad(l=lvec, n=nvec, m=mvec)
+
+
 def schwarzschild(mass: float = 1.0) -> CatalogEntry:
     """Static black hole in ``(t, r, theta, phi)`` coordinates.
 
@@ -140,8 +155,8 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
         A = M f / r^3,  B = M / (r^3 f),  C = M / r,  D = M sin^2(theta) / r,
 
     and the expected nonzero singular value at radius ``r`` is ``M / r^3``.
-    The metric does not depend on ``t`` or ``phi``, which the spec declares
-    ignorable.
+    The null tetrad is Kerr's Kinnersley tetrad at zero spin.  The metric
+    does not depend on ``t`` or ``phi``, which the spec declares ignorable.
     """
     if not 0 < mass < math.inf:
         raise InvalidInput("mass must be positive")
@@ -190,6 +205,7 @@ def schwarzschild(mass: float = 1.0) -> CatalogEntry:
 
     return CatalogEntry(spec=spec, admissible=admissible,
                         default_point=np.array([0.0, 3.0 * mass, math.pi / 4, 0.0]),
+                        tetrad=lambda p: _kinnersley(mass, 0.0, p),
                         expected_sigma=expected, params={"M": mass})
 
 
@@ -251,16 +267,7 @@ def kerr(mass: float = 1.0, spin: float = 0.5) -> CatalogEntry:
         ])
 
     def tetrad(p):
-        r, th = p[1], p[2]
-        delta = r ** 2 - 2.0 * mass * r + spin ** 2
-        sigma = r ** 2 + spin ** 2 * math.cos(th) ** 2
-        lvec = np.array([(r ** 2 + spin ** 2) / delta, 1.0, 0.0, spin / delta])
-        nvec = np.array([(r ** 2 + spin ** 2) / (2.0 * sigma),
-                         -delta / (2.0 * sigma), 0.0, spin / (2.0 * sigma)])
-        mvec = (np.array([1j * spin * math.sin(th), 0.0, 1.0,
-                          1j / math.sin(th)])
-                / (math.sqrt(2.0) * (r + 1j * spin * math.cos(th))))
-        return NPTetrad(l=lvec, n=nvec, m=mvec)
+        return _kinnersley(mass, spin, p)
 
     def psi2(p):
         r, th = p[1], p[2]

@@ -25,14 +25,14 @@ import numpy as np
 
 from . import __version__, catalog
 from .algebra import compute_invariants, curvature_scale, inner, ricci
-from .errors import (BadCase, DifferentiationFailure, InvalidInput,
-                     NoConvergence, OutOfDomain, SingularMetric,
-                     WrongSignature)
+from .errors import (BadCase, BadTetrad, DifferentiationFailure,
+                     InvalidInput, NoConvergence, OutOfDomain,
+                     SingularMetric, WrongSignature)
 from .geometry import (_SYMMETRY_TOL, CurvatureData, riemann,
                        verify_tensor_symmetries)
 from .metricfile import load_metric
 from .svp import (_MIXED_TOL, _PROP1_TOL, _ZERO_REL, SolverConfig,
-                  _kerr_reduced, _patterns, _prop1_defect, _schwarzschild_reduced,
+                  _patterns, _prop1_defect, _type_d_reduced,
                   lorentz_mixed_sign_check, multistart, orbit, orbit_size,
                   sigma_from_tensor, wedge_det_defect)
 
@@ -254,20 +254,16 @@ def cmd_invariants(args) -> tuple[dict, int]:
 def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
                 cd: CurvatureData, cfg: SolverConfig):
     # a metric file named after a catalog id is not that catalog metric, so
-    # the reduced solvers go by the --metric value
+    # the reduced solve goes by the --metric value
+    black_hole = args.metric in ("schwarzschild", "kerr")
     method = args.method
     if method == "auto":
-        method = ("reduced" if args.metric in ("schwarzschild", "kerr")
-                  else "multistart")
+        method = "reduced" if black_hole else "multistart"
     if method == "reduced":
-        if args.metric == "schwarzschild":
-            sol = _schwarzschild_reduced(cd, entry.params["M"], point[1])
-        elif args.metric == "kerr":
-            sol = _kerr_reduced(cd, entry.tetrad(point))
-        else:
+        if not black_hole:
             raise InvalidInput(
                 f"--method reduced is not available for '{args.metric}'")
-        return [sol], method
+        return [_type_d_reduced(cd, entry.tetrad(point))], method
     sols = multistart(cd, cfg)
     if not sols:
         raise NoConvergence("no start converged")
@@ -602,7 +598,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OutOfDomain, SingularMetric, WrongSignature,
-            DifferentiationFailure) as exc:
+            DifferentiationFailure, BadTetrad) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except NoConvergence as exc:

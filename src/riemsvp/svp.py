@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import catalog as _catalog_mod
-from .algebra import curvature_scale, inner, np_scalars
+from .algebra import curvature_scale, inner
 from .errors import BadCase, InvalidInput, NoConvergence, WrongSignature
 from .geometry import CurvatureData, as_point, riemann
 
@@ -795,88 +795,62 @@ def wedge_det_defect(y: np.ndarray, z: np.ndarray) -> float:
 
 
 def schwarzschild_reduced_solve(mass: float, r: float, theta: float) -> SVPSolution:
-    """Closed-form exterior solution of the static black-hole SVP.
-
-    Under the reduction ansatz the system collapses to an eight-equation
-    polynomial system in the ``(t, r)``-excluded plane; the branch living in
-    the ``(r, theta)`` plane solves it with ``sigma = mass / r**3``:
-
-        x = (0, sqrt(f/2), 1/(sqrt(2) r), 0),  y = x,
-        w = (0, sqrt(f/2), -1/(sqrt(2) r), 0), z = w,
-
-    where ``f = 1 - 2*mass/r``.  The returned quadruple satisfies the full
-    four-dimensional residual to rounding accuracy, and the wedge-matrix
-    determinant identity is verified on ``(y, z)``.
-    """
-    entry = _catalog_mod.schwarzschild(mass)
-    point = as_point([0.0, r, theta, 0.0], 4)
-    entry.check_point(point)
-    return _schwarzschild_reduced(riemann(entry.spec, point), mass, r)
-
-
-def _schwarzschild_reduced(cd: CurvatureData, mass: float,
-                           r: float) -> SVPSolution:
-    """:func:`schwarzschild_reduced_solve` on the curvature ``cd`` at an
-    exterior point of radius ``r``."""
-    f = 1.0 - 2.0 * mass / r
-    p = math.sqrt(f / 2.0)
-    qc = 1.0 / (math.sqrt(2.0) * r)
-    x = np.array([0.0, p, qc, 0.0])
-    w = np.array([0.0, p, -qc, 0.0])
-    quad = Quadruple(w=w, x=x, y=x.copy(), z=w.copy(), signs=ALL_PLUS)
-    sigma = mass / r ** 3
-    res = residual_norm(cd, quad, sigma)
-    if res > 1e-10:
-        raise NoConvergence(f"reduced solution residual {res:.3e} too large")
-    defect = wedge_det_defect(quad.y, quad.z)
-    if defect > 1e-8:
-        raise NoConvergence(f"wedge determinant identity defect {defect:.3e}")
-    return SVPSolution(q=quad, sigma=sigma, residual=res,
-                       origin="reduced-schwarzschild")
+    """:func:`kerr_reduced_solve` at zero spin, on the static black hole's
+    entry: its curvature table and its tetrad, Kerr's Kinnersley tetrad at
+    ``spin = 0``.  The reported value is ``sigma = mass / r**3``."""
+    return _reduced_solve(_catalog_mod.schwarzschild(mass), r, theta)
 
 
 def kerr_reduced_solve(mass: float, spin: float, r: float,
                        theta: float) -> SVPSolution:
     """Special solution family of the rotating black-hole SVP.
 
-    Works in the null-tetrad frame where only the middle Weyl scalar
-    ``psi2`` survives.  Setting ``Z = X``, ``W = -Y`` with the component
-    ansatz collapses the system to two scalar equations whose solution has
-    ``sigma = Re psi2``, of either sign; with ``W`` negated where ``Re psi2
-    < 0`` the reported value is
+    In the Kinnersley null tetrad only the middle Weyl scalar ``psi2``
+    survives (vacuum type D).  Setting ``Z = X``, ``W = -Y`` with the
+    component ansatz collapses the system to two scalar equations whose
+    solution has ``sigma = R(W, X, Y, Z) = Re psi2``, of either sign; with
+    ``W`` negated where ``Re psi2 < 0`` the reported value is
 
         sigma = |Re psi2| = sqrt((|I| + Re I) / 6),
 
     with ``I`` the quadratic Weyl invariant.  ``q`` holds the
-    coordinate-basis vectors.
+    coordinate-basis vectors.  Raises :class:`BadTetrad` where the metric
+    and the tetrad disagree beyond rounding: at the horizon, and for the
+    static black hole within about ``1e-8 M`` of it.
     """
-    entry = _catalog_mod.kerr(mass, spin)
+    return _reduced_solve(_catalog_mod.kerr(mass, spin), r, theta)
+
+
+def _reduced_solve(entry, r: float, theta: float) -> SVPSolution:
+    """:func:`_type_d_reduced` at the point ``(0, r, theta, 0)`` of a black
+    hole's catalog ``entry``, once the point passes its domain check."""
     point = as_point([0.0, r, theta, 0.0], 4)
     entry.check_point(point)
-    return _kerr_reduced(riemann(entry.spec, point), entry.tetrad(point))
+    return _type_d_reduced(riemann(entry.spec, point), entry.tetrad(point))
 
 
-def _kerr_reduced(cd: CurvatureData, tetrad) -> SVPSolution:
-    """:func:`kerr_reduced_solve` on the curvature ``cd`` and the null
-    tetrad at a point of the exterior."""
-    re_psi2 = np_scalars(cd, tetrad)[2].real
-    # tetrad coefficients (l, n, m, mbar): x solves -2 x1 x2 = 2 x3 x4 = 1/2
-    xc = np.array([0.5, -0.5, 0.5, 0.5])
-    yc = np.array([0.5, -0.5, -0.5, -0.5])
-    coords = np.stack([-yc, xc, yc, xc]) @ tetrad.frame()  # rows: w, x, y, z
+# the rows w, x, y, z = -y, x, y, x in tetrad coefficients (l, n, m, mbar):
+# x solves -2 x1 x2 = 2 x3 x4 = 1/2
+_TYPE_D_QUADRUPLE = np.array([[-0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, 0.5],
+                              [0.5, -0.5, -0.5, -0.5], [0.5, -0.5, 0.5, 0.5]])
+
+
+def _type_d_reduced(cd: CurvatureData, tetrad) -> SVPSolution:
+    """The reduced solution of a vacuum type-D curvature ``cd`` from a null
+    tetrad in which ``psi2`` is its only Weyl scalar: a fixed combination of
+    the tetrad vectors that solves the system with ``sigma = R(W, X, Y, Z) =
+    Re psi2``, flipped to ``(-W, -sigma)`` where that is negative."""
+    coords = _TYPE_D_QUADRUPLE @ tetrad.checked_frame(cd.g)
     if np.abs(coords.imag).max() > 1e-12:
         raise NoConvergence("tetrad combination produced a non-real vector")
-    vecs = coords.real
-    # the quadruple solves the system with sigma = Re psi2 of either sign;
-    # the flip (W, sigma) -> (-W, -sigma) reports sigma = |Re psi2|
-    if re_psi2 < 0:
-        vecs[0] = -vecs[0]
-    sigma = abs(re_psi2)
-    quad = Quadruple(w=vecs[0], x=vecs[1], y=vecs[2], z=vecs[3],
-                     signs=ALL_PLUS)
-    res = residual_norm(cd, quad, sigma)
-    return SVPSolution(q=quad, sigma=sigma, residual=res,
-                       origin="reduced-kerr")
+    quad = Quadruple(*coords.real)
+    sigma = sigma_from_tensor(cd, quad)
+    if sigma < 0:
+        quad = replace(quad, w=-quad.w)
+        sigma = -sigma
+    return SVPSolution(q=quad, sigma=sigma,
+                       residual=residual_norm(cd, quad, sigma),
+                       origin="reduced")
 
 
 def closed_form_sigma(case: str, **params) -> float:

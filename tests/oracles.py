@@ -399,15 +399,21 @@ def weyl_einsum(g, ric, scal, lowered):
 
 
 def tetrad_defect_products(tetrad, g):
-    """The seven tetrad inner-product conditions as chained products, the
-    package's former check."""
+    """The seven tetrad inner-product conditions as chained products, each
+    over the chained product of the absolute values (the size of the terms
+    it sums), and 0 where the condition holds exactly."""
     lv = np.asarray(tetrad.l, dtype=float)
     nv = np.asarray(tetrad.n, dtype=float)
     mv = np.asarray(tetrad.m, dtype=complex)
     mb = np.conj(mv)
-    checks = [lv @ g @ lv, nv @ g @ nv, lv @ g @ nv + 1.0,
-              mv @ g @ mv, mv @ g @ mb - 1.0, lv @ g @ mv, nv @ g @ mv]
-    return float(max(abs(complex(c)) for c in checks))
+    checks = [(lv, lv, 0.0), (nv, nv, 0.0), (lv, nv, -1.0), (mv, mv, 0.0),
+              (mv, mb, 1.0), (lv, mv, 0.0), (nv, mv, 0.0)]
+    worst = 0.0
+    for u, v, want in checks:
+        off = abs(complex(u @ g @ v) - want)
+        if off:
+            worst = max(worst, off / float(np.abs(u) @ np.abs(g) @ np.abs(v)))
+    return worst
 
 
 def np_scalars_contractions(c, tetrad):

@@ -227,6 +227,35 @@ class TestNPScalars:
         with pytest.raises(BadTetrad):
             np_scalars(cd, bad)
 
+    def test_slightly_bent_tetrad_rejected(self):
+        # l scaled by 1.001 violates <l, n> = -1 by 1e-3 of its terms
+        entry = catalog.kerr(1.0, 0.5)
+        p = np.array([0.0, 3.0, 1.0, 0.0])
+        good = entry.tetrad(p)
+        bad = NPTetrad(l=good.l * 1.001, n=good.n, m=good.m)
+        assert bad.normalization_defect(entry.spec.g(p)) > 1e-4
+        with pytest.raises(BadTetrad):
+            np_scalars(riemann(entry.spec, p), bad)
+
+    def test_nan_tetrad_rejected(self):
+        # a NaN defect is not below the window
+        entry = catalog.kerr(1.0, 0.5)
+        p = np.array([0.0, 3.0, 1.0, 0.0])
+        good = entry.tetrad(p)
+        bad = NPTetrad(l=good.l * math.nan, n=good.n, m=good.m)
+        with pytest.raises(BadTetrad):
+            np_scalars(riemann(entry.spec, p), bad)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.99])
+    def test_defect_relative_near_horizon(self, a):
+        # the Gram entries grow like 1 / (r - r+) near the horizon; relative
+        # to the size of their terms the defect stays at rounding level
+        entry = catalog.kerr(1.0, a)
+        r_plus = 1.0 + math.sqrt(1.0 - a * a)
+        for gap in (1e-1, 1e-3, 1e-5, 1e-7):
+            p = np.array([0.0, r_plus + gap, 1.0, 0.0])
+            assert entry.tetrad(p).normalization_defect(entry.spec.g(p)) < 1e-8
+
     def test_tetrad_normalization_values(self):
         entry = catalog.kerr(1.0, 0.9)
         p = np.array([0.0, 2.8, 0.7, 0.0])

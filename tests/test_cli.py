@@ -59,7 +59,13 @@ class TestInvariantsCommand:
         report = json.loads(out)
         assert report["invariants"]["kretschmann"] == pytest.approx(
             48.0 / 729.0, rel=1e-10)
-        assert report["invariants"]["np_scalars"] is None
+        # the static black hole's tetrad is Kerr's at zero spin: only
+        # psi2 = M / r^3 survives
+        psis = [complex(p["re"], p["im"])
+                for p in report["invariants"]["np_scalars"]]
+        assert psis[2] == pytest.approx(1.0 / 27.0, rel=1e-12)
+        for k in (0, 1, 3, 4):
+            assert abs(psis[k]) <= 1e-14 * abs(psis[2])
 
     def test_far_schwarzschild_point_is_regular(self, capsys):
         # |det g| falls below 1e-14 max|g|^4 from r ~ 2,660, but the
@@ -70,6 +76,15 @@ class TestInvariantsCommand:
         assert code == 0
         assert json.loads(out)["invariants"]["kretschmann"] == pytest.approx(
             48.0 / 3000.0 ** 6, rel=1e-10)
+
+    @pytest.mark.parametrize("command", ["invariants", "svp"])
+    def test_kerr_near_horizon(self, capsys, command):
+        # r - r+ = 5e-5: the tetrad check is relative to the size of the
+        # Gram entries' terms, which grow like 1 / (r - r+)
+        code = main([command, "--metric", "kerr", "--params", "M=1,a=0.5",
+                     "--point", "0,1.8661,1,0", "--deterministic"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_euclidean_zeros(self, capsys):
         code, out = run(capsys, "invariants", "--metric", "euclidean",
@@ -134,7 +149,7 @@ class TestSvpCommand:
         assert code == 0
         report = json.loads(out)
         (sol,) = report["solutions"]
-        assert sol["origin"] == "reduced-kerr"
+        assert sol["origin"] == "reduced"
         assert sol["residual"] < 1e-10
         special = report["expected"][1]
         assert special["matched"] is True
@@ -170,6 +185,17 @@ class TestSvpCommand:
         assert [s["origin"] for s in json.loads(outs[0])["solutions"]] == [
             "analytic"]
 
+    def test_small_mass_reduced_matched(self, capsys):
+        # r = 3M at M = 1e-3: sigma = 1 / (27 M^2) at every scale
+        code, out = run(capsys, "svp", "--metric", "schwarzschild",
+                        "--params", "M=0.001", "--point", "0,0.003,1,0",
+                        "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        assert report["expected"][1]["matched"] is True
+        assert report["solutions"][0]["sigma"] == pytest.approx(
+            1e6 / 27.0, rel=1e-12)
+
     def test_schwarzschild_reduced_method(self, capsys):
         code, out = run(capsys, "svp", "--metric", "schwarzschild",
                         "--params", "M=1", "--point", "0,3,0.7854,0",
@@ -187,7 +213,7 @@ class TestSvpCommand:
         assert code == 0
         report = json.loads(out)
         assert report["method"] == "reduced"
-        assert report["solutions"][0]["origin"] == "reduced-kerr"
+        assert report["solutions"][0]["origin"] == "reduced"
 
     def test_csv_one_row_per_cluster(self, capsys):
         code, out = run(capsys, "svp", "--metric", "sphere2", "--point",
@@ -459,6 +485,32 @@ class TestExitCodes:
         code = main(["invariants", "--metric", "schwarzschild", "--params",
                      "M=1", "--point", "0,1.5,1.0,0"])
         assert code == 3
+
+    def test_tetrad_at_horizon_is_domain_error(self, capsys):
+        # r - r+ = 2.1e-10: g and the tetrad disagree by 1.0e-7 of the
+        # terms of their Gram entries, beyond rounding
+        code = main(["invariants", "--metric", "kerr", "--params",
+                     "M=1,a=2.581792128904692e-05", "--point",
+                     "0,1.9999999998747175,0.03756337277125536,0"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: tetrad normalization")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mass", ["0.001", "1000"])
+    @pytest.mark.parametrize("command", ["invariants", "svp"])
+    def test_schwarzschild_horizon_band(self, capsys, mass, command):
+        # the tetrad check fails within about 1e-8 M of the horizon and
+        # passes from 1e-7 M out, at every mass
+        m = float(mass)
+        for gap, want in ((1e-10, 3), (1e-9, 3), (1e-7, 0), (1e-6, 0)):
+            code = main([command, "--metric", "schwarzschild", "--params",
+                         f"M={mass}", "--point", f"0,{2 * m + gap * m!r},1,0",
+                         "--deterministic"])
+            assert code == want, gap
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: tetrad") if want else not err
 
     def test_pole_is_domain_error(self, capsys):
         code = main(["invariants", "--metric", "sphere2", "--point", "0,0"])

@@ -1033,7 +1033,7 @@ class TestSchwarzschildReduced:
         sol = schwarzschild_reduced_solve(1.0, 3.0, math.pi / 4)
         assert abs(sol.sigma - 1.0 / 27.0) < 1e-12
         assert sol.residual < 1e-10
-        assert sol.origin == "reduced-schwarzschild"
+        assert sol.origin == "reduced"
 
     def test_far_field(self):
         sol = schwarzschild_reduced_solve(1.0, 10.0, 1.0)
@@ -1079,11 +1079,27 @@ class TestSchwarzschildReduced:
             schwarzschild_reduced_solve(math.nan, 3.0, 1.0)
 
 
+class TestReducedScale:
+    """sigma(c^2 g) = sigma(g) / c^2: with every length in units of M the
+    reduced sigma times M^2 does not depend on M."""
+
+    @pytest.mark.parametrize("mass", [1e-3, 1.0, 1e3])
+    def test_schwarzschild(self, mass):
+        sol = schwarzschild_reduced_solve(mass, 3.0 * mass, 1.0)
+        assert sol.sigma * mass ** 2 == pytest.approx(1.0 / 27.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [1e-3, 1e3])
+    def test_kerr(self, mass):
+        want = kerr_reduced_solve(1.0, 0.5, 3.0, 1.0).sigma
+        sol = kerr_reduced_solve(mass, 0.5 * mass, 3.0 * mass, 1.0)
+        assert sol.sigma * mass ** 2 == pytest.approx(want, rel=1e-12)
+
+
 class TestKerrReduced:
     def test_equator_matches_static_value(self):
         sol = kerr_reduced_solve(1.0, 0.5, 3.0, math.pi / 2)
         assert abs(sol.sigma - 1.0 / 27.0) < 1e-8
-        assert sol.origin == "reduced-kerr"
+        assert sol.origin == "reduced"
 
     def test_zero_spin_matches_schwarzschild(self):
         a = kerr_reduced_solve(1.0, 0.0, 3.0, math.pi / 4)
