@@ -8,12 +8,11 @@ from .errors import (BadCase, BadTetrad, DifferentiationFailure,
                      OutOfDomain, RiemSVPError, SingularMetric, WrongSignature)
 from .geometry import (CurvatureData, MetricSpec, SymmetryReport, christoffel,
                        metric_at, riemann, verify_tensor_symmetries)
-from .svp import (Quadruple, SolverConfig, SVPSolution, check_proposition1,
-                  closed_form_sigma, kerr_reduced_solve,
-                  lorentz_mixed_sign_check, meigen_reduce, multistart, orbit,
-                  residual, residual_norm, schwarzschild_reduced_solve,
-                  sigma_from_tensor, sigma_values, wedge_det_defect,
-                  wedge_matrix)
+from .svp import (Quadruple, SolverConfig, SVPSolution, closed_form_sigma,
+                  kerr_reduced_solve, lorentz_mixed_sign_check, meigen_reduce,
+                  multistart, orbit, residual, residual_norm,
+                  schwarzschild_reduced_solve, sigma_from_tensor, sigma_values,
+                  wedge_det_defect, wedge_matrix)
 from . import catalog
 
 __version__ = "0.1.0"

@@ -28,11 +28,9 @@ from .algebra import compute_invariants, curvature_scale, inner, ricci
 from .errors import (BadCase, BadTetrad, DifferentiationFailure,
                      InvalidInput, NoConvergence, OutOfDomain,
                      SingularMetric, WrongSignature)
-from .geometry import (_SYMMETRY_TOL, CurvatureData, riemann,
-                       verify_tensor_symmetries)
+from .geometry import CurvatureData, riemann, verify_tensor_symmetries
 from .metricfile import load_metric
-from .svp import (_MIXED_TOL, _PROP1_TOL, _ZERO_REL, SolverConfig,
-                  _patterns, _prop1_defect, _type_d_reduced,
+from .svp import (SolverConfig, _patterns, _type_d_reduced,
                   lorentz_mixed_sign_check, multistart, orbit, orbit_size,
                   sigma_from_tensor, wedge_det_defect)
 
@@ -46,7 +44,13 @@ EXIT_VERIFY_FAILED = 5
 # (algebra.curvature_scale), so they hold at every scale of the metric: a
 # sigma is non-zero above _ZERO_REL * rho, and matches an expected non-zero
 # value within _MATCH_REL of it.
+_ZERO_REL = 1e-6
 _MATCH_REL = 1e-3
+# verify's windows that do not scale with rho: the symmetry defects (relative
+# to max(1, max |R|)) are below _SYMMETRY_TOL, Proposition 1's inner products
+# below _PROP1_TOL and Remark 2's mixed-sign |sigma| below _MIXED_TOL.
+_SYMMETRY_TOL = 1e-10
+_PROP1_TOL = _MIXED_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,8 @@ def _solution_checks(metric: str, entry, cd: CurvatureData,
     unit = rho or 1.0
     empty = None if nonzero else "no non-zero sigma converged"
     checks = [
-        {"defect": _worst(_prop1_defect(s, cd) for s in nonzero),
+        {"defect": _worst(abs(inner(cd.g, u, v)) for s in nonzero
+                          for u, v in ((s.q.w, s.q.x), (s.q.y, s.q.z))),
          "window": _PROP1_TOL, "skip": empty},
         {"defect": _worst(m.residual for s in sols for m in orbit(s, cd)),
          "window": 1e-9}]

@@ -151,7 +151,6 @@ class SymmetryReport:
     antisym_second_pair: float
     pair_symmetry: float
     bianchi_first: float
-    passed: bool
 
     @property
     def max_defect(self) -> float:
@@ -442,13 +441,9 @@ def riemann(spec: MetricSpec, p, mode: str = "auto") -> CurvatureData:
                          signature=tuple(spec.signature), path=path)
 
 
-_SYMMETRY_TOL = 1e-10  # every defect's window, relative to max(1, max|R|)
-
-
 def verify_tensor_symmetries(cd: CurvatureData) -> SymmetryReport:
-    """Check antisymmetries, pair symmetry, and the first Bianchi identity,
-    each defect relative to ``max(1, max |R|)``; passed below
-    ``_SYMMETRY_TOL``."""
+    """Measure the antisymmetries, pair symmetry, and the first Bianchi
+    identity, each defect relative to ``max(1, max |R|)``."""
     r = cd.riemann_lowered
     scale = max(1.0, float(np.abs(r).max()))
     terms = (r + np.einsum("jikl->ijkl", r), r + np.einsum("ijlk->ijkl", r),
@@ -456,5 +451,4 @@ def verify_tensor_symmetries(cd: CurvatureData) -> SymmetryReport:
              r + np.einsum("iljk->ijkl", r) + np.einsum("iklj->ijkl", r))
     a1, a2, pair, bianchi = (float(np.abs(t).max() / scale) for t in terms)
     return SymmetryReport(antisym_first_pair=a1, antisym_second_pair=a2,
-                          pair_symmetry=pair, bianchi_first=bianchi,
-                          passed=max(a1, a2, pair, bianchi) < _SYMMETRY_TOL)
+                          pair_symmetry=pair, bianchi_first=bianchi)

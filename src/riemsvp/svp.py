@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import catalog as _catalog_mod
-from .algebra import curvature_scale, inner
+from .algebra import inner
 from .errors import BadCase, InvalidInput, NoConvergence, WrongSignature
 from .geometry import CurvatureData, as_point, riemann
 
@@ -581,10 +581,11 @@ def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
 
 
 def sigma_values(solutions) -> list[float]:
-    """Distinct sigma values among solutions, merged within ``_CLUSTER_EPS``."""
+    """Distinct sigma values among solutions, merged as :func:`_clusters`
+    merges them: a value is at least ``_CLUSTER_EPS`` above the last."""
     out: list[float] = []
     for s in sorted(sol.sigma for sol in solutions):
-        if not out or abs(s - out[-1]) > _CLUSTER_EPS:
+        if not out or abs(s - out[-1]) >= _CLUSTER_EPS:
             out.append(s)
     return out
 
@@ -679,30 +680,6 @@ def _rotations_valid(cd: CurvatureData, q: Quadruple) -> bool:
             and abs(inner(cd.g, q.y, q.z)) < 1e-9)
 
 
-# A sigma is zero at or below _ZERO_REL times the curvature scale at the point
-# (algebra.curvature_scale), a window that holds at every scale of the metric.
-_ZERO_REL = 1e-6
-
-
-# Proposition 1 holds where both of its inner products are below _PROP1_TOL,
-# and Remark 2 where every mixed-sign |sigma| is below _MIXED_TOL.
-_PROP1_TOL = _MIXED_TOL = 1e-8
-
-
-def _prop1_defect(sol: SVPSolution, cd: CurvatureData) -> float:
-    """``max(|<W, X>|, |<Y, Z>|)``; NaN when either product is NaN."""
-    q = sol.q
-    return float(np.abs([inner(cd.g, q.w, q.x), inner(cd.g, q.y, q.z)]).max())
-
-
-def check_proposition1(sol: SVPSolution, cd: CurvatureData) -> bool:
-    """Nonzero-sigma solutions must have ``<W, X> = <Y, Z> = 0``; sigma is
-    zero within ``_ZERO_REL`` of the curvature scale."""
-    if abs(sol.sigma) <= _ZERO_REL * curvature_scale(cd):
-        return True
-    return _prop1_defect(sol, cd) < _PROP1_TOL
-
-
 # ---------------------------------------------------------------------------
 # Reduced problems
 # ---------------------------------------------------------------------------
@@ -725,11 +702,10 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
 
 @dataclass(frozen=True)
 class MixedSignReport:
-    """Result of the mixed-constraint-sign vanishing check."""
+    """What the mixed-constraint-sign search found."""
 
     n_converged: int
     max_abs_sigma: float
-    passed: bool
 
 
 def lorentz_mixed_sign_check(cd: CurvatureData,
@@ -738,7 +714,8 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
 
     Runs the multistart search with a mixed sign pattern (default
     ``(+, +, +, -)``) and reports the number of converged solutions and
-    the largest ``|sigma|`` among them; it passes below ``_MIXED_TOL``.
+    the largest ``|sigma|`` among them, for the caller to judge
+    (``verify``'s ``remark2-lorentz`` check).
     """
     if not cd.is_lorentz:
         raise WrongSignature("mixed-sign check needs a Lorentz metric "
@@ -749,9 +726,8 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
     sub = replace(cfg, sign_pattern="".join("+" if s > 0 else "-"
                                             for s in pattern))
     sols = multistart(cd, sub)
-    max_sigma = max((abs(s.sigma) for s in sols), default=0.0)
-    return MixedSignReport(n_converged=len(sols), max_abs_sigma=max_sigma,
-                           passed=max_sigma < _MIXED_TOL)
+    return MixedSignReport(n_converged=len(sols), max_abs_sigma=max(
+        (abs(s.sigma) for s in sols), default=0.0))
 
 
 def wedge_matrix(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -853,6 +829,11 @@ def _type_d_reduced(cd: CurvatureData, tetrad) -> SVPSolution:
                        origin="reduced")
 
 
+# the terms a, b of each signed case's sigma = (a + b - R / (n - 1)) / (n - 2)
+_PAIR_TERMS = {"m-eigen": ("ricci_ww", "ricci_xx"),
+               "ricci-pair": ("lam", "mu"), "einstein": ("kappa", "kappa")}
+
+
 def closed_form_sigma(case: str, **params) -> float:
     """Closed-form sigma for the analytically solvable families.
 
@@ -868,22 +849,27 @@ def closed_form_sigma(case: str, **params) -> float:
         ``kappa``, ``ricci_scalar``, ``n``.
 
     The last three are signed predictions; no sign normalization is applied.
+    Raises :class:`BadCase` for an unknown case, a missing parameter or one
+    that is not a finite number, and an ``n`` that is not an integer >= 3.
     """
-    try:
-        if case == "space-form":
-            return abs(float(params["kappa"]))
-        n = int(params["n"])
-        if case in ("m-eigen", "ricci-pair", "einstein") and n < 3:
-            raise BadCase(f"case '{case}' requires n >= 3")
-        scal = float(params["ricci_scalar"])
-        if case == "m-eigen":
-            return (float(params["ricci_ww"]) + float(params["ricci_xx"])
-                    - scal / (n - 1)) / (n - 2)
-        if case == "ricci-pair":
-            return (float(params["lam"]) + float(params["mu"])
-                    - scal / (n - 1)) / (n - 2)
-        if case == "einstein":
-            return (2.0 * float(params["kappa"]) - scal / (n - 1)) / (n - 2)
-    except KeyError as exc:
-        raise BadCase(f"missing parameter {exc} for case '{case}'") from exc
-    raise BadCase(f"unknown closed-form case '{case}'")
+    if case != "space-form" and case not in _PAIR_TERMS:
+        raise BadCase(f"unknown closed-form case '{case}'")
+    values = []
+    for name in (("kappa",) if case == "space-form"
+                 else _PAIR_TERMS[case] + ("ricci_scalar", "n")):
+        if name not in params:
+            raise BadCase(f"missing parameter '{name}' for case '{case}'")
+        try:
+            values.append(float(params[name]))
+        except (TypeError, ValueError, OverflowError):
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise BadCase(f"parameter '{name}' of case '{case}' is not a "
+                          f"finite number: {params[name]!r}")
+    if case == "space-form":
+        return abs(values[0])
+    a, b, scal, n = values
+    if not n.is_integer() or n < 3:
+        raise BadCase(f"case '{case}' requires an integer n >= 3, "
+                      f"got {params['n']!r}")
+    return (a + b - scal / (n - 1)) / (n - 2)

@@ -12,13 +12,13 @@ from riemsvp.errors import (BadCase, InvalidInput, OutOfDomain,
                             WrongSignature)
 from riemsvp.geometry import CurvatureData, riemann
 from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
-                         check_proposition1, closed_form_sigma,
-                         feasible_patterns, kerr_reduced_solve,
-                         lorentz_mixed_sign_check, meigen_reduce, multistart,
-                         orbit, orbit_size, parse_sign_pattern, residual,
-                         residual_norm, schwarzschild_reduced_solve,
-                         sigma_from_tensor, sigma_values, trivial_pattern,
-                         wedge_det_defect, wedge_matrix)
+                         closed_form_sigma, feasible_patterns,
+                         kerr_reduced_solve, lorentz_mixed_sign_check,
+                         meigen_reduce, multistart, orbit, orbit_size,
+                         parse_sign_pattern, residual, residual_norm,
+                         schwarzschild_reduced_solve, sigma_from_tensor,
+                         sigma_values, trivial_pattern, wedge_det_defect,
+                         wedge_matrix)
 
 import oracles
 
@@ -655,6 +655,17 @@ class TestClusters:
                 assert np.array_equal(u, v)
                 assert np.array_equal(np.signbit(u), np.signbit(v))
 
+    def test_sigma_values_split_where_clusters_do(self):
+        # sigmas _CLUSTER_EPS apart are two clusters, so two values
+        from riemsvp.svp import _CLUSTER_EPS, _clusters
+
+        sigmas = [0.0, _CLUSTER_EPS]
+        U = np.array([np.append(sphere_solution().flat(), s) for s in sigmas])
+        got = _clusters(sphere_cd(), U, [ALL_PLUS] * 2, [1, 2], "multistart",
+                        math.inf)
+        assert [c.sigma for c in got] == sigmas
+        assert sigma_values(got) == sigmas
+
 
 PAIR_CASES = {
     "dense n=2": lambda: dense_cd(2),
@@ -939,46 +950,73 @@ class TestOrbit:
 
 
 class TestPairOrthogonality:
-    def test_sphere_solution_orthogonal(self):
-        cd = sphere_cd()
-        sol = SVPSolution(q=sphere_solution(), sigma=1.0, residual=0.0)
-        assert check_proposition1(sol, cd)
+    """Proposition 1, <W, X> = <Y, Z> = 0 where sigma != 0, as verify's
+    prop1 check judges it on solutions put in place of the search's."""
 
-    def test_trivial_passes_via_zero_sigma(self):
-        cd = sphere_cd()
+    def prop1(self, capsys, monkeypatch, sols, metric, point):
+        import json
+
+        from riemsvp import cli
+
+        monkeypatch.setattr(cli, "multistart", lambda cd, cfg: sols)
+        cli.main(["verify", "--metric", metric, "--point",
+                  ",".join(repr(v) for v in point), "--starts", "20",
+                  "--deterministic"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return {c["name"]: c for c in checks}["prop1"]
+
+    def test_sphere_solution_orthogonal(self, capsys, monkeypatch):
+        sol = SVPSolution(q=sphere_solution(), sigma=1.0, residual=0.0)
+        check = self.prop1(capsys, monkeypatch, [sol], "sphere2",
+                           [math.pi / 3, 0.0])
+        assert (check["pass"], check["skipped"]) == (True, False)
+        assert check["max_defect"] == 0.0
+
+    def test_trivial_passes_via_zero_sigma(self, capsys, monkeypatch):
+        # skipped, not failed: there is no non-zero sigma to judge
         v = np.array([1.0, 0.0])
         quad = Quadruple(v, v.copy(), v.copy(), v.copy())
-        assert check_proposition1(SVPSolution(q=quad, sigma=0.0, residual=0.0),
-                                  cd)
+        check = self.prop1(capsys, monkeypatch,
+                           [SVPSolution(q=quad, sigma=0.0, residual=0.0)],
+                           "sphere2", [math.pi / 3, 0.0])
+        assert (check["pass"], check["skipped"]) == (True, True)
+        assert check["note"] == "no non-zero sigma converged"
 
-    def test_violating_tuple_fails(self):
+    def test_violating_tuple_fails(self, capsys, monkeypatch):
         cd = sphere_cd(math.pi / 2)
         w = np.array([1.0, 0.0])
         x = np.array([0.5, math.sqrt(3.0) / 2.0])  # <w, x> = 0.5
         quad = Quadruple(w, x, w.copy(), x.copy())
         sol = SVPSolution(q=quad, sigma=1.0, residual=0.0)
-        assert not check_proposition1(sol, cd)
+        check = self.prop1(capsys, monkeypatch, [sol], "sphere2",
+                           [math.pi / 2, 0.0])
+        assert (check["pass"], check["skipped"]) == (False, False)
+        assert check["max_defect"] == pytest.approx(0.5, abs=1e-15)
         assert residual_norm(cd, quad, 1.0) > 1e-3
 
     @pytest.mark.parametrize("slot", [1, 3], ids=["x", "z"])
-    def test_non_finite_product_fails(self, slot):
-        cd = sphere_cd()
+    def test_non_finite_product_fails(self, capsys, monkeypatch, slot):
         vecs = list(sphere_solution().vectors)
         vecs[slot] = np.array([math.nan, 0.0])
         sol = SVPSolution(q=Quadruple(*vecs), sigma=1.0, residual=0.0)
-        assert not check_proposition1(sol, cd)
+        check = self.prop1(capsys, monkeypatch, [sol], "sphere2",
+                           [math.pi / 3, 0.0])
+        assert check["pass"] is False
+        assert check["max_defect"] is None
 
-    def test_small_sigma_is_checked(self):
+    def test_small_sigma_is_checked(self, capsys, monkeypatch):
         # sigma = M / r^3 = 1e-9 at r = 1000 is not zero at that curvature
         point = [0.0, 1000.0, 1.2, 0.0]
         cd = riemann(catalog.schwarzschild(1.0).spec, point)
         sol = schwarzschild_reduced_solve(1.0, 1000.0, 1.2)
         assert sol.sigma == pytest.approx(1e-9, rel=1e-12)
-        assert check_proposition1(sol, cd)
+        check = self.prop1(capsys, monkeypatch, [sol], "schwarzschild", point)
+        assert (check["pass"], check["skipped"]) == (True, False)
         q = sol.q
         bad = replace(sol, q=Quadruple(q.w, q.w.copy(), q.y, q.z, q.signs))
         assert inner(cd.g, bad.q.w, bad.q.x) == pytest.approx(1.0)
-        assert not check_proposition1(bad, cd)
+        check = self.prop1(capsys, monkeypatch, [bad], "schwarzschild", point)
+        assert (check["pass"], check["skipped"]) == (False, False)
 
 
 class TestMeigen:
@@ -1012,7 +1050,6 @@ class TestLorentzMixedSign:
             cd, SolverConfig(n_starts=100, rng_seed=21, sign_pattern="+++-"))
         assert rep.n_converged > 0
         assert rep.max_abs_sigma < 1e-8
-        assert rep.passed
 
     def test_two_negative_pattern(self):
         cd = riemann(catalog.schwarzschild(1.0).spec,
@@ -1179,6 +1216,22 @@ class TestClosedFormSigma:
             closed_form_sigma("einstein", kappa=1.0, n=4)  # missing scalar
         with pytest.raises(BadCase):
             closed_form_sigma("einstein", kappa=1.0, ricci_scalar=1.0, n=2)
+
+    EINSTEIN = {"kappa": 1.0, "ricci_scalar": 3.0, "n": 4}
+
+    @pytest.mark.parametrize("bad", [
+        {"n": 3.7}, {"n": math.nan}, {"n": "4x"}, {"n": math.inf},
+        {"ricci_scalar": "x"}, {"kappa": math.nan}],
+        ids=["fractional-n", "nan-n", "text-n", "inf-n", "text-scalar",
+             "nan-kappa"])
+    def test_bad_value_is_bad_case(self, bad):
+        # n = 3.7 used to be truncated to 3 without a word
+        with pytest.raises(BadCase):
+            closed_form_sigma("einstein", **(self.EINSTEIN | bad))
+
+    def test_space_form_needs_finite_kappa(self):
+        with pytest.raises(BadCase):
+            closed_form_sigma("space-form", kappa=math.inf)
 
 
 class TestTrivialPattern:
