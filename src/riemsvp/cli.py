@@ -58,11 +58,16 @@ _PROP1_TOL = _MIXED_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
+def _fmt_float(v: Optional[float]) -> str:
+    if v is None or v != v or v in (float("inf"), float("-inf")):
         return "null"
-    text = format(float(v), ".17g")
-    return text
+    return format(float(v), ".17g")
+
+
+def _fmt_complex(z: complex) -> str:
+    """``a + bj``, or ``a - bj`` when the imaginary part is negative."""
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+    return f"{_fmt_float(z.real)} {sign} {_fmt_float(abs(z.imag))}j"
 
 
 # the escapes of json.dumps(s, ensure_ascii=False)
@@ -459,10 +464,14 @@ def _render_csv(report: dict) -> str:
         lines.append("ricci_scalar," + _fmt_float(inv["ricci_scalar"]))
         lines.append("kretschmann," + _fmt_float(inv["kretschmann"]))
         lines.append("weyl_sq," + _fmt_float(inv["weyl_sq"]))
+        lines.append("weyl_norm," + _fmt_float(inv["weyl_norm"]))
         if inv["np_scalars"] is not None:
             for k, p in enumerate(inv["np_scalars"]):
                 lines.append(f"psi{k}_re," + _fmt_float(p.real))
                 lines.append(f"psi{k}_im," + _fmt_float(p.imag))
+            i_val = inv["invariant_I"]
+            lines.append("invariant_I_re," + _fmt_float(i_val.real))
+            lines.append("invariant_I_im," + _fmt_float(i_val.imag))
     elif "metrics" in report:
         lines.append("id,params")
         for m in report["metrics"]:
@@ -482,11 +491,9 @@ def _render_text(report: dict) -> str:
         lines.append(f"weyl C.C       : {_fmt_float(inv['weyl_sq'])}")
         if inv["np_scalars"] is not None:
             for k, p in enumerate(inv["np_scalars"]):
-                lines.append(f"psi{k}           : "
-                             f"{_fmt_float(p.real)} + {_fmt_float(p.imag)}j")
-            i_val = inv["invariant_I"]
-            lines.append(f"invariant I    : {_fmt_float(i_val.real)} + "
-                         f"{_fmt_float(i_val.imag)}j")
+                lines.append(f"psi{k}           : {_fmt_complex(p)}")
+            lines.append("invariant I    : "
+                         + _fmt_complex(inv["invariant_I"]))
     if "solutions" in report:
         lines.append(f"{'sigma':>22} {'residual':>10} {'count':>6} "
                      f"{'origin':>22} trivial")

@@ -21,10 +21,11 @@ certify full column rank.  The multistart driver and the repeated-pair
 reduction :func:`meigen_reduce` share one sign-pattern rule
 (:func:`_patterns`) and one search: the starts of every pattern are drawn in
 turn from one random stream and are solved as a single batch; the converged
-solutions are clustered by ``sigma``.  A pattern's sampler takes Gaussian
-draws in stream order, drops the near-null ones, rescales the others onto
-``<v, v> = +-1`` and lets each fill the next open slot of its sign, start
-by start.
+solutions are clustered by ``sigma``.  A pattern's sampler fills its ``+``
+slots, start by start, with the Gaussian draws of the stream that are not
+near null or timelike, rescaled onto ``<v, v> = 1``; its ``-`` slots take
+direct draws in g's orthonormal eigenframe from a child stream, which need
+no rejection and leave the ``+`` draws as they are.
 """
 
 from __future__ import annotations
@@ -472,42 +473,88 @@ _BLOCK = 2048
 _MAX_TRIES = 2000
 
 
-def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,
-                   count: int) -> tuple[np.ndarray, int]:
-    """Up to ``count`` starts, one unit vector per sign each.
+def _spacelike(rng: np.random.Generator, g: np.ndarray,
+               count: int) -> np.ndarray:
+    """Up to ``count`` vectors with ``<v, v> = 1``, by rejection.
 
-    Gaussian draws ``v`` are taken in stream order.  A draw that is not near
-    null (``|<v, v>| >= 1e-6``) is rescaled onto ``<v, v> = +-1`` and fills
-    the next open slot of its sign, start by start; any other draw is
-    dropped.  The call spends at most ``_MAX_TRIES`` draws per vector asked
-    for.  Returns the complete starts as rows ``(v_1, ..., v_len(signs))``
-    and the number attempted, which counts one incomplete start when the
-    draws ran out.  The draws come in growing blocks; the rows do not depend
-    on the block size.
+    Gaussian draws ``v`` are taken in stream order.  A draw with
+    ``<v, v> >= 1e-6`` is rescaled onto ``<v, v> = 1`` and kept; any other
+    draw is dropped.  At most ``_MAX_TRIES`` draws are spent per vector.
+    The draws come in growing blocks; the rows do not depend on the block
+    size.
     """
-    n = len(g)
-    slots = {s: [i for i, t in enumerate(signs) if t == s] for s in set(signs)}
-    need = {s: count * len(idx) for s, idx in slots.items()}
-    kept = {s: [np.empty((0, n))] for s in slots}
-    budget = _MAX_TRIES * count * len(signs)
-    size = min(_BLOCK, 2 * count * len(signs))
-    while budget and any(need.values()):
-        V = rng.standard_normal((min(size, budget), n))
+    kept = [np.empty((0, len(g)))]
+    budget, need, size = _MAX_TRIES * count, count, min(_BLOCK, 2 * count)
+    while budget and need:
+        V = rng.standard_normal((min(size, budget), len(g)))
         budget -= len(V)
         # stacked, so each draw gets the products of ``float(v @ g @ v)``;
         # a single (size, n) @ (n, n) product can round differently
         qv = np.matmul(np.matmul(V[:, None, :], g), V[:, :, None])[:, 0, 0]
-        for s in slots:
-            hits = np.flatnonzero(s * qv >= 1e-6)[:need[s]]
-            kept[s].append(V[hits] / np.sqrt(s * qv[hits])[:, None])
-            need[s] -= len(hits)
+        hits = np.flatnonzero(qv >= 1e-6)[:need]
+        kept.append(V[hits] / np.sqrt(qv[hits])[:, None])
+        need -= len(hits)
         size = min(_BLOCK, 2 * size)
-    kept = {s: np.concatenate(rows) for s, rows in kept.items()}
-    starts = min(len(kept[s]) // len(idx) for s, idx in slots.items())
-    out = np.empty((starts, len(signs), n))
-    for s, idx in slots.items():
-        out[:, idx] = kept[s][:starts * len(idx)].reshape(starts, len(idx), n)
-    return out.reshape(starts, len(signs) * n), starts + (starts < count)
+    return np.concatenate(kept)
+
+
+def _timelike(rng: np.random.Generator, g: np.ndarray,
+              count: int) -> Optional[np.ndarray]:
+    """``count`` vectors with ``<v, v> = -1``, drawn in g's orthonormal
+    eigenframe; ``None`` when g has no negative eigenvalue.
+
+    With ``g = Q diag(lam) Q^T`` and ``E = Q / sqrt(|lam|)`` the metric is
+    ``diag(sign(lam))`` on ``u = E^-1 v``.  Each row ``c ~ N(0, I)`` keeps
+    its positive block, and its negative block's direction is scaled to
+    ``sqrt(1 + |c_pos|^2)``, so ``<E u, E u> = -1`` with no rejection and
+    both time orientations occur.  Row k is the stream's k-th row, whatever
+    ``count``.
+    """
+    lam, Q = np.linalg.eigh(g)
+    neg = lam < 0.0
+    if not neg.any():
+        return None
+    u = rng.standard_normal((count, len(g)))
+    c_pos, c_neg = u[:, ~neg], u[:, neg]
+    scale = np.sqrt((1.0 + (c_pos * c_pos).sum(axis=1))
+                    / (c_neg * c_neg).sum(axis=1))
+    u[:, neg] = c_neg * scale[:, None]
+    return _matvec(Q / np.sqrt(np.abs(lam)), u)
+
+
+def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,
+                   count: int) -> tuple[np.ndarray, int]:
+    """Up to ``count`` starts, one unit vector per sign each.
+
+    The ``+`` slots are filled, start by start, by :func:`_spacelike` on
+    ``rng``, at most ``_MAX_TRIES`` draws per ``+`` vector asked for.  The
+    ``-`` slots take rows of :func:`_timelike`, in start order, from a child
+    stream jumped from ``rng`` at entry, so they leave ``rng`` as it is; a
+    pattern without a ``-`` sign makes no child and no frame.  Returns the
+    complete starts as rows ``(v_1, ..., v_len(signs))`` and the number
+    attempted, which counts one incomplete start when the ``+`` draws ran
+    out or g has no timelike vector.  A batch of one is the first row of a
+    larger batch.
+    """
+    n = len(g)
+    plus = [i for i, s in enumerate(signs) if s > 0]
+    minus = [i for i, s in enumerate(signs) if s < 0]
+    out = np.empty((count, len(signs), n))
+    starts = count
+    if minus:
+        child = np.random.Generator(rng.bit_generator.jumped())
+        rows = _timelike(child, g, count * len(minus))
+        if rows is None:
+            starts = 0
+        else:
+            out[:, minus] = rows.reshape(count, len(minus), n)
+    if plus:
+        rows = _spacelike(rng, g, count * len(plus))
+        starts = min(starts, len(rows) // len(plus))
+        out[:starts, plus] = rows[:starts * len(plus)].reshape(
+            starts, len(plus), n)
+    return (out[:starts].reshape(starts, len(signs) * n),
+            starts + (starts < count))
 
 
 def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
@@ -515,7 +562,9 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     """Sample the starts of every sign pattern and solve them as one batch.
 
     The patterns draw their starts in turn from one stream seeded with
-    ``cfg.rng_seed``.  Starts are numbered from 1 in that order, and each
+    ``cfg.rng_seed`` (:func:`_sample_starts`; a pattern's ``-`` slots come
+    from a child stream jumped from it, so they do not move the ``+`` draws
+    of any pattern).  Starts are numbered from 1 in that order, and each
     pattern's numbers follow all the starts attempted before it.  With
     ``pair`` the unknowns are the pair ``(y, z)`` of the repeated-pair
     reduction ``(w, x, y, z) = (y, z, y, z)``, sampled with each pattern's

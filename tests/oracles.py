@@ -3,10 +3,11 @@
 Everything here is implemented with plain loops and naive finite
 differences, deliberately sharing no code with the package under test.
 The exceptions are :func:`sample_starts_one_draw`, which takes ``<v, v>``
-from the package's stacked product, and the former Newton core (the
-functions after :func:`dot_ordered`), which repeat the package's numpy
-operations, and make their contractions with :func:`dot`, the package's
-former contraction kernel, so that results can be compared bit for bit.
+from the package's stacked product, :func:`timelike_one_row`, which takes
+``v`` from it, and the former Newton core (the functions after
+:func:`dot_ordered`), which repeat the package's numpy operations, and
+make their contractions with :func:`dot`, the package's former contraction
+kernel, so that results can be compared bit for bit.
 The former invariant kernels (:func:`weyl_einsum` and after) repeat the
 package's per-term formulas, against which its whole-tensor kernels are
 compared to rounding.  The former curvature kernels
@@ -183,6 +184,57 @@ def sample_starts_one_draw(rng, g, signs, count, max_tries=2000):
     starts = min(slots[0][0] if slots else count
                  for slots in open_slots.values())
     return rows[:starts].reshape(starts, m * n), starts + (starts < count)
+
+
+def timelike_one_row(rng, g, count):
+    """``count`` vectors with ``<v, v> = -1``, drawn one row at a time in
+    g's orthonormal eigenframe; ``None`` when g has no negative eigenvalue.
+
+    With ``g = Q diag(lam) Q^T``, row k is the generator's k-th draw ``c``
+    of n standard normals.  The entries of ``c`` on the negative
+    eigenvalues are scaled so that their squares sum to one more than the
+    other entries' squares, and ``v = Q diag(|lam|^-1/2) c``.  The sums run
+    left to right, and ``v`` is the package's stacked product.
+    """
+    lam, Q = np.linalg.eigh(g)
+    n = len(g)
+    neg = [i for i in range(n) if lam[i] < 0.0]
+    if not neg:
+        return None
+    frame = Q / np.sqrt(np.abs(lam))
+    rows = np.empty((count, n))
+    for k in range(count):
+        c = rng.standard_normal(n).tolist()
+        pos_sq = sum(c[i] * c[i] for i in range(n) if i not in neg)
+        neg_sq = sum(c[i] * c[i] for i in neg)
+        scale = math.sqrt((1.0 + pos_sq) / neg_sq)
+        u = np.array([c[i] * scale if i in neg else c[i] for i in range(n)])
+        rows[k] = svp._matvec(frame, u[None])[0]
+    return rows
+
+
+def sample_starts_frame(rng, g, signs, count):
+    """Random starts whose ``+`` slots are :func:`sample_starts_one_draw` on
+    the ``+`` signs alone and whose ``-`` slots are :func:`timelike_one_row`
+    rows, in start order, from a child generator jumped from ``rng`` before
+    any draw.  Returns the complete starts and the number attempted."""
+    n = len(g)
+    child = np.random.Generator(rng.bit_generator.jumped())
+    plus = [i for i, s in enumerate(signs) if s > 0]
+    minus = [i for i, s in enumerate(signs) if s < 0]
+    rows = np.empty((count, len(signs), n))
+    starts = count
+    timelike = timelike_one_row(child, g, count * len(minus))
+    if timelike is None:
+        starts = 0
+    else:
+        rows[:, minus] = timelike.reshape(count, len(minus), n)
+    if plus:
+        ref, _ = sample_starts_one_draw(rng, g, [1] * len(plus), count)
+        starts = min(starts, len(ref))
+        rows[:starts, plus] = ref[:starts].reshape(starts, len(plus), n)
+    return (rows[:starts].reshape(starts, len(signs) * n),
+            starts + (starts < count))
 
 
 def dot_ordered(a, vecs, axis=-1):

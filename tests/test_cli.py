@@ -117,6 +117,52 @@ class TestInvariantsCommand:
         assert code == 0
         assert json.loads(out)["config"]["metric"] == str(path)
 
+    KERR = ("invariants", "--metric", "kerr", "--params", "M=1,a=0.6",
+            "--point", "0,4,1.1,0", "--deterministic")
+
+    def test_csv_carries_every_json_invariant(self, capsys):
+        _, out = run(capsys, *self.KERR)
+        inv = json.loads(out)["invariants"]
+        want = {name: inv[name] for name in ("ricci_scalar", "kretschmann",
+                                             "weyl_sq", "weyl_norm")}
+        for k, p in enumerate(inv["np_scalars"]):
+            want[f"psi{k}_re"], want[f"psi{k}_im"] = p["re"], p["im"]
+        want["invariant_I_re"] = inv["invariant_I"]["re"]
+        want["invariant_I_im"] = inv["invariant_I"]["im"]
+        code, out = run(capsys, *self.KERR, "--output", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "name,value"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [name for name, _ in rows] == list(want)
+        assert {name: float(value) for name, value in rows} == want
+
+    def test_csv_weyl_norm_null_where_weyl_square_is_negative(self, capsys):
+        argv = ["invariants", "--metric", "kerr", "--params", "M=1,a=0.9",
+                "--point", "0,1.5,0.1,0", "--deterministic"]
+        _, out = run(capsys, *argv)
+        inv = json.loads(out)["invariants"]
+        assert inv["weyl_sq"] < 0 and inv["weyl_norm"] is None
+        code, out = run(capsys, *argv, "--output", "csv")
+        assert code == 0
+        assert "weyl_norm,null" in out.splitlines()
+
+    def test_text_writes_complex_values_as_a_minus_bj(self, capsys):
+        _, out = run(capsys, *self.KERR)
+        inv = json.loads(out)["invariants"]
+        want = {f"psi{k}": p for k, p in enumerate(inv["np_scalars"])}
+        want["invariant I"] = inv["invariant_I"]
+        assert min(p["im"] for p in want.values()) < 0
+        code, out = run(capsys, *self.KERR, "--output", "text")
+        assert code == 0
+        got = dict(line.split(" : ") for line in out.splitlines()
+                   if " : " in line)
+        for name, p in want.items():
+            sign = "-" if p["im"] < 0 else "+"
+            text = got[name.ljust(14)]
+            assert text == f"{p['re']:.17g} {sign} {abs(p['im']):.17g}j"
+            assert complex(text.replace(" ", "")) == complex(p["re"], p["im"])
+
 
 # Kerr points outside the horizon where Re psi2 < 0: (spin, --point)
 KERR_NEGATIVE_PSI2 = [(0.9, "0,1.5,0.1,0"), (0.99, "0,1.2,0.05,0")]
@@ -719,12 +765,12 @@ class TestExitCodes:
         assert "no start converged" in capsys.readouterr().err
 
     def test_no_convergence_is_exit_4(self, capsys):
-        # seed 0 with a single mixed-sign start stalls, and no repeated-pair
-        # zero solution is feasible for this pattern
+        # no residual gets below a tolerance of 1e-300, and no
+        # repeated-pair zero solution is feasible for this pattern
         code = main(["svp", "--metric", "schwarzschild", "--params", "M=1",
                      "--point", "0,3,0.7854,0", "--signs", "+++-",
-                     "--starts", "1", "--seed", "0", "--method",
-                     "multistart"])
+                     "--starts", "1", "--seed", "0", "--tol", "1e-300",
+                     "--method", "multistart"])
         assert code == 4
 
 

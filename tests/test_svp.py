@@ -743,7 +743,8 @@ def pattern_id(signs):
 
 
 class TestStartSampler:
-    """The block sampler against the one-draw-at-a-time fill loop."""
+    """The block sampler against the one-draw-at-a-time fill loop, and its
+    timelike slots against the one-row-at-a-time frame draw."""
 
     @pytest.mark.parametrize(
         "case, signs", SAMPLER_PARAMS,
@@ -753,11 +754,13 @@ class TestStartSampler:
 
         cd = SAMPLER_CASES[case]()
         assert signs in feasible_patterns(cd)
+        oracle = (oracles.sample_starts_one_draw if min(signs) > 0
+                  else oracles.sample_starts_frame)
         for seed in (0, 5):
             for count in (1, 4, 200):
                 V, attempted = _sample_starts(np.random.default_rng(seed),
                                               cd.g, signs, count)
-                ref, ref_attempted = oracles.sample_starts_one_draw(
+                ref, ref_attempted = oracle(
                     np.random.default_rng(seed), cd.g, signs, count)
                 assert attempted == ref_attempted
                 assert np.array_equal(V, ref)
@@ -765,14 +768,52 @@ class TestStartSampler:
     def test_exhausted_draws_stop_sampling(self):
         from riemsvp.svp import _sample_starts
 
-        g = np.diag([-1.0, 1e6, 1e6, 1e6])
-        for signs in ((-1,), (1, -1, 1, 1)):
+        # spacelike draws are about 4e-10 of the stream
+        g = np.diag([-1e6, -1e6, -1e6, 1.0])
+        for signs in ((1,), ALL_PLUS):
             V, attempted = _sample_starts(np.random.default_rng(0), g, signs,
                                           3)
             ref, ref_attempted = oracles.sample_starts_one_draw(
                 np.random.default_rng(0), g, signs, 3)
             assert attempted == ref_attempted == 1
             assert V.shape == ref.shape == (0, 4 * len(signs))
+
+    def test_timelike_slots_need_no_rejection(self):
+        from riemsvp.svp import _sample_starts
+
+        # at r = 1000 about 2.5e-7 of the Gaussian draws are timelike
+        cd = riemann(catalog.schwarzschild(1.0).spec,
+                     [0.0, 1000.0, 1.2, 0.0])
+        V, attempted = _sample_starts(np.random.default_rng(0), cd.g,
+                                      (1, 1, 1, -1), 200)
+        assert attempted == 200 and V.shape == (200, 16)
+        t = V[:, 12:]
+        norms = np.einsum("bi,ij,bj->b", t, cd.g, t)
+        assert np.abs(norms + 1.0).max() <= 1e-12
+        # both time orientations
+        assert (t[:, 0] > 0).any() and (t[:, 0] < 0).any()
+
+    def test_stream_is_left_as_the_plus_slots_leave_it(self):
+        from riemsvp.svp import _sample_starts
+
+        cd = SAMPLER_CASES["kerr"]()
+        for signs in feasible_patterns(cd):
+            plus = tuple(s for s in signs if s > 0)
+            rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+            _sample_starts(rng, cd.g, signs, 50)
+            if plus:
+                _sample_starts(ref, cd.g, plus, 50)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_no_timelike_vector_gives_no_rows(self):
+        from riemsvp.svp import _sample_starts
+
+        g = np.diag([1.0, 2.0, 3.0])
+        for signs in ((-1,), (1, -1), (-1, -1, 1, 1)):
+            V, attempted = _sample_starts(np.random.default_rng(0), g, signs,
+                                          3)
+            assert attempted == 1
+            assert V.shape == (0, 3 * len(signs))
 
     def test_near_null_draws_are_dropped(self):
         from riemsvp.svp import _sample_starts
@@ -819,15 +860,17 @@ class TestStartSampler:
         from riemsvp.svp import _ensure_trivial
 
         n = 4
-        cd = CurvatureData(point=np.zeros(n), g=np.diag([-1.0, 1e6, 1e6, 1e6]),
-                           g_inv=np.diag([-1.0, 1e-6, 1e-6, 1e-6]),
+        # spacelike draws are about 4e-10 of the stream
+        cd = CurvatureData(point=np.zeros(n),
+                           g=np.diag([-1e6, -1e6, -1e6, 1.0]),
+                           g_inv=np.diag([-1e-6, -1e-6, -1e-6, 1.0]),
                            riemann_mixed=np.zeros((n,) * 4),
                            riemann_lowered=np.zeros((n,) * 4),
-                           signature=(-1, 1, 1, 1))
+                           signature=(-1, -1, -1, 1))
         cfg = SolverConfig(n_starts=5, rng_seed=0)
-        assert _ensure_trivial([], cd, cfg, [(-1, -1, -1, -1)]) == []
-        (sol,) = _ensure_trivial([], cd, cfg, [(-1, -1, -1, -1), ALL_PLUS])
-        assert sol.q.signs == ALL_PLUS and sol.trivial == "w=x"
+        assert _ensure_trivial([], cd, cfg, [ALL_PLUS]) == []
+        (sol,) = _ensure_trivial([], cd, cfg, [ALL_PLUS, (-1, -1, -1, -1)])
+        assert sol.q.signs == (-1, -1, -1, -1) and sol.trivial == "w=x"
         assert sol.origin == "analytic" and sol.sigma == 0.0
 
 
