@@ -244,6 +244,23 @@ class TestBatchedCore:
         assert np.array_equal(U_sliced, U)
         assert list(out_sliced) == list(out)
 
+    @pytest.mark.parametrize("case", sorted(CORE_CASES))
+    def test_shared_pattern_equals_pattern_per_row(self, case, monkeypatch):
+        from riemsvp import svp
+        from riemsvp.svp import _solve_full
+
+        cd = CORE_CASES[case]()
+        U0 = core_starts(cd, ALL_PLUS, 200)
+        cfg = SolverConfig()
+        per_row = _solve_full(cd, U0, [ALL_PLUS] * len(U0), cfg)
+        for batch in (svp._MAX_BATCH, 7):
+            # a batch over the core's size limit is solved in slices
+            monkeypatch.setattr(svp, "_MAX_BATCH", batch)
+            shared = _solve_full(cd, U0, ALL_PLUS, cfg)
+            for got, want in zip(shared, per_row):
+                assert np.array_equal(got, want)
+        assert "converged" in set(per_row[2])
+
     def test_anchor_yield(self):
         cd = CORE_CASES["schwarzschild r=3"]()
         sols = multistart(cd, SolverConfig(n_starts=200, rng_seed=0))
@@ -665,6 +682,71 @@ class TestClusters:
                         math.inf)
         assert [c.sigma for c in got] == sigmas
         assert sigma_values(got) == sigmas
+
+
+class TestSearchBookkeeping:
+    def test_no_converged_start_makes_no_call_after_the_core(self,
+                                                             monkeypatch):
+        from riemsvp import svp
+
+        # Schwarzschild r = 30: every one of these 50 starts stalls
+        cd = riemann(catalog.schwarzschild(1.0).spec, [0.0, 30.0, 1.2, 0.0])
+        calls = []
+        real_core, real_system = svp._gauss_newton, svp._system
+        real_labels = svp._trivial_patterns
+
+        def core(*args):
+            out = real_core(*args)
+            assert "converged" not in set(out[2])
+            calls.append("core")
+            return out
+
+        def system(*args, **kwargs):
+            built = real_system(*args, **kwargs)
+            calls.append("system")
+
+            def residuals(*a, **k):
+                calls.append("residuals")
+                return built.residuals(*a, **k)
+
+            return built._replace(residuals=residuals)
+
+        def labels(V):
+            calls.append("labels")
+            return real_labels(V)
+
+        monkeypatch.setattr(svp, "_gauss_newton", core)
+        monkeypatch.setattr(svp, "_system", system)
+        monkeypatch.setattr(svp, "_trivial_patterns", labels)
+        got = svp._search(cd, SolverConfig(n_starts=50, rng_seed=0),
+                          [ALL_PLUS])
+        assert got == []
+        assert calls.count("core") == 1 and calls[-1] == "core"
+
+    @pytest.mark.parametrize("make_cd, signs", [
+        (sphere_cd, ALL_PLUS),
+        (lambda: riemann(catalog.schwarzschild(1.0).spec,
+                         [0.0, 30.0, 1.2, 0.0]), (1, 1, -1, -1)),
+    ], ids=["sphere2", "schwarzschild ++--"])
+    def test_trivial_solution_matches_public_functions(self, make_cd, signs):
+        from riemsvp.svp import _ensure_trivial, _sample_starts
+
+        cd = make_cd()
+        cfg = SolverConfig(rng_seed=4)
+        (sol,) = _ensure_trivial([], cd, cfg, [signs])
+        # the candidate (v, v, u, u) from the first start of the seed + 1
+        # stream, at sigma = 0
+        V, _ = _sample_starts(np.random.default_rng(5), cd.g,
+                              (signs[0], signs[2]), 1)
+        v, u = V.reshape(2, cd.n)
+        for got, want in zip(sol.q.vectors, (v, v, u, u)):
+            assert np.array_equal(got, want)
+        assert not np.shares_memory(sol.q.w, sol.q.x)
+        assert not np.shares_memory(sol.q.y, sol.q.z)
+        assert sol.q.signs == signs
+        assert (sol.sigma, sol.origin) == (0.0, "analytic")
+        assert repr(sol.residual) == repr(residual_norm(cd, sol.q, 0.0))
+        assert sol.trivial == trivial_pattern(sol.q) == "w=x"
 
 
 PAIR_CASES = {
