@@ -25,7 +25,8 @@ solutions are clustered by ``sigma``.  A pattern's sampler fills its ``+``
 slots, start by start, with the Gaussian draws of the stream that are not
 near null or timelike, rescaled onto ``<v, v> = 1``; its ``-`` slots take
 direct draws in g's orthonormal eigenframe from a child stream, which need
-no rejection and leave the ``+`` draws as they are.
+no rejection and leave the ``+`` draws as they are, each rescaled by its
+measured ``<v, v>`` like the ``+`` draws.
 """
 
 from __future__ import annotations
@@ -488,6 +489,13 @@ _BLOCK = 2048
 _MAX_TRIES = 2000
 
 
+def _self_products(g: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``<v, v>`` for each row ``v`` of ``V``, stacked, so each row gets the
+    products of ``float(v @ g @ v)``; a single (B, n) @ (n, n) product can
+    round differently."""
+    return np.matmul(np.matmul(V[:, None, :], g), V[:, :, None])[:, 0, 0]
+
+
 def _spacelike(rng: np.random.Generator, g: np.ndarray,
                count: int) -> np.ndarray:
     """Up to ``count`` vectors with ``<v, v> = 1``, by rejection.
@@ -503,9 +511,7 @@ def _spacelike(rng: np.random.Generator, g: np.ndarray,
     while budget and need:
         V = rng.standard_normal((min(size, budget), len(g)))
         budget -= len(V)
-        # stacked, so each draw gets the products of ``float(v @ g @ v)``;
-        # a single (size, n) @ (n, n) product can round differently
-        qv = np.matmul(np.matmul(V[:, None, :], g), V[:, :, None])[:, 0, 0]
+        qv = _self_products(g, V)
         hits = np.flatnonzero(qv >= 1e-6)[:need]
         kept.append(V[hits] / np.sqrt(qv[hits])[:, None])
         need -= len(hits)
@@ -522,8 +528,10 @@ def _timelike(rng: np.random.Generator, g: np.ndarray,
     ``diag(sign(lam))`` on ``u = E^-1 v``.  Each row ``c ~ N(0, I)`` keeps
     its positive block, and its negative block's direction is scaled to
     ``sqrt(1 + |c_pos|^2)``, so ``<E u, E u> = -1`` with no rejection and
-    both time orientations occur.  Row k is the stream's k-th row, whatever
-    ``count``.
+    both time orientations occur.  ``eigh`` is only as exact as g is well
+    conditioned, so each row ``v = E u`` is then rescaled by its measured
+    ``<v, v>``, as the spacelike draws are.  Row k is the stream's k-th
+    row, whatever ``count``.
     """
     lam, Q = np.linalg.eigh(g)
     neg = lam < 0.0
@@ -534,7 +542,8 @@ def _timelike(rng: np.random.Generator, g: np.ndarray,
     scale = np.sqrt((1.0 + (c_pos * c_pos).sum(axis=1))
                     / (c_neg * c_neg).sum(axis=1))
     u[:, neg] = c_neg * scale[:, None]
-    return _matvec(Q / np.sqrt(np.abs(lam)), u)
+    v = _matvec(Q / np.sqrt(np.abs(lam)), u)
+    return v / np.sqrt(-_self_products(g, v))[:, None]
 
 
 def _sample_starts(rng: np.random.Generator, g: np.ndarray, signs,

@@ -193,8 +193,9 @@ def timelike_one_row(rng, g, count):
     With ``g = Q diag(lam) Q^T``, row k is the generator's k-th draw ``c``
     of n standard normals.  The entries of ``c`` on the negative
     eigenvalues are scaled so that their squares sum to one more than the
-    other entries' squares, and ``v = Q diag(|lam|^-1/2) c``.  The sums run
-    left to right, and ``v`` is the package's stacked product.
+    other entries' squares, ``v = Q diag(|lam|^-1/2) c``, and ``v`` is
+    rescaled by its measured ``<v, v>``.  The sums run left to right, and
+    ``v`` and ``<v, v>`` are the package's stacked products.
     """
     lam, Q = np.linalg.eigh(g)
     n = len(g)
@@ -209,7 +210,10 @@ def timelike_one_row(rng, g, count):
         neg_sq = sum(c[i] * c[i] for i in neg)
         scale = math.sqrt((1.0 + pos_sq) / neg_sq)
         u = np.array([c[i] * scale if i in neg else c[i] for i in range(n)])
-        rows[k] = svp._matvec(frame, u[None])[0]
+        v = svp._matvec(frame, u[None])[0]
+        q = float(np.matmul(np.matmul(v[None, None, :], g),
+                            v[None, :, None])[0, 0, 0])
+        rows[k] = v / math.sqrt(-q)
     return rows
 
 

@@ -875,6 +875,20 @@ class TestStartSampler:
         # both time orientations
         assert (t[:, 0] > 0).any() and (t[:, 0] < 0).any()
 
+    @pytest.mark.parametrize("spin, r, theta", [(0.9, 1000.0, 0.01),
+                                                (0.5, 1.8661, 1.0)])
+    def test_timelike_slots_are_exact_to_rounding(self, spin, r, theta):
+        from riemsvp.svp import _timelike
+
+        # g is ill-conditioned near the axis far out and near the horizon,
+        # which eigh's frame alone leaves in <v, v> well above rounding
+        g = riemann(catalog.kerr(1.0, spin).spec, [0.0, r, theta, 0.0]).g
+        t = _timelike(np.random.default_rng(0), g, 2000)
+        norms = np.einsum("bi,ij,bj->b", t, g, t)
+        terms = np.einsum("bi,ij,bj->b", np.abs(t), np.abs(g), np.abs(t))
+        eps = np.finfo(float).eps
+        assert (np.abs(norms + 1.0) <= 4 * eps * terms).all()
+
     def test_stream_is_left_as_the_plus_slots_leave_it(self):
         from riemsvp.svp import _sample_starts
 
