@@ -164,38 +164,38 @@ def resolve_metric(args) -> catalog.CatalogEntry:
     raise InvalidInput(f"unknown metric '{args.metric}' (not a catalog id or file)")
 
 
+# the options a report's config echoes, in order, where the command has them
+_CONFIG_KEYS = ("metric", "params", "point", "signs", "tol", "starts", "seed",
+                "method")
+
+
 def _base_report(args, command: str) -> dict:
     report = {
         "schema": "riemsvp-report/1",
         "command": command,
-        "config": {
-            "metric": args.metric,
-            "params": args.params,
-            "point": args.point,
-            "signs": args.signs,
-            "tol": args.tol,
-            "starts": args.starts,
-            "seed": args.seed,
-            "method": args.method,
-        },
+        "config": {key: getattr(args, key) for key in _CONFIG_KEYS
+                   if key in args},
         "versions": {"riemsvp": __version__, "numpy": np.__version__},
-        "rng_seed": args.seed,
     }
+    if "seed" in args:
+        report["rng_seed"] = args.seed
     if not args.deterministic:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     return report
 
 
-def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData,
-                            SolverConfig]:
-    """The metric, the point, the curvature there and the solver settings,
-    for one command.
+def _solver_config(args) -> SolverConfig:
+    """The solver settings of a search command; the commands build them
+    before :func:`_prepare`, so a bad solver flag is reported first."""
+    return SolverConfig(tol=args.tol, n_starts=args.starts,
+                        sign_pattern=args.signs, rng_seed=args.seed)
 
-    The solver flags are checked first, so every command rejects bad ones.
+
+def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData]:
+    """The metric, the point and the curvature there, for one command.
+
     Raises :class:`OutOfDomain` for a point outside the metric's domain.
     """
-    cfg = SolverConfig(tol=args.tol, n_starts=args.starts,
-                       sign_pattern=args.signs, rng_seed=args.seed)
     entry = resolve_metric(args)
     point = entry.default_point if args.point is None else args.point
     if len(point) != entry.spec.dimension:
@@ -203,7 +203,7 @@ def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData,
             f"--point has length {len(point)}, metric dimension is "
             f"{entry.spec.dimension}")
     entry.check_point(point)
-    return entry, point, riemann(entry.spec, point), cfg
+    return entry, point, riemann(entry.spec, point)
 
 
 def _nonzero(sols, rho: float) -> list:
@@ -241,7 +241,7 @@ def _solution_record(sol, cd) -> dict:
 
 
 def cmd_invariants(args) -> tuple[dict, int]:
-    entry, point, cd, _ = _prepare(args)
+    entry, point, cd = _prepare(args)
     tetrad = entry.tetrad(point) if entry.tetrad is not None else None
     inv = compute_invariants(cd, tetrad)
     report = _base_report(args, "invariants")
@@ -284,7 +284,8 @@ def _run_solver(args, entry: catalog.CatalogEntry, point: np.ndarray,
 
 
 def cmd_svp(args) -> tuple[dict, int]:
-    entry, point, cd, cfg = _prepare(args)
+    cfg = _solver_config(args)
+    entry, point, cd = _prepare(args)
     sols, method = _run_solver(args, entry, point, cd, cfg)
     report = _base_report(args, "svp")
     report["point"] = point
@@ -301,7 +302,8 @@ def cmd_svp(args) -> tuple[dict, int]:
 
 
 def cmd_orbit(args) -> tuple[dict, int]:
-    entry, point, cd, cfg = _prepare(args)
+    cfg = _solver_config(args)
+    entry, point, cd = _prepare(args)
     sols, _ = _run_solver(args, entry, point, cd, cfg)
     base = (_nonzero(sols, curvature_scale(cd)) or sols)[0]
     members = orbit(base, cd)
@@ -417,7 +419,8 @@ def _solution_checks(metric: str, entry, cd: CurvatureData,
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    entry, point, cd, scfg = _prepare(args)
+    scfg = _solver_config(args)
+    entry, point, cd = _prepare(args)
     g_defect = float(np.abs(cd.g - cd.g.T).max() / max(1.0, np.abs(cd.g).max()))
     sym = verify_tensor_symmetries(cd)
     sym_defect = _worst((g_defect, sym.antisym_first_pair,
@@ -547,29 +550,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SolverConfig()
 
-    def add_common(p):
+    for name in ("invariants", "svp", "verify", "orbit"):
+        p = sub.add_parser(name)
         p.add_argument("--metric", required=True,
                        help="catalog id or metric definition file")
         p.add_argument("--params", default=None,
                        help="comma-separated k=v metric parameters")
         p.add_argument("--point", default=None,
                        help="comma-separated coordinates")
-        p.add_argument("--signs", default=defaults.sign_pattern,
-                       help="constraint sign pattern: ++++, +++-, ... or "
-                       "all; write one that starts with - as --signs=-+++")
-        p.add_argument("--tol", type=float, default=defaults.tol)
-        p.add_argument("--starts", type=int, default=defaults.n_starts)
-        p.add_argument("--seed", type=int, default=defaults.rng_seed)
-        p.add_argument("--method", default="auto",
-                       choices=["auto", "multistart", "reduced"])
+        if name != "invariants":
+            p.add_argument("--signs", default=defaults.sign_pattern,
+                           help="constraint sign pattern: ++++, +++-, ... "
+                           "or all; write one that starts with - as "
+                           "--signs=-+++")
+            p.add_argument("--tol", type=float, default=defaults.tol)
+            p.add_argument("--starts", type=int, default=defaults.n_starts)
+            p.add_argument("--seed", type=int, default=defaults.rng_seed)
+        if name in ("svp", "orbit"):
+            p.add_argument("--method", default="auto",
+                           choices=["auto", "multistart", "reduced"])
         p.add_argument("--output", default="json",
                        choices=["json", "csv", "text"])
         p.add_argument("--deterministic", action="store_true",
                        help="suppress the timestamp field")
         p.add_argument("--out", default=None, help="write the report here")
-
-    for name in ("invariants", "svp", "verify", "orbit"):
-        add_common(sub.add_parser(name))
 
     cat = sub.add_parser("catalog")
     cat.add_argument("action", choices=["list"])

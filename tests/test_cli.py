@@ -29,6 +29,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def exit_code(argv):
+    """``main``'s exit code, also where argparse exits on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):
         argv = ["svp", "--metric", "sphere2", "--point", "1.0472,0",
@@ -584,8 +592,9 @@ class TestExitCodes:
     ], ids=["inside-horizon", "near-pole"])
     def test_outside_domain_is_domain_error(self, capsys, command, metric,
                                             point):
-        code = main([command, *metric, "--point", point, "--method",
-                     "multistart", "--starts", "5"])
+        method = ["--method", "multistart"] if command == "orbit" else []
+        code = main([command, *metric, "--point", point, *method,
+                     "--starts", "5"])
         assert code == 3
         assert "outside the admissible domain" in capsys.readouterr().err
 
@@ -604,19 +613,46 @@ class TestExitCodes:
             "space-form-n-fraction", "euclidean-n-fraction", "tol-nan",
             "tol-inf", "invariants-solver-flags"])
     def test_malformed_number_is_config_error(self, capsys, argv):
-        code = main(argv)
+        # invariants takes no solver flags: argparse rejects them
+        code = exit_code(argv)
         assert code == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["svp", "verify", "invariants"])
     def test_negative_seed_is_config_error(self, capsys, command):
-        code = main([command, "--metric", "sphere2", "--seed", "-1",
-                     "--starts", "5", "--deterministic"])
+        code = exit_code([command, "--metric", "sphere2", "--seed", "-1",
+                          "--starts", "5", "--deterministic"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("configuration error: rng_seed")
+        if command == "invariants":
+            # invariants takes no solver flags: argparse rejects them
+            assert ("error: unrecognized arguments: --seed -1 --starts 5"
+                    in captured.err)
+        else:
+            assert captured.err.startswith("configuration error: rng_seed")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, keys", [
+        ("invariants", ["metric", "params", "point"]),
+        ("verify", ["metric", "params", "point", "signs", "tol", "starts",
+                    "seed"]),
+        ("svp", ["metric", "params", "point", "signs", "tol", "starts",
+                 "seed", "method"]),
+    ])
+    def test_config_echoes_only_the_options_a_command_takes(self, capsys,
+                                                            command, keys):
+        argv = [command, "--metric", "sphere2", "--point", "1,0"]
+        starts = [] if command == "invariants" else ["--starts", "5"]
+        code, out = run(capsys, *argv, *starts, "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report["config"]) == keys
+        assert ("rng_seed" in report) == ("seed" in keys)
+        if "method" not in keys:
+            assert exit_code(argv + ["--method", "multistart"]) == 2
+            assert ("unrecognized arguments: --method multistart"
+                    in capsys.readouterr().err)
 
     def test_metric_file_named_like_catalog_id(self, capsys, tmp_path):
         path = tmp_path / "schwarzschild.metric"
