@@ -681,7 +681,7 @@ def _ensure_trivial(clusters: list[SVPSolution], cd: CurvatureData,
         res = float(np.abs(_system(cd).residuals(row, signs)).max())
         if res < cfg.tol * 10:
             clusters.insert(0, SVPSolution(
-                q=Quadruple(*vectors.copy(), signs=signs), sigma=0.0,
+                q=Quadruple(*vectors, signs=signs), sigma=0.0,
                 residual=res, origin="analytic",
                 trivial=_trivial_patterns(vectors[None])[0]))
             break

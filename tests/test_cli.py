@@ -639,7 +639,7 @@ class TestExitCodes:
                     "seed"]),
         ("svp", ["metric", "params", "point", "signs", "tol", "starts",
                  "seed", "method"]),
-    ])
+    ], ids=["invariants", "verify", "svp"])
     def test_config_echoes_only_the_options_a_command_takes(self, capsys,
                                                             command, keys):
         argv = [command, "--metric", "sphere2", "--point", "1,0"]
