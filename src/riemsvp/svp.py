@@ -137,12 +137,9 @@ _S = np.array([3, 2, 1, 0])
 # Equations 0 and 1 of a pair row (y, z), which stands for (y, z, y, z).
 _PAIR_VECTORS = tuple(t[:2] % 2 for t in (_P, _Q, _S))
 
-# Outcomes of one start in the Newton core, which tracks them as int8 codes,
-# their positions in _OUTCOMES.
+# Outcomes of one start in the Newton core.
 CONVERGED, STALLED, CAPPED, SINGULAR = ("converged", "stalled", "capped",
                                         "singular")
-_OUTCOMES = np.array([CONVERGED, STALLED, CAPPED, SINGULAR], dtype=object)
-_CONVERGED, _STALLED, _CAPPED, _SINGULAR = range(len(_OUTCOMES))
 
 # Backtracking ladder: the first step length that lowers the max-norm
 # residual is taken; wilder starts would diverge on full steps.
@@ -338,40 +335,33 @@ def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
                   cfg: SolverConfig):
     """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
 
-    ``system`` is one search's :func:`_system` and ``signs`` is the sign
-    pattern every start shares, shape (k,), which is broadcast, or one per
-    start, shape (B, k).  Each start iterates on its own: it takes the
+    ``system`` is one search's :func:`_system` and ``signs`` holds each
+    start's signs.  Each start iterates on its own: it takes the
     minimum-norm Gauss-Newton step (:func:`_lstsq_steps`), then the first
     length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
     ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
     step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
     after ``_MAX_NEWTON_ITERS`` steps, whatever its batch-mates do.  Returns
-    the final points, their residual norms and the outcomes' names.  A pass
-    makes one Jacobian call on the live points and one residual call, into
-    one array, on every step length of each; the live starts are repacked
-    only on a pass where one of them ends.
+    the final points, their residual norms and the outcomes.  A pass makes
+    one Jacobian call on the live points and one residual call, into one
+    array, on every step length of each; the live starts are repacked only
+    on a pass where one of them ends.
     """
-    per_row = signs.ndim == 2
     if len(U) > _MAX_BATCH:
         slices = [_gauss_newton(system, U[lo:lo + _MAX_BATCH],
-                                signs[lo:lo + _MAX_BATCH] if per_row
-                                else signs, cfg)
+                                signs[lo:lo + _MAX_BATCH], cfg)
                   for lo in range(0, len(U), _MAX_BATCH)]
         return tuple(np.concatenate(part) for part in zip(*slices))
     U = np.array(U, dtype=float)
     F = system.residuals(U, signs)
     fnorm = np.abs(F).max(axis=1)
-    outcome = np.full(len(U), _CAPPED, dtype=np.int8)
-    outcome[fnorm < cfg.tol] = _CONVERGED
+    outcome = np.full(len(U), CAPPED, dtype=object)
+    outcome[fnorm < cfg.tol] = CONVERGED
     live = np.flatnonzero(~(fnorm < cfg.tol))
-
-    def trial_signs():
-        return np.tile(signs[live], (len(_STEPS), 1)) if per_row else signs
-
     # the live starts' points, residuals, norms and trial signs
     u, f, fn = U[live], F[live], fnorm[live]
-    tried = trial_signs()
-    buf = np.empty((len(_STEPS) * len(live), F.shape[1]))
+    tried = np.tile(signs[live], (len(_STEPS), 1))
+    buf = np.empty((len(tried), F.shape[1]))
     lengths, offsets = np.array(_STEPS)[:, None, None], np.arange(len(live))
     for _ in range(_MAX_NEWTON_ITERS):
         if not live.size:
@@ -390,18 +380,18 @@ def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
         if stuck.any() or done.any():
             # a start no length improves keeps its point
             u_new[stuck], fn_new[stuck] = u[stuck], fn[stuck]
-            outcome[live[done]] = _CONVERGED
-            outcome[live[stuck]] = _STALLED
-            outcome[live[~np.isfinite(step).all(axis=1)]] = _SINGULAR
+            outcome[live[done]] = CONVERGED
+            outcome[live[stuck]] = STALLED
+            outcome[live[~np.isfinite(step).all(axis=1)]] = SINGULAR
             keep = ~(done | stuck)
             U[live[~keep]], fnorm[live[~keep]] = u_new[~keep], fn_new[~keep]
             live, u_new, f, fn_new = (a[keep] for a in (live, u_new, f,
                                                         fn_new))
-            tried = trial_signs()
+            tried = np.tile(signs[live], (len(_STEPS), 1))
             offsets = np.arange(len(live))
         u, fn = u_new, fn_new
     U[live], fnorm[live] = u, fn
-    return U, fnorm, _OUTCOMES[outcome]
+    return U, fnorm, outcome
 
 
 def _trivial_patterns(V: np.ndarray) -> list:
@@ -478,7 +468,8 @@ def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig,
     """:func:`_gauss_newton` on the full or, with ``pair``, the repeated-pair
     system; ``signs`` is one sign pattern or one per row."""
     signs = np.asarray(signs, dtype=float)[..., :2 if pair else 4]
-    return _gauss_newton(_system(cd, pair), U, signs, cfg)
+    return _gauss_newton(_system(cd, pair), U, np.broadcast_to(
+        signs, (len(U), signs.shape[-1])), cfg)
 
 
 # Largest block of draws the start sampler classifies at once; it bounds the
@@ -611,7 +602,7 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     # a pair row (y, z, sigma) stands for (y, z, y, z, sigma)
     U, _, outcome = _solve_full(
         cd, np.column_stack([V, _sigmas(cd, np.tile(V, 4 // k))]),
-        patterns[0] if len(patterns) == 1 else signs, cfg, pair)
+        signs, cfg, pair)
     conv = np.flatnonzero(outcome == CONVERGED)
     U = U[conv]
     if pair:
@@ -674,16 +665,13 @@ def _ensure_trivial(clusters: list[SVPSolution], cd: CurvatureData,
         V, _ = _sample_starts(rng, cd.g, (signs[0], signs[2]), 1)
         if not len(V):
             continue
-        # the row (v, v, u, u, 0)
-        row = np.zeros((1, 4 * cd.n + 1))
-        vectors = row[0, :-1].reshape(4, cd.n)
-        vectors[:] = np.repeat(V.reshape(2, cd.n), 2, axis=0)
-        res = float(np.abs(_system(cd).residuals(row, signs)).max())
+        v, u = V.reshape(2, cd.n)
+        q = Quadruple(v, v.copy(), u, u.copy(), signs=signs)
+        res = residual_norm(cd, q, 0.0)
         if res < cfg.tol * 10:
             clusters.insert(0, SVPSolution(
-                q=Quadruple(*vectors, signs=signs), sigma=0.0,
-                residual=res, origin="analytic",
-                trivial=_trivial_patterns(vectors[None])[0]))
+                q=q, sigma=0.0, residual=res, origin="analytic",
+                trivial=trivial_pattern(q)))
             break
     return clusters
 

@@ -723,31 +723,6 @@ class TestSearchBookkeeping:
         assert got == []
         assert calls.count("core") == 1 and calls[-1] == "core"
 
-    @pytest.mark.parametrize("make_cd, signs", [
-        (sphere_cd, ALL_PLUS),
-        (lambda: riemann(catalog.schwarzschild(1.0).spec,
-                         [0.0, 30.0, 1.2, 0.0]), (1, 1, -1, -1)),
-    ], ids=["sphere2", "schwarzschild ++--"])
-    def test_trivial_solution_matches_public_functions(self, make_cd, signs):
-        from riemsvp.svp import _ensure_trivial, _sample_starts
-
-        cd = make_cd()
-        cfg = SolverConfig(rng_seed=4)
-        (sol,) = _ensure_trivial([], cd, cfg, [signs])
-        # the candidate (v, v, u, u) from the first start of the seed + 1
-        # stream, at sigma = 0
-        V, _ = _sample_starts(np.random.default_rng(5), cd.g,
-                              (signs[0], signs[2]), 1)
-        v, u = V.reshape(2, cd.n)
-        for got, want in zip(sol.q.vectors, (v, v, u, u)):
-            assert np.array_equal(got, want)
-        assert not np.shares_memory(sol.q.w, sol.q.x)
-        assert not np.shares_memory(sol.q.y, sol.q.z)
-        assert sol.q.signs == signs
-        assert (sol.sigma, sol.origin) == (0.0, "analytic")
-        assert repr(sol.residual) == repr(residual_norm(cd, sol.q, 0.0))
-        assert sol.trivial == trivial_pattern(sol.q) == "w=x"
-
 
 PAIR_CASES = {
     "dense n=2": lambda: dense_cd(2),
