@@ -244,23 +244,6 @@ class TestBatchedCore:
         assert np.array_equal(U_sliced, U)
         assert list(out_sliced) == list(out)
 
-    @pytest.mark.parametrize("case", sorted(CORE_CASES))
-    def test_shared_pattern_equals_pattern_per_row(self, case, monkeypatch):
-        from riemsvp import svp
-        from riemsvp.svp import _solve_full
-
-        cd = CORE_CASES[case]()
-        U0 = core_starts(cd, ALL_PLUS, 200)
-        cfg = SolverConfig()
-        per_row = _solve_full(cd, U0, [ALL_PLUS] * len(U0), cfg)
-        for batch in (svp._MAX_BATCH, 7):
-            # a batch over the core's size limit is solved in slices
-            monkeypatch.setattr(svp, "_MAX_BATCH", batch)
-            shared = _solve_full(cd, U0, ALL_PLUS, cfg)
-            for got, want in zip(shared, per_row):
-                assert np.array_equal(got, want)
-        assert "converged" in set(per_row[2])
-
     def test_anchor_yield(self):
         cd = CORE_CASES["schwarzschild r=3"]()
         sols = multistart(cd, SolverConfig(n_starts=200, rng_seed=0))
