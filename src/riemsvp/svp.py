@@ -21,12 +21,13 @@ certify full column rank.  The multistart driver and the repeated-pair
 reduction :func:`meigen_reduce` share one sign-pattern rule
 (:func:`_patterns`) and one search: the starts of every pattern are drawn in
 turn from one random stream and are solved as a single batch; the converged
-solutions are clustered by ``sigma``.  A pattern's sampler fills its ``+``
-slots, start by start, with the Gaussian draws of the stream that are not
-near null or timelike, rescaled onto ``<v, v> = 1``; its ``-`` slots take
-direct draws in g's orthonormal eigenframe from a child stream, which need
-no rejection and leave the ``+`` draws as they are, each rescaled by its
-measured ``<v, v>`` like the ``+`` draws.
+solutions are clustered by ``sigma`` with the residual norms the core ended
+on.  A pattern's sampler fills its ``+`` slots, start by start, with the
+Gaussian draws of the stream that are not near null or timelike, rescaled
+onto ``<v, v> = 1``; its ``-`` slots take direct draws in g's orthonormal
+eigenframe from a child stream, which need no rejection and leave the ``+``
+draws as they are, each rescaled by its measured ``<v, v>`` like the ``+``
+draws.
 """
 
 from __future__ import annotations
@@ -417,36 +418,34 @@ def trivial_pattern(q: Quadruple) -> Optional[str]:
 _CLUSTER_EPS = 1e-7
 
 
-def _clusters(cd: CurvatureData, U: np.ndarray, signs, seeds, origin: str,
-              tol: float) -> list[SVPSolution]:
+def _clusters(U: np.ndarray, res: np.ndarray, signs, seeds,
+              origin: str) -> list[SVPSolution]:
     """The reported clusters of converged rows ``(w, x, y, z, sigma)``.
 
-    ``signs`` and ``seeds`` hold each row's sign pattern and start number;
-    zero rows give no cluster and no work.
+    ``res``, ``signs`` and ``seeds`` hold each row's converged residual
+    norm, sign pattern and start number; zero rows give no cluster and no work.
     A negative sigma is flipped together with ``W``, which maps solutions to
-    solutions, so the reported sigma is >= 0.  Rows whose full residual is
-    not below ``tol`` are dropped; the rest are taken in increasing sigma,
-    ties in row order.  A row joins the last cluster when its sigma is
-    within ``_CLUSTER_EPS`` of that cluster's representative, and opens a
-    new one otherwise.  No earlier cluster can take it: each opened at least
-    ``_CLUSTER_EPS`` above every earlier representative, and no later row
-    has a smaller sigma.  The representative is the first row of least
-    residual; the cluster counts its rows and keeps their first trivial
-    label.  Grouping is by sigma only: the solution sets are typically
-    continuous manifolds (the zero family always is), which grouping by
-    orbit would splinter into singletons.
+    solutions and negates residual entries exactly, so the reported sigma is
+    >= 0 and the norm holds for the flipped row.  Rows are taken in
+    increasing sigma, ties in row order.  A row joins the last cluster when
+    its sigma is within ``_CLUSTER_EPS`` of that cluster's representative,
+    and opens a new one otherwise.  No earlier cluster can take it: each
+    opened at least ``_CLUSTER_EPS`` above every earlier representative, and
+    no later row has a smaller sigma.  The representative is the first row
+    of least residual; the cluster counts its rows and keeps their first
+    trivial label.  Grouping is by sigma only: the solution sets are
+    typically continuous manifolds (the zero family always is), which
+    grouping by orbit would splinter into singletons.
     """
     if not len(U):
         return []
-    n, signs = cd.n, np.asarray(signs)
+    n, signs = U.shape[1] // 4, np.asarray(signs)
     U = U.copy()
     flip = U[:, 4 * n] < 0.0
     U[flip, :n] *= -1.0
     U[flip, 4 * n] *= -1.0
-    res = np.abs(_system(cd).residuals(U, signs)).max(axis=1)
     labels = _trivial_patterns(U[:, :4 * n].reshape(-1, 4, n))
-    kept = np.flatnonzero(res < tol)
-    order = kept[np.argsort(U[kept, 4 * n], kind="stable")].tolist()
+    order = np.argsort(U[:, 4 * n], kind="stable").tolist()
     # the merge loop reads Python floats, which round as numpy's float64
     sigma, res = U[:, 4 * n].tolist(), res.tolist()
     groups = []  # [representative row, count, label] per cluster
@@ -584,9 +583,9 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     ``pair`` the unknowns are the pair ``(y, z)`` of the repeated-pair
     reduction ``(w, x, y, z) = (y, z, y, z)``, sampled with each pattern's
     first two signs.  Returns the :func:`_clusters` of the converged starts,
-    in increasing sigma; on the full system the residual they must be below,
-    ``cfg.tol``, is the norm the core converged on, so only reduced
-    solutions can fail it.
+    in increasing sigma, each with the residual norm the core converged on:
+    an embedded pair row's equations and constraints 2 and 3 repeat its 0
+    and 1, so that norm is the full system's too.
     """
     n, k = cd.n, 2 if pair else 4
     rng = np.random.default_rng(cfg.rng_seed)
@@ -600,15 +599,15 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     V, seeds = np.concatenate(blocks), np.concatenate(seeds)
     signs = np.repeat(np.array(patterns), [len(b) for b in blocks], axis=0)
     # a pair row (y, z, sigma) stands for (y, z, y, z, sigma)
-    U, _, outcome = _solve_full(
+    U, fnorm, outcome = _solve_full(
         cd, np.column_stack([V, _sigmas(cd, np.tile(V, 4 // k))]),
         signs, cfg, pair)
     conv = np.flatnonzero(outcome == CONVERGED)
     U = U[conv]
     if pair:
         U = np.concatenate([U[:, :2 * n], U], axis=1)
-    return _clusters(cd, U, signs[conv], seeds[conv].tolist(),
-                     "meigen" if pair else "multistart", cfg.tol)
+    return _clusters(U, fnorm[conv], signs[conv], seeds[conv].tolist(),
+                     "meigen" if pair else "multistart")
 
 
 def feasible_patterns(cd: CurvatureData) -> list[Signs]:
@@ -754,8 +753,8 @@ def meigen_reduce(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
 
     The reduced system ``R(Y, Z) Z = sigma Y``, ``R(Z, Y) Y = sigma Z`` is
     solved by the same least-squares Newton machinery on ``2n + 1``
-    unknowns; every converged pair embeds into a full solution, which is
-    verified against the full residual before being returned.  For each
+    unknowns; every converged pair embeds into a full solution whose full
+    residual is the norm the pair converged on.  For each
     sign pattern ``(p0, p1, ...)`` that :func:`multistart` would search, it
     solves ``(p0, p1, p0, p1)`` once, so a negative sign on a Riemannian
     metric raises :class:`WrongSignature` here too.
@@ -777,20 +776,18 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
     """On a Lorentz metric, mixed constraint signs force ``sigma = 0``.
 
     Runs the multistart search with a mixed sign pattern (default
-    ``(+, +, +, -)``) and reports the number of converged solutions and
-    the largest ``|sigma|`` among them, for the caller to judge
-    (``verify``'s ``remark2-lorentz`` check).
+    ``(+, +, +, -)``) and reports the number of converged starts (not
+    :func:`multistart`'s analytic zero row) and the largest ``|sigma|``
+    among them, for the caller to judge (``verify``'s ``remark2-lorentz``).
     """
     if not cd.is_lorentz:
         raise WrongSignature("mixed-sign check needs a Lorentz metric "
                              f"(one negative sign), got {cd.signature}")
     pattern = parse_sign_pattern(cfg.sign_pattern)
     if pattern is None or len(set(pattern)) == 1:
-        pattern = (1, 1, 1, -1)
-    sub = replace(cfg, sign_pattern="".join("+" if s > 0 else "-"
-                                            for s in pattern))
-    sols = multistart(cd, sub)
-    return MixedSignReport(n_converged=len(sols), max_abs_sigma=max(
+        cfg = replace(cfg, sign_pattern="+++-")
+    sols = _search(cd, cfg, _patterns(cd, cfg))
+    return MixedSignReport(sum(s.count for s in sols), max(
         (abs(s.sigma) for s in sols), default=0.0))
 
 

@@ -333,6 +333,19 @@ class TestVerifyCommand:
         assert by_name["remark2-lorentz"]["note"] == (
             "no mixed-sign start converged")
 
+    @pytest.mark.parametrize("signs", ["++--", "--++"])
+    def test_paired_signs_without_evidence_are_skipped(self, capsys, signs):
+        # no start of these patterns converges at r = 20; the analytic
+        # sigma = 0 row multistart adds is no evidence of Remark 2
+        code, out = run(capsys, "verify", "--metric", "schwarzschild",
+                        "--params", "M=1", "--point", "0,20,1.2,0",
+                        f"--signs={signs}", "--deterministic")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["remark2-lorentz"]["skipped"] is True
+        assert by_name["remark2-lorentz"]["note"] == (
+            "no mixed-sign start converged")
+
     def test_space_form_identities_run(self, capsys):
         code, out = run(capsys, "verify", "--metric", "space-form",
                         "--params", "kappa=1,n=4", "--starts", "40",

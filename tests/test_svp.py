@@ -11,6 +11,7 @@ from riemsvp.algebra import inner, invariant_i, np_scalars
 from riemsvp.errors import (BadCase, InvalidInput, OutOfDomain,
                             WrongSignature)
 from riemsvp.geometry import CurvatureData, riemann
+from riemsvp.metricfile import load_metric
 from riemsvp.svp import (ALL_PLUS, Quadruple, SolverConfig, SVPSolution,
                          closed_form_sigma, feasible_patterns,
                          kerr_reduced_solve, lorentz_mixed_sign_check,
@@ -598,8 +599,7 @@ CLUSTER_GAPS = (0.0, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0)
 
 @st.composite
 def cluster_rows(draw, n=4):
-    """Rows ``(w, x, y, z, sigma)`` with their signs and seeds, and a
-    residual quantile for the tolerance (1 keeps every row).
+    """Rows ``(w, x, y, z, sigma)`` with their signs and seeds.
 
     Sigma runs in chains of window-sized gaps from a start that may be zero
     or negative, and each row may be negated (which turns a zero sigma into
@@ -624,8 +624,7 @@ def cluster_rows(draw, n=4):
              for _ in rows]
     seeds = draw(st.lists(st.one_of(st.none(), st.integers(1, 99)),
                           min_size=len(rows), max_size=len(rows)))
-    return (np.array(rows), signs, seeds,
-            draw(st.sampled_from([1.0, 0.9, 0.5, 0.2])))
+    return np.array(rows), signs, seeds
 
 
 class TestClusters:
@@ -637,14 +636,13 @@ class TestClusters:
         from riemsvp.svp import _clusters, _system
 
         cd = dense_cd()
-        U, signs, seeds, quantile = case
-        # flipping a negative sigma with W only changes residual signs
+        U, signs, seeds = case
+        # flipping a negative sigma with W only changes residual signs, so
+        # the rows' own norms are the flipped rows' the reference computes
         res = np.abs(_system(cd).residuals(U, np.array(signs, float)))
-        tol = (math.inf if quantile == 1.0
-               else float(np.quantile(res.max(axis=1), quantile)))
-        got = _clusters(cd, U, signs, seeds, "multistart", tol)
+        got = _clusters(U, res.max(axis=1), signs, seeds, "multistart")
         want = oracles.clusters_reference(cd, U, signs, seeds, "multistart",
-                                          tol)
+                                          math.inf)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (repr(a.sigma), repr(a.residual), a.origin, a.seed,
@@ -661,8 +659,7 @@ class TestClusters:
 
         sigmas = [0.0, _CLUSTER_EPS]
         U = np.array([np.append(sphere_solution().flat(), s) for s in sigmas])
-        got = _clusters(sphere_cd(), U, [ALL_PLUS] * 2, [1, 2], "multistart",
-                        math.inf)
+        got = _clusters(U, np.zeros(2), [ALL_PLUS] * 2, [1, 2], "multistart")
         assert [c.sigma for c in got] == sigmas
         assert sigma_values(got) == sigmas
 
@@ -705,6 +702,117 @@ class TestSearchBookkeeping:
                           [ALL_PLUS])
         assert got == []
         assert calls.count("core") == 1 and calls[-1] == "core"
+
+    @pytest.mark.parametrize("search", ["_search", "meigen_reduce"])
+    def test_one_system_and_no_residual_after_the_core(self, search,
+                                                       monkeypatch):
+        from riemsvp import svp
+
+        # the clusters take the norms the core converged on
+        cd = CORE_CASES["schwarzschild r=3"]()
+        calls = []
+        real_core, real_system = svp._gauss_newton, svp._system
+
+        def core(*args):
+            out = real_core(*args)
+            calls.append("core")
+            return out
+
+        def system(*args, **kwargs):
+            built = real_system(*args, **kwargs)
+            calls.append("system")
+
+            def residuals(*a, **k):
+                calls.append("residuals")
+                return built.residuals(*a, **k)
+
+            return built._replace(residuals=residuals)
+
+        monkeypatch.setattr(svp, "_gauss_newton", core)
+        monkeypatch.setattr(svp, "_system", system)
+        cfg = SolverConfig(n_starts=50, rng_seed=0)
+        got = (svp._search(cd, cfg, [ALL_PLUS]) if search == "_search"
+               else meigen_reduce(cd, cfg))
+        assert sum(c.count for c in got) > 0
+        assert calls.count("system") == 1 and calls.count("core") == 1
+        assert "residuals" not in calls[calls.index("core"):]
+
+
+SCHWARZSCHILD_FILE = """\
+dimension = 4
+coordinates = t, r, theta, phi
+signature = -, +, +, +
+g[0,0] = -(1 - 2 / r)
+g[1,1] = 1 / (1 - 2 / r)
+g[2,2] = r^2
+g[3,3] = r^2 * sin(theta)^2
+"""
+
+
+def schwarzschild_file_cd(tmp_path):
+    path = tmp_path / "schwarzschild.metric"
+    path.write_text(SCHWARZSCHILD_FILE)
+    return riemann(load_metric(path), [0.0, 5.0, 1.1, 0.0])
+
+
+# (curvature from a scratch directory, search config); the "all" search at
+# r = 3 runs 16 x 65 = 1,040 starts, so the core solves it in two slices
+NORM_CASES = {
+    "schwarzschild r=3 ++++": (
+        lambda _: CORE_CASES["schwarzschild r=3"](), SolverConfig()),
+    "schwarzschild r=3 all": (
+        lambda _: CORE_CASES["schwarzschild r=3"](),
+        SolverConfig(n_starts=65, sign_pattern="all")),
+    "kerr all": (lambda _: kerr_cd(),
+                 SolverConfig(n_starts=10, sign_pattern="all")),
+    "kerr numeric": (
+        lambda _: riemann(catalog.kerr(1.0, 0.7).spec,
+                          [0.0, 3.0, math.pi / 3, 0.0], mode="numeric"),
+        SolverConfig(n_starts=60)),
+    "space-form kappa=-3 n=3": (
+        lambda _: riemann(catalog.space_form(-3.0, 3).spec, np.zeros(3)),
+        SolverConfig(n_starts=60)),
+    "metric file all": (schwarzschild_file_cd,
+                        SolverConfig(n_starts=40, sign_pattern="all")),
+}
+
+
+class TestClusterResiduals:
+    """A converged start's core norm is the full residual of the row its
+    cluster reports, so the clusters compute no residual."""
+
+    @pytest.mark.parametrize("search", [multistart, meigen_reduce],
+                             ids=["multistart", "meigen_reduce"])
+    @pytest.mark.parametrize("case", sorted(NORM_CASES))
+    def test_core_norm_is_full_residual(self, case, search, tmp_path,
+                                        monkeypatch):
+        from riemsvp import svp
+
+        make_cd, cfg = NORM_CASES[case]
+        cd = make_cd(tmp_path)
+        n = cd.n
+        seen = []
+        real = svp._clusters
+
+        def clusters(U, res, signs, seeds, origin):
+            seen.append((U.copy(), np.array(res), np.array(signs, float)))
+            return real(U, res, signs, seeds, origin)
+
+        monkeypatch.setattr(svp, "_clusters", clusters)
+        search(cd, cfg)
+        (U, res, signs), = seen
+        assert len(U) > 0
+        # the rows as converged (a pair row embedded as (y, z, y, z, sigma))
+        # and with a negative sigma flipped together with W, as reported
+        flipped = U.copy()
+        flip = flipped[:, 4 * n] < 0.0
+        flipped[flip, :n] *= -1.0
+        flipped[flip, 4 * n] *= -1.0
+        assert flip.any() and not flip.all()
+        full = svp._system(cd).residuals
+        for rows in (U, flipped):
+            norms = np.abs(full(rows, signs)).max(axis=1)
+            assert norms.tobytes() == res.tobytes()
 
 
 PAIR_CASES = {
@@ -1155,6 +1263,18 @@ class TestLorentzMixedSign:
             cd, SolverConfig(n_starts=100, rng_seed=8, sign_pattern="++--"))
         assert rep.n_converged > 0
         assert rep.max_abs_sigma < 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("signs", ["++--", "--++"])
+    def test_counts_converged_starts_only(self, signs, seed):
+        # no start of these patterns converges at r = 20, and multistart's
+        # analytic sigma = 0 row is not one of the search's starts
+        cd = riemann(catalog.schwarzschild(1.0).spec,
+                     [0.0, 20.0, 1.2, 0.0])
+        rep = lorentz_mixed_sign_check(
+            cd, SolverConfig(rng_seed=seed, sign_pattern=signs))
+        assert rep.n_converged == 0
+        assert rep.max_abs_sigma == 0.0
 
     def test_riemannian_raises(self):
         cd = sphere_cd()
