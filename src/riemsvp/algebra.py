@@ -59,16 +59,26 @@ def _raise_all(t: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     return t
 
 
+def _frame(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g's orthonormal eigenframe ``E = Q / sqrt(|lam|)`` and its signs.
+
+    With ``g = Q diag(lam) Q^T`` the columns of E satisfy
+    ``E^T g E = diag(eta)``, ``eta = sign(lam)`` in ascending order of lam,
+    as far as ``eigh`` is exact.
+    """
+    lam, vec = np.linalg.eigh(g)
+    return vec / np.sqrt(np.abs(lam)), np.sign(lam)
+
+
 def curvature_scale(cd: CurvatureData) -> float:
     """Largest curvature component ``max |R^a_bcd|`` in an orthonormal frame.
 
-    The frame is the eigenvectors of ``g`` scaled to unit length; the
-    mixed and lowered components there differ only in sign, so the lowered
-    tensor is taken into the frame.  The scale does not depend on the units
-    of the coordinates, which makes it the reference for relative windows.
+    The frame is :func:`_frame`; the mixed and lowered components there
+    differ only in sign, so the lowered tensor is taken into the frame.  The
+    scale does not depend on the units of the coordinates, which makes it
+    the reference for relative windows.
     """
-    lam, vec = np.linalg.eigh(cd.g)
-    frame = vec / np.sqrt(np.abs(lam))
+    frame, _ = _frame(cd.g)
     return float(np.abs(_raise_all(cd.riemann_lowered, frame.T)).max())
 
 

@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import catalog as _catalog_mod
-from .algebra import inner
+from .algebra import _frame, inner
 from .errors import BadCase, InvalidInput, NoConvergence, WrongSignature
 from .geometry import CurvatureData, as_point, riemann
 
@@ -163,6 +163,13 @@ def _matvec(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(a, vecs[..., None])[..., 0]
 
 
+def _squares(g: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``<v, v>`` for each vector ``v`` on the last axis of ``V``, as ``g v``
+    and then ``v . (g v)``, each a :func:`_matvec`: the products of the
+    residual's constraint rows."""
+    return _matvec(_matvec(g, V)[..., None, :], V)[..., 0]
+
+
 def _sigmas(cd: CurvatureData, V: np.ndarray) -> np.ndarray:
     """``R(W, X, Y, Z)`` for each row ``(w, x, y, z)`` of ``V``."""
     n, B = cd.n, len(V)
@@ -203,23 +210,25 @@ def _system(cd: CurvatureData, pair: bool = False) -> _System:
     # a strided view: numpy multiplies it in its own loop, and a C-contiguous
     # copy would go to BLAS, slower at these sizes and rounded differently
     plane_pair = r[:, :, i, j].reshape(n * n, len(i))
+    # the entries q^i, q^j, s^i, s^j of each equation's bivector in a row
+    qi, qj, si, sj = (t[:, None] * n + c for t in (Q, S) for c in (i, j))
 
     def residuals(U, signs, out=None):
         B = len(U)
         V, sigma = U[:, :k * n].reshape(B, k, n), U[:, k * n]
-        q, s = V[:, Q], V[:, S]
-        plane = q[..., i] * s[..., j] - q[..., j] * s[..., i]
+        plane = U[:, qi] * U[:, sj] - U[:, qj] * U[:, si]
         maps = _matvec(_matvec(plane_pair, plane).reshape(B, k, n, n), V[:, P])
         out = np.empty((B, k * n + k)) if out is None else out
         np.subtract(maps, sigma[:, None, None] * V,
                     out=out[:, :k * n].reshape(B, k, n))
-        np.subtract(_matvec(_matvec(g, V)[..., None, :], V)[..., 0], signs,
-                    out=out[:, k * n:])
+        np.subtract(_squares(g, V), signs, out=out[:, k * n:])
         return out
 
     @functools.cache
     def layouts():
         return r.reshape(n ** 3, n), r.swapaxes(1, 3).reshape(n ** 3, n)
+
+    e, rows, slots = np.arange(k), np.arange(k * n), (_P[:k], _Q[:k], _S[:k])
 
     def jacobians(U):
         B, m = len(U), 4 * n
@@ -231,13 +240,12 @@ def _system(cd: CurvatureData, pair: bool = False) -> _System:
         d_p = _matvec(rs.reshape(B, k, n * n, n), q)
         d_q = _matvec(rs.swapaxes(-2, -1).reshape(B, k, n * n, n), p)
         d_s = _matvec(_matvec(r_p, p).reshape(B, k, n * n, n), q)
-        e, rows = np.arange(k), np.arange(k * n)
         jac = np.zeros((B, k * n + k, m + 1))
         # views of jac: blocks[b, e, slot, i, j] is row e n + i, column
         # slot n + j of the full system; cons[b, e, slot, j] is row kn + e
         blocks = jac[:, :k * n, :m].reshape(B, k, n, 4, n).swapaxes(2, 3)
         cons = jac[:, k * n:, :m].reshape(B, k, 4, n)
-        for slot, d in ((_P[:k], d_p), (_Q[:k], d_q), (_S[:k], d_s)):
+        for slot, d in zip(slots, (d_p, d_q, d_s)):
             blocks[:, e, slot] = d.reshape(B, k, n, n)
         jac[:, rows, rows] = -sigma[:, None]
         jac[:, :k * n, m] = -V.reshape(B, k * n)
@@ -298,26 +306,27 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     certifies full column rank takes ``x = R^-1 c`` by back-substitution
     (LU makes no row exchange on a triangular matrix); every other goes
     through :func:`_svd_solve`.  A system with a non-finite entry, or whose
-    SVD fails on its own, gets a NaN row; the other systems are solved
-    exactly as they would be alone.  An empty stack makes no LAPACK call.
+    SVD fails on its own, gets a NaN row; the finite systems of a stack that
+    holds one are solved as a stack of their own, so every system is solved
+    exactly as it would be alone.  An empty stack makes no LAPACK call.
     """
     k = jac.shape[2]
-    steps = np.full((len(jac), k), np.nan)
     aug = np.concatenate([jac, rhs[:, :, None]], axis=2)
-    ok = np.flatnonzero(np.isfinite(aug).all(axis=(1, 2)))
-    if not ok.size:
+    finite = np.isfinite(aug).all(axis=(1, 2))
+    if not finite.all() or not len(aug):
+        steps = np.full((len(jac), k), np.nan)
+        if finite.any():
+            steps[finite] = _lstsq_steps(jac[finite], rhs[finite])
         return steps
-    r = np.linalg.qr(aug[ok] if ok.size < len(aug) else aug, mode="r")
+    r = np.linalg.qr(aug, mode="r")
     diag = np.abs(np.diagonal(r[:, :k, :k], axis1=1, axis2=2))
     full = diag.min(axis=1) > _QR_RANK_TOL * diag.max(axis=1)
-    if full.all() and ok.size == len(aug):
+    if full.all():
         return np.linalg.solve(r[:, :k, :k], r[:, :k, k:])[..., 0]
+    steps = np.full((len(jac), k), np.nan)
     if full.any():
-        steps[ok[full]] = np.linalg.solve(r[full, :k, :k],
-                                          r[full, :k, k:])[..., 0]
-    ok = ok[~full]
-    if not ok.size:
-        return steps
+        steps[full] = np.linalg.solve(r[full, :k, :k], r[full, :k, k:])[..., 0]
+    ok = np.flatnonzero(~full)
     try:
         steps[ok] = _svd_solve(jac[ok], rhs[ok])
     except np.linalg.LinAlgError:
@@ -395,17 +404,19 @@ def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
     return U, fnorm, outcome
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether ``a = +-b`` to 1e-6 in every entry, over the last axis."""
+    return ((np.abs(a - b).max(axis=-1) < 1e-6)
+            | (np.abs(a + b).max(axis=-1) < 1e-6))
+
+
 def _trivial_patterns(V: np.ndarray) -> list:
     """:func:`trivial_pattern` for each row of vectors ``V`` (B, 4, n)."""
-    def same(a, b):
-        return ((np.abs(V[:, a] - V[:, b]).max(axis=1) < 1e-6)
-                | (np.abs(V[:, a] + V[:, b]).max(axis=1) < 1e-6))
-
-    wx, yz = same(0, 1), same(2, 3)
+    wx, yz = _same(V[:, 0], V[:, 1]), _same(V[:, 2], V[:, 3])
     labels = np.full(len(V), None, dtype=object)
     labels[yz] = "y=z"
     labels[wx] = "w=x"
-    labels[wx & yz & same(0, 2)] = "all-equal"
+    labels[wx & yz & _same(V[:, 0], V[:, 2])] = "all-equal"
     return labels.tolist()
 
 
@@ -514,8 +525,8 @@ def _timelike(rng: np.random.Generator, g: np.ndarray,
     """``count`` vectors with ``<v, v> = -1``, drawn in g's orthonormal
     eigenframe; ``None`` when g has no negative eigenvalue.
 
-    With ``g = Q diag(lam) Q^T`` and ``E = Q / sqrt(|lam|)`` the metric is
-    ``diag(sign(lam))`` on ``u = E^-1 v``.  Each row ``c ~ N(0, I)`` keeps
+    In the frame ``E`` of :func:`algebra._frame` the metric is
+    ``diag(eta)`` on ``u = E^-1 v``.  Each row ``c ~ N(0, I)`` keeps
     its positive block, and its negative block's direction is scaled to
     ``sqrt(1 + |c_pos|^2)``, so ``<E u, E u> = -1`` with no rejection and
     both time orientations occur.  ``eigh`` is only as exact as g is well
@@ -523,8 +534,8 @@ def _timelike(rng: np.random.Generator, g: np.ndarray,
     ``<v, v>``, as the spacelike draws are.  Row k is the stream's k-th
     row, whatever ``count``.
     """
-    lam, Q = np.linalg.eigh(g)
-    neg = lam < 0.0
+    E, eta = _frame(g)
+    neg = eta < 0.0
     if not neg.any():
         return None
     u = rng.standard_normal((count, len(g)))
@@ -532,7 +543,7 @@ def _timelike(rng: np.random.Generator, g: np.ndarray,
     scale = np.sqrt((1.0 + (c_pos * c_pos).sum(axis=1))
                     / (c_neg * c_neg).sum(axis=1))
     u[:, neg] = c_neg * scale[:, None]
-    v = _matvec(Q / np.sqrt(np.abs(lam)), u)
+    v = _matvec(E, u)
     return v / np.sqrt(-_self_products(g, v))[:, None]
 
 
@@ -600,7 +611,7 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     signs = np.repeat(np.array(patterns), [len(b) for b in blocks], axis=0)
     # a pair row (y, z, sigma) stands for (y, z, y, z, sigma)
     U, fnorm, outcome = _solve_full(
-        cd, np.column_stack([V, _sigmas(cd, np.tile(V, 4 // k))]),
+        cd, np.column_stack([V, _sigmas(cd, np.tile(V, 2) if pair else V)]),
         signs, cfg, pair)
     conv = np.flatnonzero(outcome == CONVERGED)
     U = U[conv]
@@ -640,7 +651,7 @@ def multistart(cd: CurvatureData, cfg: SolverConfig) -> list[SVPSolution]:
     empty nonzero set is a legitimate outcome.
     """
     patterns = _patterns(cd, cfg)
-    return _ensure_trivial(_search(cd, cfg, patterns), cd, cfg, patterns)
+    return _ensure_trivial(_search(cd, cfg, patterns), cd, patterns)
 
 
 def sigma_values(solutions) -> list[float]:
@@ -654,24 +665,36 @@ def sigma_values(solutions) -> list[float]:
 
 
 def _ensure_trivial(clusters: list[SVPSolution], cd: CurvatureData,
-                    cfg: SolverConfig, patterns: list[Signs]) -> list[SVPSolution]:
+                    patterns: list[Signs]) -> list[SVPSolution]:
+    """``clusters`` with the analytic sigma = 0 row first, unless one of
+    them is labelled trivial.
+
+    The row is ``(v, v, u, u)`` for the first of ``patterns`` of the form
+    ``(a, a, b, b)`` whose signs g has: ``v`` and ``u`` are columns of g's
+    orthonormal frame (:func:`algebra._frame`) of signs ``a`` and ``b``,
+    distinct when ``a == b`` and g has two such columns, each rescaled by
+    its measured ``<v, v>``.  It draws from no stream, so every seed gives
+    the same row.  Each equation's bivector ``q ^ s`` is zero, so the
+    residual is the constraint rows, computed as :func:`_system`'s residuals
+    compute them; the label follows :func:`_trivial_patterns`' rule.
+    """
     if any(s.trivial for s in clusters):
         return clusters
-    rng = np.random.default_rng(cfg.rng_seed + 1)
+    E, eta = _frame(cd.g)
     for signs in patterns:
-        if signs[0] != signs[1] or signs[2] != signs[3]:
+        a, b = signs[0], signs[2]
+        cols_a, cols_b = E.T[eta == a], E.T[eta == b]
+        if signs != (a, a, b, b) or not (len(cols_a) and len(cols_b)):
             continue
-        V, _ = _sample_starts(rng, cd.g, (signs[0], signs[2]), 1)
-        if not len(V):
-            continue
-        v, u = V.reshape(2, cd.n)
-        q = Quadruple(v, v.copy(), u, u.copy(), signs=signs)
-        res = residual_norm(cd, q, 0.0)
-        if res < cfg.tol * 10:
-            clusters.insert(0, SVPSolution(
-                q=q, sigma=0.0, residual=res, origin="analytic",
-                trivial=trivial_pattern(q)))
-            break
+        V = np.stack([cols_a[0], cols_b[int(a == b and len(cols_b) > 1)]])
+        sign = np.array([a, b], dtype=float)
+        V /= np.sqrt(sign * _squares(cd.g, V))[:, None]
+        v, u = V
+        clusters.insert(0, SVPSolution(
+            q=Quadruple(v, v.copy(), u, u.copy(), signs=signs), sigma=0.0,
+            residual=float(np.abs(_squares(cd.g, V) - sign).max()),
+            origin="analytic", trivial="all-equal" if _same(v, u) else "w=x"))
+        break
     return clusters
 
 

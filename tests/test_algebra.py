@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.algebra import (NPTetrad, _raise_all, compute_invariants,
+from riemsvp.algebra import (NPTetrad, _frame, _raise_all, compute_invariants,
                              curvature_scale, inner, invariant_i, kretschmann,
                              np_scalars, ricci, ricci_scalar, weyl,
                              weyl_self_contraction)
@@ -99,6 +99,20 @@ class TestCurvatureScale:
                         cd.riemann_mixed, frame, frame, frame)
         assert curvature_scale(cd) == pytest.approx(np.abs(hat).max(),
                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("metric_id", catalog.CATALOG_IDS)
+    def test_frame_gives_the_inline_eigenframe_scale(self, metric_id):
+        params = {"kappa": -0.7, "n": 4} if metric_id == "space-form" else {}
+        entry = catalog.get(metric_id, **params)
+        cd = riemann(entry.spec, entry.default_point)
+        # the scale as it was written before the frame had a helper
+        lam, vec = np.linalg.eigh(cd.g)
+        frame = vec / np.sqrt(np.abs(lam))
+        want = float(np.abs(_raise_all(cd.riemann_lowered, frame.T)).max())
+        assert curvature_scale(cd) == want
+        E, eta = _frame(cd.g)
+        assert np.array_equal(E, frame) and np.array_equal(eta, np.sign(lam))
+        assert np.allclose(E.T @ cd.g @ E, np.diag(eta), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("c", [1e-3, 0.3, 1e3])
     def test_homothety(self, c):

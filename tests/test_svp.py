@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from dataclasses import replace
@@ -703,6 +704,42 @@ class TestSearchBookkeeping:
         assert got == []
         assert calls.count("core") == 1 and calls[-1] == "core"
 
+    def test_converging_nothing_draws_one_stream_and_builds_one_system(
+            self, monkeypatch):
+        from riemsvp import svp
+
+        # Schwarzschild r = 30: every one of these 50 starts stalls, so
+        # multistart adds the analytic row, which reads g's frame only
+        cd = riemann(catalog.schwarzschild(1.0).spec, [0.0, 30.0, 1.2, 0.0])
+        calls, inside = [], []
+        real = {name: getattr(svp, name) for name in
+                ("_search", "_system", "_sample_starts", "_frame")}
+        real_rng = np.random.default_rng
+
+        def counted(name):
+            def call(*args, **kwargs):
+                calls.append(name if name != "_sample_starts" or any(inside)
+                             else "_sample_starts outside the search")
+                inside.append(name == "_search")
+                try:
+                    return real[name](*args, **kwargs)
+                finally:
+                    inside.pop()
+            return call
+
+        def rng(*args, **kwargs):
+            calls.append("default_rng")
+            return real_rng(*args, **kwargs)
+
+        for name in real:
+            monkeypatch.setattr(svp, name, counted(name))
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        (sol,) = svp.multistart(cd, SolverConfig(n_starts=50, rng_seed=0))
+        assert sol.origin == "analytic"
+        assert collections.Counter(calls) == {
+            "_search": 1, "default_rng": 1, "_system": 1,
+            "_sample_starts": 1, "_frame": 1}
+
     @pytest.mark.parametrize("search", ["_search", "meigen_reduce"])
     def test_one_system_and_no_residual_after_the_core(self, search,
                                                        monkeypatch):
@@ -1022,18 +1059,99 @@ class TestStartSampler:
         from riemsvp.svp import _ensure_trivial
 
         n = 4
-        # spacelike draws are about 4e-10 of the stream
-        cd = CurvatureData(point=np.zeros(n),
-                           g=np.diag([-1e6, -1e6, -1e6, 1.0]),
-                           g_inv=np.diag([-1e-6, -1e-6, -1e-6, 1.0]),
-                           riemann_mixed=np.zeros((n,) * 4),
-                           riemann_lowered=np.zeros((n,) * 4),
-                           signature=(-1, -1, -1, 1))
-        cfg = SolverConfig(n_starts=5, rng_seed=0)
-        assert _ensure_trivial([], cd, cfg, [ALL_PLUS]) == []
-        (sol,) = _ensure_trivial([], cd, cfg, [ALL_PLUS, (-1, -1, -1, -1)])
-        assert sol.q.signs == (-1, -1, -1, -1) and sol.trivial == "w=x"
+
+        def flat(diag):
+            return CurvatureData(point=np.zeros(n), g=np.diag(diag),
+                                 g_inv=np.diag(1.0 / np.array(diag)),
+                                 riemann_mixed=np.zeros((n,) * 4),
+                                 riemann_lowered=np.zeros((n,) * 4),
+                                 signature=tuple(np.sign(diag).astype(int)))
+
+        # spacelike draws are about 4e-10 of the stream, but the frame has
+        # one spacelike column, which serves both pairs
+        cd = flat([-1e6, -1e6, -1e6, 1.0])
+        (sol,) = _ensure_trivial([], cd, [ALL_PLUS])
+        assert sol.q.signs == ALL_PLUS and sol.trivial == "all-equal"
+        # a Riemannian g has no timelike column
+        cd = flat([1.0, 2.0, 3.0, 4.0])
+        minus = (-1, -1, -1, -1)
+        assert _ensure_trivial([], cd, [minus, (1, 1, -1, -1)]) == []
+        (sol,) = _ensure_trivial([], cd, [minus, (-1, -1, 1, 1), ALL_PLUS])
+        assert sol.q.signs == ALL_PLUS and sol.trivial == "w=x"
         assert sol.origin == "analytic" and sol.sigma == 0.0
+
+
+# (curvature from a scratch directory, patterns of the form (a, a, b, b)
+# that g has); Schwarzschild converges no start there at 20 starts
+ROW_CASES = {
+    "schwarzschild r=100": (
+        lambda _: riemann(catalog.schwarzschild(1.0).spec,
+                          [0.0, 100.0, 1.2, 0.0]),
+        [ALL_PLUS, (1, 1, -1, -1), (-1, -1, 1, 1), (-1, -1, -1, -1)]),
+    "kerr": (lambda _: kerr_cd(),
+             [ALL_PLUS, (1, 1, -1, -1), (-1, -1, 1, 1), (-1, -1, -1, -1)]),
+    "sphere2": (lambda _: sphere_cd(), [ALL_PLUS]),
+    "metric file": (schwarzschild_file_cd, [ALL_PLUS, (-1, -1, -1, -1)]),
+}
+
+
+class TestAnalyticRow:
+    """The analytic sigma = 0 row comes from g's orthonormal frame."""
+
+    def test_same_row_for_every_seed_and_no_stream(self, monkeypatch):
+        cd = ROW_CASES["schwarzschild r=100"][0](None)
+        rows = []
+        for seed in (0, 1, 7):
+            (sol,) = multistart(cd, SolverConfig(n_starts=20,
+                                                 rng_seed=seed))
+            assert sol.origin == "analytic" and sol.sigma == 0.0
+            rows.append(sol.q.flat().tobytes())
+        assert rows[0] == rows[1] == rows[2]
+
+        from riemsvp.svp import _ensure_trivial
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the analytic row drew from a stream")
+
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
+        monkeypatch.setattr(np.random, "Generator", no_stream)
+        (sol,) = _ensure_trivial([], cd, [ALL_PLUS])
+        assert sol.q.flat().tobytes() == rows[0]
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_residual_is_residual_norm(self, case, tmp_path):
+        from riemsvp.svp import _ensure_trivial
+
+        make_cd, patterns = ROW_CASES[case]
+        cd = make_cd(tmp_path)
+        for signs in patterns:
+            (sol,) = _ensure_trivial([], cd, [signs])
+            assert sol.q.signs == signs
+            # each equation's bivector q ^ s is zero, so the constraint rows
+            # are the residual, bit for bit
+            assert sol.residual == residual_norm(cd, sol.q, 0.0)
+            w, x, y, z = sol.q.vectors
+            assert np.array_equal(w, x) and np.array_equal(y, z)
+            assert sol.residual <= 1e-14
+
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_label_follows_the_frame_columns(self, case, tmp_path):
+        from riemsvp.svp import _ensure_trivial
+
+        make_cd, patterns = ROW_CASES[case]
+        cd = make_cd(tmp_path)
+        lam = np.linalg.eigvalsh(cd.g)
+        for signs in patterns:
+            (sol,) = _ensure_trivial([], cd, [signs])
+            columns = int(((lam > 0) == (signs[2] > 0)).sum())
+            distinct = signs[0] != signs[2] or columns > 1
+            assert sol.trivial == ("w=x" if distinct else "all-equal")
+            assert sol.trivial == trivial_pattern(sol.q)
+            v, u = sol.q.w, sol.q.y
+            if distinct:
+                assert abs(inner(cd.g, v, u)) <= 1e-12
+            else:
+                assert np.array_equal(v, u)
 
 
 class TestMultistart:
