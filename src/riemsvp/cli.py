@@ -165,7 +165,7 @@ def resolve_metric(args) -> catalog.CatalogEntry:
 
 
 # the options a report's config echoes, in order, where the command has them
-_CONFIG_KEYS = ("metric", "params", "point", "signs", "tol", "starts", "seed",
+_CONFIG_KEYS = ("metric", "params", "point", "signs", "starts", "seed",
                 "method")
 
 
@@ -187,8 +187,8 @@ def _base_report(args, command: str) -> dict:
 def _solver_config(args) -> SolverConfig:
     """The solver settings of a search command; the commands build them
     before :func:`_prepare`, so a bad solver flag is reported first."""
-    return SolverConfig(tol=args.tol, n_starts=args.starts,
-                        sign_pattern=args.signs, rng_seed=args.seed)
+    return SolverConfig(n_starts=args.starts, sign_pattern=args.signs,
+                        rng_seed=args.seed)
 
 
 def _prepare(args) -> tuple[catalog.CatalogEntry, np.ndarray, CurvatureData]:
@@ -461,6 +461,11 @@ def _render_csv(report: dict) -> str:
             lines.append(",".join([c["name"], str(c["pass"]).lower(),
                                    str(c["skipped"]).lower(),
                                    _fmt_float(c["max_defect"])]))
+    elif "members" in report:
+        lines.append("sigma,residual")
+        for m in report["members"]:
+            lines.append(_fmt_float(m["sigma"]) + ","
+                         + _fmt_float(m["residual"]))
     elif "invariants" in report:
         lines.append("name,value")
         inv = report["invariants"]
@@ -563,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="constraint sign pattern: ++++, +++-, ... "
                            "or all; write one that starts with - as "
                            "--signs=-+++")
-            p.add_argument("--tol", type=float, default=defaults.tol)
             p.add_argument("--starts", type=int, default=defaults.n_starts)
             p.add_argument("--seed", type=int, default=defaults.rng_seed)
         if name in ("svp", "orbit"):

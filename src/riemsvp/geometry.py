@@ -152,11 +152,6 @@ class SymmetryReport:
     pair_symmetry: float
     bianchi_first: float
 
-    @property
-    def max_defect(self) -> float:
-        return max(self.antisym_first_pair, self.antisym_second_pair,
-                   self.pair_symmetry, self.bianchi_first)
-
 
 def as_point(p, n: int) -> np.ndarray:
     """Validate and convert a coordinate array."""
@@ -187,19 +182,7 @@ def metric_at(spec: MetricSpec, p) -> tuple[np.ndarray, np.ndarray]:
 def _metric_at(spec: MetricSpec,
                p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`metric_at` at a point :func:`as_point` has validated, and the
-    number of negative eigenvalues of the symmetric part of the metric."""
-    with np.errstate(all="ignore"):  # non-finite values fail the checks
-        g = np.asarray(spec.g(p), dtype=float)
-        if g.shape != (spec.dimension, spec.dimension):
-            raise InvalidInput(
-                "metric supplier returned a wrongly shaped matrix")
-        return (g,) + _checked_inverse(spec, p, g)
-
-
-def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
-    """The inverse of the metric ``g`` at ``p`` after :func:`metric_at`'s
-    checks, and the number of negative eigenvalues of its symmetric part,
-    under the caller's ``np.errstate``.
+    number of negative eigenvalues of the symmetric part of the metric.
 
     The eigenvalues are those of the symmetric part of ``S g S`` with ``S =
     diag(1/sqrt(max_j |g_ij|))``, symmetric equilibration (van der Sluis,
@@ -209,21 +192,26 @@ def _checked_inverse(spec: MetricSpec, p: np.ndarray, g: np.ndarray):
     leaves ``S`` infinite: singular.  ``max`` propagates NaN and inf, so the
     row maxima also test finiteness.
     """
-    rows = np.abs(g).max(axis=1)
-    top, s = rows.max(), 1.0 / np.sqrt(rows)
-    finite, a = math.isfinite(top), s[:, None] * g * s
-    lam = (np.linalg.eigvalsh(0.5 * (a + a.T))
-           if finite and rows.min() > 0.0 else np.zeros(1))
-    size = np.abs(lam)
-    ratio = size.min() / max(size.max(), _TINY)
-    if ratio > 1e-14:
-        try:
-            g_inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError:  # asymmetric, regular symmetric part
-            g_inv = np.full_like(g, np.nan)
-        defect = np.abs(g @ g_inv - _eye(len(g))).max()
-        if defect <= 1e-12 * max(1.0, top * np.abs(g_inv).max()):
-            return g_inv, int(np.count_nonzero(lam < 0))
+    with np.errstate(all="ignore"):  # non-finite values fail the checks
+        g = np.asarray(spec.g(p), dtype=float)
+        if g.shape != (spec.dimension, spec.dimension):
+            raise InvalidInput(
+                "metric supplier returned a wrongly shaped matrix")
+        rows = np.abs(g).max(axis=1)
+        top, s = rows.max(), 1.0 / np.sqrt(rows)
+        finite, a = math.isfinite(top), s[:, None] * g * s
+        lam = (np.linalg.eigvalsh(0.5 * (a + a.T))
+               if finite and rows.min() > 0.0 else np.zeros(1))
+        size = np.abs(lam)
+        ratio = size.min() / max(size.max(), _TINY)
+        if ratio > 1e-14:
+            try:
+                g_inv = np.linalg.inv(g)
+            except np.linalg.LinAlgError:  # asymmetric, regular symmetric part
+                g_inv = np.full_like(g, np.nan)
+            defect = np.abs(g @ g_inv - _eye(len(g))).max()
+            if defect <= 1e-12 * max(1.0, top * np.abs(g_inv).max()):
+                return g, g_inv, int(np.count_nonzero(lam < 0))
     raise SingularMetric(f"metric '{spec.id}' " + (
         f"is not finite at {p.tolist()}" if not finite else
         f"is singular at {p.tolist()} (equilibrated eigenvalue ratio "

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -73,7 +72,9 @@ class ParseError(InvalidInput):
     """Malformed metric definition file or expression."""
 
 
-def tokenize(text: str, name: str) -> list[tuple[str, str]]:
+def _source(text: str, variables, name: str) -> str:
+    """``text`` as Python source: coordinate k reads ``p[k]``, a constant or
+    literal is its float's ``repr``, and ``^`` is ``**``."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -82,17 +83,9 @@ def tokenize(text: str, name: str) -> list[tuple[str, str]]:
             raise ParseError(f"{name}: unexpected character {text[pos]!r} in "
                              f"{text!r}")
         pos = m.end()
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group()))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group()))
     tokens.append(("end", ""))
-    return tokens
-
-
-def _source(text: str, variables, name: str) -> str:
-    """``text`` as Python source: coordinate k reads ``p[k]``, a constant or
-    literal is its float's ``repr``, and ``^`` is ``**``."""
-    tokens = tokenize(text, name)
     index = {v: k for k, v in enumerate(variables)}
     words = []
     for (kind, tok), (_, after) in zip(tokens, tokens[1:]):
@@ -185,41 +178,12 @@ def compile_expression(node: ast.expr, name: str = "expression"):
     return eval(code, dict(_FUNCTIONS, __builtins__={}))
 
 
-@dataclass(frozen=True)
-class MetricDefinition:
-    """Parsed content of a metric definition file."""
-
-    dimension: int
-    coordinates: tuple
-    signature: tuple
-    components: dict
-    id: str
-
-    def to_spec(self) -> MetricSpec:
-        n = self.dimension
-        entries = {(i, j): compile_expression(node, f"g[{i},{j}]")
-                   for (i, j), node in self.components.items()}
-        entries = {**{(j, i): f for (i, j), f in entries.items()}, **entries}
-
-        def g(p):
-            mat = np.zeros((n, n), dtype=np.result_type(p.dtype, float))
-            for ij, entry in entries.items():
-                mat[ij] = entry(p)
-            return mat
-
-        used = {node.slice.value for expr in self.components.values()
-                for node in ast.walk(expr) if isinstance(node, ast.Subscript)}
-        return MetricSpec(
-            dimension=n, signature=self.signature, g=g, id=self.id,
-            ignorable=tuple(k for k in range(n) if k not in used))
-
-
 _ASSIGN_RE = re.compile(r"^\s*g\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.+)$")
 _KEY_RE = re.compile(r"^\s*(dimension|coordinates|signature)\s*=\s*(.+)$")
 
 
-def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
-    """Parse a metric definition file into a :class:`MetricDefinition`."""
+def load_metric(path: Union[str, Path]) -> MetricSpec:
+    """Parse a definition file and build its metric spec."""
     path = Path(path)
     try:
         raw = path.read_text()
@@ -289,11 +253,19 @@ def parse_metric_file(path: Union[str, Path]) -> MetricDefinition:
             raise ParseError(f"component index ({i},{j}) out of range")
         components[(i, j)] = parse_expression(text, coordinates, f"g[{i},{j}]")
 
-    return MetricDefinition(dimension=dimension, coordinates=coordinates,
-                            signature=signature, components=components,
-                            id=path.stem)
+    entries = {(i, j): compile_expression(node, f"g[{i},{j}]")
+               for (i, j), node in components.items()}
+    entries = {**{(j, i): f for (i, j), f in entries.items()}, **entries}
 
+    def g(p):
+        mat = np.zeros((dimension, dimension),
+                       dtype=np.result_type(p.dtype, float))
+        for ij, entry in entries.items():
+            mat[ij] = entry(p)
+        return mat
 
-def load_metric(path: Union[str, Path]) -> MetricSpec:
-    """Parse a definition file and build its metric spec."""
-    return parse_metric_file(path).to_spec()
+    used = {node.slice.value for expr in components.values()
+            for node in ast.walk(expr) if isinstance(node, ast.Subscript)}
+    return MetricSpec(
+        dimension=dimension, signature=signature, g=g, id=path.stem,
+        ignorable=tuple(k for k in range(dimension) if k not in used))

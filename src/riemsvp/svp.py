@@ -84,16 +84,13 @@ class SVPSolution:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton and multistart parameters."""
+    """Multistart parameters."""
 
-    tol: float = 1e-11
     n_starts: int = 200
     sign_pattern: str = "++++"
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise InvalidInput("tol must be positive and finite")
         starts = self.n_starts
         if not isinstance(starts, (int, np.integer)) or starts < 1:
             raise InvalidInput("n_starts must be an integer of at least 1")
@@ -153,6 +150,10 @@ _MAX_BATCH = 1024
 
 # Newton steps a start may take; one that has not converged by then is capped.
 _MAX_NEWTON_ITERS = 60
+
+# A start has converged once the max-norm of its residual is below this
+# absolute bound.
+_NEWTON_TOL = 1e-11
 
 
 def _matvec(a: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -341,15 +342,14 @@ def _lstsq_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # A start that overflows gets a non-finite residual or step, which the
 # comparisons in the core reject, so the floating-point warnings carry nothing.
 @np.errstate(over="ignore", invalid="ignore")
-def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
-                  cfg: SolverConfig):
+def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray):
     """Damped least-squares Newton on a batch of starts ``U`` of shape (B, k).
 
     ``system`` is one search's :func:`_system` and ``signs`` holds each
     start's signs.  Each start iterates on its own: it takes the
     minimum-norm Gauss-Newton step (:func:`_lstsq_steps`), then the first
     length in ``_STEPS`` that lowers the max-norm of its residual.  It ends
-    ``CONVERGED`` once that norm is below ``cfg.tol``, ``STALLED`` when no
+    ``CONVERGED`` once that norm is below ``_NEWTON_TOL``, ``STALLED`` when no
     step length lowers it, ``SINGULAR`` on a non-finite step and ``CAPPED``
     after ``_MAX_NEWTON_ITERS`` steps, whatever its batch-mates do.  Returns
     the final points, their residual norms and the outcomes.  A pass makes
@@ -359,15 +359,15 @@ def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
     """
     if len(U) > _MAX_BATCH:
         slices = [_gauss_newton(system, U[lo:lo + _MAX_BATCH],
-                                signs[lo:lo + _MAX_BATCH], cfg)
+                                signs[lo:lo + _MAX_BATCH])
                   for lo in range(0, len(U), _MAX_BATCH)]
         return tuple(np.concatenate(part) for part in zip(*slices))
     U = np.array(U, dtype=float)
     F = system.residuals(U, signs)
     fnorm = np.abs(F).max(axis=1)
     outcome = np.full(len(U), CAPPED, dtype=object)
-    outcome[fnorm < cfg.tol] = CONVERGED
-    live = np.flatnonzero(~(fnorm < cfg.tol))
+    outcome[fnorm < _NEWTON_TOL] = CONVERGED
+    live = np.flatnonzero(~(fnorm < _NEWTON_TOL))
     # the live starts' points, residuals, norms and trial signs
     u, f, fn = U[live], F[live], fnorm[live]
     tried = np.tile(signs[live], (len(_STEPS), 1))
@@ -386,7 +386,7 @@ def _gauss_newton(system: _System, U: np.ndarray, signs: np.ndarray,
         better = fn_try.reshape(len(_STEPS), len(u)) < fn
         pick = better.argmax(axis=0) * len(u) + offsets
         u_new, f, fn_new = u_try[pick], f_try[pick], fn_try[pick]
-        stuck, done = ~better.any(axis=0), fn_new < cfg.tol
+        stuck, done = ~better.any(axis=0), fn_new < _NEWTON_TOL
         if stuck.any() or done.any():
             # a start no length improves keeps its point
             u_new[stuck], fn_new[stuck] = u[stuck], fn[stuck]
@@ -473,13 +473,12 @@ def _clusters(U: np.ndarray, res: np.ndarray, signs, seeds,
             for i, count, label in groups]
 
 
-def _solve_full(cd: CurvatureData, U: np.ndarray, signs, cfg: SolverConfig,
-                pair: bool = False):
+def _solve_full(cd: CurvatureData, U: np.ndarray, signs, pair: bool = False):
     """:func:`_gauss_newton` on the full or, with ``pair``, the repeated-pair
     system; ``signs`` is one sign pattern or one per row."""
     signs = np.asarray(signs, dtype=float)[..., :2 if pair else 4]
     return _gauss_newton(_system(cd, pair), U, np.broadcast_to(
-        signs, (len(U), signs.shape[-1])), cfg)
+        signs, (len(U), signs.shape[-1])))
 
 
 # Largest block of draws the start sampler classifies at once; it bounds the
@@ -612,7 +611,7 @@ def _search(cd: CurvatureData, cfg: SolverConfig, patterns: list[Signs],
     # a pair row (y, z, sigma) stands for (y, z, y, z, sigma)
     U, fnorm, outcome = _solve_full(
         cd, np.column_stack([V, _sigmas(cd, np.tile(V, 2) if pair else V)]),
-        signs, cfg, pair)
+        signs, pair)
     conv = np.flatnonzero(outcome == CONVERGED)
     U = U[conv]
     if pair:

@@ -19,6 +19,7 @@ path (:func:`clusters_reference`) builds and merges one solution per row,
 as the package did before it took the rows in one sorted pass.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,11 @@ def kretschmann_loops(g_inv, lowered):
                                                * lowered[a, b, c, d])
                     total += lowered[i, j, k, l] * raised
     return total
+
+
+def max_defect(rep):
+    """The worst of a symmetry report's four defects, NaN if any is NaN."""
+    return float(np.max(dataclasses.astuple(rep)))
 
 
 def svp_residual_loops(mixed, g, w, x, y, z, signs, sigma):
@@ -331,7 +337,7 @@ def jacobians_loop(cd, U):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def gauss_newton_sequential(res_fn, jac_fn, U, cfg):
+def gauss_newton_sequential(res_fn, jac_fn, U):
     """Damped least-squares Newton on a batch of starts, one length at a time.
 
     ``res_fn(points, idx)`` returns residuals only and ``jac_fn(points)``
@@ -345,7 +351,7 @@ def gauss_newton_sequential(res_fn, jac_fn, U, cfg):
     outcome = np.full(len(U), svp.CAPPED, dtype=object)
     live = np.arange(len(U))
     for _ in range(svp._MAX_NEWTON_ITERS):
-        done = fnorm[live] < cfg.tol
+        done = fnorm[live] < svp._NEWTON_TOL
         outcome[live[done]] = svp.CONVERGED
         live = live[~done]
         if not live.size:
@@ -370,17 +376,17 @@ def gauss_newton_sequential(res_fn, jac_fn, U, cfg):
         outcome[live[todo]] = svp.STALLED
         live = np.delete(live, todo)
     else:
-        outcome[live[fnorm[live] < cfg.tol]] = svp.CONVERGED
+        outcome[live[fnorm[live] < svp._NEWTON_TOL]] = svp.CONVERGED
     return U, fnorm, outcome
 
 
-def solve_full_reference(cd, U, signs, cfg):
+def solve_full_reference(cd, U, signs):
     """:func:`gauss_newton_sequential` on the full system; ``signs`` is one
     sign pattern or one per row."""
     signs = np.broadcast_to(np.asarray(signs, dtype=float), (len(U), 4))
     return gauss_newton_sequential(
         lambda batch, idx: residuals_ordered(cd, batch, signs[idx]),
-        lambda batch: jacobians_loop(cd, batch), U, cfg)
+        lambda batch: jacobians_loop(cd, batch), U)
 
 
 def search_reference(cd, cfg, patterns, pair=False):
@@ -422,7 +428,7 @@ def search_reference(cd, cfg, patterns, pair=False):
     U0 = np.column_stack([V, sigmas_ordered(cd, embed(V))])
     return (U0,) + gauss_newton_sequential(
         lambda U, idx: residuals_ordered(cd, embed(U), row_signs[idx])[:, rows],
-        jac_fn, U0, cfg)
+        jac_fn, U0)
 
 
 def trivial_pattern_per_row(q, atol=1e-6):

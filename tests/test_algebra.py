@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from riemsvp.algebra import (NPTetrad, _frame, _raise_all, compute_invariants,
                              weyl_self_contraction)
 from riemsvp.errors import BadTetrad, DimensionTooSmall
 from riemsvp.geometry import CurvatureData, riemann
+from riemsvp.metricfile import load_metric
 
 import oracles
 
@@ -126,6 +129,47 @@ class TestCurvatureScale:
                                signature=cd.signature)
         assert curvature_scale(scaled) == pytest.approx(
             curvature_scale(cd) / (c * c), rel=1e-12)
+
+
+METRIC_FILES = Path(__file__).parents[1] / "perfbench" / "metrics"
+
+# (spec, point) for every catalog metric and both benchmark metric files
+HOMOTHETY_CASES = {
+    "sphere2": lambda: (catalog.sphere2().spec, [1.0, 0.3]),
+    "space-form": lambda: (catalog.space_form(-0.7, 4).spec,
+                           [0.1, 0.2, 0.3, 0.4]),
+    "euclidean": lambda: (catalog.euclidean(3).spec, [0.5, 1.0, 2.0]),
+    "minkowski": lambda: (catalog.minkowski().spec, np.zeros(4)),
+    "schwarzschild": lambda: (catalog.schwarzschild(1.0).spec,
+                              [0.0, 3.0, 0.7854, 0.0]),
+    "kerr": lambda: (catalog.kerr(1.0, 0.9).spec, [0.0, 4.0, 1.2, 0.0]),
+    "halfplane.metric": lambda: (
+        load_metric(METRIC_FILES / "halfplane.metric"), [0.3, 1.7]),
+    "schwarzschild-m1.metric": lambda: (
+        load_metric(METRIC_FILES / "schwarzschild-m1.metric"),
+        [0.0, 10.0, 1.2, 0.0]),
+}
+
+
+class TestExactHomothety:
+    """g -> 4^k g is exact in floating point, and so is every input of a
+    search: the mixed curvature is unchanged, the lowered curvature and the
+    curvature scale go as 4^k and 4^-k, and g's frame as 2^-k."""
+
+    @pytest.mark.parametrize("mode", ["auto", "numeric"])
+    @pytest.mark.parametrize("case", sorted(HOMOTHETY_CASES))
+    @pytest.mark.parametrize("k", [-8, -3, 3, 8])
+    def test_inputs_scale_exactly(self, case, mode, k):
+        spec, point = HOMOTHETY_CASES[case]()
+        c = 4.0 ** k
+        scaled = replace(spec, g=lambda p: c * spec.g(p))
+        cd, cd_c = riemann(spec, point, mode), riemann(scaled, point, mode)
+        assert np.array_equal(cd_c.riemann_mixed, cd.riemann_mixed)
+        assert np.array_equal(cd_c.riemann_lowered, c * cd.riemann_lowered)
+        assert curvature_scale(cd_c) == curvature_scale(cd) / c
+        (E, eta), (E_c, eta_c) = _frame(cd.g), _frame(cd_c.g)
+        assert np.array_equal(E_c, E * 2.0 ** -k)
+        assert np.array_equal(eta_c, eta)
 
 
 class TestKretschmann:

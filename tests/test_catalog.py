@@ -9,6 +9,8 @@ from riemsvp.errors import InvalidInput
 from riemsvp.geometry import riemann, verify_tensor_symmetries
 from riemsvp.svp import kerr_reduced_solve, schwarzschild_reduced_solve
 
+from oracles import max_defect
+
 
 class TestSphere2:
     def test_metric_at_equator(self):
@@ -204,7 +206,7 @@ class TestKerrTable:
                              + [(0.9, np.array([0.0, 1e4, 0.01, 0.0]))])
     def test_symmetry_defect_at_rounding(self, a, p):
         cd = riemann(catalog.kerr(1.0, a).spec, p)
-        assert verify_tensor_symmetries(cd).max_defect <= 1e-15
+        assert max_defect(verify_tensor_symmetries(cd)) <= 1e-15
 
 
 class TestFlatEntries:
@@ -259,7 +261,7 @@ class TestAnalyticExactness:
         for entry in entries:
             cd = riemann(entry.spec, entry.default_point)
             rep = verify_tensor_symmetries(cd)
-            assert rep.max_defect < 1e-12, entry.spec.id
+            assert max_defect(rep) < 1e-12, entry.spec.id
 
     def test_numeric_reproduces_analytic(self):
         rng = np.random.default_rng(123)

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from riemsvp import catalog, metricfile
 from riemsvp.geometry import riemann, verify_tensor_symmetries
 from riemsvp.metricfile import (ParseError, compile_expression, load_metric,
-                                parse_expression, parse_metric_file)
+                                parse_expression)
+
+from oracles import max_defect
 
 SPHERE_FILE = """\
 # round unit sphere
@@ -191,11 +193,15 @@ g[1,0] = 0 - u
         assert g[1, 0] == -2.0
 
     def test_defaults(self, tmp_path):
+        # coordinates default to x0, x1, x2 and the signature to all +
         path = tmp_path / "plain.metric"
-        path.write_text("dimension = 3\ng[0,0]=1\ng[1,1]=1\ng[2,2]=1\n")
-        definition = parse_metric_file(path)
-        assert definition.coordinates == ("x0", "x1", "x2")
-        assert definition.signature == (1, 1, 1)
+        path.write_text("dimension = 3\ng[0,0] = 1 + x0^2\n"
+                        "g[1,1] = 1 + x1^2\ng[2,2] = 1 + x2^2\n")
+        spec = load_metric(path)
+        assert spec.signature == (1, 1, 1)
+        assert spec.ignorable == ()
+        assert np.array_equal(spec.g(np.array([1.0, 2.0, 3.0])),
+                              np.diag([2.0, 5.0, 10.0]))
 
     def test_lorentz_signature(self, tmp_path):
         path = tmp_path / "mink.metric"
@@ -233,7 +239,7 @@ g[1,0] = 0 - u
             path = tmp_path / name
             path.write_text(text)
             with pytest.raises(ParseError):
-                parse_metric_file(path)
+                load_metric(path)
 
     @pytest.mark.parametrize("text, message", [
         ("dimension = 2\ndimension = 3\ng[0,0] = 1\n",
@@ -253,11 +259,11 @@ g[1,0] = 0 - u
         path = tmp_path / "twice.metric"
         path.write_text(text)
         with pytest.raises(ParseError, match=message.replace("[", r"\[")):
-            parse_metric_file(path)
+            load_metric(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_metric_file(tmp_path / "absent.metric")
+            load_metric(tmp_path / "absent.metric")
 
     def test_id_is_file_stem(self, sphere_path):
         assert load_metric(sphere_path).id == "sphere"
@@ -343,7 +349,7 @@ class TestCompiledComponents:
         spec = load_metric(path)
         exact, derived = riemann(spec, p), riemann(spec, p, mode="numeric")
         assert exact.path == derived.path == "numeric"
-        assert verify_tensor_symmetries(exact).max_defect <= 1e-14
+        assert max_defect(verify_tensor_symmetries(exact)) <= 1e-14
         assert np.array_equal(exact.riemann_mixed, derived.riemann_mixed)
         assert np.array_equal(exact.riemann_lowered, derived.riemann_lowered)
 

@@ -136,8 +136,7 @@ class TestSolveNewton:
         from riemsvp.svp import _solve_full
 
         cd, U0 = noisy_sphere_start()
-        (u,), (fnorm,), (outcome,) = _solve_full(cd, U0, ALL_PLUS,
-                                                 SolverConfig())
+        (u,), (fnorm,), (outcome,) = _solve_full(cd, U0, ALL_PLUS)
         assert outcome == "converged"
         assert abs(abs(u[-1]) - 1.0) < 1e-11
         assert fnorm < 1e-11
@@ -147,7 +146,7 @@ class TestSolveNewton:
 
         cd = sphere_cd()
         U0 = np.array([[1.0, 0.0] * 4 + [0.0]])
-        U, _, (outcome,) = _solve_full(cd, U0, ALL_PLUS, SolverConfig())
+        U, _, (outcome,) = _solve_full(cd, U0, ALL_PLUS)
         assert outcome == "converged"
         assert np.array_equal(U, U0)
         q = Quadruple(*U[0, :8].reshape(4, 2))
@@ -158,9 +157,9 @@ class TestSolveNewton:
 
         cd, U0 = noisy_sphere_start()
         monkeypatch.setattr(svp, "_MAX_NEWTON_ITERS", 1)
-        got = svp._solve_full(cd, U0, ALL_PLUS, SolverConfig())
+        got = svp._solve_full(cd, U0, ALL_PLUS)
         assert list(got[2]) == ["capped"]
-        want = oracles.solve_full_reference(cd, U0, ALL_PLUS, SolverConfig())
+        want = oracles.solve_full_reference(cd, U0, ALL_PLUS)
         assert_same_core_results((U0,) + tuple(got), (U0,) + want)
 
     def test_space_form_sigma_set(self):
@@ -210,11 +209,10 @@ class TestBatchedCore:
 
         cd = CORE_CASES[case]()
         U0 = core_starts(cd, ALL_PLUS, 200)
-        cfg = SolverConfig()
-        U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
-        halves = [_solve_full(cd, part, ALL_PLUS, cfg)
+        U, _, out = _solve_full(cd, U0, ALL_PLUS)
+        halves = [_solve_full(cd, part, ALL_PLUS)
                   for part in (U0[:73], U0[73:])]
-        singles = [_solve_full(cd, U0[i:i + 1], ALL_PLUS, cfg)
+        singles = [_solve_full(cd, U0[i:i + 1], ALL_PLUS)
                    for i in range(len(U0))]
         for split in (halves, singles):
             assert np.array_equal(np.concatenate([r[0] for r in split]), U)
@@ -232,9 +230,8 @@ class TestBatchedCore:
                  for i, signs in enumerate(patterns)]
         assert all(len(part) == 8 for part in parts)
         row_signs = [signs for signs in patterns for _ in range(8)]
-        cfg = SolverConfig()
-        U, _, out = _solve_full(cd, np.concatenate(parts), row_signs, cfg)
-        alone = [_solve_full(cd, part, signs, cfg)
+        U, _, out = _solve_full(cd, np.concatenate(parts), row_signs)
+        alone = [_solve_full(cd, part, signs)
                  for part, signs in zip(parts, patterns)]
         assert np.array_equal(np.concatenate([r[0] for r in alone]), U)
         assert list(np.concatenate([r[2] for r in alone])) == list(out)
@@ -242,7 +239,7 @@ class TestBatchedCore:
         # a batch over the core's size limit is solved in slices
         monkeypatch.setattr(svp, "_MAX_BATCH", 7)
         U_sliced, _, out_sliced = _solve_full(cd, np.concatenate(parts),
-                                              row_signs, cfg)
+                                              row_signs)
         assert np.array_equal(U_sliced, U)
         assert list(out_sliced) == list(out)
 
@@ -260,9 +257,8 @@ class TestBatchedCore:
         U0 = core_starts(cd, ALL_PLUS, 30)
         bad = U0.copy()
         bad[5, 2] = np.inf
-        cfg = SolverConfig()
-        U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
-        U_bad, _, out_bad = _solve_full(cd, bad, ALL_PLUS, cfg)
+        U, _, out = _solve_full(cd, U0, ALL_PLUS)
+        U_bad, _, out_bad = _solve_full(cd, bad, ALL_PLUS)
         assert out_bad[5] == "singular"
         rest = np.arange(len(U0)) != 5
         assert np.array_equal(U_bad[rest], U[rest])
@@ -274,8 +270,7 @@ class TestBatchedCore:
 
         cd = sphere_cd()
         U0 = core_starts(cd, ALL_PLUS, 30)
-        cfg = SolverConfig()
-        U, _, out = _solve_full(cd, U0, ALL_PLUS, cfg)
+        U, _, out = _solve_full(cd, U0, ALL_PLUS)
         real_svd = np.linalg.svd
         svd_calls = []
 
@@ -286,7 +281,7 @@ class TestBatchedCore:
             return real_svd(a, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", stacked_fails)
-        U_fb, _, out_fb = _solve_full(cd, U0, ALL_PLUS, cfg)
+        U_fb, _, out_fb = _solve_full(cd, U0, ALL_PLUS)
         assert np.array_equal(U_fb, U) and list(out_fb) == list(out)
         # the rank-deficient steps near the sphere's solution families
         # reach the SVD, stacked and then one system at a time
@@ -296,7 +291,7 @@ class TestBatchedCore:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", always_fails)
-        _, _, out_all = _solve_full(cd, U0, ALL_PLUS, cfg)
+        _, _, out_all = _solve_full(cd, U0, ALL_PLUS)
         assert set(out_all) <= {"singular", "converged"}
         assert "singular" in set(out_all)
 
@@ -400,9 +395,9 @@ def recorded_core(monkeypatch):
     calls = []
     real = svp._gauss_newton
 
-    def recording(system, U, signs, cfg):
+    def recording(system, U, signs):
         start = np.array(U, dtype=float)
-        out = real(system, U, signs, cfg)
+        out = real(system, U, signs)
         calls.append((start,) + tuple(out))
         return out
 
@@ -487,10 +482,9 @@ class TestOneResidualPass:
         U0 = np.concatenate([core_starts(cd, signs, 8, seed=i)
                              for i, signs in enumerate(patterns)])
         row_signs = [signs for signs in patterns for _ in range(8)]
-        cfg = SolverConfig()
-        want = oracles.solve_full_reference(cd, U0, row_signs, cfg)
+        want = oracles.solve_full_reference(cd, U0, row_signs)
         monkeypatch.setattr(svp, "_MAX_BATCH", 7)
-        got = svp._solve_full(cd, U0, row_signs, cfg)
+        got = svp._solve_full(cd, U0, row_signs)
         assert_same_core_results((U0,) + tuple(got), (U0,) + want)
 
     @pytest.mark.parametrize("make_cd", [
