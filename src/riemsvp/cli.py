@@ -518,8 +518,9 @@ def _render_text(report: dict) -> str:
         for c in report["checks"]:
             status = ("skip" if c["skipped"]
                       else ("pass" if c["pass"] else "FAIL"))
-            lines.append(f"{c['name']:>22}: {status}  "
-                         f"(max defect {_fmt_float(c['max_defect'])})")
+            detail = (c["note"] if c["skipped"]
+                      else f"max defect {_fmt_float(c['max_defect'])}")
+            lines.append(f"{c['name']:>22}: {status}  ({detail})")
     if "members" in report:
         lines.append(f"orbit members: {len(report['members'])}")
         for m in report["members"]:

@@ -94,7 +94,8 @@ class MetricSpec:
         if self.dimension < 2:
             raise InvalidInput("metric dimension must be at least 2")
         if len(self.signature) != self.dimension:
-            raise InvalidInput("signature length must equal dimension")
+            raise InvalidInput(f"signature length {len(self.signature)} "
+                               f"does not equal dimension {self.dimension}")
         if any(s not in (-1, 1) for s in self.signature):
             raise InvalidInput("signature entries must be +1 or -1")
         if (any(j not in range(self.dimension) for j in self.ignorable)
@@ -108,10 +109,6 @@ class MetricSpec:
         """The coordinates the metric may depend on, in increasing order."""
         return tuple(j for j in range(self.dimension)
                      if j not in self.ignorable)
-
-    @property
-    def is_lorentz(self) -> bool:
-        return sum(1 for s in self.signature if s < 0) == 1
 
 
 @dataclass(frozen=True)

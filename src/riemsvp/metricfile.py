@@ -230,8 +230,6 @@ def load_metric(path: Union[str, Path]) -> MetricSpec:
 
     if dimension is None:
         raise ParseError("metric file must set 'dimension'")
-    if dimension < 2:
-        raise ParseError("dimension must be at least 2")
     if coordinates is None:
         coordinates = tuple(f"x{i}" for i in range(dimension))
     free = {v for v in coordinates if _NAME_RE.fullmatch(v)
@@ -242,8 +240,6 @@ def load_metric(path: Union[str, Path]) -> MetricSpec:
                          "function name")
     if signature is None:
         signature = (1,) * dimension
-    if len(signature) != dimension:
-        raise ParseError("signature length must equal dimension")
     if not assignments:
         raise ParseError("metric file defines no components")
 

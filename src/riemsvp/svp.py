@@ -100,22 +100,15 @@ class SolverConfig:
         parse_sign_pattern(self.sign_pattern)
 
 
-def parse_sign_pattern(pattern) -> Optional[Signs]:
-    """Normalize a sign pattern; ``None`` means enumerate all patterns."""
-    if pattern is None:
+def parse_sign_pattern(pattern: str) -> Optional[Signs]:
+    """The signs of four ``+``/``-`` characters, or ``None`` for ``all``."""
+    text = pattern.strip().lower() if isinstance(pattern, str) else ""
+    if text == "all":
         return None
-    if isinstance(pattern, str):
-        text = pattern.strip().lower()
-        if text in ("all", "enumerate-all"):
-            return None
-        text = text.replace("\u2212", "-")
-        if len(text) == 4 and set(text) <= {"+", "-"}:
-            return tuple(1 if ch == "+" else -1 for ch in text)
-        raise InvalidInput(f"bad sign pattern '{pattern}'")
-    signs = tuple(int(s) for s in pattern)
-    if len(signs) != 4 or any(s not in (-1, 1) for s in signs):
-        raise InvalidInput(f"bad sign pattern '{pattern}'")
-    return signs
+    text = text.replace("\u2212", "-")
+    if len(text) == 4 and set(text) <= {"+", "-"}:
+        return tuple(1 if ch == "+" else -1 for ch in text)
+    raise InvalidInput(f"bad sign pattern '{pattern}'")
 
 
 def sigma_from_tensor(cd: CurvatureData, q: Quadruple) -> float:
@@ -203,8 +196,7 @@ def _system(cd: CurvatureData, pair: bool = False) -> _System:
     plane pair with the bivector ``q ^ s`` (``i < j``), then with ``p``; its
     Jacobian rows hold the derivatives in the slots ``_P[e]``, ``_Q[e]``,
     ``_S[e]``, ``-sigma`` on the diagonal of slot ``e`` and ``-V[e]`` in
-    the sigma column, and constraint ``e`` holds ``2 g V[e]`` in slot ``e``.
-    The Jacobian's layouts are made on its first call."""
+    the sigma column, and constraint ``e`` holds ``2 g V[e]`` in slot ``e``."""
     n, k, g, r = cd.n, 2 if pair else 4, cd.g, cd.riemann_mixed
     P, Q, S = _PAIR_VECTORS if pair else (_P, _Q, _S)
     i, j = _pairs(n)
@@ -225,16 +217,12 @@ def _system(cd: CurvatureData, pair: bool = False) -> _System:
         np.subtract(_squares(g, V), signs, out=out[:, k * n:])
         return out
 
-    @functools.cache
-    def layouts():
-        return r.reshape(n ** 3, n), r.swapaxes(1, 3).reshape(n ** 3, n)
-
+    r_s, r_p = r.reshape(n ** 3, n), r.swapaxes(1, 3).reshape(n ** 3, n)
     e, rows, slots = np.arange(k), np.arange(k * n), (_P[:k], _Q[:k], _S[:k])
 
     def jacobians(U):
         B, m = len(U), 4 * n
         V, sigma = U[:, :k * n].reshape(B, k, n), U[:, k * n]
-        r_s, r_p = layouts()
         p, q = V[:, P], V[:, Q]
         # derivatives of r_ijkl p^j q^k s^l in p, q and s, per equation
         rs = _matvec(r_s, V[:, S]).reshape(B, k, n, n, n)
@@ -725,26 +713,23 @@ def orbit(sol: SVPSolution, cd: CurvatureData) -> list[SVPSolution]:
     """
     q, sigma = sol.q, sol.sigma
     members: list[tuple[Quadruple, float]] = []
-
-    def emit(quad: Quadruple, sig: float):
-        members.append((quad, sig))
-
     for signs4 in itertools.product((1.0, -1.0), repeat=4):
         parity = 1.0 if np.prod(signs4) > 0 else -1.0
-        emit(Quadruple(*(s * v for s, v in zip(signs4, q.vectors)),
-                       signs=q.signs), parity * sigma)
+        members.append((Quadruple(*(s * v for s, v in zip(signs4, q.vectors)),
+                                  signs=q.signs), parity * sigma))
 
     for perm, sig in _SWAPS:
-        emit(Quadruple(*(q.vectors[i] for i in perm),
-                       signs=tuple(q.signs[i] for i in perm)), sig * sigma)
+        members.append((Quadruple(*(q.vectors[i] for i in perm),
+                                  signs=tuple(q.signs[i] for i in perm)),
+                        sig * sigma))
 
     if _rotations_valid(cd, q):
         w, x, y, z = q.vectors
         rt = 1.0 / math.sqrt(2.0)
-        emit(Quadruple(rt * (w - x), rt * (w + x), y, z, q.signs), sigma)
-        emit(Quadruple(w, x, rt * (y - z), rt * (y + z), q.signs), sigma)
-        emit(Quadruple(rt * (w + x), rt * (w - x), rt * (y + z), rt * (y - z),
-                       q.signs), sigma)
+        members += [(Quadruple(*vectors, q.signs), sigma) for vectors in (
+            (rt * (w - x), rt * (w + x), y, z),
+            (w, x, rt * (y - z), rt * (y + z)),
+            (rt * (w + x), rt * (w - x), rt * (y + z), rt * (y - z)))]
     U = np.array([np.append(quad.flat(), sig) for quad, sig in members])
     res = np.abs(_system(cd).residuals(U, [quad.signs for quad, _ in members]))
     return [SVPSolution(q=quad, sigma=sig, residual=float(r), origin="orbit",
@@ -807,8 +792,8 @@ def lorentz_mixed_sign_check(cd: CurvatureData,
                              f"(one negative sign), got {cd.signature}")
     pattern = parse_sign_pattern(cfg.sign_pattern)
     if pattern is None or len(set(pattern)) == 1:
-        cfg = replace(cfg, sign_pattern="+++-")
-    sols = _search(cd, cfg, _patterns(cd, cfg))
+        pattern = (1, 1, 1, -1)
+    sols = _search(cd, cfg, [pattern])
     return MixedSignReport(sum(s.count for s in sols), max(
         (abs(s.sigma) for s in sols), default=0.0))
 

@@ -220,7 +220,7 @@ class TestFlatEntries:
         entry = catalog.minkowski()
         cd = riemann(entry.spec, np.zeros(4))
         assert np.abs(cd.riemann_lowered).max() == 0.0
-        assert entry.spec.is_lorentz
+        assert cd.is_lorentz
         tet = entry.tetrad(np.zeros(4))
         assert tet.normalization_defect(cd.g) < 1e-15
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.cli import main, render_json
+from riemsvp.cli import _fmt_float, main, render_json
 from riemsvp.geometry import riemann
 
 CORRUPTED_METRIC = """\
@@ -346,6 +346,16 @@ class TestVerifyCommand:
         assert by_name["remark2-lorentz"]["note"] == (
             "no mixed-sign start converged")
 
+    def test_byproduct_needs_four_dimensions(self, capsys):
+        code, out = run(capsys, "verify", "--metric", "space-form",
+                        "--params", "kappa=2,n=3", "--starts", "20",
+                        "--deterministic")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["example2-identities"]["skipped"] is False
+        assert by_name["example3-byproduct"]["skipped"] is True
+        assert by_name["example3-byproduct"]["note"] == "needs n = 4"
+
     def test_space_form_identities_run(self, capsys):
         code, out = run(capsys, "verify", "--metric", "space-form",
                         "--params", "kappa=1,n=4", "--starts", "40",
@@ -532,6 +542,85 @@ class TestCatalogCommand:
                           "schwarzschild": ["M"], "kerr": ["M", "a"]}
 
 
+class TestTextAndCsvReports:
+    """Each row of a text or CSV report is a row of the command's JSON
+    report: one per cluster, expected value, check, member or metric."""
+
+    SVP = ["svp", "--metric", "sphere2", "--point", "1.0472,0", "--starts",
+           "30", "--deterministic"]
+    VERIFY = ["verify", "--metric", "schwarzschild", "--point", "0,20,1.2,0",
+              "--starts", "20", "--deterministic"]
+
+    @staticmethod
+    def point_line(report):
+        return f"point: [{', '.join(map(_fmt_float, report['point']))}]"
+
+    @staticmethod
+    def reports(capsys, argv, output):
+        code, out = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        code, rendered = run(capsys, *argv, "--output", output)
+        assert code == 0
+        return json.loads(out), rendered.splitlines()
+
+    def test_svp_text(self, capsys):
+        report, lines = self.reports(capsys, self.SVP, "text")
+        sols, expected = report["solutions"], report["expected"]
+        assert sols and expected
+        assert lines[:2] == ["riemsvp svp", self.point_line(report)]
+        assert lines[2].split() == ["sigma", "residual", "count", "origin",
+                                    "trivial"]
+        rows = lines[3:3 + len(sols)]
+        assert [row.split() for row in rows] == [
+            [format(s["sigma"], ".16f"), format(s["residual"], ".2e"),
+             str(s["count"]), s["origin"], s["trivial"] or "-"]
+            for s in sols]
+        assert lines[3 + len(sols):] == [
+            f"expected sigma {_fmt_float(e['sigma'])} ({e['description']}): "
+            + ("matched" if e["matched"] else "NOT FOUND") for e in expected]
+
+    def test_verify_text_gives_skip_notes(self, capsys):
+        # a skipped check prints its note where a run check prints its defect
+        report, lines = self.reports(capsys, self.VERIFY, "text")
+        assert lines[:2] == ["riemsvp verify", self.point_line(report)]
+        rows = [line.split(": ", 1) for line in lines[2:]]
+        assert [name.strip() for name, _ in rows] == [
+            c["name"] for c in report["checks"]]
+        got = {name.strip(): rest for name, rest in rows}
+        for c in report["checks"]:
+            status = ("skip" if c["skipped"]
+                      else "pass" if c["pass"] else "FAIL")
+            detail = (c["note"] if c["skipped"]
+                      else f"max defect {_fmt_float(c['max_defect'])}")
+            assert got[c["name"]] == f"{status}  ({detail})"
+        assert got["prop1"] == "skip  (no non-zero sigma converged)"
+        assert got["remark2-lorentz"] == (
+            "skip  (no mixed-sign start converged)")
+
+    def test_verify_csv(self, capsys):
+        report, lines = self.reports(capsys, self.VERIFY, "csv")
+        assert lines == ["name,pass,skipped,max_defect"] + [
+            f"{c['name']},{str(c['pass']).lower()},"
+            f"{str(c['skipped']).lower()},{_fmt_float(c['max_defect'])}"
+            for c in report["checks"]]
+
+    def test_orbit_text(self, capsys):
+        argv = ["orbit", *self.SVP[1:]]
+        report, lines = self.reports(capsys, argv, "text")
+        members = report["members"]
+        assert lines == ["riemsvp orbit", self.point_line(report),
+                         f"orbit members: {len(members)}"] + [
+            f"  sigma={_fmt_float(m['sigma'])} "
+            f"residual={_fmt_float(m['residual'])}" for m in members]
+        assert len(members) == 26
+
+    def test_catalog_csv(self, capsys):
+        report, lines = self.reports(capsys, ["catalog", "list"], "csv")
+        assert lines == ["id,params"] + [
+            f"{m['id']},{' '.join(m['params'])}" for m in report["metrics"]]
+        assert len(lines) == 1 + len(catalog.CATALOG_IDS)
+
+
 class TestExitCodes:
     def test_unknown_metric_is_config_error(self, capsys):
         code = main(["svp", "--metric", "torus", "--point", "0,0"])
@@ -699,6 +788,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert "does not take params M" in captured.err
 
+    def test_undocumented_signs_are_config_error(self, capsys):
+        code = main(["svp", "--metric", "sphere2", "--signs", "enumerate-all"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error: bad sign pattern "
+                                "'enumerate-all'\n")
+
+    def test_reduced_method_needs_a_black_hole(self, capsys):
+        code = main(["svp", "--metric", "sphere2", "--method", "reduced"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --method reduced is not available for "
+            "'sphere2'\n")
+
     def test_infeasible_signs_is_domain_error(self, capsys):
         code = main(["svp", "--metric", "sphere2", "--point", "1.0,0",
                      "--signs", "+++-", "--starts", "5"])
@@ -712,6 +816,22 @@ class TestExitCodes:
                      "--deterministic"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("dimension = 1\ng[0,0] = 1\n", "metric dimension must be at least 2"),
+        ("dimension = 2\nsignature = +\ng[0,0] = 1\ng[1,1] = 1\n",
+         "signature length 1 does not equal dimension 2"),
+    ], ids=["dimension-1", "short-signature"])
+    def test_metric_file_breaking_a_spec_rule_is_config_error(
+            self, capsys, tmp_path, text, message):
+        # the metric spec states these rules; a file meets them through it
+        path = tmp_path / "bad.metric"
+        path.write_text(text)
+        code = main(["invariants", "--metric", str(path), "--point", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("component, message", [
         ("1/0 + y^2", "constant arithmetic in '1/0 + y^2' has no real value"),

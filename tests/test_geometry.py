@@ -229,6 +229,16 @@ class TestDeclaredSignature:
         with pytest.raises(WrongSignature, match="1 negative eigenvalue"):
             riemann(spec, [0.0, 3.0, 1.0, 0.0], mode=mode)
 
+    @pytest.mark.parametrize("dimension, signature, message", [
+        (1, (1,), "metric dimension must be at least 2"),
+        (2, (1,), "signature length 1 does not equal dimension 2"),
+        (2, (1, 0), r"signature entries must be \+1 or -1"),
+    ], ids=["dimension-1", "short-signature", "zero-entry"])
+    def test_spec_rules(self, dimension, signature, message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            MetricSpec(dimension=dimension, signature=signature,
+                       g=lambda p: np.eye(dimension))
+
 
 class TestSymmetries:
     def test_analytic_tables_exact(self):

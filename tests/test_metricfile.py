@@ -206,9 +206,8 @@ g[1,0] = 0 - u
     def test_lorentz_signature(self, tmp_path):
         path = tmp_path / "mink.metric"
         path.write_text(MINKOWSKI_FILE)
-        spec = load_metric(path)
-        assert spec.is_lorentz
-        cd = riemann(spec, np.zeros(4))
+        cd = riemann(load_metric(path), np.zeros(4))
+        assert cd.is_lorentz
         assert np.abs(cd.riemann_lowered).max() < 1e-12
 
     def test_parse_errors(self, tmp_path):

@@ -1196,9 +1196,18 @@ class TestMultistart:
         assert parse_sign_pattern("++++") == (1, 1, 1, 1)
         assert parse_sign_pattern("+-+-") == (1, -1, 1, -1)
         assert parse_sign_pattern("all") is None
-        assert parse_sign_pattern("enumerate-all") is None
+        assert parse_sign_pattern(" -+−+ ") == (-1, 1, -1, 1)
         with pytest.raises(InvalidInput):
             parse_sign_pattern("+++")
+        with pytest.raises(InvalidInput):
+            parse_sign_pattern("enumerate-all")
+
+    @pytest.mark.parametrize("pattern", ["enumerate-all", None, (1, 1, 1, -1)],
+                             ids=["alias", "none", "sequence"])
+    def test_only_documented_strings(self, pattern):
+        # --signs takes four signs or all; no other form reaches a search
+        with pytest.raises(InvalidInput, match="bad sign pattern"):
+            SolverConfig(sign_pattern=pattern)
 
     @pytest.mark.parametrize("starts", [0, -2, 2.5, 3.0, "3", None])
     def test_starts_must_be_a_positive_integer(self, starts):
