@@ -15,6 +15,7 @@ converged, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -54,61 +55,40 @@ _PROP1_TOL = _MIXED_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# report serialization: floats at 17 significant digits, stable field order
+# report serialization: one conversion to plain data, every real as its repr
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(v: Optional[float]) -> str:
-    if v is None or v != v or v in (float("inf"), float("-inf")):
-        return "null"
-    return format(float(v), ".17g")
-
-
-def _fmt_complex(z: complex) -> str:
-    """``a + bj``, or ``a - bj`` when the imaginary part is negative."""
-    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
-    return f"{_fmt_float(z.real)} {sign} {_fmt_float(abs(z.imag))}j"
-
-
-# the escapes of json.dumps(s, ensure_ascii=False)
-_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
-    c: "\\" + e for c, e in zip(b'"\\\b\f\n\r\t', '"\\bfnrt')}
-
-
-def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner_pad = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return '"' + obj.translate(_JSON_ESCAPES) + '"'
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, complex):
-        return render_json({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, np.ndarray):
-        return render_json(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [render_json(v, indent + 1) for v in obj]
-        if all("\n" not in it and len(it) < 20 for it in items):
-            return "[" + ", ".join(items) + "]"
-        return ("[\n" + ",\n".join(inner_pad + it for it in items)
-                + "\n" + pad + "]")
+def _plain(obj):
+    """``obj`` as plain JSON data: a numpy array as a list, a numpy float as
+    a Python float, a complex number as ``{"re": ..., "im": ...}`` and a
+    real that is not finite as ``None``."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [inner_pad + render_json(str(k)) + ": "
-                 + render_json(v, indent + 1) for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, complex):
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
+    return obj
+
+
+def _fmt_float(v: Optional[float]) -> str:
+    """A real of plain data as its JSON token: the shortest text that reads
+    back to the same float, or ``null``."""
+    return "null" if v is None else repr(v)
+
+
+def _fmt_complex(z: dict) -> str:
+    """A plain complex number as ``a + bj``, or ``a - bj`` when the
+    imaginary part is negative."""
+    im = z["im"]
+    if im is not None and math.copysign(1.0, im) < 0:
+        return f"{_fmt_float(z['re'])} - {_fmt_float(-im)}j"
+    return f"{_fmt_float(z['re'])} + {_fmt_float(im)}j"
 
 
 def _parse_number(text: str, what: str) -> float:
@@ -475,11 +455,11 @@ def _render_csv(report: dict) -> str:
         lines.append("weyl_norm," + _fmt_float(inv["weyl_norm"]))
         if inv["np_scalars"] is not None:
             for k, p in enumerate(inv["np_scalars"]):
-                lines.append(f"psi{k}_re," + _fmt_float(p.real))
-                lines.append(f"psi{k}_im," + _fmt_float(p.imag))
+                lines.append(f"psi{k}_re," + _fmt_float(p["re"]))
+                lines.append(f"psi{k}_im," + _fmt_float(p["im"]))
             i_val = inv["invariant_I"]
-            lines.append("invariant_I_re," + _fmt_float(i_val.real))
-            lines.append("invariant_I_im," + _fmt_float(i_val.imag))
+            lines.append("invariant_I_re," + _fmt_float(i_val["re"]))
+            lines.append("invariant_I_im," + _fmt_float(i_val["im"]))
     elif "metrics" in report:
         lines.append("id,params")
         for m in report["metrics"]:
@@ -490,7 +470,7 @@ def _render_csv(report: dict) -> str:
 def _render_text(report: dict) -> str:
     lines = [f"riemsvp {report['command']}"]
     if "point" in report:
-        pt = ", ".join(_fmt_float(v) for v in np.asarray(report["point"]))
+        pt = ", ".join(map(_fmt_float, report["point"]))
         lines.append(f"point: [{pt}]")
     if "invariants" in report:
         inv = report["invariants"]
@@ -534,12 +514,14 @@ def _render_text(report: dict) -> str:
 
 
 def render_report(report: dict, output: str) -> str:
+    data = _plain(report)
     if output == "json":
-        return render_json(report) + "\n"
+        return json.dumps(data, indent=2, ensure_ascii=False,
+                          allow_nan=False) + "\n"
     if output == "csv":
-        return _render_csv(report)
+        return _render_csv(data)
     if output == "text":
-        return _render_text(report)
+        return _render_text(data)
     raise InvalidInput(f"unknown output format '{output}'")
 
 

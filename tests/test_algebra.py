@@ -10,7 +10,7 @@ from riemsvp.algebra import (NPTetrad, _frame, _raise_all, compute_invariants,
                              curvature_scale, inner, invariant_i, kretschmann,
                              np_scalars, ricci, ricci_scalar, weyl,
                              weyl_self_contraction)
-from riemsvp.errors import BadTetrad, DimensionTooSmall
+from riemsvp.errors import BadTetrad, DimensionTooSmall, InvalidInput
 from riemsvp.geometry import CurvatureData, riemann
 from riemsvp.metricfile import load_metric
 
@@ -40,6 +40,12 @@ class TestInner:
         g = a + a.T
         u, v = rng.standard_normal(4), rng.standard_normal(4)
         assert inner(g, u, v) == pytest.approx(inner(g, v, u), rel=1e-14)
+
+    @pytest.mark.parametrize("u, v", [([1.0, 0.0], [1.0, 0.0, 0.0]),
+                                      ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])])
+    def test_wrong_length_is_invalid_input(self, u, v):
+        with pytest.raises(InvalidInput, match="vector length"):
+            inner(np.eye(3), np.array(u), np.array(v))
 
 
 class TestRicci:

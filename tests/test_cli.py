@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from riemsvp import catalog
-from riemsvp.cli import _fmt_float, main, render_json
+from riemsvp.cli import _fmt_float, main, render_report
 from riemsvp.geometry import riemann
 
 CORRUPTED_METRIC = """\
@@ -168,7 +168,7 @@ class TestInvariantsCommand:
         for name, p in want.items():
             sign = "-" if p["im"] < 0 else "+"
             text = got[name.ljust(14)]
-            assert text == f"{p['re']:.17g} {sign} {abs(p['im']):.17g}j"
+            assert text == f"{p['re']!r} {sign} {abs(p['im'])!r}j"
             assert complex(text.replace(" ", "")) == complex(p["re"], p["im"])
 
 
@@ -186,6 +186,16 @@ class TestSvpCommand:
         assert abs(sigmas[0]) < 1e-10
         assert abs(sigmas[-1] - 1.0) < 1e-10
         assert all(e["matched"] for e in report["expected"])
+
+    def test_integral_reals_read_back_as_floats(self, capsys):
+        code, out = run(capsys, "svp", "--metric", "sphere2",
+                        "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        reals = [*report["point"], *(s["sigma"] for s in report["solutions"]),
+                 *(e["sigma"] for e in report["expected"])]
+        assert 0.0 in reals and 1.0 in reals
+        assert all(type(v) is float for v in reals)
 
     def test_space_form_clusters(self, capsys):
         code, out = run(capsys, "svp", "--metric", "space-form", "--params",
@@ -490,6 +500,21 @@ class TestVerifyCommand:
 
 
 class TestOrbitCommand:
+    def test_mixed_pair_has_no_rotations(self, capsys):
+        # signs (1, 1, -1, 1): the second pair mixes signs, so plane
+        # rotations are not members
+        argv = ["--metric", "schwarzschild", "--point", "0,3,0.7854,0",
+                "--method", "multistart", "--signs=++-+", "--starts", "50",
+                "--deterministic"]
+        code, out = run(capsys, "svp", *argv)
+        assert code == 0
+        sols = json.loads(out)["solutions"]
+        assert [(s["quadruple"]["signs"], s["orbit_size"]) for s in sols] == [
+            ([1, 1, -1, 1], 23)]
+        code, out = run(capsys, "orbit", *argv)
+        assert code == 0
+        assert len(json.loads(out)["members"]) == 23
+
     def test_sphere_orbit(self, capsys):
         code, out = run(capsys, "orbit", "--metric", "sphere2", "--point",
                         "1.0472,0", "--starts", "30", "--deterministic")
@@ -630,6 +655,20 @@ class TestExitCodes:
         code = main(["svp", "--metric", "schwarzschild", "--params",
                      "M=abc", "--point", "0,3,1,0"])
         assert code == 2
+
+    def test_param_without_value_is_config_error(self, capsys):
+        code = main(["svp", "--metric", "schwarzschild", "--params", "M"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad --params entry 'M' (expected k=v)" in captured.err
+
+    def test_trailing_comma_in_params_is_ignored(self, capsys):
+        argv = ["svp", "--metric", "schwarzschild", "--deterministic",
+                "--params"]
+        code, out = run(capsys, *argv, "M=1,")
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "M=1")
 
     def test_repeated_param_is_config_error(self, capsys):
         code = main(["svp", "--metric", "schwarzschild", "--params",
@@ -1023,30 +1062,52 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 class TestJsonRenderer:
-    def test_seventeen_digit_floats(self):
-        text = render_json({"v": 1.0 / 3.0})
-        assert "0.33333333333333331" in text
+    def test_floats_written_as_repr(self):
+        # the shortest text that reads back to the same float; an integral
+        # float keeps its .0
+        obj = {"v": 1.0 / 3.0, "w": 1.0}
+        text = render_report(obj, "json")
+        assert json.loads(text) == obj
+        assert '"v": 0.3333333333333333,' in text
+        assert '"w": 1.0\n' in text
+        assert _fmt_float(1.0 / 3.0) == "0.3333333333333333"
+        assert _fmt_float(1.0) == "1.0"
 
     def test_round_trip(self):
         obj = {"a": [1.0, 2.5e-17, -3.0], "b": {"c": True, "d": None},
                "e": "x\"y", "n": 42}
-        parsed = json.loads(render_json(obj))
+        parsed = json.loads(render_report(obj, "json"))
         assert parsed["a"] == [1.0, 2.5e-17, -3.0]
         assert parsed["b"] == {"c": True, "d": None}
         assert parsed["e"] == 'x"y'
         assert parsed["n"] == 42
 
     def test_complex_rendering(self):
-        parsed = json.loads(render_json({"psi": 1.5 - 0.25j}))
+        parsed = json.loads(render_report({"psi": 1.5 - 0.25j}, "json"))
         assert parsed["psi"] == {"re": 1.5, "im": -0.25}
 
     def test_arrays(self):
-        parsed = json.loads(render_json(np.array([1.0, 0.5])))
+        parsed = json.loads(render_report(np.array([1.0, 0.5]), "json"))
         assert parsed == [1.0, 0.5]
 
     def test_strings_escaped_as_json_dumps(self):
         text = "".join(map(chr, range(0x110000)))
         text = text[:0xD800] + text[0xE000:]  # no lone surrogates
-        assert render_json(text) == json.dumps(text, ensure_ascii=False)
+        assert render_report(text, "json") == json.dumps(
+            text, ensure_ascii=False) + "\n"
         obj = {"key\t\x1f\"": ["\b\f\n\r\\", "\u00e9\u2028\x7f"]}
-        assert json.loads(render_json(obj)) == obj
+        assert json.loads(render_report(obj, "json")) == obj
+
+    def test_non_finite_reals_are_null_in_every_format(self):
+        report = {"command": "verify", "point": np.array([1.0, math.inf]),
+                  "checks": [{"name": "symmetries", "pass": False,
+                              "max_defect": math.nan, "skipped": False,
+                              "note": None}]}
+        parsed = json.loads(render_report(report, "json"))
+        assert parsed["point"] == [1.0, None]
+        assert parsed["checks"][0]["max_defect"] is None
+        assert render_report(report, "csv").splitlines() == [
+            "name,pass,skipped,max_defect", "symmetries,false,false,null"]
+        assert render_report(report, "text").splitlines() == [
+            "riemsvp verify", "point: [1.0, null]",
+            "            symmetries: FAIL  (max defect null)"]

@@ -161,6 +161,10 @@ class TestRiemann:
         cd = riemann(entry.spec, [math.pi / 3, 0.0])
         assert cd.riemann_lowered[0, 1, 0, 1] == pytest.approx(0.75, abs=1e-14)
 
+    def test_unknown_mode_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="unknown differentiation mode"):
+            riemann(catalog.sphere2().spec, [1.0, 0.0], mode="stencil")
+
     def test_sphere_sign_pin(self):
         # regression: R_{theta phi theta phi} = +sin(theta)^2
         entry = catalog.sphere2()
